@@ -11,8 +11,7 @@ from .errors import (DecryptionError, DimensionMismatchError, KeyMismatchError,
                      MessageFormatError, ParameterError, PinferError,
                      ProtocolViolationError)
 from .fixedpoint import DEFAULT_PRECISION, FixedPointValue, decode, encode, mul_rescale
-from .paillier import (Ciphertext, PublicKey, SecretKey, hom_add, hom_scale,
-                       hom_sub, keygen, rerandomize)
+from .paillier import Ciphertext, PublicKey, SecretKey, keygen
 from .comparison import (ComparisonRequest, ComparisonResponse,
                          bit_owner_finish, bit_owner_request, evaluator_respond)
 from .linear import (DEFAULT_KAPPA, FeatureVector, LinearModel,
@@ -33,8 +32,7 @@ __all__ = [
     "MessageFormatError", "ParameterError", "PinferError",
     "ProtocolViolationError",
     "DEFAULT_PRECISION", "FixedPointValue", "decode", "encode", "mul_rescale",
-    "Ciphertext", "PublicKey", "SecretKey", "hom_add", "hom_scale", "hom_sub",
-    "keygen", "rerandomize",
+    "Ciphertext", "PublicKey", "SecretKey", "keygen",
     "ComparisonRequest", "ComparisonResponse", "bit_owner_finish",
     "bit_owner_request", "evaluator_respond",
     "DEFAULT_KAPPA", "FeatureVector", "LinearModel", "PublishedLinearModel",

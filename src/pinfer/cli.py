@@ -45,7 +45,9 @@ def _load_keys(prefix: str):
     sk = load_key(prefix + ".key.json")
     if sk.public_key != pk:
         raise ParameterError(f"{prefix}: public and secret key files disagree")
-    return pk, sk
+    # The secret key's own public key is linked to the factors, so the key
+    # holder's encryptions take the CRT path.
+    return sk.public_key, sk
 
 
 def _require_heuristic_ack(protocol: str, flagged: bool) -> None:

@@ -15,6 +15,13 @@ randomness without changing its plaintext. Ciphertexts are tagged with the
 key they were produced under, and mixing keys in a homomorphic operation
 fails fast with :class:`~pinfer.errors.KeyMismatchError`.
 
+The party that holds the secret key never exponentiates modulo N**2. Its
+own public key (``SecretKey.public_key``) draws the encryption randomness
+r**N as a CRT pair of p-th and q-th powers modulo p**2 and q**2, and
+decryption works modulo p**2 and q**2 as well. A public key rebuilt from
+bytes holds no factors and takes the generic path; both produce the same
+distribution of ciphertexts, and their ciphertexts mix freely.
+
 Key sizes of 2048 or 3072 bits are the production presets; the 64-bit floor
 and the deterministic RNG from :func:`pinfer.numutil.insecure_rng` exist for
 tests only.
@@ -62,7 +69,8 @@ class PublicKey:
         key_id: short stable identifier used to tag ciphertexts.
     """
 
-    __slots__ = ("n", "n_squared", "bit_length", "max_signed", "min_signed", "key_id")
+    __slots__ = ("n", "n_squared", "bit_length", "max_signed", "min_signed", "key_id",
+                 "_secret")
 
     def __init__(self, n: int):
         if n <= 2 or n % 2 == 0:
@@ -74,6 +82,8 @@ class PublicKey:
         self.min_signed = -(n // 2)
         digest = hashlib.sha256(n.to_bytes((n.bit_length() + 7) // 8, "big")).digest()
         self.key_id = digest[:8].hex()
+        #: The SecretKey that owns this key, if the caller holds it.
+        self._secret: SecretKey | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PublicKey) and self.n == other.n
@@ -115,8 +125,18 @@ class PublicKey:
         return Ciphertext(c.value * self._fresh_factor(rng) % self.n_squared, self)
 
     def _fresh_factor(self, rng: random.Random | None = None) -> int:
-        r = (rng or SYSTEM_RNG).randrange(1, self.n)
-        return powmod(r, self.n, self.n_squared)
+        """Uniform N-th residue r**N mod N**2."""
+        rng = rng or SYSTEM_RNG
+        sk = self._secret
+        if sk is None:
+            return powmod(rng.randrange(1, self.n), self.n, self.n_squared)
+        # x -> x**p mod p**2 depends only on x mod p and maps onto the
+        # p-th powers, which raising to q permutes: gcd(N, phi) = 1, so q
+        # does not divide p - 1. Likewise modulo q**2.
+        p, q = sk.p, sk.q
+        f_p = powmod(rng.randrange(1, p), p, sk._p_sq)
+        f_q = powmod(rng.randrange(1, q), q, sk._q_sq)
+        return crt2(f_p, sk._p_sq, f_q, sk._q_sq, sk._q_sq_inv_p_sq)
 
     def _check_own(self, c: "Ciphertext") -> None:
         if c.public_key.key_id != self.key_id:
@@ -137,10 +157,12 @@ class PublicKey:
 class SecretKey:
     """Paillier secret key: the prime factors of N.
 
-    Decryption recovers the encryption randomness r from c mod N via the
-    precomputed exponent N**-1 mod (p-1)(q-1), strips r**N off the ciphertext
-    and reads the plaintext from what remains. All exponentiations run CRT
-    split over the prime-power factors, which is where the time goes.
+    Decryption is the CRT form from Paillier (EUROCRYPT 1999, section 7):
+    with L_p(x) = (x - 1) / p, the plaintext is m = L_p(c**(p-1) mod p**2)
+    * h_p mod p, likewise modulo q, joined by CRT, where h_p = (-q)**-1 mod
+    p. Each half costs one exponentiation with a half-size exponent modulo
+    p**2. ``public_key`` is linked back to this key, so encryption and
+    rerandomization under it also run modulo p**2 and q**2.
     """
 
     def __init__(self, p: int, q: int):
@@ -155,14 +177,14 @@ class SecretKey:
         if gcd(n, phi) != 1:
             raise ParameterError("modulus shares a factor with its totient")
         self.public_key = PublicKey(n)
-        #: decryption exponent N**-1 mod (p-1)(q-1)
-        self.decrypt_exponent = invert(n % phi, phi)
-        self._dp = self.decrypt_exponent % (p - 1)
-        self._dq = self.decrypt_exponent % (q - 1)
+        self.public_key._secret = self
         self._q_inv_p = invert(q % p, p)
         self._p_sq = p * p
         self._q_sq = q * q
         self._q_sq_inv_p_sq = invert(self._q_sq % self._p_sq, self._p_sq)
+        # h_p = L_p((1+N)**(p-1) mod p**2)**-1 = (-q)**-1 mod p, likewise h_q.
+        self._h_p = invert(-q % p, p)
+        self._h_q = invert(-p % q, q)
 
     def __repr__(self) -> str:
         return f"<SecretKey for {self.public_key!r}>"
@@ -175,22 +197,16 @@ class SecretKey:
             DecryptionError: ciphertext value not coprime to N.
         """
         self.public_key._check_own(c)
-        n = self.public_key.n
-        if gcd(c.value, n) != 1:
+        if gcd(c.value, self.public_key.n) != 1:
             raise DecryptionError("ciphertext is not coprime to the modulus")
-        c_n = c.value % n
-        r_p = powmod(c_n % self.p, self._dp, self.p)
-        r_q = powmod(c_n % self.q, self._dq, self.q)
-        r = crt2(r_p, self.p, r_q, self.q, self._q_inv_p)
-        # r**-N mod N**2, CRT over p**2 and q**2 (group orders p(p-1), q(q-1)).
-        u_p = c.value * powmod(invert(r % self._p_sq, self._p_sq),
-                               n % (self.p * (self.p - 1)), self._p_sq) % self._p_sq
-        u_q = c.value * powmod(invert(r % self._q_sq, self._q_sq),
-                               n % (self.q * (self.q - 1)), self._q_sq) % self._q_sq
-        u = crt2(u_p, self._p_sq, u_q, self._q_sq, self._q_sq_inv_p_sq)
-        if (u - 1) % n != 0:
+        p, q = self.p, self.q
+        x_p = powmod(c.value % self._p_sq, p - 1, self._p_sq)
+        x_q = powmod(c.value % self._q_sq, q - 1, self._q_sq)
+        if (x_p - 1) % p != 0 or (x_q - 1) % q != 0:
             raise DecryptionError("ciphertext does not decode to a valid plaintext")
-        return (u - 1) // n
+        m_p = (x_p - 1) // p * self._h_p % p
+        m_q = (x_q - 1) // q * self._h_q % q
+        return crt2(m_p, p, m_q, q, self._q_inv_p)
 
     def decrypt(self, c: "Ciphertext") -> int:
         """Plaintext as a signed representative in M."""
@@ -283,23 +299,3 @@ def keygen(bits: int = DEFAULT_KEY_BITS, rng: random.Random | None = None) -> tu
             continue
         sk = SecretKey(p, q)
         return sk.public_key, sk
-
-
-def hom_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
-    """Ciphertext of m1 + m2 (mod M)."""
-    return c1 + c2
-
-
-def hom_sub(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
-    """Ciphertext of m1 - m2 (mod M)."""
-    return c1 - c2
-
-
-def hom_scale(a: int, c: Ciphertext) -> Ciphertext:
-    """Ciphertext of a * m (mod M)."""
-    return a * c
-
-
-def rerandomize(pk: PublicKey, c: Ciphertext, rng: random.Random | None = None) -> Ciphertext:
-    """Same plaintext, fresh ciphertext value."""
-    return pk.rerandomize(c, rng)

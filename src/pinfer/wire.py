@@ -7,7 +7,9 @@ ceil(l_M/8) bytes and public keys likewise. A frame is
     version(1) | protocol_id(1) | step_id(1) | session_id(16) |
     part_count(u32) | { part_len(u32) | part_bytes } * part_count
 
-Frames reject unknown protocol ids, truncation and trailing bytes. Transcripts
+Frames reject unknown protocol ids, truncation and trailing bytes; a
+ciphertext must be a unit modulo N**2, so zero and other values sharing a
+factor with N are refused here rather than deep inside a protocol. Transcripts
 record per-message byte and ciphertext counts; ``message_plan`` gives the
 closed-form per-message ciphertext counts each protocol must match.
 """
@@ -18,6 +20,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import MessageFormatError, ParameterError
+from .numutil import gcd
 from .paillier import Ciphertext, PublicKey
 
 FRAME_VERSION = 1
@@ -74,6 +77,8 @@ def deserialize_ciphertext(data: bytes, pk: PublicKey) -> Ciphertext:
     value = int.from_bytes(data, "big")
     if value >= pk.n_squared:
         raise MessageFormatError("ciphertext value outside the ciphertext space")
+    if gcd(value, pk.n) != 1:
+        raise MessageFormatError("ciphertext value is not a unit modulo N")
     return Ciphertext(value, pk)
 
 

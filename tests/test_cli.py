@@ -16,7 +16,8 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
 import pytest
 
 import pinfer
-from pinfer.cli import main
+from pinfer.cli import _load_keys, main
+from pinfer.errors import ParameterError
 from pinfer.linear import LinearModel, max_core_ell
 from pinfer.modelfile import load_key, save_model
 from pinfer.network import NetworkSpec
@@ -57,6 +58,16 @@ def test_keygen_prints_max_ell(key_files, capsys):
     assert "l_M): 512" in out
     # 512-bit keys admit ell = 111 at kappa = 95: 2**111 * (2**95 + 1) - 1 < N.
     assert max_core_ell(pk.n, 95) >= 111
+
+
+def test_load_keys_returns_the_linked_public_key(key_files, tmp_path):
+    pk, sk = _load_keys(str(key_files / "cli"))
+    assert pk is sk.public_key and pk._secret is sk
+    assert pk == load_key(str(key_files / "cli.pub.json"))
+    shutil.copy(key_files / "srv.pub.json", tmp_path / "mixed.pub.json")
+    shutil.copy(key_files / "cli.key.json", tmp_path / "mixed.key.json")
+    with pytest.raises(ParameterError):
+        _load_keys(str(tmp_path / "mixed"))
 
 
 def test_keygen_requires_flag_for_test_keys(tmp_path):

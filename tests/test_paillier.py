@@ -1,9 +1,10 @@
 import pytest
 
-from pinfer import keygen
+from pinfer import keygen, paillier
 from pinfer.errors import DecryptionError, KeyMismatchError, ParameterError
 from pinfer.numutil import insecure_rng
-from pinfer.paillier import Ciphertext, PublicKey, SecretKey, hom_add, hom_scale, hom_sub
+from pinfer.paillier import Ciphertext, PublicKey, SecretKey
+from pinfer.wire import deserialize_public_key, serialize_public_key
 
 
 def test_keygen_sizes_and_round_trip(client_keys, rng):
@@ -93,14 +94,6 @@ def test_scalar_matches_repeated_addition(client_keys, rng):
             assert sk.decrypt(acc) == a * m
 
 
-def test_named_operator_wrappers(client_keys, rng):
-    pk, sk = client_keys
-    c3, c4 = pk.encrypt(3, rng), pk.encrypt(4, rng)
-    assert sk.decrypt(hom_add(c3, c4)) == 7
-    assert sk.decrypt(hom_sub(c3, c4)) == -1
-    assert sk.decrypt(hom_scale(-2, c3)) == -6
-
-
 def test_rerandomize_preserves_plaintext(client_keys, rng):
     pk, sk = client_keys
     c = pk.encrypt(5, rng)
@@ -142,6 +135,64 @@ def test_key_serialization_round_trip(client_keys):
     assert sk2.public_key == pk
     with pytest.raises(ParameterError):
         PublicKey.from_bytes(pk.to_bytes() + b"\x00")
+
+
+def test_key_holder_and_rebuilt_key_ciphertexts_mix(client_keys, rng):
+    pk, sk = client_keys
+    rebuilt = PublicKey.from_bytes(pk.to_bytes())
+    values = [0, 1, -1, pk.max_signed, pk.min_signed] + \
+        [rng.randrange(pk.min_signed, pk.max_signed + 1) for _ in range(20)]
+    for m1, m2 in zip(values, reversed(values)):
+        a = rng.randrange(-(2 ** 64), 2 ** 64)
+        c1, c2 = pk.encrypt(m1, rng), rebuilt.encrypt(m2, rng)
+        assert sk.decrypt(c1) == m1 and sk.decrypt(c2) == m2
+        for got, want in ((c1 + c2, m1 + m2), (c2 + c1, m1 + m2),
+                          (c1 - c2, m1 - m2), (c2 - c1, m2 - m1),
+                          (a * c1, a * m1), (a * c2, a * m2)):
+            assert (sk.decrypt(got) - want) % pk.n == 0
+        assert sk.decrypt(pk.rerandomize(c2, rng)) == m2
+        assert sk.decrypt(rebuilt.rerandomize(c1, rng)) == m1
+
+
+def test_key_holder_fresh_factor_encrypts_zero(client_keys, rng):
+    pk, sk = client_keys
+    for _ in range(20):
+        factor = pk._fresh_factor(rng)
+        assert 0 < factor < pk.n_squared
+        assert sk.decrypt(Ciphertext(factor, pk)) == 0
+
+
+def test_key_holder_never_exponentiates_mod_n_squared(client_keys, rng, monkeypatch):
+    pk, sk = client_keys
+    moduli = []
+    original = paillier.powmod
+
+    def counting_powmod(base, exp, mod):
+        moduli.append(mod)
+        return original(base, exp, mod)
+
+    monkeypatch.setattr(paillier, "powmod", counting_powmod)
+    c = pk.encrypt(-42, rng)
+    c = pk.rerandomize(c, rng)
+    assert sk.decrypt(c) == -42
+    assert moduli and pk.n_squared not in moduli
+
+    moduli.clear()
+    rebuilt = PublicKey.from_bytes(pk.to_bytes())
+    rebuilt.encrypt(-42, rng)
+    assert moduli == [pk.n_squared]
+
+
+def test_rebuilt_public_keys_hold_no_secret(client_keys):
+    pk, sk = client_keys
+    assert pk._secret is sk
+    for rebuilt in (PublicKey.from_bytes(pk.to_bytes()),
+                    deserialize_public_key(serialize_public_key(pk))):
+        assert rebuilt._secret is None
+        assert rebuilt == pk
+        assert rebuilt.to_bytes() == pk.to_bytes()
+        assert serialize_public_key(rebuilt) == serialize_public_key(pk)
+        assert repr(rebuilt) == repr(pk)
 
 
 def test_secret_key_requires_primes():

@@ -34,6 +34,16 @@ def test_ciphertext_width_and_range_errors(client_keys):
         deserialize_ciphertext(too_big, pk)
 
 
+def test_ciphertext_non_units_rejected(client_keys):
+    pk, sk = client_keys
+    width = ciphertext_width(pk)
+    for value in (0, sk.p, sk.q, 5 * sk.q, pk.n, pk.n_squared - sk.p):
+        with pytest.raises(MessageFormatError):
+            deserialize_ciphertext(value.to_bytes(width, "big"), pk)
+    for value in (1, pk.n + 1, pk.n_squared - 1):
+        assert deserialize_ciphertext(value.to_bytes(width, "big"), pk).value == value
+
+
 def test_scalar_and_key_round_trip(client_keys):
     pk, _ = client_keys
     assert deserialize_scalar(serialize_scalar(12345, pk), pk) == 12345
