@@ -10,7 +10,7 @@ the security caveats of the heuristic variants.
 from .errors import (DecryptionError, DimensionMismatchError, KeyMismatchError,
                      MessageFormatError, ParameterError, PinferError,
                      ProtocolViolationError)
-from .fixedpoint import DEFAULT_PRECISION, FixedPointValue, decode, encode, mul_rescale
+from .fixedpoint import DEFAULT_PRECISION, decode, encode
 from .paillier import Ciphertext, PublicKey, SecretKey, keygen
 from .comparison import (ComparisonRequest, ComparisonResponse,
                          bit_owner_finish, bit_owner_request, evaluator_respond)
@@ -31,7 +31,7 @@ __all__ = [
     "DecryptionError", "DimensionMismatchError", "KeyMismatchError",
     "MessageFormatError", "ParameterError", "PinferError",
     "ProtocolViolationError",
-    "DEFAULT_PRECISION", "FixedPointValue", "decode", "encode", "mul_rescale",
+    "DEFAULT_PRECISION", "decode", "encode",
     "Ciphertext", "PublicKey", "SecretKey", "keygen",
     "ComparisonRequest", "ComparisonResponse", "bit_owner_finish",
     "bit_owner_request", "evaluator_respond",

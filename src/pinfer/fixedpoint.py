@@ -3,13 +3,12 @@ cryptosystem operates on.
 
 A real x with at most P fractional bits corresponds to the signed integer
 z = floor(x * 2**P); P is the bit-precision. Addition is plain integer
-addition of equal-precision values; multiplication rescales by 2**P.
+addition of equal-precision values; a product of two carries scale 2**(2P).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 #: Default bit-precision, the significand width of an IEEE-754 double.
@@ -37,36 +36,3 @@ def decode(z: int, precision: int = DEFAULT_PRECISION) -> float:
     if precision < 0:
         raise ValueError("precision must be non-negative")
     return z / (1 << precision)
-
-
-def mul_rescale(z1: int, z2: int, precision: int = DEFAULT_PRECISION) -> int:
-    """Product of two fixed-point values, rescaled: floor(z1*z2 / 2**precision)."""
-    if precision < 0:
-        raise ValueError("precision must be non-negative")
-    # Arithmetic right shift floors toward minus infinity, matching encode().
-    return (z1 * z2) >> precision
-
-
-@dataclass(frozen=True)
-class FixedPointValue:
-    """A scaled integer z together with its bit-precision."""
-
-    z: int
-    precision: int
-
-    @classmethod
-    def from_real(cls, x: float, precision: int = DEFAULT_PRECISION) -> "FixedPointValue":
-        return cls(encode(x, precision), precision)
-
-    def to_real(self) -> float:
-        return decode(self.z, self.precision)
-
-    def __add__(self, other: "FixedPointValue") -> "FixedPointValue":
-        if self.precision != other.precision:
-            raise ValueError("cannot add values of different precision")
-        return FixedPointValue(self.z + other.z, self.precision)
-
-    def __mul__(self, other: "FixedPointValue") -> "FixedPointValue":
-        if self.precision != other.precision:
-            raise ValueError("cannot multiply values of different precision")
-        return FixedPointValue(mul_rescale(self.z, other.z, self.precision), self.precision)

@@ -3,6 +3,13 @@
 Delegates to gmpy2 when it is installed (roughly an order of magnitude faster
 on crypto-sized operands); otherwise falls back to pure Python. All callers go
 through this module so the two paths stay interchangeable.
+
+Prime search is split in two. :func:`prime_candidate` is a cheap filter: it
+draws odd integers with their top two bits set, so the product of two of them
+has an exact bit length, and discards those with an odd prime factor below
+2**12 (one gcd with a primorial) or that fail a base-2 Fermat test (one
+exponentiation). :func:`is_probable_prime` is the full Miller-Rabin test, run
+once on each surviving candidate by whoever needs a prime.
 """
 
 from __future__ import annotations
@@ -25,10 +32,23 @@ SYSTEM_RNG = random.SystemRandom()
 # Miller-Rabin rounds; error probability below 4^-40 = 2^-80 per composite.
 MR_ROUNDS = 40
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-                 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
-                 191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251]
+#: Trial division covers every prime below 2**SIEVE_BITS.
+SIEVE_BITS = 12
+
+
+def _primes_below(limit: int) -> list[int]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+_SMALL_PRIMES = frozenset(_primes_below(1 << SIEVE_BITS))
+#: Product of the odd primes below 2**SIEVE_BITS: one gcd does the trial division.
+_ODD_PRIMORIAL = math.prod(p for p in _SMALL_PRIMES if p != 2)
 
 
 def insecure_rng(seed: int) -> random.Random:
@@ -69,11 +89,10 @@ else:
             raise ValueError(f"{a} is not invertible modulo {mod}") from None
 
     def is_probable_prime(n: int) -> bool:
-        if n < 2:
+        if n < 1 << SIEVE_BITS:
+            return n in _SMALL_PRIMES
+        if n % 2 == 0 or math.gcd(n, _ODD_PRIMORIAL) != 1:
             return False
-        for p in _SMALL_PRIMES:
-            if n % p == 0:
-                return n == p
         d, s = n - 1, 0
         while d % 2 == 0:
             d //= 2
@@ -96,14 +115,22 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-def random_prime(bits: int, rng: random.Random | None = None) -> int:
-    """Uniformly sampled probable prime with the top bit set."""
-    if bits < 2:
-        raise ValueError("prime size must be at least 2 bits")
+def prime_candidate(bits: int, rng: random.Random | None = None) -> int:
+    """Random odd ``bits``-bit integer with its top two bits set that has no
+    odd prime factor below 2**SIEVE_BITS and passes a base-2 Fermat test.
+
+    This is a filter, not a primality proof: base-2 pseudoprimes such as
+    341 = 11 * 31 pass it. Run :func:`is_probable_prime` on the result before
+    treating it as prime. The top two bits make the product of a ``b``-bit
+    and a ``c``-bit candidate exactly ``b + c`` bits long.
+    """
+    if bits <= SIEVE_BITS:
+        raise ValueError(f"prime size must exceed {SIEVE_BITS} bits")
     rng = rng or SYSTEM_RNG
     while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate):
+        candidate = rng.getrandbits(bits) | (3 << (bits - 2)) | 1
+        if (math.gcd(candidate, _ODD_PRIMORIAL) == 1
+                and powmod(2, candidate - 1, candidate) == 1):
             return candidate
 
 

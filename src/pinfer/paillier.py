@@ -35,7 +35,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import DecryptionError, KeyMismatchError, ParameterError
-from .numutil import SYSTEM_RNG, crt2, gcd, invert, is_probable_prime, powmod, random_prime
+from .numutil import SYSTEM_RNG, crt2, gcd, invert, is_probable_prime, powmod, prime_candidate
 
 #: Key-size presets considered adequate for long-term protection.
 KEY_BITS_PRESETS = (2048, 3072)
@@ -283,7 +283,13 @@ class Ciphertext:
 def keygen(bits: int = DEFAULT_KEY_BITS, rng: random.Random | None = None) -> tuple[PublicKey, SecretKey]:
     """Fresh key pair with a modulus of exactly ``bits`` bits.
 
-    Primes are balanced and probabilistically tested (error below 2**-80).
+    The primes are balanced, ``bits // 2`` and ``bits - bits // 2`` bits
+    long, and each has its top two bits set, so N = p*q has exactly ``bits``
+    bits for odd sizes too and no draw is discarded for its size. Candidates
+    come from :func:`~pinfer.numutil.prime_candidate`, a cheap filter; the
+    one full primality test per prime (``MR_ROUNDS`` Miller-Rabin rounds,
+    error below 2**-80) is the one ``SecretKey`` runs on every key, generated
+    or loaded.
 
     Raises:
         ParameterError: if bits is below the 64-bit test floor.
@@ -292,10 +298,10 @@ def keygen(bits: int = DEFAULT_KEY_BITS, rng: random.Random | None = None) -> tu
         raise ParameterError(f"key size {bits} below the {MIN_KEY_BITS}-bit floor")
     rng = rng or SYSTEM_RNG
     while True:
-        p = random_prime(bits // 2, rng)
-        q = random_prime(bits - bits // 2, rng)
-        n = p * q
-        if p == q or n.bit_length() != bits or gcd(n, (p - 1) * (q - 1)) != 1:
+        p = prime_candidate(bits // 2, rng)
+        q = prime_candidate(bits - bits // 2, rng)
+        try:
+            sk = SecretKey(p, q)
+        except ParameterError:
             continue
-        sk = SecretKey(p, q)
         return sk.public_key, sk

@@ -532,6 +532,8 @@ def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
     mode, variant = _network_mode_variant(served.protocol)
     pk_s = served.server_keys[0] if served.server_keys else None
     if frame.step_id == wire.STEP_REQUEST:
+        if frame.session_id in sessions:
+            raise ProtocolViolationError("session already active")
         pk_c = wire.deserialize_public_key(frame.parts[0])
         cts = tuple(wire.deserialize_ciphertext(p, pk_c) for p in frame.parts[1:])
         session = NetworkServerSession(spec, mode=mode, server_keys=served.server_keys,

@@ -1,9 +1,6 @@
-import math
-from fractions import Fraction
-
 import pytest
 
-from pinfer.fixedpoint import FixedPointValue, decode, encode, mul_rescale
+from pinfer.fixedpoint import decode, encode
 
 
 def exact_encode(x: float, precision: int) -> int:
@@ -58,36 +55,3 @@ def test_encode_monotone(rng):
     for p in (0, 7, 24, 53):
         encoded = [encode(x, p) for x in xs]
         assert encoded == sorted(encoded)
-
-
-def test_mul_rescale_trivials():
-    assert mul_rescale(4, 4, 3) == 2  # 0.5 * 0.5 = 0.25
-    for z in (-37, 0, 12345):
-        assert mul_rescale(z, 2 ** 7, 7) == z
-
-
-def test_mul_rescale_frozen():
-    assert mul_rescale(encode(0.3, 10), encode(0.7, 10), 10) == 214  # floor(307*716/1024)
-
-
-def test_mul_rescale_matches_exact_floor(rng):
-    for _ in range(10_000):
-        z1 = rng.randrange(-(2 ** 30), 2 ** 30)
-        z2 = rng.randrange(-(2 ** 30), 2 ** 30)
-        p = rng.randrange(0, 31)
-        assert mul_rescale(z1, z2, p) == math.floor(Fraction(z1 * z2, 1 << p))
-
-
-def test_fixed_point_value_arithmetic():
-    a = FixedPointValue.from_real(0.25, 8)
-    b = FixedPointValue.from_real(0.5, 8)
-    assert (a + b).to_real() == 0.75
-    assert (a * b).to_real() == 0.125
-    with pytest.raises(ValueError):
-        a + FixedPointValue.from_real(0.5, 9)
-
-
-def test_equal_precision_sums_compose():
-    # Sum in the encoded domain equals the sum of the z fields.
-    a, b = encode(0.3, 20), encode(-0.125, 20)
-    assert FixedPointValue(a, 20) + FixedPointValue(b, 20) == FixedPointValue(a + b, 20)

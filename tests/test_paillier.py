@@ -2,7 +2,7 @@ import pytest
 
 from pinfer import keygen, paillier
 from pinfer.errors import DecryptionError, KeyMismatchError, ParameterError
-from pinfer.numutil import insecure_rng
+from pinfer.numutil import SIEVE_BITS, insecure_rng, is_probable_prime, prime_candidate
 from pinfer.paillier import Ciphertext, PublicKey, SecretKey
 from pinfer.wire import deserialize_public_key, serialize_public_key
 
@@ -198,6 +198,64 @@ def test_rebuilt_public_keys_hold_no_secret(client_keys):
 def test_secret_key_requires_primes():
     with pytest.raises(ParameterError):
         SecretKey(15, 17)
+
+
+def _sieve(limit):
+    """Primes below limit; independent of pinfer.numutil."""
+    primes, composite = [], set()
+    for n in range(2, limit):
+        if n not in composite:
+            primes.append(n)
+            composite.update(range(n * n, limit, n))
+    return primes
+
+
+@pytest.mark.parametrize("bits", [64, 65, 127, 128, 257, 512])
+def test_keygen_exact_size_with_top_two_bits(bits):
+    for seed in range(20):
+        pk, sk = keygen(bits, insecure_rng(seed))
+        assert pk.bit_length == bits
+        for prime, size in ((sk.p, bits // 2), (sk.q, bits - bits // 2)):
+            assert prime >> (size - 2) == 0b11
+
+
+def test_keygen_tests_each_returned_prime_once(monkeypatch):
+    tested = []
+    original = paillier.is_probable_prime
+
+    def counting_is_probable_prime(n):
+        tested.append(n)
+        return original(n)
+
+    monkeypatch.setattr(paillier, "is_probable_prime", counting_is_probable_prime)
+    pk, sk = keygen(512, insecure_rng(512))
+    assert sorted(tested) == sorted((sk.p, sk.q))
+
+
+def test_prime_candidate_has_no_small_factor():
+    odd_primes = _sieve(1 << SIEVE_BITS)[1:]
+    rng = insecure_rng(7)
+    for bits in (13, 16, 24, 64, 256):
+        for _ in range(50):
+            c = prime_candidate(bits, rng)
+            assert c.bit_length() == bits and c >> (bits - 2) == 0b11
+            assert all(c % p for p in odd_primes)
+
+
+def test_secret_key_rejects_base_2_pseudoprimes():
+    # Each passes the base-2 Fermat test of prime_candidate: 341 = 11 * 31,
+    # the Carmichael number 561 = 3 * 11 * 17, and the Carmichael number
+    # 4261 * 8521 * 12781, which also has no prime factor below 2**12, so
+    # only Miller-Rabin can refuse it.
+    for pseudoprime in (341, 561, 4261 * 8521 * 12781):
+        assert pow(2, pseudoprime - 1, pseudoprime) == 1
+        with pytest.raises(ParameterError):
+            SecretKey(pseudoprime, 65537)
+
+
+def test_is_probable_prime_matches_sieve():
+    limit = 1 << (SIEVE_BITS + 1)
+    assert [n for n in range(-2, limit) if is_probable_prime(n)] == _sieve(limit)
 
 
 def test_pure_python_fallback():

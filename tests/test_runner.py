@@ -1,5 +1,6 @@
 import pytest
 
+from pinfer import wire
 from pinfer.errors import ParameterError, ProtocolViolationError
 from pinfer.linear import FeatureVector, LinearModel
 from pinfer.modelfile import LoadedModel
@@ -170,3 +171,44 @@ def test_wrong_protocol_rejected(client_keys, server_keys, rng):
                           kappa=KAPPA, rng=rng)
     finally:
         channel.close()
+
+
+class _DuplicateFirstSend:
+    """Client channel that sends its first frame twice and sets aside error
+    frames, so the client keeps driving the original session."""
+
+    def __init__(self, channel):
+        self.channel = channel
+        self.errors = []
+        self._sent = False
+
+    def send(self, data):
+        self.channel.send(data)
+        if not self._sent:
+            self._sent = True
+            self.channel.send(data)
+
+    def recv(self):
+        while True:
+            data = self.channel.recv()
+            frame = wire.unframe(data)
+            if frame.step_id != wire.STEP_ERROR:
+                return data
+            self.errors.append(frame)
+
+
+def test_reused_session_id_rejected(client_keys, server_keys, rng):
+    loaded = ffnn_loaded("sign")
+    x = pm_one(rng)
+    served = prepare_served("ffnn-sign", loaded, server_keys, KAPPA, rng)
+    inner, _ = serve_loopback(served)
+    channel = _DuplicateFirstSend(inner)
+    try:
+        result = run_inference(channel, "ffnn-sign", x, client_keys, kappa=KAPPA, rng=rng)
+    finally:
+        inner.close()
+    oracle = eval_ffnn(loaded.model, x)
+    assert result.raw == tuple(p.raw for p in oracle)
+    assert result.values == tuple(p.value for p in oracle)
+    [error] = channel.errors
+    assert error.parts[0] == b"session already active"
