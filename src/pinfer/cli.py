@@ -216,27 +216,20 @@ def _synthetic_model(protocol: str, d: int, precision: int, layers: int,
     return LoadedModel("ffnn", NetworkSpec.from_real(defs, precision), DEFAULT_KAPPA)
 
 
-_PER_UNIT_DOWN = {"ffnn-sign": lambda e: e + 1, "ffnn-relu": lambda e: e + 1,
-                  "ffnn-sign-heur": lambda e: 1, "ffnn-relu-heur": lambda e: 1}
-_PER_UNIT_UP = {"ffnn-sign": lambda e: e + 2, "ffnn-relu": lambda e: e + 4,
-                "ffnn-sign-heur": lambda e: 1, "ffnn-relu-heur": lambda e: 3}
-
-
-def _bench_expected(args, loaded: LoadedModel) -> dict:
+def _bench_plan(protocol: str, d: int, loaded: LoadedModel) -> tuple[wire.MessageRow, ...]:
+    """The closed-form rows of one query. The encrypted network rows are
+    taken per hidden layer: the bound length grows with the accumulated
+    scale, so a single-ell row would misestimate."""
+    model = loaded.model
     if loaded.model_type != "ffnn":
-        return wire.plan_bits(args.protocol, args.ell_m, d=args.d,
-                              ell=loaded.model.ell)
-    spec = loaded.model
-    if args.protocol == "ffnn-generic":
-        return wire.plan_bits(args.protocol, args.ell_m,
-                              layers=spec.depth, units=args.d)
-    # Per-unit closed forms applied layer by layer: the bound length grows
-    # with the accumulated scale, so a single-ell row would misestimate.
-    hidden = spec.layers[:-1]
-    down = sum(l.units * _PER_UNIT_DOWN[args.protocol](l.ell) for l in hidden)
-    up = spec.d_in + sum(l.units * _PER_UNIT_UP[args.protocol](l.ell) for l in hidden)
-    down += spec.d_out
-    return {"publish": 0, "up": up * 2 * args.ell_m, "down": down * 2 * args.ell_m}
+        return wire.message_plan(protocol, d=d, ell=model.ell)
+    if protocol == "ffnn-generic":
+        return wire.message_plan(protocol, layers=model.depth, units=d)
+    rows = [wire.MessageRow("input", "up", model.d_in)]
+    for layer in model.layers[:-1]:
+        rows += wire.message_plan(protocol, ell=layer.ell, layers=1, units=layer.units)
+    rows.append(wire.MessageRow("output", "down", model.d_out))
+    return tuple(rows)
 
 
 def cmd_bench(args) -> int:
@@ -263,7 +256,8 @@ def cmd_bench(args) -> int:
     finally:
         channel.close()
 
-    expected = _bench_expected(args, loaded)
+    plan = _bench_plan(args.protocol, args.d, loaded)
+    expected = wire.rows_bits(plan, args.ell_m)
     stats = transcript.stats()
     kib = 1024
     print()
@@ -283,32 +277,15 @@ def cmd_bench(args) -> int:
         print(f"{'':24}{measured / kib:>13.1f}K{predicted / kib:>13.1f}K")
     print(f"round trips: {stats['round_trips']}")
 
-    counts_ok = _check_counts(args, loaded, transcript)
-    print("ciphertext counts per message: "
+    # Per-direction ciphertext totals of the query, publication excluded.
+    counts_ok = all(
+        transcript.ciphertexts(direction) == sum(row.ciphertexts for row in plan
+                                                 if row.direction == direction
+                                                 and row.label != "publish")
+        for direction in ("up", "down"))
+    print("ciphertext counts per direction: "
           + ("match the closed-form plan" if counts_ok else "DIVERGE from the plan"))
     return EXIT_OK if counts_ok else EXIT_VERIFY_MISMATCH
-
-
-def _check_counts(args, loaded: LoadedModel, transcript: wire.Transcript) -> bool:
-    """Exact per-message ciphertext counts against the closed-form column."""
-    proto = args.protocol
-    up = transcript.ciphertexts("up")
-    down = transcript.ciphertexts("down")
-    if proto in ("regr-core", "svm-heur"):
-        return up == args.d and down == 1
-    if proto == "regr-dual":
-        return up == 1 and down == 0
-    if proto == "svm-core":
-        ell = loaded.model.ell
-        return up == ell + 1 and down == ell + 1
-    spec = loaded.model
-    if proto == "ffnn-generic":
-        per_direction = spec.depth * args.d
-        return up == per_direction and down == per_direction
-    hidden = spec.layers[:-1]
-    expect_down = sum(l.units * _PER_UNIT_DOWN[proto](l.ell) for l in hidden) + spec.d_out
-    expect_up = spec.d_in + sum(l.units * _PER_UNIT_UP[proto](l.ell) for l in hidden)
-    return up == expect_up and down == expect_down
 
 
 def build_parser() -> argparse.ArgumentParser:

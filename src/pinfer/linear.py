@@ -268,6 +268,17 @@ def masked_sign_value(t: int, lam: int, mu: int, modulus: int) -> int:
     return v if v < (modulus + 1) // 2 else v - modulus
 
 
+def encrypted_dot(start: Ciphertext, coeffs, cts) -> Ciphertext:
+    """Encrypted start + sum of coeff * ct; a fresh ``start`` makes the sum fresh."""
+    if len(coeffs) != len(cts):
+        raise DimensionMismatchError(
+            f"{len(coeffs)} coefficients for {len(cts)} ciphertexts")
+    acc = start
+    for coeff, ct in zip(coeffs, cts):
+        acc = acc + coeff * ct
+    return acc
+
+
 def _check_dims(model_d: int, request_d: int) -> None:
     if model_d != request_d:
         raise DimensionMismatchError(f"model has d={model_d}, request has d={request_d}")
@@ -296,11 +307,8 @@ def regr_core_respond(model: LinearModel, request: FeatureRequest,
                       rng: random.Random | None = None) -> Ciphertext:
     """Encrypted inner product theta . x under the client key."""
     _check_dims(model.d, request.d)
-    # The bias encryption supplies the fresh randomness for the whole sum.
-    acc = request.public_key.encrypt(model.theta[0], rng)
-    for coeff, ct in zip(model.theta[1:], request.ciphertexts):
-        acc = acc + coeff * ct
-    return acc
+    return encrypted_dot(request.public_key.encrypt(model.theta[0], rng),
+                         model.theta[1:], request.ciphertexts)
 
 
 def regr_core_finish(sk_client: SecretKey, response: Ciphertext,
@@ -335,9 +343,7 @@ def regr_dual_request(published: PublishedLinearModel, x: FeatureVector,
     rng = rng or SYSTEM_RNG
     n = published.public_key.n
     mask = rng.randrange(n) if mask is None else mask % n
-    acc = published.ciphertexts[0]
-    for xj, ct in zip(x.values[1:], published.ciphertexts[1:]):
-        acc = acc + xj * ct
+    acc = encrypted_dot(published.ciphertexts[0], x.values[1:], published.ciphertexts[1:])
     acc = acc + published.public_key.encrypt_unsigned(mask, rng)
     return acc, DualSession(published, mask)
 
@@ -382,9 +388,7 @@ def svm_core_request(published: PublishedLinearModel, pk_client: PublicKey,
         mask = rng.randrange((1 << ell) - 1, 1 << (ell + kappa))
     elif not (1 << ell) - 1 <= mask < 1 << (ell + kappa):
         raise ParameterError("mask outside [2**ell - 1, 2**(ell+kappa))")
-    acc = published.ciphertexts[0]
-    for xj, ct in zip(x.values[1:], published.ciphertexts[1:]):
-        acc = acc + xj * ct
+    acc = encrypted_dot(published.ciphertexts[0], x.values[1:], published.ciphertexts[1:])
     acc = acc + published.public_key.encrypt_unsigned(mask, rng)
     bits = tuple(pk_client.encrypt((mask >> i) & 1, rng) for i in range(ell))
     return SvmCoreRequest(acc, bits, pk_client), SvmCoreSession(mask, ell)
@@ -449,10 +453,9 @@ def svm_heur_respond(model: LinearModel, request: FeatureRequest,
             raise ParameterError("forced mask violates the heuristic constraints")
         delta = 0 if lam > 0 else 1
     flip = 1 if delta == 0 else -1
-    acc = pk.encrypt(flip * (lam * model.theta[0] + mu), rng)
-    for coeff, ct in zip(model.theta[1:], request.ciphertexts):
-        acc = acc + (flip * lam * coeff) * ct
-    return acc
+    return encrypted_dot(pk.encrypt(flip * (lam * model.theta[0] + mu), rng),
+                         [flip * lam * coeff for coeff in model.theta[1:]],
+                         request.ciphertexts)
 
 
 def svm_heur_finish(sk_client: SecretKey, response: Ciphertext) -> int:

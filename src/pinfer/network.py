@@ -24,7 +24,7 @@ admissible depth is capped by the key size; see NetworkSpec.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from . import activations
 from .comparison import (ComparisonRequest, ComparisonResponse,
@@ -34,7 +34,7 @@ from .errors import (DimensionMismatchError, ParameterError,
 from .fixedpoint import decode, encode
 from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector,
                      check_core_sizing, check_heuristic_sizing,
-                     draw_heuristic_mask)
+                     draw_heuristic_mask, encrypted_dot)
 from .numutil import SYSTEM_RNG, invert
 from .paillier import Ciphertext, PublicKey, SecretKey
 
@@ -222,6 +222,8 @@ def _out_bound(layer: LayerSpec, in_bound: int, precision: int) -> int:
 
 # ---------------------------------------------------------------------------
 # per-unit protocol messages and steps
+#
+# The field order of every message class is its wire order (see ``flatten``).
 
 @dataclass(frozen=True)
 class UnitChallenge:
@@ -279,14 +281,9 @@ class ReluHeurState:
 def _inner_with_offset(theta, enc_inputs, offset: int,
                        rng: random.Random | None) -> Ciphertext:
     """Encrypted theta . x + offset under the inputs' key, with fresh randomness."""
-    if len(theta) != len(enc_inputs) + 1:
-        raise DimensionMismatchError(
-            f"unit expects {len(theta) - 1} inputs, got {len(enc_inputs)}")
-    pk = enc_inputs[0].public_key if enc_inputs else None
-    acc = pk.encrypt_unsigned((theta[0] + offset) % pk.n, rng)
-    for coeff, ct in zip(theta[1:], enc_inputs):
-        acc = acc + coeff * ct
-    return acc
+    pk = enc_inputs[0].public_key
+    return encrypted_dot(pk.encrypt_unsigned((theta[0] + offset) % pk.n, rng),
+                         theta[1:], enc_inputs)
 
 
 def _draw_core_mask(ell: int, kappa: int, rng: random.Random) -> int:
@@ -340,21 +337,25 @@ def sign_core_finish(sk_server: SecretKey, state: CoreUnitState,
     return flip * response.masked_sign
 
 
+def _heur_challenge(theta, enc_inputs, ell: int, kappa: int,
+                    rng: random.Random | None, require_unit: bool):
+    """Encrypted lam * (theta . x) + mu with a fresh heuristic mask."""
+    rng = rng or SYSTEM_RNG
+    pk_client = enc_inputs[0].public_key
+    lam, mu, delta = draw_heuristic_mask(pk_client.n, ell, kappa, rng,
+                                         require_unit=require_unit)
+    acc = encrypted_dot(pk_client.encrypt(lam * theta[0] + mu, rng),
+                        [lam * coeff for coeff in theta[1:]], enc_inputs)
+    return HeurChallenge(acc), lam, mu, delta
+
+
 def sign_heur_challenge(theta, enc_inputs, ell: int,
                         kappa: int = DEFAULT_KAPPA,
                         rng: random.Random | None = None
                         ) -> tuple[HeurChallenge, SignHeurState]:
     """Server step: scaled-and-shifted inner product, sign flip kept private."""
-    rng = rng or SYSTEM_RNG
-    pk_client = enc_inputs[0].public_key
-    lam, mu, delta = draw_heuristic_mask(pk_client.n, ell, kappa, rng)
-    if len(theta) != len(enc_inputs) + 1:
-        raise DimensionMismatchError(
-            f"unit expects {len(theta) - 1} inputs, got {len(enc_inputs)}")
-    acc = pk_client.encrypt(lam * theta[0] + mu, rng)
-    for coeff, ct in zip(theta[1:], enc_inputs):
-        acc = acc + (lam * coeff) * ct
-    return HeurChallenge(acc), SignHeurState(delta)
+    challenge, _, _, delta = _heur_challenge(theta, enc_inputs, ell, kappa, rng, False)
+    return challenge, SignHeurState(delta)
 
 
 def sign_heur_answer(sk_client: SecretKey, challenge: HeurChallenge,
@@ -421,17 +422,8 @@ def relu_heur_challenge(theta, enc_inputs, ell: int,
                         ) -> tuple[HeurChallenge, ReluHeurState]:
     """Server step: like the sign heuristic, but lam must be invertible so the
     scale can be removed exactly afterwards."""
-    rng = rng or SYSTEM_RNG
-    pk_client = enc_inputs[0].public_key
-    lam, mu, delta = draw_heuristic_mask(pk_client.n, ell, kappa, rng,
-                                         require_unit=True)
-    if len(theta) != len(enc_inputs) + 1:
-        raise DimensionMismatchError(
-            f"unit expects {len(theta) - 1} inputs, got {len(enc_inputs)}")
-    acc = pk_client.encrypt(lam * theta[0] + mu, rng)
-    for coeff, ct in zip(theta[1:], enc_inputs):
-        acc = acc + (lam * coeff) * ct
-    return HeurChallenge(acc), ReluHeurState(lam, mu, delta)
+    challenge, lam, mu, delta = _heur_challenge(theta, enc_inputs, ell, kappa, rng, True)
+    return challenge, ReluHeurState(lam, mu, delta)
 
 
 def relu_heur_answer(sk_client: SecretKey, challenge: HeurChallenge,
@@ -497,6 +489,60 @@ class LayerOutputs:
     """Activated output mode: encrypted activation values of the last layer."""
 
     ciphertexts: tuple[Ciphertext, ...]
+
+
+# ---------------------------------------------------------------------------
+# wire layout of the layer messages
+
+def unit_layout(kind: type, meta: NetworkMeta, layer: LayerMeta) -> str:
+    """Key of each ciphertext in one unit's share of a ``kind`` message, in
+    wire order: 'c' for the client key, 's' for the server key."""
+    if kind is LayerChallenges:
+        return "c" if meta.variant == "heuristic" else "c" + "s" * layer.ell
+    if kind is LayerResponses:
+        head = "c" if layer.activation == "sign" else "ccc"
+        return head if meta.variant == "heuristic" else head + "s" * (layer.ell + 1)
+    return "c"  # inner products, activations and outputs
+
+
+def flatten(message) -> tuple[Ciphertext, ...]:
+    """A layer message's ciphertexts in wire order, which is the field order
+    of its message and unit classes; ``unflatten`` inverts it."""
+    if isinstance(message, Ciphertext):
+        return (message,)
+    if isinstance(message, tuple):
+        return tuple(ct for item in message for ct in flatten(item))
+    if is_dataclass(message):
+        return flatten(tuple(getattr(message, f.name) for f in fields(message)))
+    return ()  # layer index, bound length, output flag
+
+
+def unflatten(kind: type, meta: NetworkMeta, index: int, cts,
+              is_output: bool = False):
+    """Rebuild a ``kind`` message of layer ``index`` from its ciphertexts in
+    wire order; their number must match ``unit_layout``."""
+    cts = tuple(cts)
+    if kind is LayerOutputs:
+        return LayerOutputs(cts)
+    if kind is LayerInners:
+        return LayerInners(index, cts, is_output)
+    if kind is LayerActivations:
+        return LayerActivations(index, cts)
+    layer = meta.layers[index]
+    size = len(unit_layout(kind, meta, layer))
+    chunks = [cts[i:i + size] for i in range(0, len(cts), size)]
+    core = meta.variant == "core"
+    if kind is LayerChallenges:
+        return LayerChallenges(index, tuple(
+            UnitChallenge(u[0], u[1:], layer.ell) if core else HeurChallenge(u[0])
+            for u in chunks))
+    if layer.activation == "sign":
+        units = (SignUnitResponse(u[0], ComparisonResponse(u[1:])) if core else u[0]
+                 for u in chunks)
+    else:
+        units = (ReluUnitResponse(u[0], u[1:3], ComparisonResponse(u[3:])) if core
+                 else ReluHeurResponse(u[0], u[1:3]) for u in chunks)
+    return LayerResponses(index, tuple(units))
 
 
 @dataclass(frozen=True)
@@ -718,46 +764,17 @@ def evaluate_network(spec: NetworkSpec, mode: str, x: FeatureVector,
     _record(transcript, "up", 0, request.ciphertexts)
     message = server.start(request)
     while True:
-        _record(transcript, "down", _step_of(message), _cts_of(message))
+        _record(transcript, "down", _step_of(message), flatten(message))
         reply = client.handle(message)
         if reply is None:
             break
-        _record(transcript, "up", _step_of(reply), _cts_of(reply))
+        _record(transcript, "up", _step_of(reply), flatten(reply))
         message = server.advance(reply)
     return client.result
 
 
 def _step_of(message) -> int:
     return getattr(message, "layer", -1) + 1
-
-
-def _cts_of(message) -> tuple[Ciphertext, ...]:
-    if isinstance(message, (LayerInners, LayerActivations, LayerOutputs)):
-        return message.ciphertexts
-    if isinstance(message, LayerChallenges):
-        out = []
-        for ch in message.challenges:
-            out.append(ch.masked_inner)
-            if isinstance(ch, UnitChallenge):
-                out.extend(ch.mask_bits)
-        return tuple(out)
-    if isinstance(message, LayerResponses):
-        out = []
-        for resp in message.responses:
-            if isinstance(resp, SignUnitResponse):
-                out.append(resp.masked_sign)
-                out.extend(resp.comparison.blinded_values)
-            elif isinstance(resp, ReluUnitResponse):
-                out.append(resp.masked_bit)
-                out.extend(resp.pair)
-                out.extend(resp.comparison.blinded_values)
-            elif isinstance(resp, ReluHeurResponse):
-                out.append(resp.masked_bit)
-                out.extend(resp.pair)
-            else:  # sign heuristic: bare ciphertext
-                out.append(resp)
-        return tuple(out)
-    raise ParameterError(f"unknown message {type(message).__name__}")
 
 
 def _record(transcript, direction: str, step: int, cts) -> None:

@@ -7,6 +7,15 @@ TCP sockets and for an in-process loopback used by tests and the bench
 command. Published encrypted models are fetched in a separate exchange and
 recorded on their own transcript: publication happens once per model, not
 per query.
+
+The codec is written once per message shape. A feature request (regr-core,
+svm-heur and the network ``STEP_REQUEST``) is the client key followed by one
+ciphertext per feature. A network layer message is a short header (the layer
+index, and an output flag going down) followed by its ciphertexts in the
+order ``network.flatten`` gives, each serialized under the key that
+``network.unit_layout`` names for its position; ``_decode_layer`` inverts
+``_encode_layer``. Every decoder checks a frame's part count before it reads
+a part, so a short or overlong frame is refused with an error frame.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import struct
 import threading
 from dataclasses import dataclass
 
-from . import wire
+from . import network, wire
 from .errors import (MessageFormatError, ParameterError, PinferError,
                      ProtocolViolationError)
 from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector,
@@ -31,11 +40,9 @@ from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector,
                      svm_heur_respond)
 from .comparison import ComparisonResponse
 from .modelfile import LoadedModel
-from .network import (HeurChallenge, LayerActivations, LayerChallenges,
-                      LayerInners, LayerOutputs, LayerMeta, LayerResponses,
-                      NetworkClientSession, NetworkMeta, NetworkServerSession,
-                      ReluHeurResponse, ReluUnitResponse, SignUnitResponse,
-                      UnitChallenge)
+from .network import (LayerActivations, LayerChallenges, LayerInners,
+                      LayerOutputs, LayerMeta, LayerResponses,
+                      NetworkClientSession, NetworkMeta, NetworkServerSession)
 from .numutil import SYSTEM_RNG
 from .paillier import PublicKey, SecretKey
 
@@ -151,6 +158,8 @@ class _ClientIO:
             raise ProtocolViolationError(f"server reported: {message}")
         if frame.protocol_id != self.protocol_id:
             raise ProtocolViolationError(f"unexpected protocol {frame.protocol_id}")
+        if frame.session_id != self.session_id:
+            raise ProtocolViolationError("reply belongs to another session")
         return frame, len(data)
 
     def recv(self, expected_step: int, n_cts=None,
@@ -174,12 +183,11 @@ def fetch_published(channel, protocol: str, client_keys, rng=None,
     io.send(wire.STEP_PUBLISH_REQUEST, (), transcript=transcript)
     frame = io.recv(wire.STEP_PUBLISH, n_cts=lambda f: len(f.parts) - 5,
                     transcript=transcript)
-    pk_server = wire.deserialize_public_key(frame.parts[0])
-    d = wire.unpack_u32(frame.parts[1])
-    precision = wire.unpack_u32(frame.parts[2])
-    ell = wire.unpack_u32(frame.parts[3])
-    activation = frame.parts[4].decode("utf-8")
-    cts = tuple(wire.deserialize_ciphertext(p, pk_server) for p in frame.parts[5:])
+    key, d, precision, ell, activation, *body = _parts(frame, 5, at_least=True)
+    pk_server = wire.deserialize_public_key(key)
+    d, precision, ell = (wire.unpack_u32(p) for p in (d, precision, ell))
+    activation = _text(activation)
+    cts = tuple(wire.deserialize_ciphertext(p, pk_server) for p in body)
     if len(cts) != d + 1:
         raise ProtocolViolationError("published model has the wrong dimension")
     return PublishedLinearModel(pk_server, cts, ell, precision), activation
@@ -199,14 +207,12 @@ def run_inference(channel, protocol: str, x: FeatureVector,
 
     if protocol == "regr-core":
         request, session = regr_core_request(pk_c, x, rng)
-        io.send(wire.STEP_REQUEST,
-                (wire.serialize_public_key(pk_c),
-                 *(wire.serialize_ciphertext(c, pk_c) for c in request.ciphertexts)),
-                n_cts=len(request.ciphertexts))
+        io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
         frame = io.recv(wire.STEP_RESPONSE, n_cts=1)
-        t_ct = wire.deserialize_ciphertext(frame.parts[0], pk_c)
-        activation = frame.parts[1].decode("utf-8")
-        if wire.unpack_u32(frame.parts[2]) != x.precision:
+        reply, activation, precision = _parts(frame, 3)
+        t_ct = wire.deserialize_ciphertext(reply, pk_c)
+        activation = _text(activation)
+        if wire.unpack_u32(precision) != x.precision:
             raise ProtocolViolationError("server model precision differs from the input")
         value = regr_core_finish(sk_c, t_ct, session, activation)
         return InferenceResult((value,), raw=(sk_c.decrypt(t_ct),))
@@ -221,7 +227,8 @@ def run_inference(channel, protocol: str, x: FeatureVector,
                 (wire.serialize_ciphertext(request, published.public_key),),
                 n_cts=1)
         frame = io.recv(wire.STEP_RESPONSE, n_cts=0)
-        masked = wire.deserialize_scalar(frame.parts[0], published.public_key)
+        (reply,) = _parts(frame, 1)
+        masked = wire.deserialize_scalar(reply, published.public_key)
         value = regr_dual_finish(session, masked, activation)
         return InferenceResult((value,))
 
@@ -238,19 +245,17 @@ def run_inference(channel, protocol: str, x: FeatureVector,
                  *(wire.serialize_ciphertext(c, pk_c) for c in request.mask_bits)),
                 n_cts=1 + len(request.mask_bits))
         frame = io.recv(wire.STEP_RESPONSE, n_cts=lambda f: len(f.parts))
-        response = ComparisonResponse(
-            tuple(wire.deserialize_ciphertext(p, pk_c) for p in frame.parts))
+        response = ComparisonResponse(tuple(
+            wire.deserialize_ciphertext(p, pk_c) for p in _parts(frame, published.ell + 1)))
         label = svm_core_finish(sk_c, response, session)
         return InferenceResult((float(label),), labels=(label,))
 
     if protocol == "svm-heur":
         request = svm_heur_request(pk_c, x, rng)
-        io.send(wire.STEP_REQUEST,
-                (wire.serialize_public_key(pk_c),
-                 *(wire.serialize_ciphertext(c, pk_c) for c in request.ciphertexts)),
-                n_cts=len(request.ciphertexts))
+        io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
         frame = io.recv(wire.STEP_RESPONSE, n_cts=1)
-        label = svm_heur_finish(sk_c, wire.deserialize_ciphertext(frame.parts[0], pk_c))
+        (reply,) = _parts(frame, 1)
+        label = svm_heur_finish(sk_c, wire.deserialize_ciphertext(reply, pk_c))
         return InferenceResult((float(label),), labels=(label,))
 
     if protocol in NETWORK_PROTOCOLS:
@@ -286,94 +291,106 @@ def _meta_from_json(data: bytes) -> tuple[NetworkMeta, PublicKey | None]:
 def _run_network_client(io: _ClientIO, protocol: str, x: FeatureVector,
                         client_keys, rng) -> InferenceResult:
     pk_c, sk_c = client_keys
-    request_cts = tuple(pk_c.encrypt(v, rng) for v in x.values[1:])
-    io.send(wire.STEP_REQUEST,
-            (wire.serialize_public_key(pk_c),
-             *(wire.serialize_ciphertext(c, pk_c) for c in request_cts)),
-            n_cts=len(request_cts))
+    request = FeatureRequest(tuple(pk_c.encrypt(v, rng) for v in x.values[1:]), pk_c)
+    io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
     frame = io.recv(wire.STEP_META, n_cts=0)
-    meta, pk_server = _meta_from_json(frame.parts[0])
+    meta, pk_server = _meta_from_json(_parts(frame, 1)[0])
     if x.d != meta.d_in or x.precision != meta.precision:
         raise ParameterError("input does not match the served network")
     session = NetworkClientSession(meta, client_keys, pk_server, rng)
+    keys = {"c": pk_c, "s": pk_server}
     while True:
         frame, size = io.recv_raw()
-        message, n_cts = _down_from_frame(frame, meta, pk_c, pk_server)
+        if frame.step_id not in (wire.STEP_LAYER_DOWN, wire.STEP_OUTPUT):
+            raise ProtocolViolationError(f"unexpected step {frame.step_id}")
+        message = _decode_layer(frame, meta, keys)
         if io.transcript is not None:
-            io.transcript.record("down", frame.step_id, size, n_cts)
+            io.transcript.record("down", frame.step_id, size, len(network.flatten(message)))
         reply = session.handle(message)
         if reply is None:
             break
-        parts, up_cts = _up_to_parts(reply, meta, pk_c, pk_server)
-        io.send(wire.STEP_LAYER_UP, parts, n_cts=up_cts)
+        io.send(*_encode_layer(reply, meta, keys), n_cts=len(network.flatten(reply)))
     run = session.result
     return InferenceResult(run.outputs, labels=run.class_labels, raw=run.raw)
 
 
-def _down_from_frame(frame: wire.Frame, meta: NetworkMeta, pk_c: PublicKey,
-                     pk_s: PublicKey | None):
+# ---------------------------------------------------------------------------
+# codec
+
+def _parts(frame: wire.Frame, count: int, at_least: bool = False) -> tuple[bytes, ...]:
+    """The frame's parts, once their number is checked."""
+    n = len(frame.parts)
+    if n < count or (n > count and not at_least):
+        bound = "at least " if at_least else ""
+        raise ProtocolViolationError(
+            f"step {frame.step_id} frame has {n} parts, expected {bound}{count}")
+    return frame.parts
+
+
+def _text(part: bytes) -> str:
+    try:
+        return part.decode("utf-8")
+    except UnicodeDecodeError:
+        raise MessageFormatError("text field is not UTF-8") from None
+
+
+def _feature_parts(request: FeatureRequest) -> tuple[bytes, ...]:
+    """A feature request: the client key, then one ciphertext per feature."""
+    pk = request.public_key
+    return (wire.serialize_public_key(pk),
+            *(wire.serialize_ciphertext(c, pk) for c in request.ciphertexts))
+
+
+def _feature_request(frame: wire.Frame) -> FeatureRequest:
+    key, *body = _parts(frame, 1, at_least=True)
+    pk = wire.deserialize_public_key(key)
+    return FeatureRequest(tuple(wire.deserialize_ciphertext(p, pk) for p in body), pk)
+
+
+def _encode_layer(message, meta: NetworkMeta, keys) -> tuple[int, tuple[bytes, ...]]:
+    """Step and parts of a layer message; ``keys`` maps 'c' and 's' to keys."""
+    kind = type(message)
+    if kind is LayerOutputs:
+        step, head, layer = wire.STEP_OUTPUT, (), meta.layers[-1]
+    else:
+        layer = meta.layers[message.layer]
+        head = (wire.pack_u32(message.layer),)
+        if kind in (LayerActivations, LayerResponses):
+            step = wire.STEP_LAYER_UP
+        else:
+            step = wire.STEP_LAYER_DOWN
+            head += (b"\x01" if kind is LayerInners and message.is_output else b"\x00",)
+    layout = network.unit_layout(kind, meta, layer) * layer.units
+    return step, head + tuple(wire.serialize_ciphertext(c, keys[k]) for c, k
+                              in zip(network.flatten(message), layout, strict=True))
+
+
+def _decode_layer(frame: wire.Frame, meta: NetworkMeta, keys):
+    """Inverse of ``_encode_layer`` for a layer-down, layer-up or output frame."""
+    index, is_output = len(meta.layers) - 1, False
     if frame.step_id == wire.STEP_OUTPUT:
-        cts = tuple(wire.deserialize_ciphertext(p, pk_c) for p in frame.parts)
-        return LayerOutputs(cts), len(cts)
-    if frame.step_id != wire.STEP_LAYER_DOWN:
-        raise ProtocolViolationError(f"unexpected step {frame.step_id}")
-    layer_index = wire.unpack_u32(frame.parts[0])
-    if not 0 <= layer_index < len(meta.layers):
-        raise ProtocolViolationError("layer index out of range")
-    layer = meta.layers[layer_index]
-    is_output = frame.parts[1] == b"\x01"
-    body = frame.parts[2:]
-    if meta.mode == "generic" or (is_output and meta.output_mode == "raw"):
-        cts = tuple(wire.deserialize_ciphertext(p, pk_c) for p in body)
-        return LayerInners(layer_index, cts, is_output=is_output), len(cts)
-    if meta.variant == "core":
-        per_unit = 1 + layer.ell
-        if len(body) != layer.units * per_unit:
-            raise ProtocolViolationError("challenge payload has the wrong size")
-        challenges = []
-        for u in range(layer.units):
-            chunk = body[u * per_unit:(u + 1) * per_unit]
-            inner = wire.deserialize_ciphertext(chunk[0], pk_c)
-            bits = tuple(wire.deserialize_ciphertext(p, pk_s) for p in chunk[1:])
-            challenges.append(UnitChallenge(inner, bits, layer.ell))
-        return LayerChallenges(layer_index, tuple(challenges)), len(body)
-    if len(body) != layer.units:
-        raise ProtocolViolationError("challenge payload has the wrong size")
-    challenges = tuple(HeurChallenge(wire.deserialize_ciphertext(p, pk_c))
-                       for p in body)
-    return LayerChallenges(layer_index, challenges), len(body)
-
-
-def _up_to_parts(reply, meta: NetworkMeta, pk_c: PublicKey,
-                 pk_s: PublicKey | None) -> tuple[tuple, int]:
-    if isinstance(reply, LayerActivations):
-        parts = [wire.pack_u32(reply.layer)]
-        parts += [wire.serialize_ciphertext(c, pk_c) for c in reply.ciphertexts]
-        return tuple(parts), len(reply.ciphertexts)
-    if not isinstance(reply, LayerResponses):
-        raise ProtocolViolationError(f"unexpected reply {type(reply).__name__}")
-    parts = [wire.pack_u32(reply.layer)]
-    count = 0
-    for resp in reply.responses:
-        if isinstance(resp, SignUnitResponse):
-            parts.append(wire.serialize_ciphertext(resp.masked_sign, pk_c))
-            parts += [wire.serialize_ciphertext(c, pk_s)
-                      for c in resp.comparison.blinded_values]
-            count += 1 + len(resp.comparison.blinded_values)
-        elif isinstance(resp, ReluUnitResponse):
-            parts.append(wire.serialize_ciphertext(resp.masked_bit, pk_c))
-            parts += [wire.serialize_ciphertext(c, pk_c) for c in resp.pair]
-            parts += [wire.serialize_ciphertext(c, pk_s)
-                      for c in resp.comparison.blinded_values]
-            count += 3 + len(resp.comparison.blinded_values)
-        elif isinstance(resp, ReluHeurResponse):
-            parts.append(wire.serialize_ciphertext(resp.masked_bit, pk_c))
-            parts += [wire.serialize_ciphertext(c, pk_c) for c in resp.pair]
-            count += 3
-        else:  # sign heuristic: bare ciphertext
-            parts.append(wire.serialize_ciphertext(resp, pk_c))
-            count += 1
-    return tuple(parts), count
+        kind, body = LayerOutputs, frame.parts
+    else:
+        up = frame.step_id == wire.STEP_LAYER_UP
+        parts = _parts(frame, 1 if up else 2, at_least=True)
+        index = wire.unpack_u32(parts[0])
+        if not 0 <= index < len(meta.layers):
+            raise ProtocolViolationError("layer index out of range")
+        body = parts[1 if up else 2:]
+        generic = meta.mode == "generic"
+        if up:
+            kind = LayerActivations if generic else LayerResponses
+        else:
+            is_output = parts[1] == b"\x01"
+            raw = generic or (is_output and meta.output_mode == "raw")
+            kind = LayerInners if raw else LayerChallenges
+    layer = meta.layers[index]
+    layout = network.unit_layout(kind, meta, layer) * layer.units
+    if len(body) != len(layout):
+        raise ProtocolViolationError(
+            f"layer message has {len(body)} ciphertexts, expected {len(layout)}")
+    cts = (wire.deserialize_ciphertext(p, keys[k]) for p, k in zip(body, layout))
+    return network.unflatten(kind, meta, index, cts, is_output)
 
 
 # ---------------------------------------------------------------------------
@@ -492,33 +509,32 @@ def _handle_linear_request(served: ServedModel, frame: wire.Frame) -> tuple:
     if frame.step_id != wire.STEP_REQUEST:
         raise ProtocolViolationError(f"unexpected step {frame.step_id}")
     protocol, model = served.protocol, served.loaded.model
-    if protocol == "regr-core":
-        pk_c = wire.deserialize_public_key(frame.parts[0])
-        cts = tuple(wire.deserialize_ciphertext(p, pk_c) for p in frame.parts[1:])
-        response = regr_core_respond(model, FeatureRequest(cts, pk_c), served.rng)
-        return (wire.serialize_ciphertext(response, pk_c),
-                served.loaded.activation.encode("utf-8"),
-                wire.pack_u32(model.precision))
     if protocol == "regr-dual":
         pk_s, sk_s = served.server_keys
-        masked = regr_dual_respond(sk_s, wire.deserialize_ciphertext(frame.parts[0], pk_s))
+        (request,) = _parts(frame, 1)
+        masked = regr_dual_respond(sk_s, wire.deserialize_ciphertext(request, pk_s))
         return (wire.serialize_scalar(masked, pk_s),)
     if protocol == "svm-core":
         pk_s, sk_s = served.server_keys
-        pk_c = wire.deserialize_public_key(frame.parts[0])
-        masked_inner = wire.deserialize_ciphertext(frame.parts[1], pk_s)
-        if wire.unpack_u32(frame.parts[2]) != model.ell:
+        key, inner, ell, *body = _parts(frame, 3, at_least=True)
+        pk_c = wire.deserialize_public_key(key)
+        masked_inner = wire.deserialize_ciphertext(inner, pk_s)
+        if wire.unpack_u32(ell) != model.ell:
             raise ProtocolViolationError("client assumed a different bound length")
-        bits = tuple(wire.deserialize_ciphertext(p, pk_c) for p in frame.parts[3:])
+        bits = tuple(wire.deserialize_ciphertext(p, pk_c) for p in body)
         request = SvmCoreRequest(masked_inner, bits, pk_c)
         response = svm_core_respond(sk_s, request, model.ell, served.rng)
         return tuple(wire.serialize_ciphertext(c, pk_c)
                      for c in response.blinded_values)
-    # svm-heur
-    pk_c = wire.deserialize_public_key(frame.parts[0])
-    cts = tuple(wire.deserialize_ciphertext(p, pk_c) for p in frame.parts[1:])
-    response = svm_heur_respond(model, FeatureRequest(cts, pk_c), served.kappa, served.rng)
-    return (wire.serialize_ciphertext(response, pk_c),)
+    request = _feature_request(frame)
+    pk_c = request.public_key
+    if protocol == "svm-heur":
+        response = svm_heur_respond(model, request, served.kappa, served.rng)
+        return (wire.serialize_ciphertext(response, pk_c),)
+    response = regr_core_respond(model, request, served.rng)
+    return (wire.serialize_ciphertext(response, pk_c),
+            served.loaded.activation.encode("utf-8"),
+            wire.pack_u32(model.precision))
 
 
 def _network_mode_variant(protocol: str) -> tuple[str, str]:
@@ -534,15 +550,15 @@ def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
     if frame.step_id == wire.STEP_REQUEST:
         if frame.session_id in sessions:
             raise ProtocolViolationError("session already active")
-        pk_c = wire.deserialize_public_key(frame.parts[0])
-        cts = tuple(wire.deserialize_ciphertext(p, pk_c) for p in frame.parts[1:])
+        request = _feature_request(frame)
         session = NetworkServerSession(spec, mode=mode, server_keys=served.server_keys,
                                        kappa=served.kappa, variant=variant,
                                        rng=served.rng)
-        message = session.start(FeatureRequest(cts, pk_c))
-        sessions[frame.session_id] = (session, pk_c)
-        yield wire.STEP_META, (_meta_to_json(spec.meta(mode, variant), pk_s),)
-        yield _down_to_frame(message, pk_c, pk_s)
+        message = session.start(request)
+        meta, keys = spec.meta(mode, variant), {"c": request.public_key, "s": pk_s}
+        sessions[frame.session_id] = (session, meta, keys)
+        yield wire.STEP_META, (_meta_to_json(meta, pk_s),)
+        yield _encode_layer(message, meta, keys)
         if session.done:
             del sessions[frame.session_id]
         return
@@ -550,82 +566,11 @@ def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
         raise ProtocolViolationError(f"unexpected step {frame.step_id}")
     if frame.session_id not in sessions:
         raise ProtocolViolationError("unknown session")
-    session, pk_c = sessions[frame.session_id]
-    reply = _up_from_frame(frame, spec, mode, variant, pk_c, pk_s)
-    message = session.advance(reply)
-    yield _down_to_frame(message, pk_c, pk_s)
+    session, meta, keys = sessions[frame.session_id]
+    message = session.advance(_decode_layer(frame, meta, keys))
+    yield _encode_layer(message, meta, keys)
     if session.done:
         del sessions[frame.session_id]
-
-
-def _down_to_frame(message, pk_c: PublicKey, pk_s: PublicKey | None):
-    if isinstance(message, LayerOutputs):
-        return wire.STEP_OUTPUT, tuple(wire.serialize_ciphertext(c, pk_c)
-                                       for c in message.ciphertexts)
-    if isinstance(message, LayerInners):
-        head = (wire.pack_u32(message.layer),
-                b"\x01" if message.is_output else b"\x00")
-        return wire.STEP_LAYER_DOWN, head + tuple(
-            wire.serialize_ciphertext(c, pk_c) for c in message.ciphertexts)
-    parts = [wire.pack_u32(message.layer), b"\x00"]
-    for challenge in message.challenges:
-        parts.append(wire.serialize_ciphertext(challenge.masked_inner, pk_c))
-        if isinstance(challenge, UnitChallenge):
-            parts += [wire.serialize_ciphertext(c, pk_s) for c in challenge.mask_bits]
-    return wire.STEP_LAYER_DOWN, tuple(parts)
-
-
-def _up_from_frame(frame: wire.Frame, spec, mode: str, variant: str,
-                   pk_c: PublicKey, pk_s: PublicKey | None):
-    layer_index = wire.unpack_u32(frame.parts[0])
-    if not 0 <= layer_index < spec.depth:
-        raise ProtocolViolationError("layer index out of range")
-    layer = spec.layers[layer_index]
-    body = frame.parts[1:]
-    if mode == "generic":
-        cts = tuple(wire.deserialize_ciphertext(p, pk_c) for p in body)
-        return LayerActivations(layer_index, cts)
-    ell = layer.ell
-    responses = []
-    if variant == "core" and layer.activation == "sign":
-        per_unit = 1 + (ell + 1)
-        _expect_parts(body, layer.units * per_unit)
-        for u in range(layer.units):
-            chunk = body[u * per_unit:(u + 1) * per_unit]
-            responses.append(SignUnitResponse(
-                wire.deserialize_ciphertext(chunk[0], pk_c),
-                ComparisonResponse(tuple(wire.deserialize_ciphertext(p, pk_s)
-                                         for p in chunk[1:]))))
-    elif variant == "core":
-        per_unit = 3 + (ell + 1)
-        _expect_parts(body, layer.units * per_unit)
-        for u in range(layer.units):
-            chunk = body[u * per_unit:(u + 1) * per_unit]
-            responses.append(ReluUnitResponse(
-                wire.deserialize_ciphertext(chunk[0], pk_c),
-                (wire.deserialize_ciphertext(chunk[1], pk_c),
-                 wire.deserialize_ciphertext(chunk[2], pk_c)),
-                ComparisonResponse(tuple(wire.deserialize_ciphertext(p, pk_s)
-                                         for p in chunk[3:]))))
-    elif layer.activation == "sign":
-        _expect_parts(body, layer.units)
-        responses = [wire.deserialize_ciphertext(p, pk_c) for p in body]
-    else:
-        per_unit = 3
-        _expect_parts(body, layer.units * per_unit)
-        for u in range(layer.units):
-            chunk = body[u * per_unit:(u + 1) * per_unit]
-            responses.append(ReluHeurResponse(
-                wire.deserialize_ciphertext(chunk[0], pk_c),
-                (wire.deserialize_ciphertext(chunk[1], pk_c),
-                 wire.deserialize_ciphertext(chunk[2], pk_c))))
-    return LayerResponses(layer_index, tuple(responses))
-
-
-def _expect_parts(body, count: int) -> None:
-    if len(body) != count:
-        raise ProtocolViolationError(
-            f"layer reply has {len(body)} parts, expected {count}")
 
 
 def serve_loopback(served: ServedModel):

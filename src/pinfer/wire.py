@@ -282,11 +282,12 @@ def message_plan(protocol: str, *, d: int | None = None, ell: int | None = None,
 
 def plan_bits(protocol: str, ell_m: int, **kwargs) -> dict:
     """Total predicted bits per direction, publication separate."""
-    rows = message_plan(protocol, **kwargs)
+    return rows_bits(message_plan(protocol, **kwargs), ell_m)
+
+
+def rows_bits(rows, ell_m: int) -> dict:
+    """Total bits of the given plan rows per direction, publication separate."""
     out = {"publish": 0, "up": 0, "down": 0}
     for row in rows:
-        if row.label == "publish":
-            out["publish"] += row.bits(ell_m)
-        else:
-            out[row.direction] += row.bits(ell_m)
+        out["publish" if row.label == "publish" else row.direction] += row.bits(ell_m)
     return out

@@ -16,6 +16,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
 import pytest
 
 import pinfer
+from pinfer import wire
 from pinfer.cli import _load_keys, main
 from pinfer.errors import ParameterError
 from pinfer.linear import LinearModel, max_core_ell
@@ -281,8 +282,10 @@ def test_bench_small_key(capsys):
     assert "match the closed-form plan" in out
 
 
-def test_bench_network_counts(capsys):
-    code = main(["bench", "--protocol", "ffnn-relu-heur", "--d", "3",
+@pytest.mark.parametrize("protocol", sorted(wire.PROTOCOL_IDS))
+def test_bench_network_counts(capsys, protocol):
+    # Every protocol's bench plan, the encrypted networks layer by layer.
+    code = main(["bench", "--protocol", protocol, "--d", "3",
                  "--layers", "2", "--ell-m", "512", "--precision", "8",
                  "--kappa", "40", "--seed", "6"])
     out = capsys.readouterr().out
