@@ -1,4 +1,4 @@
-"""Shared-output private comparison (DGK-style).
+"""Shared-output private comparison (DGK-style), and the masked comparison on top.
 
 One party (the bit owner) holds a private l-bit integer mu and sends its bits
 encrypted under its own key. The other party (the evaluator) holds a private
@@ -8,12 +8,15 @@ delta_owner = 1 iff exactly one decrypts to zero. The shares then satisfy
 
     delta_owner XOR delta_eval = [mu <= eta].
 
-Neither party learns the comparison result on its own. delta_eval is supplied
-by the caller: the standalone protocol draws it uniformly, while the SVM and
-neural-network protocols derive it from a masked inner product, and the same
-engine serves both. The roles are symmetric in the keys, so the role-swapped
-instantiation used inside network evaluation simply swaps which party holds
-the decryption key.
+Neither party learns the comparison result on its own.
+
+The masked comparison finds the sign of a value |t| < 2**l. The mask owner
+sends t + r under the evaluator's key, with r uniform over
+[2**l - 1, 2**(l+kappa)), and the low l bits of r under its own key. The
+evaluator compares the low l bits of t + r against them with delta_eval =
+bit l of t + r XOR a flip bit; the owner's share XOR bit l of r is then
+[t >= 0] XOR flip. svm-core runs it with the client as owner and flip 0,
+the core network units with the server as owner and a random flip.
 
 Blinding scalars are drawn from the units modulo M by rejection sampling;
 M = N is composite here, but a product r*h can only vanish modulo M for
@@ -116,3 +119,50 @@ def bit_owner_finish(sk: SecretKey, response: ComparisonResponse) -> int:
     if zeros > 1:
         raise ProtocolViolationError(f"{zeros} blinded values decrypted to zero")
     return 1 if zeros == 1 else 0
+
+
+# ---------------------------------------------------------------------------
+# masked comparison
+
+@dataclass(frozen=True)
+class UnitChallenge:
+    """t + mask under the evaluator's key; the mask's low bits under the owner's."""
+
+    masked_inner: Ciphertext
+    mask_bits: tuple[Ciphertext, ...]
+    ell: int
+
+
+def draw_mask(ell: int, kappa: int, rng: random.Random, mask: int | None = None) -> int:
+    """Uniform over [2**ell - 1, 2**(ell+kappa)), so t + mask >= 0 for |t| < 2**ell;
+    a forced ``mask`` (a test hook) is checked against the same range."""
+    low, high = (1 << ell) - 1, 1 << (ell + kappa)
+    if mask is None:
+        return rng.randrange(low, high)
+    if not low <= mask < high:
+        raise ParameterError("mask outside [2**ell - 1, 2**(ell+kappa))")
+    return mask
+
+
+def mask_challenge(masked_inner: Ciphertext, pk_owner: PublicKey, mask: int, ell: int,
+                   rng: random.Random | None = None) -> UnitChallenge:
+    """The owner's challenge for ``masked_inner`` = Enc(t + mask)."""
+    bits = bit_owner_request(pk_owner, mask % (1 << ell), ell, rng).encrypted_bits
+    return UnitChallenge(masked_inner, bits, ell)
+
+
+def evaluator_step(sk_eval: SecretKey, pk_owner: PublicKey, challenge: UnitChallenge,
+                   flip: int, rng: random.Random | None = None) -> ComparisonResponse:
+    """Compare the low ell bits of t + mask against the mask's, with the
+    evaluator's share pinned to bit ell of t + mask XOR ``flip``."""
+    ell = challenge.ell
+    t_star = sk_eval.decrypt_unsigned(challenge.masked_inner)
+    delta_eval = ((t_star >> ell) & 1) ^ flip
+    return evaluator_respond(pk_owner, ComparisonRequest(challenge.mask_bits, ell),
+                             t_star % (1 << ell), delta_eval, rng)
+
+
+def owner_step(sk_owner: SecretKey, mask: int, ell: int,
+               response: ComparisonResponse) -> int:
+    """[t >= 0] XOR flip: the owner's share XOR bit ell of the mask."""
+    return bit_owner_finish(sk_owner, response) ^ ((mask >> ell) & 1)

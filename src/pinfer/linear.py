@@ -10,9 +10,9 @@ exchange plain message objects (the wire module handles byte framing):
   own key once; per query the client homomorphically computes the inner
   product, masks it with a fresh uniform value, and unmasks the server's
   plaintext reply.
-* SVM, core mode: dual-style masked inner product plus a shared-output
-  private comparison, so the client learns only the class sign. Still one
-  request and one response.
+* SVM, core mode: the masked comparison of the comparison module on the
+  dual-style inner product, with the client owning the mask, so the client
+  learns only the class sign. Still one request and one response.
 * SVM, heuristic mode: the server replies with a scaled-and-shifted inner
   product whose sign is the class. Cheapest, but the magnitude of the reply
   leaks some information about the model; callers must opt in explicitly.
@@ -27,6 +27,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import activations
+from .comparison import (ComparisonResponse, UnitChallenge, draw_mask,
+                         evaluator_step, mask_challenge, owner_step)
 from .errors import (DimensionMismatchError, ParameterError,
                      ProtocolViolationError)
 from .fixedpoint import decode, encode
@@ -141,6 +143,12 @@ class FeatureRequest:
     def d(self) -> int:
         return len(self.ciphertexts)
 
+    @classmethod
+    def encrypt(cls, pk: PublicKey, x: FeatureVector,
+                rng: random.Random | None = None) -> "FeatureRequest":
+        """Encrypt x_1..x_d under ``pk``; x_0 is not transmitted."""
+        return cls(tuple(pk.encrypt(v, rng) for v in x.values[1:]), pk)
+
 
 @dataclass(frozen=True)
 class PublishedLinearModel:
@@ -156,38 +164,17 @@ class PublishedLinearModel:
         return len(self.ciphertexts) - 1
 
 
-@dataclass(frozen=True)
-class SvmCoreRequest:
-    """Masked inner product under the server key plus mask bits under the client key."""
-
-    masked_inner: Ciphertext
-    mask_bits: tuple[Ciphertext, ...]
-    client_key: PublicKey
-
-
 @dataclass
 class RegrCoreSession:
     precision: int
-    d: int
 
 
 @dataclass
-class DualSession:
+class MaskSession:
+    """The client's mask for one dual or SVM core query against ``published``."""
+
     published: PublishedLinearModel
-    mask: int  # residue in [0, M)
-    _used: bool = field(default=False, repr=False)
-
-    def consume(self) -> int:
-        if self._used:
-            raise ProtocolViolationError("session mask already used; start a new session")
-        self._used = True
-        return self.mask
-
-
-@dataclass
-class SvmCoreSession:
     mask: int
-    ell: int
     _used: bool = field(default=False, repr=False)
 
     def consume(self) -> int:
@@ -298,9 +285,8 @@ def _injective(activation: str) -> activations.Activation:
 def regr_core_request(pk_client: PublicKey, x: FeatureVector,
                       rng: random.Random | None = None
                       ) -> tuple[FeatureRequest, RegrCoreSession]:
-    """Encrypt the features under the client key; x_0 is not transmitted."""
-    cts = tuple(pk_client.encrypt(v, rng) for v in x.values[1:])
-    return FeatureRequest(cts, pk_client), RegrCoreSession(x.precision, x.d)
+    """Encrypt the features under the client key."""
+    return FeatureRequest.encrypt(pk_client, x, rng), RegrCoreSession(x.precision)
 
 
 def regr_core_respond(model: LinearModel, request: FeatureRequest,
@@ -331,7 +317,7 @@ def regr_dual_publish(model: LinearModel, pk_server: PublicKey,
 
 def regr_dual_request(published: PublishedLinearModel, x: FeatureVector,
                       rng: random.Random | None = None, mask: int | None = None
-                      ) -> tuple[Ciphertext, DualSession]:
+                      ) -> tuple[Ciphertext, MaskSession]:
     """Homomorphic inner product plus a fresh uniform mask.
 
     The mask makes the value the server decrypts uniform over the message
@@ -345,7 +331,7 @@ def regr_dual_request(published: PublishedLinearModel, x: FeatureVector,
     mask = rng.randrange(n) if mask is None else mask % n
     acc = encrypted_dot(published.ciphertexts[0], x.values[1:], published.ciphertexts[1:])
     acc = acc + published.public_key.encrypt_unsigned(mask, rng)
-    return acc, DualSession(published, mask)
+    return acc, MaskSession(published, mask)
 
 
 def regr_dual_respond(sk_server: SecretKey, request: Ciphertext) -> int:
@@ -353,7 +339,7 @@ def regr_dual_respond(sk_server: SecretKey, request: Ciphertext) -> int:
     return sk_server.decrypt_unsigned(request)
 
 
-def regr_dual_finish(session: DualSession, masked_value: int,
+def regr_dual_finish(session: MaskSession, masked_value: int,
                      activation: str = "identity") -> float:
     """Remove the mask and apply the link function."""
     act = _injective(activation)
@@ -370,13 +356,12 @@ def regr_dual_finish(session: DualSession, masked_value: int,
 def svm_core_request(published: PublishedLinearModel, pk_client: PublicKey,
                      x: FeatureVector, kappa: int = DEFAULT_KAPPA,
                      rng: random.Random | None = None, mask: int | None = None
-                     ) -> tuple[SvmCoreRequest, SvmCoreSession]:
-    """Masked inner product under the server key plus encrypted mask bits.
+                     ) -> tuple[UnitChallenge, MaskSession]:
+    """The client's masked-comparison challenge: theta . x + mask under the
+    server key, the low ell bits of the mask under the client key.
 
-    The mask is uniform over [2**ell - 1, 2**(ell+kappa)); the sizing check
-    guarantees theta . x + mask never wraps modulo M, so the server sees the
-    true integer. The low ell bits of the mask go to the server encrypted
-    under the client key for the comparison step.
+    The sizing check guarantees theta . x + mask never wraps modulo M, so the
+    server sees the true integer. ``mask`` can be forced for tests.
     """
     _check_dims(published.d, x.d)
     if x.precision != published.precision:
@@ -384,44 +369,28 @@ def svm_core_request(published: PublishedLinearModel, pk_client: PublicKey,
     ell = published.ell
     check_core_sizing(published.public_key.n, ell, kappa)
     rng = rng or SYSTEM_RNG
-    if mask is None:
-        mask = rng.randrange((1 << ell) - 1, 1 << (ell + kappa))
-    elif not (1 << ell) - 1 <= mask < 1 << (ell + kappa):
-        raise ParameterError("mask outside [2**ell - 1, 2**(ell+kappa))")
+    mask = draw_mask(ell, kappa, rng, mask)
     acc = encrypted_dot(published.ciphertexts[0], x.values[1:], published.ciphertexts[1:])
     acc = acc + published.public_key.encrypt_unsigned(mask, rng)
-    bits = tuple(pk_client.encrypt((mask >> i) & 1, rng) for i in range(ell))
-    return SvmCoreRequest(acc, bits, pk_client), SvmCoreSession(mask, ell)
+    return mask_challenge(acc, pk_client, mask, ell, rng), MaskSession(published, mask)
 
 
-def svm_core_respond(sk_server: SecretKey, request: SvmCoreRequest, ell: int,
-                     rng: random.Random | None = None):
-    """Decrypt the masked sum and answer the embedded comparison.
-
-    The server's comparison share is pinned to bit ell of the decrypted sum
-    rather than drawn at random; together with the client's mask bit it
-    reconstructs the sign of the inner product.
-    """
-    from .comparison import ComparisonRequest, evaluator_respond
-
+def svm_core_respond(sk_server: SecretKey, request: UnitChallenge, ell: int,
+                     rng: random.Random | None = None) -> ComparisonResponse:
+    """Decrypt the masked sum and answer the embedded comparison with flip 0,
+    so the client's share reconstructs the sign of the inner product."""
+    # Checked first: the client's key is read off the first mask bit.
     if len(request.mask_bits) != ell:
         raise ProtocolViolationError(
             f"expected {ell} mask bits, got {len(request.mask_bits)}")
-    t_star = sk_server.decrypt_unsigned(request.masked_inner)
-    eta = t_star % (1 << ell)
-    delta_eval = (t_star >> ell) & 1
-    comp = ComparisonRequest(request.mask_bits, ell)
-    return evaluator_respond(request.client_key, comp, eta, delta_eval, rng)
+    return evaluator_step(sk_server, request.mask_bits[0].public_key, request, 0, rng)
 
 
-def svm_core_finish(sk_client: SecretKey, response, session: SvmCoreSession) -> int:
+def svm_core_finish(sk_client: SecretKey, response: ComparisonResponse,
+                    session: MaskSession) -> int:
     """Recover the class: +1 iff theta . x >= 0."""
-    from .comparison import bit_owner_finish
-
-    delta_own = bit_owner_finish(sk_client, response)
-    mask = session.consume()
-    mask_bit = (mask >> session.ell) & 1
-    return 1 if (delta_own ^ mask_bit) else -1
+    ell = session.published.ell
+    return 1 if owner_step(sk_client, session.consume(), ell, response) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +399,7 @@ def svm_core_finish(sk_client: SecretKey, response, session: SvmCoreSession) -> 
 def svm_heur_request(pk_client: PublicKey, x: FeatureVector,
                      rng: random.Random | None = None) -> FeatureRequest:
     """Same message as the core regression request."""
-    cts = tuple(pk_client.encrypt(v, rng) for v in x.values[1:])
-    return FeatureRequest(cts, pk_client)
+    return FeatureRequest.encrypt(pk_client, x, rng)
 
 
 def svm_heur_respond(model: LinearModel, request: FeatureRequest,

@@ -7,12 +7,13 @@ evaluation modes exist:
 * generic: the server sends each unit's encrypted inner product, the client
   decrypts, applies the activation in the clear and re-encrypts. Works for
   any activation; the client sees every pre-activation value.
-* encrypted, core variant: sign and relu units are evaluated with the
-  masked-comparison machinery so the client never sees a pre-activation
+* encrypted, core variant: sign and relu units run the masked comparison
+  of the comparison module, so the client never sees a pre-activation
   value in the clear. Data ciphertexts stay under the client key; the
   comparison bits and blinded values travel under the server key. Compared
-  to the linear protocols the roles in the comparison are swapped: here the
-  server owns the mask bits and the client is the evaluator.
+  to the SVM core protocol the roles are swapped: here the server owns the
+  mask and the client evaluates, with a random flip bit that hides the
+  outcome from both parties.
 * encrypted, heuristic variant: one ciphertext per unit per direction, with
   the leakage caveat of the heuristic SVM protocol.
 
@@ -27,8 +28,10 @@ import random
 from dataclasses import dataclass, fields, is_dataclass
 
 from . import activations
-from .comparison import (ComparisonRequest, ComparisonResponse,
-                         bit_owner_finish, evaluator_respond)
+# perfbench's tracer wraps bit_owner_finish and evaluator_respond under these names.
+from .comparison import (ComparisonResponse, UnitChallenge,  # noqa: F401
+                         bit_owner_finish, draw_mask, evaluator_respond,
+                         evaluator_step, mask_challenge, owner_step)
 from .errors import (DimensionMismatchError, ParameterError,
                      ProtocolViolationError)
 from .fixedpoint import decode, encode
@@ -137,9 +140,6 @@ class NetworkSpec:
             if layer.activation not in ENCRYPTED_ACTIVATIONS:
                 raise ParameterError(
                     f"activation {layer.activation!r} has no encrypted protocol")
-        if self.output_mode == "activated" and \
-                self.layers[-1].activation not in ENCRYPTED_ACTIVATIONS:
-            raise ParameterError("activated output needs a sign or relu output layer")
 
     def check_keys(self, modulus: int, kappa: int, variant: str = "core") -> None:
         """Every layer's masked sum must fit the message space at this kappa."""
@@ -226,15 +226,6 @@ def _out_bound(layer: LayerSpec, in_bound: int, precision: int) -> int:
 # The field order of every message class is its wire order (see ``flatten``).
 
 @dataclass(frozen=True)
-class UnitChallenge:
-    """Core-variant unit: masked inner product (client key) + mask bits (server key)."""
-
-    masked_inner: Ciphertext
-    mask_bits: tuple[Ciphertext, ...]
-    ell: int
-
-
-@dataclass(frozen=True)
 class HeurChallenge:
     """Heuristic-variant unit: the scaled-and-shifted inner product only."""
 
@@ -267,12 +258,7 @@ class CoreUnitState:
 
 
 @dataclass
-class SignHeurState:
-    delta: int
-
-
-@dataclass
-class ReluHeurState:
+class HeurState:
     lam: int
     mu: int
     delta: int
@@ -284,10 +270,6 @@ def _inner_with_offset(theta, enc_inputs, offset: int,
     pk = enc_inputs[0].public_key
     return encrypted_dot(pk.encrypt_unsigned((theta[0] + offset) % pk.n, rng),
                          theta[1:], enc_inputs)
-
-
-def _draw_core_mask(ell: int, kappa: int, rng: random.Random) -> int:
-    return rng.randrange((1 << ell) - 1, 1 << (ell + kappa))
 
 
 def sign_core_challenge(theta, enc_inputs, pk_server: PublicKey, ell: int,
@@ -303,11 +285,9 @@ def sign_core_challenge(theta, enc_inputs, pk_server: PublicKey, ell: int,
     rng = rng or SYSTEM_RNG
     pk_client = enc_inputs[0].public_key
     check_core_sizing(pk_client.n, ell, kappa)
-    if mask is None:
-        mask = _draw_core_mask(ell, kappa, rng)
+    mask = draw_mask(ell, kappa, rng, mask)
     t_ct = _inner_with_offset(theta, enc_inputs, mask, rng)
-    bits = tuple(pk_server.encrypt((mask >> i) & 1, rng) for i in range(ell))
-    return UnitChallenge(t_ct, bits, ell), CoreUnitState(mask, ell)
+    return mask_challenge(t_ct, pk_server, mask, ell, rng), CoreUnitState(mask, ell)
 
 
 def sign_core_answer(sk_client: SecretKey, pk_server: PublicKey,
@@ -316,29 +296,22 @@ def sign_core_answer(sk_client: SecretKey, pk_server: PublicKey,
                      b: int | None = None) -> SignUnitResponse:
     """Client step: run the comparison with a random flip hiding the outcome."""
     rng = rng or SYSTEM_RNG
-    ell = challenge.ell
-    t_star = sk_client.decrypt_unsigned(challenge.masked_inner)
-    eta = t_star % (1 << ell)
     if b is None:
         b = rng.randrange(2)
-    delta_eval = ((t_star >> ell) & 1) ^ b
-    comp = evaluator_respond(pk_server, ComparisonRequest(challenge.mask_bits, ell),
-                             eta, delta_eval, rng)
-    masked_sign = sk_client.public_key.encrypt(1 - 2 * b, rng)
-    return SignUnitResponse(masked_sign, comp)
+    comp = evaluator_step(sk_client, pk_server, challenge, b, rng)
+    return SignUnitResponse(sk_client.public_key.encrypt(1 - 2 * b, rng), comp)
 
 
 def sign_core_finish(sk_server: SecretKey, state: CoreUnitState,
                      response: SignUnitResponse) -> Ciphertext:
     """Server step: unflip; the result decrypts to sign(theta . x)."""
-    delta_own = bit_owner_finish(sk_server, response.comparison)
-    mask_bit = (state.mask >> state.ell) & 1
-    flip = 1 if (delta_own ^ mask_bit) else -1
+    flip = 1 if owner_step(sk_server, state.mask, state.ell, response.comparison) else -1
     return flip * response.masked_sign
 
 
 def _heur_challenge(theta, enc_inputs, ell: int, kappa: int,
-                    rng: random.Random | None, require_unit: bool):
+                    rng: random.Random | None, require_unit: bool
+                    ) -> tuple[HeurChallenge, HeurState]:
     """Encrypted lam * (theta . x) + mu with a fresh heuristic mask."""
     rng = rng or SYSTEM_RNG
     pk_client = enc_inputs[0].public_key
@@ -346,16 +319,15 @@ def _heur_challenge(theta, enc_inputs, ell: int, kappa: int,
                                          require_unit=require_unit)
     acc = encrypted_dot(pk_client.encrypt(lam * theta[0] + mu, rng),
                         [lam * coeff for coeff in theta[1:]], enc_inputs)
-    return HeurChallenge(acc), lam, mu, delta
+    return HeurChallenge(acc), HeurState(lam, mu, delta)
 
 
 def sign_heur_challenge(theta, enc_inputs, ell: int,
                         kappa: int = DEFAULT_KAPPA,
                         rng: random.Random | None = None
-                        ) -> tuple[HeurChallenge, SignHeurState]:
+                        ) -> tuple[HeurChallenge, HeurState]:
     """Server step: scaled-and-shifted inner product, sign flip kept private."""
-    challenge, _, _, delta = _heur_challenge(theta, enc_inputs, ell, kappa, rng, False)
-    return challenge, SignHeurState(delta)
+    return _heur_challenge(theta, enc_inputs, ell, kappa, rng, False)
 
 
 def sign_heur_answer(sk_client: SecretKey, challenge: HeurChallenge,
@@ -365,87 +337,74 @@ def sign_heur_answer(sk_client: SecretKey, challenge: HeurChallenge,
     return sk_client.public_key.encrypt(y_star, rng)
 
 
-def sign_heur_finish(state: SignHeurState, response: Ciphertext) -> Ciphertext:
+def sign_heur_finish(state: HeurState, response: Ciphertext) -> Ciphertext:
     return (1 - 2 * state.delta) * response
 
 
-def relu_core_challenge(theta, enc_inputs, pk_server: PublicKey, ell: int,
-                        kappa: int = DEFAULT_KAPPA,
-                        rng: random.Random | None = None,
-                        mask: int | None = None
-                        ) -> tuple[UnitChallenge, CoreUnitState]:
-    """Server step; same message shape as the sign unit. The one mask serves
-    both the comparison and the one-time pad on the value."""
-    return sign_core_challenge(theta, enc_inputs, pk_server, ell, kappa, rng, mask)
+#: Server step of a relu unit: the sign unit's challenge. The one mask serves
+#: both the comparison and the one-time pad on the value.
+relu_core_challenge = sign_core_challenge
 
 
 def relu_core_answer(sk_client: SecretKey, pk_server: PublicKey,
                      challenge: UnitChallenge,
                      rng: random.Random | None = None,
                      b: int | None = None) -> ReluUnitResponse:
-    """Client step: comparison plus an ordered pair hiding which entry is live.
-
-    The masked inner product is rerandomized before going back so the server
-    cannot match it against what it sent.
-    """
+    """Client step: comparison plus an ordered pair hiding which entry is live."""
     rng = rng or SYSTEM_RNG
-    ell = challenge.ell
-    pk_client = sk_client.public_key
-    t_star = sk_client.decrypt_unsigned(challenge.masked_inner)
-    eta = t_star % (1 << ell)
     if b is None:
         b = rng.randrange(2)
-    delta_eval = ((t_star >> ell) & 1) ^ b
-    comp = evaluator_respond(pk_server, ComparisonRequest(challenge.mask_bits, ell),
-                             eta, delta_eval, rng)
-    zero = pk_client.encrypt(0, rng)
-    fresh = pk_client.rerandomize(challenge.masked_inner, rng)
-    pair = (zero, fresh) if b == 0 else (fresh, zero)
-    return ReluUnitResponse(pk_client.encrypt(b, rng), pair, comp)
+    comp = evaluator_step(sk_client, pk_server, challenge, b, rng)
+    return ReluUnitResponse(*_relu_pair(sk_client.public_key, challenge.masked_inner,
+                                        b, rng), comp)
 
 
 def relu_core_finish(sk_server: SecretKey, state: CoreUnitState,
                      response: ReluUnitResponse) -> Ciphertext:
     """Server step: select the live pair entry and strip the pad obliviously."""
-    if len(response.pair) != 2:
-        raise ProtocolViolationError("pair must have exactly two entries")
-    delta_own = bit_owner_finish(sk_server, response.comparison)
-    select = delta_own ^ ((state.mask >> state.ell) & 1)
-    # [b xor select]: reuse the bit ciphertext for 0, flip it for 1.
-    b_sel = response.masked_bit if select == 0 else (-response.masked_bit).add_plain(1)
-    return response.pair[select] - state.mask * b_sel
+    select = owner_step(sk_server, state.mask, state.ell, response.comparison)
+    return _select_live(response, select, state.mask)
 
 
 def relu_heur_challenge(theta, enc_inputs, ell: int,
                         kappa: int = DEFAULT_KAPPA,
                         rng: random.Random | None = None
-                        ) -> tuple[HeurChallenge, ReluHeurState]:
+                        ) -> tuple[HeurChallenge, HeurState]:
     """Server step: like the sign heuristic, but lam must be invertible so the
     scale can be removed exactly afterwards."""
-    challenge, lam, mu, delta = _heur_challenge(theta, enc_inputs, ell, kappa, rng, True)
-    return challenge, ReluHeurState(lam, mu, delta)
+    return _heur_challenge(theta, enc_inputs, ell, kappa, rng, True)
 
 
 def relu_heur_answer(sk_client: SecretKey, challenge: HeurChallenge,
                      rng: random.Random | None = None) -> ReluHeurResponse:
-    rng = rng or SYSTEM_RNG
-    pk_client = sk_client.public_key
-    t_star = sk_client.decrypt(challenge.masked_inner)
-    b = 0 if t_star >= 0 else 1
+    b = 0 if sk_client.decrypt(challenge.masked_inner) >= 0 else 1
+    return ReluHeurResponse(*_relu_pair(sk_client.public_key, challenge.masked_inner,
+                                        b, rng))
+
+
+def relu_heur_finish(state: HeurState, response: ReluHeurResponse) -> Ciphertext:
+    n = response.masked_bit.public_key.n
+    return invert(state.lam % n, n) * _select_live(response, 1 - state.delta, state.mu)
+
+
+def _relu_pair(pk_client: PublicKey, masked_inner: Ciphertext, b: int,
+               rng: random.Random | None
+               ) -> tuple[Ciphertext, tuple[Ciphertext, Ciphertext]]:
+    """Encrypted b and the pair (0, t) for b = 0 or (t, 0) for b = 1; t is
+    rerandomized so the server cannot match it against what it sent."""
     zero = pk_client.encrypt(0, rng)
-    fresh = pk_client.rerandomize(challenge.masked_inner, rng)
-    pair = (zero, fresh) if b == 0 else (fresh, zero)
-    return ReluHeurResponse(pk_client.encrypt(b, rng), pair)
+    fresh = pk_client.rerandomize(masked_inner, rng)
+    return pk_client.encrypt(b, rng), ((zero, fresh) if b == 0 else (fresh, zero))
 
 
-def relu_heur_finish(state: ReluHeurState, response: ReluHeurResponse) -> Ciphertext:
+def _select_live(response, select: int, pad: int) -> Ciphertext:
+    """Oblivious select: pair[select] - pad * [b XOR select], which strips
+    ``pad`` from the live entry and leaves the zero entry zero."""
     if len(response.pair) != 2:
         raise ProtocolViolationError("pair must have exactly two entries")
-    pk = response.masked_bit.public_key
-    select = 1 - state.delta
+    # [b xor select]: reuse the bit ciphertext for 0, flip it for 1.
     b_sel = response.masked_bit if select == 0 else (-response.masked_bit).add_plain(1)
-    inner = response.pair[select] - state.mu * b_sel
-    return invert(state.lam % pk.n, pk.n) * inner
+    return response.pair[select] - pad * b_sel
 
 
 # ---------------------------------------------------------------------------
@@ -642,15 +601,11 @@ class NetworkServerSession:
                      for theta in layer.weights)
 
     def _challenge_unit(self, layer: LayerSpec, theta):
-        if layer.activation == "sign":
-            if self.variant == "core":
-                return sign_core_challenge(theta, self._enc, self.server_keys[0],
-                                           layer.ell, self.kappa, self.rng)
-            return sign_heur_challenge(theta, self._enc, layer.ell, self.kappa, self.rng)
         if self.variant == "core":
-            return relu_core_challenge(theta, self._enc, self.server_keys[0],
+            return sign_core_challenge(theta, self._enc, self.server_keys[0],
                                        layer.ell, self.kappa, self.rng)
-        return relu_heur_challenge(theta, self._enc, layer.ell, self.kappa, self.rng)
+        heur = sign_heur_challenge if layer.activation == "sign" else relu_heur_challenge
+        return heur(theta, self._enc, layer.ell, self.kappa, self.rng)
 
     def _finish_unit(self, layer: LayerSpec, state, response) -> Ciphertext:
         if layer.activation == "sign":
@@ -683,8 +638,7 @@ class NetworkClientSession:
                 f"network expects {self.meta.d_in} inputs, got {x.d}")
         if x.precision != self.meta.precision:
             raise ParameterError("feature precision differs from the model")
-        cts = tuple(self.pk.encrypt(v, self.rng) for v in x.values[1:])
-        return FeatureRequest(cts, self.pk)
+        return FeatureRequest.encrypt(self.pk, x, self.rng)
 
     def handle(self, message):
         """Process a down message; returns the reply, or None when finished."""

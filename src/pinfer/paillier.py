@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 from .errors import DecryptionError, KeyMismatchError, ParameterError
 from .numutil import SYSTEM_RNG, crt2, gcd, invert, is_probable_prime, powmod, prime_candidate
 
-#: Key-size presets considered adequate for long-term protection.
-KEY_BITS_PRESETS = (2048, 3072)
 DEFAULT_KEY_BITS = 2048
 #: Absolute floor, for test-scale keys only.
 MIN_KEY_BITS = 64

@@ -32,13 +32,13 @@ from . import network, wire
 from .errors import (MessageFormatError, ParameterError, PinferError,
                      ProtocolViolationError)
 from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector,
-                     PublishedLinearModel, SvmCoreRequest, check_core_sizing,
+                     PublishedLinearModel, check_core_sizing,
                      regr_core_finish, regr_core_request, regr_core_respond,
                      regr_dual_finish, regr_dual_publish, regr_dual_request,
                      regr_dual_respond, svm_core_finish, svm_core_request,
                      svm_core_respond, svm_heur_finish, svm_heur_request,
                      svm_heur_respond)
-from .comparison import ComparisonResponse
+from .comparison import ComparisonResponse, UnitChallenge
 from .modelfile import LoadedModel
 from .network import (LayerActivations, LayerChallenges, LayerInners,
                       LayerOutputs, LayerMeta, LayerResponses,
@@ -220,8 +220,6 @@ def run_inference(channel, protocol: str, x: FeatureVector,
     if protocol == "regr-dual":
         published, activation = fetch_published(channel, protocol, client_keys,
                                                 rng, publish_transcript)
-        if x.precision != published.precision:
-            raise ParameterError("input precision differs from the published model")
         request, session = regr_dual_request(published, x, rng)
         io.send(wire.STEP_REQUEST,
                 (wire.serialize_ciphertext(request, published.public_key),),
@@ -235,8 +233,6 @@ def run_inference(channel, protocol: str, x: FeatureVector,
     if protocol == "svm-core":
         published, _ = fetch_published(channel, protocol, client_keys,
                                        rng, publish_transcript)
-        if x.precision != published.precision:
-            raise ParameterError("input precision differs from the published model")
         request, session = svm_core_request(published, pk_c, x, kappa, rng)
         io.send(wire.STEP_REQUEST,
                 (wire.serialize_public_key(pk_c),
@@ -291,7 +287,7 @@ def _meta_from_json(data: bytes) -> tuple[NetworkMeta, PublicKey | None]:
 def _run_network_client(io: _ClientIO, protocol: str, x: FeatureVector,
                         client_keys, rng) -> InferenceResult:
     pk_c, sk_c = client_keys
-    request = FeatureRequest(tuple(pk_c.encrypt(v, rng) for v in x.values[1:]), pk_c)
+    request = FeatureRequest.encrypt(pk_c, x, rng)
     io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
     frame = io.recv(wire.STEP_META, n_cts=0)
     meta, pk_server = _meta_from_json(_parts(frame, 1)[0])
@@ -424,7 +420,6 @@ def prepare_served(protocol: str, loaded: LoadedModel,
             raise ParameterError(f"protocol {protocol} needs an ffnn model")
         spec = loaded.model
         if protocol != "ffnn-generic":
-            spec.check_encryptable()
             wanted = "sign" if "sign" in protocol else "relu"
             gated = list(spec.layers[:-1])
             if spec.output_mode == "activated":
@@ -522,7 +517,7 @@ def _handle_linear_request(served: ServedModel, frame: wire.Frame) -> tuple:
         if wire.unpack_u32(ell) != model.ell:
             raise ProtocolViolationError("client assumed a different bound length")
         bits = tuple(wire.deserialize_ciphertext(p, pk_c) for p in body)
-        request = SvmCoreRequest(masked_inner, bits, pk_c)
+        request = UnitChallenge(masked_inner, bits, model.ell)
         response = svm_core_respond(sk_s, request, model.ell, served.rng)
         return tuple(wire.serialize_ciphertext(c, pk_c)
                      for c in response.blinded_values)
@@ -556,21 +551,20 @@ def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
                                        rng=served.rng)
         message = session.start(request)
         meta, keys = spec.meta(mode, variant), {"c": request.public_key, "s": pk_s}
-        sessions[frame.session_id] = (session, meta, keys)
         yield wire.STEP_META, (_meta_to_json(meta, pk_s),)
-        yield _encode_layer(message, meta, keys)
-        if session.done:
-            del sessions[frame.session_id]
-        return
-    if frame.step_id != wire.STEP_LAYER_UP:
+    elif frame.step_id == wire.STEP_LAYER_UP:
+        # A refused layer-up ends its session: it is back in the table only
+        # after a successful step that leaves it unfinished.
+        entry = sessions.pop(frame.session_id, None)
+        if entry is None:
+            raise ProtocolViolationError("unknown session")
+        session, meta, keys = entry
+        message = session.advance(_decode_layer(frame, meta, keys))
+    else:
         raise ProtocolViolationError(f"unexpected step {frame.step_id}")
-    if frame.session_id not in sessions:
-        raise ProtocolViolationError("unknown session")
-    session, meta, keys = sessions[frame.session_id]
-    message = session.advance(_decode_layer(frame, meta, keys))
+    if not session.done:
+        sessions[frame.session_id] = (session, meta, keys)
     yield _encode_layer(message, meta, keys)
-    if session.done:
-        del sessions[frame.session_id]
 
 
 def serve_loopback(served: ServedModel):
