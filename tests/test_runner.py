@@ -236,9 +236,9 @@ SHORT = b"parts, expected"
 
 
 def _short_frames(protocol, client_keys, served):
-    """(step, parts, error) for frames whose handling used to index past the
-    end of frame.parts or of their ciphertexts, with ``error`` a fragment of
-    the expected error message, or None on the valid set-up frames."""
+    """(step, parts, error) for frames short of parts or of ciphertexts, with
+    ``error`` a fragment of the server's error message, or None on the valid
+    set-up frames."""
     pk_c = client_keys[0]
     if protocol == "svm-core":
         pk_s = served.server_keys[0]
@@ -250,23 +250,12 @@ def _short_frames(protocol, client_keys, served):
                 (wire.STEP_REQUEST, no_bits, b"mask bits")]
     if protocol != "ffnn-sign":
         return [(wire.STEP_REQUEST, (), SHORT)]
-    return [(wire.STEP_REQUEST, (), SHORT), (wire.STEP_REQUEST, _network_request(pk_c), None),
-            (wire.STEP_LAYER_UP, (), SHORT)]
-
-
-def _network_request(pk_c):
-    """A valid request frame body for the two-input test network."""
-    return (wire.serialize_public_key(pk_c),
-            *(wire.serialize_ciphertext(pk_c.encrypt(1), pk_c) for _ in range(2)))
-
-
-def _raw_server(served):
-    """Server thread on a loopback; returns the client end, its inbox and the thread."""
-    up, down = queue.Queue(), queue.Queue()
-    thread = threading.Thread(target=serve_connection,
-                              args=(QueueChannel(up, down), served), daemon=True)
-    thread.start()
-    return QueueChannel(down, up), down, thread
+    # A live session first, so the layer-up frame reaches the decoder. The
+    # refused layer-up ends that session, so a second one finds none.
+    request = (wire.serialize_public_key(pk_c),
+               *(wire.serialize_ciphertext(pk_c.encrypt(1), pk_c) for _ in range(2)))
+    return [(wire.STEP_REQUEST, (), SHORT), (wire.STEP_REQUEST, request, None),
+            (wire.STEP_LAYER_UP, (), SHORT), (wire.STEP_LAYER_UP, (), b"unknown session")]
 
 
 @pytest.mark.parametrize("protocol", ["regr-core", "regr-dual", "svm-core", "ffnn-sign"])
@@ -277,7 +266,11 @@ def test_short_frames_get_error_replies(client_keys, server_keys, rng, protocol)
         loaded = linear_loaded("svm" if protocol == "svm-core" else "logistic", rng=rng)
         x = random_x(4, 12, rng)
     served = prepare_served(protocol, loaded, server_keys, KAPPA, rng)
-    channel, down, thread = _raw_server(served)
+    up, down = queue.Queue(), queue.Queue()
+    channel = QueueChannel(down, up)
+    thread = threading.Thread(target=serve_connection,
+                              args=(QueueChannel(up, down), served), daemon=True)
+    thread.start()
     session_id = rng.randbytes(wire.SESSION_ID_BYTES)
     try:
         for step, parts, error in _short_frames(protocol, client_keys, served):
@@ -300,26 +293,6 @@ def test_short_frames_get_error_replies(client_keys, server_keys, rng, protocol)
         assert result.labels == (eval_svm(loaded.model, x).class_label,)
     else:
         assert result.value == eval_logistic(loaded.model, x).value
-
-
-def test_refused_layer_up_ends_its_session(client_keys, server_keys, rng):
-    served = prepare_served("ffnn-sign", ffnn_loaded("sign"), server_keys, KAPPA, rng)
-    channel, down, thread = _raw_server(served)
-    session_id = rng.randbytes(wire.SESSION_ID_BYTES)
-    try:
-        reply = _send(channel, down, "ffnn-sign", wire.STEP_REQUEST,
-                      _network_request(client_keys[0]), session_id)
-        assert reply.step_id == wire.STEP_META
-        assert wire.unframe(down.get(timeout=60)).step_id == wire.STEP_LAYER_DOWN
-        replies = [_send(channel, down, "ffnn-sign", wire.STEP_LAYER_UP, (), session_id)
-                   for _ in range(2)]
-    finally:
-        channel.close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert [r.step_id for r in replies] == [wire.STEP_ERROR] * 2
-    assert SHORT in replies[0].parts[0]
-    assert replies[1].parts[0] == b"unknown session"
 
 
 class _CannedServer:
