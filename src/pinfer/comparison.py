@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ParameterError, ProtocolViolationError
-from .numutil import SYSTEM_RNG, random_unit
+from .numutil import SYSTEM_RNG
 from .paillier import Ciphertext, PublicKey, SecretKey
 
 
@@ -72,7 +72,11 @@ def evaluator_respond(pk: PublicKey, request: ComparisonRequest, eta: int, delta
         h_i = s*(mu_i - eta_i) + 1 + sum_{j>i} (mu_j XOR eta_j),  s = 1 - 2*delta_eval,
 
     plus the equality guard h_-1 = delta_eval + sum_j (mu_j XOR eta_j), scales
-    each by a fresh unit, rerandomizes, and returns them shuffled.
+    each by a fresh unit, rerandomizes, and returns them shuffled. The scaling
+    and rerandomizing is one ``PublicKey.blind_all`` batch: under the owner's
+    key rebuilt from bytes, the random N-th powers s**N mod N**2 of the
+    rerandomization are computed in a worker process while this thread
+    scales.
 
     Raises:
         ParameterError: eta out of range or delta_eval not a bit.
@@ -92,19 +96,17 @@ def evaluator_respond(pk: PublicKey, request: ComparisonRequest, eta: int, delta
     xor_terms = [bits if eta_bits[i] == 0 else (-bits).add_plain(1)
                  for i, bits in enumerate(request.encrypted_bits)]
 
-    def blind(ct: Ciphertext) -> Ciphertext:
-        return pk.rerandomize(random_unit(pk.n, rng) * ct, rng)
-
-    blinded: list[Ciphertext] = []
+    values: list[Ciphertext] = []
     suffix = None  # encrypted sum of xor_terms[j] for j > i
     for i in reversed(range(ell)):
         term = request.encrypted_bits[i] if s == 1 else -request.encrypted_bits[i]
         value = term.add_plain(1 - s * eta_bits[i])
         if suffix is not None:
             value = value + suffix
-        blinded.append(blind(value))
+        values.append(value)
         suffix = xor_terms[i] if suffix is None else suffix + xor_terms[i]
-    blinded.append(blind(suffix.add_plain(delta_eval)))
+    values.append(suffix.add_plain(delta_eval))
+    blinded = pk.blind_all(values, rng)
     rng.shuffle(blinded)
     return ComparisonResponse(tuple(blinded))
 

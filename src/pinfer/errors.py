@@ -27,3 +27,7 @@ class ProtocolViolationError(PinferError):
 
 class MessageFormatError(PinferError):
     """Bytes on the wire do not decode to a valid frame or field."""
+
+
+class WorkerError(PinferError):
+    """The helper process that computes N-th powers died before it answered."""

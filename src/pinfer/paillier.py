@@ -22,6 +22,15 @@ decryption works modulo p**2 and q**2 as well. A public key rebuilt from
 bytes holds no factors and takes the generic path; both produce the same
 distribution of ciphertexts, and their ciphertexts mix freely.
 
+``PublicKey.blind_all`` is the comparison evaluator's blind, r*c
+rerandomized for a fresh unit r, over a whole batch. Its random factors
+s**N mod N**2 do not depend on the values (Paillier, EUROCRYPT 1999, notes
+they can be precomputed), so under a key without factors they are computed
+in a worker process while the calling thread computes each c**r. The worker
+is one child process per party process, started at the first such batch and
+ended at exit; it receives N, N**2 and the bases s and nothing else. A key
+holder computes its CRT factors inline.
+
 Key sizes of 2048 or 3072 bits are the production presets; the 64-bit floor
 and the deterministic RNG from :func:`pinfer.numutil.insecure_rng` exist for
 tests only.
@@ -29,13 +38,19 @@ tests only.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import hashlib
 import random
 import struct
+import subprocess
+import sys
+import threading
 from dataclasses import dataclass, field
 
-from .errors import DecryptionError, KeyMismatchError, ParameterError
-from .numutil import SYSTEM_RNG, crt2, gcd, invert, is_probable_prime, powmod, prime_candidate
+from .errors import DecryptionError, KeyMismatchError, ParameterError, WorkerError
+from .numutil import (SYSTEM_RNG, crt2, gcd, invert, is_probable_prime, powmod,
+                      prime_candidate, random_unit)
 
 DEFAULT_KEY_BITS = 2048
 #: Absolute floor, for test-scale keys only.
@@ -117,10 +132,43 @@ class PublicKey:
         value = ((1 + m * self.n) % self.n_squared) * self._fresh_factor(rng) % self.n_squared
         return Ciphertext(value, self)
 
-    def rerandomize(self, c: "Ciphertext", rng: random.Random | None = None) -> "Ciphertext":
-        """Fresh ciphertext of the same plaintext (multiplies in a random N-th power)."""
+    def rerandomize(self, c: "Ciphertext", rng: random.Random | None = None,
+                    factor: int | None = None) -> "Ciphertext":
+        """Fresh ciphertext of the same plaintext: multiplies in a random
+        N-th power, or ``factor``, one the caller has already computed."""
         self._check_own(c)
-        return Ciphertext(c.value * self._fresh_factor(rng) % self.n_squared, self)
+        if factor is None:
+            factor = self._fresh_factor(rng)
+        return Ciphertext(c.value * factor % self.n_squared, self)
+
+    def blind_all(self, values: list["Ciphertext"],
+                  rng: random.Random | None = None) -> list["Ciphertext"]:
+        """``[rerandomize(r_i * c_i)]`` for a fresh unit r_i per value.
+
+        For each value in turn it draws r_i, then the randomness of its
+        rerandomization, as a one-at-a-time loop would, so a seeded RNG
+        gives the same ciphertexts. Under a key without factors the powers
+        s_i**N are computed in the worker process while this thread
+        computes each r_i * c_i.
+
+        Raises:
+            WorkerError: the worker process died; the next batch starts a new one.
+        """
+        rng = rng or SYSTEM_RNG
+        units, draws = [], []
+        for _ in values:
+            units.append(random_unit(self.n, rng))
+            draws.append(rng.randrange(1, self.n) if self._secret is None
+                         else self._fresh_factor(rng))
+
+        def scale():
+            return [r * c for r, c in zip(units, values)]
+
+        if self._secret is None:
+            scaled, factors = _POWERS.powers_while(self.n, self.n_squared, draws, scale)
+        else:
+            scaled, factors = scale(), draws
+        return [self.rerandomize(c, factor=f) for c, f in zip(scaled, factors)]
 
     def _fresh_factor(self, rng: random.Random | None = None) -> int:
         """Uniform N-th residue r**N mod N**2."""
@@ -276,6 +324,111 @@ class Ciphertext:
         """
         pk = self.public_key
         return Ciphertext(self.value * (1 + (m % pk.n) * pk.n) % pk.n_squared, pk)
+
+
+#: The worker's program: it answers each request of N, N**2, a count and
+#: that many bases with the bases' N-th powers mod N**2, every integer
+#: framed as ``_pack_int`` frames it, and exits at the end of its input.
+#: It ignores SIGINT: a Ctrl-C ends its parent, whose exit then ends it.
+_WORKER_SRC = """
+import signal, struct, sys
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+try:
+    from gmpy2 import powmod
+except ImportError:
+    powmod = pow
+inp, out = sys.stdin.buffer, sys.stdout.buffer
+
+def read_int():
+    head = inp.read(4)
+    if len(head) != 4:
+        sys.exit()
+    return int.from_bytes(inp.read(struct.unpack(">I", head)[0]), "big")
+
+def pack(x):
+    raw = int(x).to_bytes(max(1, (x.bit_length() + 7) // 8), "big")
+    return struct.pack(">I", len(raw)) + raw
+
+while True:
+    n, n_squared, count = read_int(), read_int(), read_int()
+    out.write(b"".join([pack(powmod(read_int(), n, n_squared)) for _ in range(count)]))
+    out.flush()
+"""
+
+
+def _read_int(stream) -> int:
+    head = stream.read(4)
+    if len(head) == 4:
+        (length,) = struct.unpack(">I", head)
+        raw = stream.read(length)
+        if len(raw) == length:
+            return int.from_bytes(raw, "big")
+    raise WorkerError("the power worker exited before it answered")
+
+
+class _PowerWorker:
+    """The party process's one worker process for N-th powers.
+
+    It starts at the first batch and again after it has died. A lock held
+    from request to reply keeps concurrent batches, from the connections of
+    a server, in step on the one pipe.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._proc: subprocess.Popen | None = None
+
+    def powers_while(self, n: int, n_squared: int, bases: list[int], work):
+        """``(work(), [pow(s, n, n_squared) for s in bases])``, with the
+        powers computed in the worker while ``work`` runs here.
+
+        The reply is read even when ``work`` raises, so no stale reply is
+        left for the next batch.
+
+        Raises:
+            WorkerError: the worker died; it is reaped and the next call
+                starts a new one.
+        """
+        with self._lock:
+            try:
+                if self._proc is None or self._proc.poll() is not None:
+                    self._end()
+                    self._proc = subprocess.Popen([sys.executable, "-I", "-c", _WORKER_SRC],
+                                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                proc = self._proc
+                proc.stdin.write(b"".join(_pack_int(x) for x in (n, n_squared, len(bases),
+                                                                *bases)))
+                proc.stdin.flush()
+            except OSError as exc:
+                self._end()
+                raise WorkerError(f"cannot reach the power worker: {exc}") from None
+            try:
+                result = work()
+            finally:
+                try:
+                    powers = [_read_int(proc.stdout) for _ in bases]
+                except WorkerError:
+                    self._end()
+                    raise
+            return result, powers
+
+    def close(self) -> None:
+        """End the worker, if one runs: EOF on its input, then reap it."""
+        with self._lock:
+            self._end()
+
+    def _end(self) -> None:
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        with contextlib.suppress(OSError):
+            proc.stdin.close()
+        proc.stdout.close()
+        proc.wait()
+
+
+_POWERS = _PowerWorker()
+atexit.register(_POWERS.close)
 
 
 def keygen(bits: int = DEFAULT_KEY_BITS, rng: random.Random | None = None) -> tuple[PublicKey, SecretKey]:

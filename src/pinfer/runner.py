@@ -60,7 +60,7 @@ _COMPATIBLE = {
 
 
 class ChannelClosed(PinferError):
-    """The peer closed the connection."""
+    """The connection is over: the peer closed it or sent an oversized frame."""
 
 
 class QueueChannel:
@@ -88,8 +88,17 @@ def loopback_pair() -> tuple[QueueChannel, QueueChannel]:
     return QueueChannel(b_to_a, a_to_b), QueueChannel(a_to_b, b_to_a)
 
 
+#: Largest frame ``SocketChannel.recv`` accepts. A 3072-bit ciphertext is
+#: 768 bytes, so this is over 87,000 ciphertexts in one message.
+MAX_FRAME_BYTES = 64 << 20
+
+
 class SocketChannel:
-    """Length-prefixed frames over a stream socket."""
+    """Length-prefixed frames over a stream socket.
+
+    A length prefix above ``MAX_FRAME_BYTES`` ends the connection
+    (``ChannelClosed``) before any of the frame's body is read.
+    """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
@@ -100,6 +109,9 @@ class SocketChannel:
     def recv(self) -> bytes:
         header = self._read_exactly(4)
         (length,) = struct.unpack(">I", header)
+        if length > MAX_FRAME_BYTES:
+            raise ChannelClosed(f"frame of {length} bytes exceeds the "
+                                f"{MAX_FRAME_BYTES}-byte limit")
         return self._read_exactly(length)
 
     def _read_exactly(self, count: int) -> bytes:

@@ -4,6 +4,9 @@
 key generation is seeded so failures reproduce.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 from pinfer import keygen
@@ -24,3 +27,16 @@ def server_keys():
 def rng(request):
     # Distinct, reproducible stream per test.
     return insecure_rng(hash(request.node.name) & 0xFFFFFFFF)
+
+
+@pytest.fixture
+def checkout_env():
+    """Environment for a Python subprocess that imports this checkout's pinfer.
+
+    pyproject's pythonpath does not reach subprocesses, so the checkout's
+    src goes first on their PYTHONPATH.
+    """
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_dir, inherited] if inherited else [src_dir]))

@@ -1,9 +1,13 @@
+import threading
+
 import pytest
 
+from pinfer import paillier
 from pinfer.comparison import (ComparisonRequest, ComparisonResponse,
                                bit_owner_finish, bit_owner_request,
                                evaluator_respond)
-from pinfer.errors import ParameterError, ProtocolViolationError
+from pinfer.errors import ParameterError, ProtocolViolationError, WorkerError
+from pinfer.paillier import PublicKey
 
 
 def plain_test_values(mu: int, eta: int, delta_eval: int, ell: int) -> list[int]:
@@ -53,6 +57,31 @@ def test_end_to_end_share(client_keys, rng):
     pk, sk = client_keys
     delta_own = run(sk, pk, 3, 5, 0, 3, rng)
     assert delta_own ^ 0 == 1  # 3 <= 5
+
+
+def test_comparison_after_the_worker_is_killed(client_keys, rng):
+    pk, sk = client_keys
+    rebuilt = PublicKey.from_bytes(pk.to_bytes())  # blinds through the worker
+    assert run(sk, rebuilt, 3, 5, 0, 3, rng) == 1
+    paillier._POWERS._proc.kill()
+    outcome = []
+
+    def compare():
+        try:
+            outcome.append(run(sk, rebuilt, 6, 2, 0, 3, rng))
+        except WorkerError as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=compare, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and outcome
+    # Either the dead worker was seen and replaced, or the comparison failed
+    # with WorkerError; the next one then runs on a new worker.
+    if isinstance(outcome[0], WorkerError):
+        outcome[0] = run(sk, rebuilt, 6, 2, 0, 3, rng)
+    assert outcome[0] == 0  # 6 > 2
+    assert run(sk, rebuilt, 4, 4, 1, 3, rng) ^ 1 == 1
 
 
 def test_exhaustive_small(client_keys, rng):

@@ -1,8 +1,13 @@
+import subprocess
+import sys
+import threading
+
 import pytest
 
 from pinfer import keygen, paillier
-from pinfer.errors import DecryptionError, KeyMismatchError, ParameterError
-from pinfer.numutil import SIEVE_BITS, insecure_rng, is_probable_prime, prime_candidate
+from pinfer.errors import DecryptionError, KeyMismatchError, ParameterError, WorkerError
+from pinfer.numutil import (SIEVE_BITS, insecure_rng, is_probable_prime, prime_candidate,
+                            random_unit)
 from pinfer.paillier import Ciphertext, PublicKey, SecretKey
 from pinfer.wire import deserialize_public_key, serialize_public_key
 
@@ -183,6 +188,116 @@ def test_key_holder_never_exponentiates_mod_n_squared(client_keys, rng, monkeypa
     assert moduli == [pk.n_squared]
 
 
+def _serial_blinds(key, values, rng):
+    """The one-at-a-time blind loop that ``blind_all`` must reproduce."""
+    return [key.rerandomize(random_unit(key.n, rng) * c, rng) for c in values]
+
+
+@pytest.mark.parametrize("holder", [False, True], ids=["rebuilt-key", "key-holder"])
+def test_blind_all_matches_one_at_a_time(client_keys, holder):
+    pk, sk = client_keys
+    key = pk if holder else PublicKey.from_bytes(pk.to_bytes())
+    plain = [0, 1, -5, 7, 0]
+    values = [key.encrypt(m, insecure_rng(i)) for i, m in enumerate(plain)]
+    batch = key.blind_all(values, insecure_rng(7))
+    serial = _serial_blinds(key, values, insecure_rng(7))
+    assert [c.value for c in batch] == [c.value for c in serial]
+    assert all(c.public_key is key for c in batch)
+    assert [sk.decrypt(c) == 0 for c in batch] == [m == 0 for m in plain]
+
+
+def _rebuilt_values(pk, rng):
+    key = PublicKey.from_bytes(pk.to_bytes())
+    return key, [key.encrypt(m, rng) for m in (0, 3, -2)]
+
+
+@pytest.mark.parametrize("fault", ["scale", "key"])
+def test_blind_all_stays_in_step_after_a_failed_batch(client_keys, server_keys, rng, fault):
+    pk, sk = client_keys
+    key, values = _rebuilt_values(pk, rng)
+    if fault == "scale":
+        # r * None raises between the request to the worker and its reply.
+        bad, error = [values[0], None], TypeError
+    else:
+        bad, error = [values[0], server_keys[0].encrypt(1, rng)], KeyMismatchError
+    with pytest.raises(error):
+        key.blind_all(bad, insecure_rng(8))
+    # A stale reply would give other factors: the values would differ.
+    batch = key.blind_all(values, insecure_rng(9))
+    serial = _serial_blinds(key, values, insecure_rng(9))
+    assert [c.value for c in batch] == [c.value for c in serial]
+    assert [sk.decrypt(c) == 0 for c in batch] == [True, False, False]
+
+
+def test_concurrent_batches_stay_in_step(client_keys):
+    # More threads than cores share the one worker. A reply read by the
+    # wrong batch would carry other factors, so the values would differ.
+    pk, _ = client_keys
+    key = PublicKey.from_bytes(pk.to_bytes())
+    values = [key.encrypt(m, insecure_rng(m)) for m in range(4)]
+    expected = {seed: [c.value for c in _serial_blinds(key, values, insecure_rng(seed))]
+                for seed in range(6)}
+    got = {seed: [] for seed in expected}
+
+    def blind(seed):
+        for _ in range(5):
+            got[seed].append([c.value for c in key.blind_all(values, insecure_rng(seed))])
+
+    threads = [threading.Thread(target=blind, args=(seed,), daemon=True) for seed in expected]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {seed: [want] * 5 for seed, want in expected.items()}
+
+
+def test_worker_that_dies_mid_batch_raises_worker_error(client_keys, rng, monkeypatch):
+    pk, sk = client_keys
+    key, values = _rebuilt_values(pk, rng)
+    paillier._POWERS.close()
+    monkeypatch.setattr(paillier, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
+    with pytest.raises(WorkerError):
+        key.blind_all(values, rng)
+    assert paillier._POWERS._proc is None
+    monkeypatch.undo()
+    assert [sk.decrypt(c) == 0 for c in key.blind_all(values, rng)] == [True, False, False]
+
+
+def test_blind_leaves_no_process_or_warning_at_exit(checkout_env):
+    # Registered before pinfer is imported, so it runs after pinfer's own
+    # exit handler: by then the worker must be reaped.
+    code = """
+import atexit, os
+def reaped():
+    from pinfer import paillier
+    assert paillier._POWERS._proc is None
+    try:
+        os.waitpid(PID, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("the worker was not reaped")
+atexit.register(reaped)
+from pinfer.numutil import insecure_rng
+from pinfer.paillier import PublicKey, keygen
+rng = insecure_rng(5)
+pk, sk = keygen(256, rng)
+key = PublicKey.from_bytes(pk.to_bytes())
+blinded = key.blind_all([key.encrypt(0, rng), key.encrypt(4, rng)], rng)
+assert [sk.decrypt(c) == 0 for c in blinded] == [True, False]
+from pinfer import paillier
+PID = paillier._POWERS._proc.pid
+"""
+    result = subprocess.run([sys.executable, "-W", "error", "-c", code], env=checkout_env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+
+
 def test_rebuilt_public_keys_hold_no_secret(client_keys):
     pk, sk = client_keys
     assert pk._secret is sk
@@ -258,11 +373,9 @@ def test_is_probable_prime_matches_sieve():
     assert [n for n in range(-2, limit) if is_probable_prime(n)] == _sieve(limit)
 
 
-def test_pure_python_fallback():
+def test_pure_python_fallback(checkout_env):
     # Same behavior without gmpy2; isolated in a subprocess so the reload
     # cannot leak into other tests.
-    import subprocess
-    import sys
     code = """
 import sys
 sys.modules["gmpy2"] = None  # forces the ImportError branch
@@ -279,6 +392,6 @@ assert sk.decrypt(-2 * c) == -14
 assert sk.decrypt(pk.rerandomize(c, rng)) == 7
 assert sk.decrypt(5 * pk.encrypt(-2, rng) - pk.encrypt(1, rng)) == -11
 """
-    result = subprocess.run([sys.executable, "-c", code],
+    result = subprocess.run([sys.executable, "-c", code], env=checkout_env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -1,10 +1,12 @@
 import queue
+import socket
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinfer import keygen, wire
+from pinfer import keygen, paillier, wire
 from pinfer.comparison import ComparisonResponse
 from pinfer.errors import MessageFormatError, ParameterError, ProtocolViolationError
 from pinfer.linear import FeatureVector, LinearModel
@@ -15,9 +17,9 @@ from pinfer.network import (HeurChallenge, LayerChallenges, LayerMeta,
                             UnitChallenge, unit_layout)
 from pinfer.numutil import insecure_rng
 from pinfer.reference import (eval_ffnn, eval_linear, eval_logistic, eval_svm)
-from pinfer.runner import (QueueChannel, _decode_layer, _encode_layer, _meta_to_json,
-                           prepare_served, run_inference, serve_connection,
-                           serve_loopback)
+from pinfer.runner import (QueueChannel, SocketChannel, _decode_layer, _encode_layer,
+                           _meta_to_json, prepare_served, run_inference,
+                           serve_connection, serve_loopback)
 from pinfer.wire import Transcript
 
 KAPPA = 40
@@ -92,6 +94,82 @@ def test_svm_heur_over_wire(client_keys, server_keys, rng):
     assert result.labels == (eval_svm(loaded.model, x).class_label,)
     assert transcript.ciphertexts("up") == 4 and transcript.ciphertexts("down") == 1
     assert transcript.round_trips == 1
+
+
+@pytest.mark.parametrize("protocol", ["regr-core", "svm-core"])
+def test_power_worker_starts_only_for_comparisons(client_keys, server_keys, rng, protocol):
+    paillier._POWERS.close()
+    loaded = linear_loaded("svm" if protocol == "svm-core" else "logistic", rng=rng)
+    run_protocol(protocol, loaded, random_x(4, 12, rng), client_keys,
+                 server_keys if protocol == "svm-core" else None, rng)
+    assert (paillier._POWERS._proc is not None) == (protocol == "svm-core")
+
+
+def _within(seconds, fn):
+    """fn() in a daemon thread, so a server that never answers fails the
+    test instead of hanging it."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((fn(), None))
+        except Exception as exc:
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert outcome, f"no answer within {seconds} s"
+    result, error = outcome[0]
+    if error is not None:
+        raise error
+    return result
+
+
+def test_dead_power_worker_gets_an_error_reply(client_keys, server_keys, rng, monkeypatch):
+    loaded = linear_loaded("svm", rng=rng)
+    x = random_x(4, 12, rng)
+    served = prepare_served("svm-core", loaded, server_keys, KAPPA, rng)
+    channel, thread = serve_loopback(served)
+    query = lambda: run_inference(channel, "svm-core", x, client_keys,  # noqa: E731
+                                  kappa=KAPPA, rng=rng)
+    try:
+        paillier._POWERS.close()
+        # A worker that exits after the first bytes of its first request.
+        monkeypatch.setattr(paillier, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
+        with pytest.raises(ProtocolViolationError, match="power worker"):
+            _within(60, query)
+        monkeypatch.undo()
+        result = _within(60, query)
+    finally:
+        channel.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert result.labels == (eval_svm(loaded.model, x).class_label,)
+
+
+def test_oversized_frame_header_ends_the_connection(rng):
+    served = prepare_served("regr-core", linear_loaded(rng=rng), None, KAPPA, rng)
+    client_sock, server_sock = socket.socketpair()
+    try:
+        client_sock.sendall(b"\xff\xff\xff\xff" + b"body")
+        thread = threading.Thread(target=serve_connection,
+                                  args=(SocketChannel(server_sock), served), daemon=True)
+        tracemalloc.start()
+        try:
+            thread.start()
+            thread.join(timeout=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not thread.is_alive()
+        assert peak < 1 << 20
+        # Nothing after the length prefix was read.
+        server_sock.setblocking(False)
+        assert server_sock.recv(16) == b"body"
+    finally:
+        client_sock.close()
+        server_sock.close()
 
 
 def ffnn_loaded(activation="sign", output_mode="raw"):
