@@ -171,7 +171,7 @@ class NetworkSpec:
                  *(encode(w, precision) for w in row[1:]))
                 for row in rows)
             layers.append(_make_layer(weights, activation, in_scale, in_bound, precision))
-            in_scale, in_bound = layers[-1].out_scale, _out_bound(layers[-1], in_bound, precision)
+            in_scale, in_bound = layers[-1].out_scale, _out_bound(layers[-1], precision)
         return cls(tuple(layers), precision, output_mode)
 
     @classmethod
@@ -192,7 +192,7 @@ class NetworkSpec:
                 layer = LayerSpec(weights, activation, ells[i],
                                   layer.in_scale, layer.out_scale)
             layers.append(layer)
-            in_scale, in_bound = layer.out_scale, _out_bound(layer, in_bound, precision)
+            in_scale, in_bound = layer.out_scale, _out_bound(layer, precision)
         return cls(tuple(layers), precision, output_mode)
 
 
@@ -211,7 +211,7 @@ def _make_layer(weights, activation: str, in_scale: int, in_bound: int,
     return LayerSpec(weights, activation, ell, in_scale, out_scale)
 
 
-def _out_bound(layer: LayerSpec, in_bound: int, precision: int) -> int:
+def _out_bound(layer: LayerSpec, precision: int) -> int:
     act = activations.get(layer.activation)
     if act.name == "sign":
         return 1

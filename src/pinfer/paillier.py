@@ -155,19 +155,14 @@ class PublicKey:
             WorkerError: the worker process died; the next batch starts a new one.
         """
         rng = rng or SYSTEM_RNG
-        units, draws = [], []
+        if self._secret is not None:
+            return [self.rerandomize(random_unit(self.n, rng) * c, rng) for c in values]
+        units, bases = [], []
         for _ in values:
             units.append(random_unit(self.n, rng))
-            draws.append(rng.randrange(1, self.n) if self._secret is None
-                         else self._fresh_factor(rng))
-
-        def scale():
-            return [r * c for r, c in zip(units, values)]
-
-        if self._secret is None:
-            scaled, factors = _POWERS.powers_while(self.n, self.n_squared, draws, scale)
-        else:
-            scaled, factors = scale(), draws
+            bases.append(rng.randrange(1, self.n))
+        scaled, factors = _POWERS.powers_while(
+            self.n, self.n_squared, bases, lambda: [r * c for r, c in zip(units, values)])
         return [self.rerandomize(c, factor=f) for c, f in zip(scaled, factors)]
 
     def _fresh_factor(self, rng: random.Random | None = None) -> int:
@@ -326,44 +321,21 @@ class Ciphertext:
         return Ciphertext(self.value * (1 + (m % pk.n) * pk.n) % pk.n_squared, pk)
 
 
-#: The worker's program: it answers each request of N, N**2, a count and
-#: that many bases with the bases' N-th powers mod N**2, every integer
-#: framed as ``_pack_int`` frames it, and exits at the end of its input.
-#: It ignores SIGINT: a Ctrl-C ends its parent, whose exit then ends it.
+#: The worker's program. Each input line is ``N N**2 s_1 ... s_k`` in
+#: lower-case hex, separated by spaces; it answers with one line of the hex
+#: ``s_i**N mod N**2``, in order. It exits at the end of its input. It
+#: ignores SIGINT: a Ctrl-C ends its parent, whose exit then ends it.
 _WORKER_SRC = """
-import signal, struct, sys
+import signal, sys
 signal.signal(signal.SIGINT, signal.SIG_IGN)
 try:
     from gmpy2 import powmod
 except ImportError:
     powmod = pow
-inp, out = sys.stdin.buffer, sys.stdout.buffer
-
-def read_int():
-    head = inp.read(4)
-    if len(head) != 4:
-        sys.exit()
-    return int.from_bytes(inp.read(struct.unpack(">I", head)[0]), "big")
-
-def pack(x):
-    raw = int(x).to_bytes(max(1, (x.bit_length() + 7) // 8), "big")
-    return struct.pack(">I", len(raw)) + raw
-
-while True:
-    n, n_squared, count = read_int(), read_int(), read_int()
-    out.write(b"".join([pack(powmod(read_int(), n, n_squared)) for _ in range(count)]))
-    out.flush()
+for line in sys.stdin:
+    n, n_squared, *bases = (int(w, 16) for w in line.split())
+    print(*(format(powmod(s, n, n_squared), "x") for s in bases), flush=True)
 """
-
-
-def _read_int(stream) -> int:
-    head = stream.read(4)
-    if len(head) == 4:
-        (length,) = struct.unpack(">I", head)
-        raw = stream.read(length)
-        if len(raw) == length:
-            return int.from_bytes(raw, "big")
-    raise WorkerError("the power worker exited before it answered")
 
 
 class _PowerWorker:
@@ -386,7 +358,8 @@ class _PowerWorker:
         left for the next batch.
 
         Raises:
-            WorkerError: the worker died; it is reaped and the next call
+            WorkerError: the worker died or its reply is not one full line
+                of ``len(bases)`` hex words; it is reaped and the next call
                 starts a new one.
         """
         with self._lock:
@@ -394,11 +367,11 @@ class _PowerWorker:
                 if self._proc is None or self._proc.poll() is not None:
                     self._end()
                     self._proc = subprocess.Popen([sys.executable, "-I", "-c", _WORKER_SRC],
-                                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                                  text=True)
                 proc = self._proc
-                proc.stdin.write(b"".join(_pack_int(x) for x in (n, n_squared, len(bases),
-                                                                *bases)))
-                proc.stdin.flush()
+                print(*(format(x, "x") for x in (n, n_squared, *bases)),
+                      file=proc.stdin, flush=True)
             except OSError as exc:
                 self._end()
                 raise WorkerError(f"cannot reach the power worker: {exc}") from None
@@ -406,10 +379,13 @@ class _PowerWorker:
                 result = work()
             finally:
                 try:
-                    powers = [_read_int(proc.stdout) for _ in bases]
-                except WorkerError:
+                    line = proc.stdout.readline()
+                    powers = [int(w, 16) for w in line.split()]
+                    if not line.endswith("\n") or len(powers) != len(bases):
+                        raise ValueError
+                except ValueError:
                     self._end()
-                    raise
+                    raise WorkerError("the power worker exited before it answered") from None
             return result, powers
 
     def close(self) -> None:

@@ -83,11 +83,6 @@ class QueueChannel:
         self._outbox.put(None)
 
 
-def loopback_pair() -> tuple[QueueChannel, QueueChannel]:
-    a_to_b, b_to_a = queue.Queue(), queue.Queue()
-    return QueueChannel(b_to_a, a_to_b), QueueChannel(a_to_b, b_to_a)
-
-
 #: Largest frame ``SocketChannel.recv`` accepts. A 3072-bit ciphertext is
 #: 768 bytes, so this is over 87,000 ciphertexts in one message.
 MAX_FRAME_BYTES = 64 << 20
@@ -153,12 +148,10 @@ class _ClientIO:
         self.session_id = rng.randbytes(wire.SESSION_ID_BYTES)
         self.transcript = transcript
 
-    def send(self, step: int, parts, n_cts: int = 0,
-             transcript: wire.Transcript | None = None) -> None:
+    def send(self, step: int, parts, n_cts: int = 0) -> None:
         data = wire.frame(self.protocol_id, step, self.session_id, parts)
-        track = self.transcript if transcript is None else transcript
-        if track is not None:
-            track.record("up", step, len(data), n_cts)
+        if self.transcript is not None:
+            self.transcript.record("up", step, len(data), n_cts)
         self.channel.send(data)
 
     def recv_raw(self) -> tuple[wire.Frame, int]:
@@ -174,15 +167,13 @@ class _ClientIO:
             raise ProtocolViolationError("reply belongs to another session")
         return frame, len(data)
 
-    def recv(self, expected_step: int, n_cts=None,
-             transcript: wire.Transcript | None = None) -> wire.Frame:
+    def recv(self, expected_step: int, n_cts=None) -> wire.Frame:
         frame, size = self.recv_raw()
         if frame.step_id != expected_step:
             raise ProtocolViolationError(f"unexpected step {frame.step_id}")
-        track = self.transcript if transcript is None else transcript
-        if track is not None:
+        if self.transcript is not None:
             count = n_cts(frame) if callable(n_cts) else (n_cts or 0)
-            track.record("down", frame.step_id, size, count)
+            self.transcript.record("down", frame.step_id, size, count)
         return frame
 
 
@@ -191,10 +182,9 @@ def fetch_published(channel, protocol: str, client_keys, rng=None,
                     ) -> tuple[PublishedLinearModel, str]:
     """One-time fetch of the server's encrypted model (dual and svm-core)."""
     rng = rng or SYSTEM_RNG
-    io = _ClientIO(channel, protocol, rng, None)
-    io.send(wire.STEP_PUBLISH_REQUEST, (), transcript=transcript)
-    frame = io.recv(wire.STEP_PUBLISH, n_cts=lambda f: len(f.parts) - 5,
-                    transcript=transcript)
+    io = _ClientIO(channel, protocol, rng, transcript)
+    io.send(wire.STEP_PUBLISH_REQUEST, ())
+    frame = io.recv(wire.STEP_PUBLISH, n_cts=lambda f: len(f.parts) - 5)
     key, d, precision, ell, activation, *body = _parts(frame, 5, at_least=True)
     pk_server = wire.deserialize_public_key(key)
     d, precision, ell = (wire.unpack_u32(p) for p in (d, precision, ell))
@@ -582,8 +572,8 @@ def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
 def serve_loopback(served: ServedModel):
     """Spawn a server thread on a loopback channel; returns the client channel
     and a join handle. Used by tests and the bench command."""
-    client_channel, server_channel = loopback_pair()
+    up, down = queue.Queue(), queue.Queue()
     thread = threading.Thread(target=serve_connection,
-                              args=(server_channel, served), daemon=True)
+                              args=(QueueChannel(up, down), served), daemon=True)
     thread.start()
-    return client_channel, thread
+    return QueueChannel(down, up), thread

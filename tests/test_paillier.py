@@ -269,6 +269,48 @@ def test_worker_that_dies_mid_batch_raises_worker_error(client_keys, rng, monkey
     assert [sk.decrypt(c) == 0 for c in key.blind_all(values, rng)] == [True, False, False]
 
 
+#: A worker that answers its first request wrongly, as ``REPLY`` builds it
+#: from the right hex words, and then exits.
+_BAD_WORKER = """
+import sys
+n, n_squared, *bases = (int(w, 16) for w in sys.stdin.readline().split())
+words = [format(pow(s, n, n_squared), "x") for s in bases]
+sys.stdout.write(REPLY)
+sys.stdout.flush()
+"""
+
+
+@pytest.mark.parametrize("reply", [
+    '" ".join(words)[:-1]',
+    '" ".join(["xyz"] + words[1:]) + "\\n"',
+    '" ".join(words[:-1]) + "\\n"',
+], ids=["cut-short-without-newline", "non-hex-word", "too-few-words"])
+def test_worker_with_a_malformed_reply_raises_worker_error(client_keys, rng, monkeypatch,
+                                                           reply):
+    pk, _ = client_keys
+    key, values = _rebuilt_values(pk, rng)
+    paillier._POWERS.close()
+    monkeypatch.setattr(paillier, "_WORKER_SRC", _BAD_WORKER.replace("REPLY", reply))
+    raised = []
+
+    def blind():
+        try:
+            key.blind_all(values, insecure_rng(10))
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=blind, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [type(exc) for exc in raised] == [WorkerError]
+    assert paillier._POWERS._proc is None
+    monkeypatch.undo()
+    batch = key.blind_all(values, insecure_rng(11))
+    serial = _serial_blinds(key, values, insecure_rng(11))
+    assert [c.value for c in batch] == [c.value for c in serial]
+
+
 def test_blind_leaves_no_process_or_warning_at_exit(checkout_env):
     # Registered before pinfer is imported, so it runs after pinfer's own
     # exit handler: by then the worker must be reaped.
