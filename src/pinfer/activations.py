@@ -67,10 +67,6 @@ def get(name: str) -> Activation:
         raise ParameterError(f"unknown activation id {name!r}") from None
 
 
-def names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
 def apply_fixed(name: str, t: int, t_scale: int, precision: int) -> int:
     """Activation output as a fixed-point integer, given t at scale 2**t_scale.
 

@@ -121,6 +121,12 @@ class FeatureVector:
     def d(self) -> int:
         return len(self.values) - 1
 
+    def require_scaled(self) -> None:
+        """Refuse |x_j| > 2**precision, which every model's bound length assumes."""
+        if any(abs(v) > 1 << self.precision for v in self.values[1:]):
+            raise ParameterError("input lies outside [-1, 1]; --allow-unscaled inputs "
+                                 "suit only regr-core, regr-dual and ffnn-generic")
+
     @classmethod
     def from_real(cls, features, precision: int = 53,
                   allow_unscaled: bool = False) -> "FeatureVector":
@@ -366,6 +372,7 @@ def svm_core_request(published: PublishedLinearModel, pk_client: PublicKey,
     _check_dims(published.d, x.d)
     if x.precision != published.precision:
         raise ParameterError("feature precision differs from the published model")
+    x.require_scaled()
     ell = published.ell
     check_core_sizing(published.public_key.n, ell, kappa)
     rng = rng or SYSTEM_RNG
@@ -399,6 +406,7 @@ def svm_core_finish(sk_client: SecretKey, response: ComparisonResponse,
 def svm_heur_request(pk_client: PublicKey, x: FeatureVector,
                      rng: random.Random | None = None) -> FeatureRequest:
     """Same message as the core regression request."""
+    x.require_scaled()
     return FeatureRequest.encrypt(pk_client, x, rng)
 
 

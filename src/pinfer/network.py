@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields, is_dataclass
 
-from . import activations
+from . import activations, wire
 # perfbench's tracer wraps bit_owner_finish and evaluator_respond under these names.
 from .comparison import (ComparisonResponse, UnitChallenge,  # noqa: F401
                          bit_owner_finish, draw_mask, evaluator_respond,
@@ -416,7 +416,6 @@ class LayerInners:
 
     layer: int
     ciphertexts: tuple[Ciphertext, ...]
-    is_output: bool = False
 
 
 @dataclass(frozen=True)
@@ -473,18 +472,17 @@ def flatten(message) -> tuple[Ciphertext, ...]:
         return tuple(ct for item in message for ct in flatten(item))
     if is_dataclass(message):
         return flatten(tuple(getattr(message, f.name) for f in fields(message)))
-    return ()  # layer index, bound length, output flag
+    return ()  # layer index, bound length
 
 
-def unflatten(kind: type, meta: NetworkMeta, index: int, cts,
-              is_output: bool = False):
+def unflatten(kind: type, meta: NetworkMeta, index: int, cts):
     """Rebuild a ``kind`` message of layer ``index`` from its ciphertexts in
     wire order; their number must match ``unit_layout``."""
     cts = tuple(cts)
     if kind is LayerOutputs:
         return LayerOutputs(cts)
     if kind is LayerInners:
-        return LayerInners(index, cts, is_output)
+        return LayerInners(index, cts)
     if kind is LayerActivations:
         return LayerActivations(index, cts)
     layer = meta.layers[index]
@@ -587,7 +585,7 @@ class NetworkServerSession:
         is_output = self._layer == self.spec.depth - 1
         if self.mode == "generic" or (is_output and self.spec.output_mode == "raw"):
             self.done = is_output
-            return LayerInners(self._layer, self._layer_inners(layer), is_output=is_output)
+            return LayerInners(self._layer, self._layer_inners(layer))
         challenges, states = [], []
         for theta in layer.weights:
             challenge, state = self._challenge_unit(layer, theta)
@@ -638,6 +636,8 @@ class NetworkClientSession:
                 f"network expects {self.meta.d_in} inputs, got {x.d}")
         if x.precision != self.meta.precision:
             raise ParameterError("feature precision differs from the model")
+        if self.meta.mode == "encrypted":
+            x.require_scaled()
         return FeatureRequest.encrypt(self.pk, x, self.rng)
 
     def handle(self, message):
@@ -646,11 +646,8 @@ class NetworkClientSession:
             layer = self.meta.layers[message.layer]
             if len(message.ciphertexts) != layer.units:
                 raise ProtocolViolationError("unit count mismatch")
-            is_output = message.layer == len(self.meta.layers) - 1
-            if message.is_output != is_output:
-                raise ProtocolViolationError("output flag disagrees with the layer count")
             values = [self.sk.decrypt(ct) for ct in message.ciphertexts]
-            if is_output:
+            if message.layer == len(self.meta.layers) - 1:
                 self._finish_raw(layer, values)
                 return None
             outs = [activations.apply_fixed(layer.activation, t, layer.t_scale,
@@ -734,5 +731,5 @@ def _step_of(message) -> int:
 def _record(transcript, direction: str, step: int, cts) -> None:
     if transcript is None:
         return
-    n_bytes = sum(2 * ((ct.public_key.bit_length + 7) // 8) for ct in cts)
+    n_bytes = sum(wire.ciphertext_width(ct.public_key) for ct in cts)
     transcript.record(direction, step, n_bytes, len(cts))

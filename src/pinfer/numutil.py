@@ -143,8 +143,6 @@ def random_unit(mod: int, rng: random.Random | None = None) -> int:
             return r
 
 
-def crt2(r1: int, m1: int, r2: int, m2: int, m2_inv_m1: int | None = None) -> int:
+def crt2(r1: int, m1: int, r2: int, m2: int, m2_inv_m1: int) -> int:
     """Solve x = r1 (mod m1), x = r2 (mod m2) for coprime m1, m2; x in [0, m1*m2)."""
-    if m2_inv_m1 is None:
-        m2_inv_m1 = invert(m2 % m1, m1)
     return (r2 + m2 * (((r1 - r2) * m2_inv_m1) % m1)) % (m1 * m2)

@@ -2,17 +2,17 @@
 
 ``run_inference`` is the client side of every protocol; ``serve_connection``
 answers frames for one connection. Both speak the frame format of the wire
-module over a minimal Channel (send/recv of whole frames), implemented for
-TCP sockets and for an in-process loopback used by tests and the bench
-command. Published encrypted models are fetched in a separate exchange and
-recorded on their own transcript: publication happens once per model, not
-per query.
+module over one Channel (send/recv of whole frames): a stream socket, either
+a TCP connection or the socket pair of the in-process loopback that tests and
+the bench command use. Published encrypted models are fetched in a separate
+exchange and recorded on their own transcript: publication happens once per
+model, not per query.
 
 The codec is written once per message shape. A feature request (regr-core,
 svm-heur and the network ``STEP_REQUEST``) is the client key followed by one
 ciphertext per feature. A network layer message is a short header (the layer
-index, and an output flag going down) followed by its ciphertexts in the
-order ``network.flatten`` gives, each serialized under the key that
+index, and going down a flag set on the last layer's inner products) followed
+by its ciphertexts in the order ``network.flatten`` gives, each under the key
 ``network.unit_layout`` names for its position; ``_decode_layer`` inverts
 ``_encode_layer``. Every decoder checks a frame's part count before it reads
 a part, so a short or overlong frame is refused with an error frame.
@@ -20,8 +20,8 @@ a part, so a short or overlong frame is refused with an error frame.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import queue
 import random
 import socket
 import struct
@@ -61,26 +61,6 @@ _COMPATIBLE = {
 
 class ChannelClosed(PinferError):
     """The connection is over: the peer closed it or sent an oversized frame."""
-
-
-class QueueChannel:
-    """In-process loopback endpoint."""
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
-        self._inbox = inbox
-        self._outbox = outbox
-
-    def send(self, data: bytes) -> None:
-        self._outbox.put(data)
-
-    def recv(self) -> bytes:
-        data = self._inbox.get()
-        if data is None:
-            raise ChannelClosed("peer closed the loopback")
-        return data
-
-    def close(self) -> None:
-        self._outbox.put(None)
 
 
 #: Largest frame ``SocketChannel.recv`` accepts. A 3072-bit ciphertext is
@@ -177,7 +157,7 @@ class _ClientIO:
         return frame
 
 
-def fetch_published(channel, protocol: str, client_keys, rng=None,
+def fetch_published(channel, protocol: str, rng=None,
                     transcript: wire.Transcript | None = None
                     ) -> tuple[PublishedLinearModel, str]:
     """One-time fetch of the server's encrypted model (dual and svm-core)."""
@@ -220,8 +200,8 @@ def run_inference(channel, protocol: str, x: FeatureVector,
         return InferenceResult((value,), raw=(sk_c.decrypt(t_ct),))
 
     if protocol == "regr-dual":
-        published, activation = fetch_published(channel, protocol, client_keys,
-                                                rng, publish_transcript)
+        published, activation = fetch_published(channel, protocol, rng,
+                                                publish_transcript)
         request, session = regr_dual_request(published, x, rng)
         io.send(wire.STEP_REQUEST,
                 (wire.serialize_ciphertext(request, published.public_key),),
@@ -233,8 +213,7 @@ def run_inference(channel, protocol: str, x: FeatureVector,
         return InferenceResult((value,))
 
     if protocol == "svm-core":
-        published, _ = fetch_published(channel, protocol, client_keys,
-                                       rng, publish_transcript)
+        published, _ = fetch_published(channel, protocol, rng, publish_transcript)
         request, session = svm_core_request(published, pk_c, x, kappa, rng)
         io.send(wire.STEP_REQUEST,
                 (wire.serialize_public_key(pk_c),
@@ -262,26 +241,17 @@ def run_inference(channel, protocol: str, x: FeatureVector,
 
 
 def _meta_to_json(meta: NetworkMeta, pk_server: PublicKey | None) -> bytes:
-    doc = {
-        "layers": [{"units": l.units, "activation": l.activation, "ell": l.ell,
-                    "t_scale": l.t_scale} for l in meta.layers],
-        "d_in": meta.d_in, "precision": meta.precision, "mode": meta.mode,
-        "variant": meta.variant, "output_mode": meta.output_mode,
-        "server_key": pk_server.to_bytes().hex() if pk_server else None,
-    }
-    return json.dumps(doc).encode("utf-8")
+    key = pk_server.to_bytes().hex() if pk_server else None
+    return json.dumps({**dataclasses.asdict(meta), "server_key": key}).encode("utf-8")
 
 
 def _meta_from_json(data: bytes) -> tuple[NetworkMeta, PublicKey | None]:
     try:
         doc = json.loads(data.decode("utf-8"))
-        layers = tuple(LayerMeta(l["units"], l["activation"], l["ell"], l["t_scale"])
-                       for l in doc["layers"])
-        meta = NetworkMeta(layers, doc["d_in"], doc["precision"], doc["mode"],
-                           doc["variant"], doc["output_mode"])
-        pk = PublicKey.from_bytes(bytes.fromhex(doc["server_key"])) \
-            if doc.get("server_key") else None
-    except (KeyError, ValueError, TypeError) as exc:
+        key = doc.pop("server_key")
+        meta = NetworkMeta(tuple(LayerMeta(**layer) for layer in doc.pop("layers")), **doc)
+        pk = PublicKey.from_bytes(bytes.fromhex(key)) if key else None
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise MessageFormatError(f"malformed network meta: {exc}") from None
     return meta, pk
 
@@ -289,6 +259,8 @@ def _meta_from_json(data: bytes) -> tuple[NetworkMeta, PublicKey | None]:
 def _run_network_client(io: _ClientIO, protocol: str, x: FeatureVector,
                         client_keys, rng) -> InferenceResult:
     pk_c, sk_c = client_keys
+    if protocol != "ffnn-generic":
+        x.require_scaled()
     request = FeatureRequest.encrypt(pk_c, x, rng)
     io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
     frame = io.recv(wire.STEP_META, n_cts=0)
@@ -353,11 +325,9 @@ def _encode_layer(message, meta: NetworkMeta, keys) -> tuple[int, tuple[bytes, .
     else:
         layer = meta.layers[message.layer]
         head = (wire.pack_u32(message.layer),)
-        if kind in (LayerActivations, LayerResponses):
-            step = wire.STEP_LAYER_UP
-        else:
-            step = wire.STEP_LAYER_DOWN
-            head += (b"\x01" if kind is LayerInners and message.is_output else b"\x00",)
+        up = kind in (LayerActivations, LayerResponses)
+        step = wire.STEP_LAYER_UP if up else wire.STEP_LAYER_DOWN
+        head += () if up else (_output_flag(kind, meta, message.layer),)
     layout = network.unit_layout(kind, meta, layer) * layer.units
     return step, head + tuple(wire.serialize_ciphertext(c, keys[k]) for c, k
                               in zip(network.flatten(message), layout, strict=True))
@@ -365,30 +335,36 @@ def _encode_layer(message, meta: NetworkMeta, keys) -> tuple[int, tuple[bytes, .
 
 def _decode_layer(frame: wire.Frame, meta: NetworkMeta, keys):
     """Inverse of ``_encode_layer`` for a layer-down, layer-up or output frame."""
-    index, is_output = len(meta.layers) - 1, False
+    last = index = len(meta.layers) - 1
     if frame.step_id == wire.STEP_OUTPUT:
         kind, body = LayerOutputs, frame.parts
     else:
         up = frame.step_id == wire.STEP_LAYER_UP
         parts = _parts(frame, 1 if up else 2, at_least=True)
         index = wire.unpack_u32(parts[0])
-        if not 0 <= index < len(meta.layers):
+        if not 0 <= index <= last:
             raise ProtocolViolationError("layer index out of range")
         body = parts[1 if up else 2:]
         generic = meta.mode == "generic"
         if up:
             kind = LayerActivations if generic else LayerResponses
         else:
-            is_output = parts[1] == b"\x01"
-            raw = generic or (is_output and meta.output_mode == "raw")
+            raw = generic or (index == last and meta.output_mode == "raw")
             kind = LayerInners if raw else LayerChallenges
+            if parts[1] != _output_flag(kind, meta, index):
+                raise ProtocolViolationError("output flag disagrees with the layer count")
     layer = meta.layers[index]
     layout = network.unit_layout(kind, meta, layer) * layer.units
     if len(body) != len(layout):
         raise ProtocolViolationError(
             f"layer message has {len(body)} ciphertexts, expected {len(layout)}")
     cts = (wire.deserialize_ciphertext(p, keys[k]) for p, k in zip(body, layout))
-    return network.unflatten(kind, meta, index, cts, is_output)
+    return network.unflatten(kind, meta, index, cts)
+
+
+def _output_flag(kind: type, meta: NetworkMeta, index: int) -> bytes:
+    """A layer-down frame's flag byte: 1 on the last layer's inner products."""
+    return b"\x01" if kind is LayerInners and index == len(meta.layers) - 1 else b"\x00"
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +546,16 @@ def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
 
 
 def serve_loopback(served: ServedModel):
-    """Spawn a server thread on a loopback channel; returns the client channel
-    and a join handle. Used by tests and the bench command."""
-    up, down = queue.Queue(), queue.Queue()
-    thread = threading.Thread(target=serve_connection,
-                              args=(QueueChannel(up, down), served), daemon=True)
+    """Spawn a server thread on one end of a socket pair; returns the client
+    channel and a join handle. Used by tests and the bench command."""
+    client, server = map(SocketChannel, socket.socketpair())
+
+    def serve() -> None:
+        try:
+            serve_connection(server, served)
+        finally:
+            server.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
     thread.start()
-    return QueueChannel(down, up), thread
+    return client, thread

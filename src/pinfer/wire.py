@@ -131,10 +131,6 @@ class Frame:
     session_id: bytes
     parts: tuple[bytes, ...]
 
-    @property
-    def protocol(self) -> str:
-        return PROTOCOL_NAMES[self.protocol_id]
-
 
 def frame(protocol_id: int, step_id: int, session_id: bytes, parts) -> bytes:
     """Serialize one protocol message; lossless and order-preserving."""
@@ -229,14 +225,12 @@ class Transcript:
 @dataclass(frozen=True)
 class MessageRow:
     """One message group: ciphertext count plus plain l_M-bit scalars (keys,
-    masked values). ``scope`` is '', 'layer' (already multiplied by layer
-    count) or 'unit' (multiplied by layers * units)."""
+    masked values)."""
 
     label: str
     direction: str
     ciphertexts: int
     plain_scalars: int = 0
-    scope: str = ""
 
     def bits(self, ell_m: int) -> int:
         return self.ciphertexts * 2 * ell_m + self.plain_scalars * ell_m
@@ -264,8 +258,8 @@ def message_plan(protocol: str, *, d: int | None = None, ell: int | None = None,
                 MessageRow("request", "up", ell + 1, plain_scalars=1),
                 MessageRow("response", "down", ell + 1))
     if protocol == "ffnn-generic":
-        return (MessageRow("inner products", "down", layers * units, scope="layer"),
-                MessageRow("activations", "up", layers * units, scope="layer"))
+        return (MessageRow("inner products", "down", layers * units),
+                MessageRow("activations", "up", layers * units))
     per_unit = {
         "ffnn-sign": ((ell + 1 if ell else None), (ell + 2 if ell else None)),
         "ffnn-sign-heur": (1, 1),
@@ -275,8 +269,8 @@ def message_plan(protocol: str, *, d: int | None = None, ell: int | None = None,
     if protocol in per_unit:
         down, up = per_unit[protocol]
         total = layers * units
-        return (MessageRow("unit challenges", "down", total * down, scope="unit"),
-                MessageRow("unit responses", "up", total * up, scope="unit"))
+        return (MessageRow("unit challenges", "down", total * down),
+                MessageRow("unit responses", "up", total * up))
     raise ParameterError(f"unknown protocol {protocol!r}")
 
 

@@ -369,3 +369,15 @@ def test_clip_composed_from_relu_units(client_keys, server_keys, rng):
         run = evaluate_network(spec, "encrypted", x, client_keys, server_keys,
                                KAPPA, rng=rng)
         assert run.raw == (max(0, min(2, t + 1)),), t
+
+
+@pytest.mark.parametrize("variant", ["core", "heuristic"])
+def test_encrypted_network_refuses_unscaled_input(client_keys, server_keys, rng, variant):
+    spec = NetworkSpec.from_integer([([(0, 1, 1), (0, 1, -1)], "relu"),
+                                     ([(0, 1, 1)], "identity")])
+    x = FeatureVector((1, 3, -1), 0, bound_bits=2)
+    with pytest.raises(ParameterError, match="allow-unscaled"):
+        evaluate_network(spec, "encrypted", x, client_keys, server_keys, KAPPA, variant,
+                         rng=rng)
+    run = evaluate_network(spec, "generic", x, client_keys, rng=rng)
+    assert run.raw == tuple(p.raw for p in eval_ffnn(spec, x))

@@ -1,5 +1,7 @@
-import queue
+import json
 import socket
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -17,9 +19,9 @@ from pinfer.network import (HeurChallenge, LayerChallenges, LayerMeta,
                             UnitChallenge, unit_layout)
 from pinfer.numutil import insecure_rng
 from pinfer.reference import (eval_ffnn, eval_linear, eval_logistic, eval_svm)
-from pinfer.runner import (QueueChannel, SocketChannel, _decode_layer, _encode_layer,
-                           _meta_to_json, prepare_served, run_inference,
-                           serve_connection, serve_loopback)
+from pinfer.runner import (SocketChannel, _decode_layer, _encode_layer,
+                           _meta_from_json, _meta_to_json, prepare_served,
+                           run_inference, serve_connection, serve_loopback)
 from pinfer.wire import Transcript
 
 KAPPA = 40
@@ -303,11 +305,10 @@ def test_reused_session_id_rejected(client_keys, server_keys, rng):
     assert error.parts[0] == b"session already active"
 
 
-def _send(channel, inbox, protocol, step, parts, session_id):
-    """Send one raw frame and wait for the server's reply; a server thread
-    that died on the frame fails the test instead of hanging it."""
+def _send(channel, protocol, step, parts, session_id):
+    """Send one raw frame and read the server's reply."""
     channel.send(wire.frame(wire.PROTOCOL_IDS[protocol], step, session_id, parts))
-    return wire.unframe(inbox.get(timeout=60))
+    return wire.unframe(channel.recv())
 
 
 SHORT = b"parts, expected"
@@ -344,18 +345,16 @@ def test_short_frames_get_error_replies(client_keys, server_keys, rng, protocol)
         loaded = linear_loaded("svm" if protocol == "svm-core" else "logistic", rng=rng)
         x = random_x(4, 12, rng)
     served = prepare_served(protocol, loaded, server_keys, KAPPA, rng)
-    up, down = queue.Queue(), queue.Queue()
-    channel = QueueChannel(down, up)
-    thread = threading.Thread(target=serve_connection,
-                              args=(QueueChannel(up, down), served), daemon=True)
-    thread.start()
+    channel, thread = serve_loopback(served)
+    # A server thread that hangs on a frame fails the test instead of hanging it.
+    channel._sock.settimeout(60)
     session_id = rng.randbytes(wire.SESSION_ID_BYTES)
     try:
         for step, parts, error in _short_frames(protocol, client_keys, served):
-            reply = _send(channel, down, protocol, step, parts, session_id)
+            reply = _send(channel, protocol, step, parts, session_id)
             if error is None:
                 assert reply.step_id == wire.STEP_META
-                assert wire.unframe(down.get(timeout=60)).step_id == wire.STEP_LAYER_DOWN
+                assert wire.unframe(channel.recv()).step_id == wire.STEP_LAYER_DOWN
                 continue
             assert reply.step_id == wire.STEP_ERROR
             assert error in reply.parts[0]
@@ -404,6 +403,7 @@ def _canned_replies(case, client_keys, server_keys):
                wire.pack_u32(30), b"identity",
                *(wire.serialize_ciphertext(pk_s.encrypt(1), pk_s) for _ in range(2))]
     meta = _meta_to_json(ffnn_loaded("sign").model.meta("encrypted", "core"), pk_s)
+    generic_meta = _meta_to_json(ffnn_loaded("sign").model.meta("generic"), None)
     return {
         "regr-core response": ("regr-core", [(wire.STEP_RESPONSE, (ct,))]),
         "regr-core activation": ("regr-core", [(wire.STEP_RESPONSE,
@@ -419,6 +419,10 @@ def _canned_replies(case, client_keys, server_keys):
         "ffnn meta": ("ffnn-sign", [(wire.STEP_META, ())]),
         "ffnn layer": ("ffnn-sign", [(wire.STEP_META, (meta,)),
                                      (wire.STEP_LAYER_DOWN, (wire.pack_u32(0),))]),
+        # A hidden layer's inner products flagged with neither 0 nor 1.
+        "ffnn flag": ("ffnn-generic", [(wire.STEP_META, (generic_meta,)),
+                                       (wire.STEP_LAYER_DOWN,
+                                        (wire.pack_u32(0), b"\x02", ct, ct, ct))]),
     }[case]
 
 
@@ -431,7 +435,8 @@ def _canned_replies(case, client_keys, server_keys):
     ("regr-dual response", ProtocolViolationError),
     ("svm-core response", ProtocolViolationError),
     ("ffnn meta", ProtocolViolationError),
-    ("ffnn layer", ProtocolViolationError)])
+    ("ffnn layer", ProtocolViolationError),
+    ("ffnn flag", ProtocolViolationError)])
 def test_client_rejects_short_frames(client_keys, server_keys, rng, case, error):
     protocol, replies = _canned_replies(case, client_keys, server_keys)
     x = pm_one(rng) if protocol.startswith("ffnn") else FeatureVector((1, 1), 12)
@@ -495,3 +500,88 @@ def test_layer_codec_round_trip_matches_plan(activation, variant, down, ell, uni
     down_row, up_row = wire.message_plan(protocol, ell=ell, layers=1, units=units)
     row = down_row if down else up_row
     assert units * len(unit_layout(kind, meta, meta.layers[0])) == row.ciphertexts
+
+
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _layer(change):
+    def mutate(doc):
+        change(doc["layers"][0])
+        return doc
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop("d_in"), _drop("layers"), _drop("server_key"),
+    lambda doc: {**doc, "depth": 2},
+    _layer(lambda layer: layer.pop("ell")),
+    _layer(lambda layer: layer.update(width=3)),
+    lambda doc: {**doc, "layers": [[3, "sign", 4, 0], *doc["layers"][1:]]},
+    lambda doc: {**doc, "layers": 2},
+    lambda doc: {**doc, "server_key": "not hex"},
+    lambda doc: {**doc, "server_key": 7},
+    lambda doc: list(doc.values()),
+    lambda doc: "meta", lambda doc: 5, lambda doc: None,
+], ids=["no d_in", "no layers", "no server_key", "extra field", "layer without ell",
+        "layer extra field", "list for a layer", "number for layers", "bad key hex",
+        "number for key", "list", "string", "number", "null"])
+def test_malformed_meta_is_a_format_error(mutate):
+    doc = json.loads(_meta_to_json(ffnn_loaded("sign").model.meta("encrypted", "core"), None))
+    with pytest.raises(MessageFormatError):
+        _meta_from_json(json.dumps(mutate(doc)).encode("utf-8"))
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe", b"{", b""])
+def test_undecodable_meta_is_a_format_error(data):
+    with pytest.raises(MessageFormatError):
+        _meta_from_json(data)
+
+
+def test_loopback_leaves_no_socket_or_warning_at_exit(checkout_env):
+    # Under -X dev, a socket left for the collector warns on stderr.
+    code = """
+from pinfer import keygen
+from pinfer.linear import FeatureVector, LinearModel
+from pinfer.modelfile import LoadedModel
+from pinfer.numutil import insecure_rng
+from pinfer.reference import eval_linear
+from pinfer.runner import prepare_served, run_inference, serve_loopback
+rng = insecure_rng(3)
+model = LinearModel.from_real([0.5, -0.25], 0.125, precision=8)
+served = prepare_served("regr-core", LoadedModel("linear", model, 40), None, 40, rng)
+channel, thread = serve_loopback(served)
+x = FeatureVector.from_real([0.75, -1.0], 8)
+result = run_inference(channel, "regr-core", x, keygen(256, rng), rng=rng)
+channel.close()
+thread.join(timeout=60)
+assert not thread.is_alive()
+assert result.raw == (eval_linear(model, x).raw,)
+"""
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                            env=checkout_env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+
+
+UNSCALED = {"linear": FeatureVector.from_real([1.5, -2.0, 0.25, 3.0], 12, allow_unscaled=True),
+            "ffnn": FeatureVector((1, 3, -1), 0, bound_bits=2)}
+
+
+@pytest.mark.parametrize("protocol", ["svm-core", "svm-heur", "ffnn-sign", "ffnn-relu-heur"])
+def test_unscaled_input_refused_where_ell_decides(client_keys, server_keys, rng, protocol):
+    if protocol.startswith("ffnn"):
+        loaded, x = ffnn_loaded("sign" if "sign" in protocol else "relu"), UNSCALED["ffnn"]
+    else:
+        loaded, x = linear_loaded("svm", rng=rng), UNSCALED["linear"]
+    with pytest.raises(ParameterError, match="allow-unscaled"):
+        run_protocol(protocol, loaded, x, client_keys, server_keys, rng)
+
+
+def test_unscaled_input_stays_exact(client_keys, rng):
+    loaded, x = linear_loaded("logistic", rng=rng), UNSCALED["linear"]
+    result = run_protocol("regr-core", loaded, x, client_keys, None, rng)
+    assert result.raw == (eval_linear(loaded.model, x).raw,)
+    loaded, x = ffnn_loaded("sign"), UNSCALED["ffnn"]
+    result = run_protocol("ffnn-generic", loaded, x, client_keys, None, rng)
+    assert result.raw == tuple(p.raw for p in eval_ffnn(loaded.model, x))
