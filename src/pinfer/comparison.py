@@ -52,6 +52,10 @@ def bit_owner_request(pk: PublicKey, mu: int, bit_length: int,
                       rng: random.Random | None = None) -> ComparisonRequest:
     """Encrypt the binary digits of mu under the bit owner's key.
 
+    The bits are one ``PublicKey.encrypt_all`` batch: under the owner's own
+    key, the worker process computes the q**2 half of each encryption's
+    random factor while this thread computes the p**2 half.
+
     Raises:
         ParameterError: if mu is not an l-bit non-negative integer.
     """
@@ -59,8 +63,8 @@ def bit_owner_request(pk: PublicKey, mu: int, bit_length: int,
         raise ParameterError("bit length must be positive")
     if not 0 <= mu < (1 << bit_length):
         raise ParameterError(f"value {mu} is not a {bit_length}-bit non-negative integer")
-    bits = tuple(pk.encrypt((mu >> i) & 1, rng) for i in range(bit_length))
-    return ComparisonRequest(bits, bit_length)
+    bits = pk.encrypt_all([(mu >> i) & 1 for i in range(bit_length)], rng)
+    return ComparisonRequest(tuple(bits), bit_length)
 
 
 def evaluator_respond(pk: PublicKey, request: ComparisonRequest, eta: int, delta_eval: int,
@@ -114,10 +118,14 @@ def evaluator_respond(pk: PublicKey, request: ComparisonRequest, eta: int, delta
 def bit_owner_finish(sk: SecretKey, response: ComparisonResponse) -> int:
     """The bit owner's share: 1 iff exactly one blinded value decrypts to zero.
 
+    The values are one ``SecretKey.decrypt_all`` batch: the worker process
+    computes the q**2 half of each decryption while this thread computes
+    the p**2 half.
+
     Raises:
         ProtocolViolationError: more than one zero, impossible for honest peers.
     """
-    zeros = sum(1 for ct in response.blinded_values if sk.decrypt(ct) == 0)
+    zeros = sk.decrypt_all(list(response.blinded_values)).count(0)
     if zeros > 1:
         raise ProtocolViolationError(f"{zeros} blinded values decrypted to zero")
     return 1 if zeros == 1 else 0

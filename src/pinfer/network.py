@@ -629,6 +629,8 @@ class NetworkClientSession:
         self.server_pk = server_public_key
         self.rng = rng or SYSTEM_RNG
         self.result: NetworkRun | None = None
+        #: The layer of the next down message; the layer count for the output.
+        self._next_layer = 0
 
     def request(self, x: FeatureVector) -> FeatureRequest:
         if x.d != self.meta.d_in:
@@ -641,7 +643,20 @@ class NetworkClientSession:
         return FeatureRequest.encrypt(self.pk, x, self.rng)
 
     def handle(self, message):
-        """Process a down message; returns the reply, or None when finished."""
+        """Process a down message; returns the reply, or None when finished.
+
+        Messages must come in layer order, the output message after the
+        last layer. In generic mode and with raw output the last layer's
+        inner products give the result, so an output message is in order
+        only after the challenges of an activated last layer.
+
+        Raises:
+            ProtocolViolationError: a message out of order, or after the result.
+        """
+        position = getattr(message, "layer", len(self.meta.layers))
+        if self.result is not None or position != self._next_layer:
+            raise ProtocolViolationError("message out of layer order")
+        self._next_layer = position + 1
         if isinstance(message, LayerInners):
             layer = self.meta.layers[message.layer]
             if len(message.ciphertexts) != layer.units:

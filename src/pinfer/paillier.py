@@ -22,14 +22,24 @@ decryption works modulo p**2 and q**2 as well. A public key rebuilt from
 bytes holds no factors and takes the generic path; both produce the same
 distribution of ciphertexts, and their ciphertexts mix freely.
 
-``PublicKey.blind_all`` is the comparison evaluator's blind, r*c
-rerandomized for a fresh unit r, over a whole batch. Its random factors
-s**N mod N**2 do not depend on the values (Paillier, EUROCRYPT 1999, notes
-they can be precomputed), so under a key without factors they are computed
-in a worker process while the calling thread computes each c**r. The worker
-is one child process per party process, started at the first such batch and
-ended at exit; it receives N, N**2 and the bases s and nothing else. A key
-holder computes its CRT factors inline.
+Three batch methods serve the comparison, and each splits its work with a
+worker process: one child process per party process, started at the first
+batch and ended at exit. The worker computes b**e mod m for the bases b of
+a batch while the calling thread does the rest.
+
+- ``PublicKey.blind_all`` is the evaluator's blind, r*c rerandomized for a
+  fresh unit r. Its random factors s**N mod N**2 do not depend on the
+  values (Paillier, EUROCRYPT 1999, notes they can be precomputed), so under
+  a key without factors the worker computes them while the caller computes
+  each c**r. The worker receives N, N**2 and the bases s.
+- ``PublicKey.encrypt_all`` and ``SecretKey.decrypt_all`` are the bit
+  owner's encryptions and decryptions under its own key. Each costs two
+  independent half-size exponentiations; the worker computes the one modulo
+  q**2 (y**q, or c**(q-1)) while the caller computes the one modulo p**2.
+  The worker receives q or q - 1, q**2 and the bases y or c mod q**2: secret
+  key material, passed over pipes to a child of the same party process.
+
+The worker never receives p, plaintexts, masks or the units r.
 
 Key sizes of 2048 or 3072 bits are the production presets; the 64-bit floor
 and the deterministic RNG from :func:`pinfer.numutil.insecure_rng` exist for
@@ -121,16 +131,46 @@ class PublicKey:
         Raises:
             ParameterError: if m lies outside the signed message space.
         """
-        if not self.contains(m):
-            raise ParameterError(f"message {m} outside the signed message space")
-        return self.encrypt_unsigned(m % self.n, rng)
+        return self.encrypt_unsigned(self._residue(m), rng)
 
-    def encrypt_unsigned(self, m: int, rng: random.Random | None = None) -> "Ciphertext":
-        """Probabilistic encryption of a residue already in [0, N)."""
+    def encrypt_unsigned(self, m: int, rng: random.Random | None = None,
+                         factor: int | None = None) -> "Ciphertext":
+        """Probabilistic encryption of a residue already in [0, N), with a
+        random N-th power drawn here or ``factor``, one the caller has
+        already computed."""
         if not 0 <= m < self.n:
             raise ParameterError(f"residue {m} outside [0, N)")
-        value = ((1 + m * self.n) % self.n_squared) * self._fresh_factor(rng) % self.n_squared
-        return Ciphertext(value, self)
+        if factor is None:
+            factor = self._fresh_factor(rng)
+        return Ciphertext(((1 + m * self.n) % self.n_squared) * factor % self.n_squared, self)
+
+    def encrypt_all(self, ms: list[int],
+                    rng: random.Random | None = None) -> list["Ciphertext"]:
+        """``[encrypt(m, rng) for m in ms]``.
+
+        A key holder draws x mod p, then y mod q, for each value in turn,
+        as ``encrypt`` would, so a seeded RNG gives the same ciphertexts;
+        the worker process computes each y**q mod q**2 while this thread
+        computes each x**p mod p**2. A key without factors runs the loop.
+
+        Raises:
+            ParameterError: a message outside the signed message space,
+                before anything is drawn.
+            WorkerError: the worker process died; the next batch starts a new one.
+        """
+        rng = rng or SYSTEM_RNG
+        sk = self._secret
+        if sk is None:
+            return [self.encrypt(m, rng) for m in ms]
+        residues = [self._residue(m) for m in ms]
+        xs, ys = [], []
+        for _ in ms:
+            xs.append(rng.randrange(1, sk.p))
+            ys.append(rng.randrange(1, sk.q))
+        f_ps, f_qs = _POWERS.powers_while(
+            sk.q, sk._q_sq, ys, lambda: [powmod(x, sk.p, sk._p_sq) for x in xs])
+        return [self.encrypt_unsigned(m, factor=sk._join(f_p, f_q))
+                for m, f_p, f_q in zip(residues, f_ps, f_qs)]
 
     def rerandomize(self, c: "Ciphertext", rng: random.Random | None = None,
                     factor: int | None = None) -> "Ciphertext":
@@ -147,9 +187,10 @@ class PublicKey:
 
         For each value in turn it draws r_i, then the randomness of its
         rerandomization, as a one-at-a-time loop would, so a seeded RNG
-        gives the same ciphertexts. Under a key without factors the powers
-        s_i**N are computed in the worker process while this thread
-        computes each r_i * c_i.
+        gives the same ciphertexts. Under a key without factors the worker
+        process computes the powers s_i**N while this thread computes each
+        r_i * c_i. A key holder, whose factors are CRT pairs of half-size
+        powers, runs the loop.
 
         Raises:
             WorkerError: the worker process died; the next batch starts a new one.
@@ -177,7 +218,13 @@ class PublicKey:
         p, q = sk.p, sk.q
         f_p = powmod(rng.randrange(1, p), p, sk._p_sq)
         f_q = powmod(rng.randrange(1, q), q, sk._q_sq)
-        return crt2(f_p, sk._p_sq, f_q, sk._q_sq, sk._q_sq_inv_p_sq)
+        return sk._join(f_p, f_q)
+
+    def _residue(self, m: int) -> int:
+        """m mod N, for a signed message m."""
+        if not self.contains(m):
+            raise ParameterError(f"message {m} outside the signed message space")
+        return m % self.n
 
     def _check_own(self, c: "Ciphertext") -> None:
         if c.public_key.key_id != self.key_id:
@@ -230,28 +277,54 @@ class SecretKey:
     def __repr__(self) -> str:
         return f"<SecretKey for {self.public_key!r}>"
 
-    def decrypt_unsigned(self, c: "Ciphertext") -> int:
-        """Plaintext residue in [0, N).
+    def decrypt_unsigned(self, c: "Ciphertext",
+                         powers: tuple[int, int] | None = None) -> int:
+        """Plaintext residue in [0, N); ``powers`` are c**(p-1) mod p**2 and
+        c**(q-1) mod q**2, if the caller has already computed them.
 
         Raises:
             KeyMismatchError: ciphertext produced under another key.
-            DecryptionError: ciphertext value not coprime to N.
+            DecryptionError: ciphertext value not coprime to N, or not a
+                valid encryption.
         """
         self.public_key._check_own(c)
         if gcd(c.value, self.public_key.n) != 1:
             raise DecryptionError("ciphertext is not coprime to the modulus")
         p, q = self.p, self.q
-        x_p = powmod(c.value % self._p_sq, p - 1, self._p_sq)
-        x_q = powmod(c.value % self._q_sq, q - 1, self._q_sq)
+        x_p, x_q = powers or (powmod(c.value % self._p_sq, p - 1, self._p_sq),
+                              powmod(c.value % self._q_sq, q - 1, self._q_sq))
         if (x_p - 1) % p != 0 or (x_q - 1) % q != 0:
             raise DecryptionError("ciphertext does not decode to a valid plaintext")
         m_p = (x_p - 1) // p * self._h_p % p
         m_q = (x_q - 1) // q * self._h_q % q
         return crt2(m_p, p, m_q, q, self._q_inv_p)
 
-    def decrypt(self, c: "Ciphertext") -> int:
+    def decrypt(self, c: "Ciphertext", powers: tuple[int, int] | None = None) -> int:
         """Plaintext as a signed representative in M."""
-        return self.public_key.to_signed(self.decrypt_unsigned(c))
+        return self.public_key.to_signed(self.decrypt_unsigned(c, powers))
+
+    def decrypt_all(self, cts: list["Ciphertext"]) -> list[int]:
+        """``[decrypt(c) for c in cts]``, with each c**(q-1) mod q**2
+        computed in the worker process while this thread computes each
+        c**(p-1) mod p**2.
+
+        Raises:
+            KeyMismatchError: a ciphertext produced under another key,
+                before the worker sees any value.
+            DecryptionError: as ``decrypt``.
+            WorkerError: the worker process died; the next batch starts a new one.
+        """
+        for c in cts:
+            self.public_key._check_own(c)
+        p, p_sq, q_sq = self.p, self._p_sq, self._q_sq
+        x_ps, x_qs = _POWERS.powers_while(
+            self.q - 1, q_sq, [c.value % q_sq for c in cts],
+            lambda: [powmod(c.value % p_sq, p - 1, p_sq) for c in cts])
+        return [self.decrypt(c, powers) for c, powers in zip(cts, zip(x_ps, x_qs))]
+
+    def _join(self, f_p: int, f_q: int) -> int:
+        """The residue mod N**2 that is f_p mod p**2 and f_q mod q**2."""
+        return crt2(f_p, self._p_sq, f_q, self._q_sq, self._q_sq_inv_p_sq)
 
     def to_bytes(self) -> bytes:
         """Length-prefixed big-endian encoding of p then q."""
@@ -321,10 +394,11 @@ class Ciphertext:
         return Ciphertext(self.value * (1 + (m % pk.n) * pk.n) % pk.n_squared, pk)
 
 
-#: The worker's program. Each input line is ``N N**2 s_1 ... s_k`` in
-#: lower-case hex, separated by spaces; it answers with one line of the hex
-#: ``s_i**N mod N**2``, in order. It exits at the end of its input. It
-#: ignores SIGINT: a Ctrl-C ends its parent, whose exit then ends it.
+#: The worker's program. Each input line is ``e m b_1 ... b_k`` in
+#: lower-case hex, separated by spaces: an exponent, a modulus and the
+#: bases. It answers with one line of the hex ``b_i**e mod m``, in order.
+#: It exits at the end of its input. It ignores SIGINT: a Ctrl-C ends its
+#: parent, whose exit then ends it.
 _WORKER_SRC = """
 import signal, sys
 signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -333,13 +407,13 @@ try:
 except ImportError:
     powmod = pow
 for line in sys.stdin:
-    n, n_squared, *bases = (int(w, 16) for w in line.split())
-    print(*(format(powmod(s, n, n_squared), "x") for s in bases), flush=True)
+    exponent, modulus, *bases = (int(w, 16) for w in line.split())
+    print(*(format(powmod(b, exponent, modulus), "x") for b in bases), flush=True)
 """
 
 
 class _PowerWorker:
-    """The party process's one worker process for N-th powers.
+    """The party process's one worker process for batches of powers.
 
     It starts at the first batch and again after it has died. A lock held
     from request to reply keeps concurrent batches, from the connections of
@@ -350,9 +424,9 @@ class _PowerWorker:
         self._lock = threading.Lock()
         self._proc: subprocess.Popen | None = None
 
-    def powers_while(self, n: int, n_squared: int, bases: list[int], work):
-        """``(work(), [pow(s, n, n_squared) for s in bases])``, with the
-        powers computed in the worker while ``work`` runs here.
+    def powers_while(self, exponent: int, modulus: int, bases: list[int], work):
+        """``(work(), [pow(b, exponent, modulus) for b in bases])``, with
+        the powers computed in the worker while ``work`` runs here.
 
         The reply is read even when ``work`` raises, so no stale reply is
         left for the next batch.
@@ -370,7 +444,7 @@ class _PowerWorker:
                                                   stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                                   text=True)
                 proc = self._proc
-                print(*(format(x, "x") for x in (n, n_squared, *bases)),
+                print(*(format(x, "x") for x in (exponent, modulus, *bases)),
                       file=proc.stdin, flush=True)
             except OSError as exc:
                 self._end()

@@ -67,6 +67,10 @@ class ChannelClosed(PinferError):
 #: 768 bytes, so this is over 87,000 ciphertexts in one message.
 MAX_FRAME_BYTES = 64 << 20
 
+#: Live network sessions one connection may hold; a further request is
+#: refused with an error frame and creates no session.
+MAX_SESSIONS_PER_CONNECTION = 16
+
 
 class SocketChannel:
     """Length-prefixed frames over a stream socket.
@@ -523,6 +527,9 @@ def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
     if frame.step_id == wire.STEP_REQUEST:
         if frame.session_id in sessions:
             raise ProtocolViolationError("session already active")
+        if len(sessions) >= MAX_SESSIONS_PER_CONNECTION:
+            raise ProtocolViolationError(
+                f"connection already holds {MAX_SESSIONS_PER_CONNECTION} live sessions")
         request = _feature_request(frame)
         session = NetworkServerSession(spec, mode=mode, server_keys=served.server_keys,
                                        kappa=served.kappa, variant=variant,

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from pinfer import keygen, paillier
+from pinfer import comparison, keygen, paillier
 from pinfer.errors import DecryptionError, KeyMismatchError, ParameterError, WorkerError
 from pinfer.numutil import (SIEVE_BITS, insecure_rng, is_probable_prime, prime_candidate,
                             random_unit)
@@ -188,6 +188,9 @@ def test_key_holder_never_exponentiates_mod_n_squared(client_keys, rng, monkeypa
     assert moduli == [pk.n_squared]
 
 
+PLAIN = [0, 1, -1, 5, -123456789]
+
+
 def _serial_blinds(key, values, rng):
     """The one-at-a-time blind loop that ``blind_all`` must reproduce."""
     return [key.rerandomize(random_unit(key.n, rng) * c, rng) for c in values]
@@ -230,20 +233,31 @@ def test_blind_all_stays_in_step_after_a_failed_batch(client_keys, server_keys, 
 
 
 def test_concurrent_batches_stay_in_step(client_keys):
-    # More threads than cores share the one worker. A reply read by the
-    # wrong batch would carry other factors, so the values would differ.
-    pk, _ = client_keys
+    # More threads than cores share the one worker: blinds under a rebuilt
+    # key, and the key holder's encryptions and decryptions. A reply read by
+    # the wrong batch would carry other powers, so the values would differ.
+    pk, sk = client_keys
     key = PublicKey.from_bytes(pk.to_bytes())
     values = [key.encrypt(m, insecure_rng(m)) for m in range(4)]
-    expected = {seed: [c.value for c in _serial_blinds(key, values, insecure_rng(seed))]
-                for seed in range(6)}
+
+    def batch(seed, serial=False):
+        rng = insecure_rng(seed)
+        if seed % 3 == 0:
+            cts = _serial_blinds(key, values, rng) if serial else key.blind_all(values, rng)
+        elif seed % 3 == 1:
+            cts = [pk.encrypt(m, rng) for m in PLAIN] if serial else pk.encrypt_all(PLAIN, rng)
+        else:
+            return [sk.decrypt(c) for c in values] if serial else sk.decrypt_all(values)
+        return [c.value for c in cts]
+
+    expected = {seed: batch(seed, serial=True) for seed in range(6)}
     got = {seed: [] for seed in expected}
 
-    def blind(seed):
+    def run(seed):
         for _ in range(5):
-            got[seed].append([c.value for c in key.blind_all(values, insecure_rng(seed))])
+            got[seed].append(batch(seed))
 
-    threads = [threading.Thread(target=blind, args=(seed,), daemon=True) for seed in expected]
+    threads = [threading.Thread(target=run, args=(seed,), daemon=True) for seed in expected]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -273,8 +287,8 @@ def test_worker_that_dies_mid_batch_raises_worker_error(client_keys, rng, monkey
 #: from the right hex words, and then exits.
 _BAD_WORKER = """
 import sys
-n, n_squared, *bases = (int(w, 16) for w in sys.stdin.readline().split())
-words = [format(pow(s, n, n_squared), "x") for s in bases]
+exponent, modulus, *bases = (int(w, 16) for w in sys.stdin.readline().split())
+words = [format(pow(b, exponent, modulus), "x") for b in bases]
 sys.stdout.write(REPLY)
 sys.stdout.flush()
 """
@@ -309,6 +323,137 @@ def test_worker_with_a_malformed_reply_raises_worker_error(client_keys, rng, mon
     batch = key.blind_all(values, insecure_rng(11))
     serial = _serial_blinds(key, values, insecure_rng(11))
     assert [c.value for c in batch] == [c.value for c in serial]
+
+
+def _boundary_values(pk):
+    return PLAIN + [pk.max_signed, pk.min_signed]
+
+
+class _CountingWorker:
+    """Stands in for the power worker: computes each batch here and keeps
+    its exponent and modulus."""
+
+    def __init__(self):
+        self.batches = []
+
+    def powers_while(self, exponent, modulus, bases, work):
+        self.batches.append((exponent, modulus, len(bases)))
+        return work(), [pow(b, exponent, modulus) for b in bases]
+
+
+@pytest.mark.parametrize("holder", [False, True], ids=["rebuilt-key", "key-holder"])
+def test_encrypt_all_matches_the_encrypt_loop(client_keys, holder):
+    pk, sk = client_keys
+    key = pk if holder else PublicKey.from_bytes(pk.to_bytes())
+    values = _boundary_values(pk)
+    batch_rng, serial_rng = insecure_rng(12), insecure_rng(12)
+    batch = key.encrypt_all(values, batch_rng)
+    serial = [key.encrypt(m, serial_rng) for m in values]
+    assert [c.value for c in batch] == [c.value for c in serial]
+    assert batch_rng.random() == serial_rng.random()
+    assert all(c.public_key is key for c in batch)
+    assert [sk.decrypt(c) for c in batch] == values
+
+
+def test_encrypt_all_refuses_a_message_out_of_range_first(client_keys, monkeypatch):
+    pk, _ = client_keys
+    worker = _CountingWorker()
+    monkeypatch.setattr(paillier, "_POWERS", worker)
+    rng = insecure_rng(13)
+    with pytest.raises(ParameterError):
+        pk.encrypt_all([1, pk.max_signed + 1], rng)
+    assert worker.batches == []
+    assert rng.random() == insecure_rng(13).random()
+
+
+def test_decrypt_all_matches_decrypt(client_keys, rng):
+    pk, sk = client_keys
+    rebuilt = PublicKey.from_bytes(pk.to_bytes())
+    values = _boundary_values(pk)
+    cts = [key.encrypt(m, rng) for m in values for key in (pk, rebuilt)]
+    assert sk.decrypt_all(cts) == [sk.decrypt(c) for c in cts] == \
+        [m for m in values for _ in (pk, rebuilt)]
+    assert sk.decrypt_all([]) == []
+
+
+def test_decrypt_all_refuses_a_foreign_ciphertext_first(client_keys, server_keys, rng,
+                                                        monkeypatch):
+    pk, sk = client_keys
+    worker = _CountingWorker()
+    monkeypatch.setattr(paillier, "_POWERS", worker)
+    with pytest.raises(KeyMismatchError):
+        sk.decrypt_all([pk.encrypt(1, rng), server_keys[0].encrypt(1, rng)])
+    assert worker.batches == []
+
+
+@pytest.mark.parametrize("bad", ["p", "q", "zero"])
+def test_decrypt_all_fails_as_decrypt_on_a_non_unit(client_keys, rng, bad):
+    pk, sk = client_keys
+    value = {"p": sk.p * 7, "q": sk.q * sk.q, "zero": 0}[bad]
+    cts = [pk.encrypt(m, rng) for m in PLAIN]
+    broken = cts[:2] + [Ciphertext(value, pk)] + cts[2:]
+    with pytest.raises(DecryptionError) as serial:
+        [sk.decrypt(c) for c in broken]
+    with pytest.raises(DecryptionError) as batch:
+        sk.decrypt_all(broken)
+    assert str(batch.value) == str(serial.value)
+    # The worker's reply to the failed batch was read: the next one is in step.
+    assert sk.decrypt_all(cts) == PLAIN
+
+
+@pytest.mark.parametrize("worker", [
+    "import sys; sys.stdin.buffer.read(4)",
+    _BAD_WORKER.replace("REPLY", '" ".join(words[:-1]) + "\\n"'),
+    _BAD_WORKER.replace("REPLY", '" ".join(words)[:-1]'),
+], ids=["dies", "too-few-words", "cut-short-without-newline"])
+@pytest.mark.parametrize("batch", ["encrypt_all", "decrypt_all"])
+def test_owner_batch_with_a_failing_worker_raises_worker_error(client_keys, rng, monkeypatch,
+                                                               batch, worker):
+    pk, sk = client_keys
+    cts = [pk.encrypt(m, rng) for m in PLAIN]
+
+    def run_batch():
+        if batch == "encrypt_all":
+            return [c.value for c in pk.encrypt_all(PLAIN, insecure_rng(14))]
+        return sk.decrypt_all(cts)
+
+    paillier._POWERS.close()
+    monkeypatch.setattr(paillier, "_WORKER_SRC", worker)
+    raised = []
+
+    def run():
+        try:
+            run_batch()
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [type(exc) for exc in raised] == [WorkerError]
+    assert paillier._POWERS._proc is None
+    monkeypatch.undo()
+    serial_rng = insecure_rng(14)
+    serial = ([pk.encrypt(m, serial_rng).value for m in PLAIN] if batch == "encrypt_all"
+              else [sk.decrypt(c) for c in cts])
+    assert run_batch() == serial
+
+
+def test_bit_owner_makes_one_worker_batch_per_step(client_keys, rng, monkeypatch):
+    pk, sk = client_keys
+    worker = _CountingWorker()
+    monkeypatch.setattr(paillier, "_POWERS", worker)
+    request = comparison.bit_owner_request(pk, 0b1011, 6, insecure_rng(15))
+    assert worker.batches == [(sk.q, sk.q * sk.q, 6)]
+    serial_rng = insecure_rng(15)
+    assert [c.value for c in request.encrypted_bits] == \
+        [pk.encrypt(bit, serial_rng).value for bit in (1, 1, 0, 1, 0, 0)]
+    rebuilt = PublicKey.from_bytes(pk.to_bytes())
+    response = comparison.evaluator_respond(rebuilt, request, 0b1011, 0, rng)
+    worker.batches.clear()
+    assert comparison.bit_owner_finish(sk, response) == 1
+    assert worker.batches == [(sk.q - 1, sk.q * sk.q, 7)]
 
 
 def test_blind_leaves_no_process_or_warning_at_exit(checkout_env):

@@ -10,18 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from pinfer import keygen, paillier, wire
 from pinfer.comparison import ComparisonResponse
-from pinfer.errors import MessageFormatError, ParameterError, ProtocolViolationError
-from pinfer.linear import FeatureVector, LinearModel
+from pinfer.errors import (MessageFormatError, ParameterError, ProtocolViolationError,
+                           WorkerError)
+from pinfer.linear import FeatureRequest, FeatureVector, LinearModel
 from pinfer.modelfile import LoadedModel
 from pinfer.network import (HeurChallenge, LayerChallenges, LayerMeta,
-                            LayerResponses, NetworkMeta, NetworkSpec,
+                            LayerResponses, NetworkClientSession, NetworkMeta, NetworkSpec,
                             ReluHeurResponse, ReluUnitResponse, SignUnitResponse,
                             UnitChallenge, unit_layout)
 from pinfer.numutil import insecure_rng
 from pinfer.reference import (eval_ffnn, eval_linear, eval_logistic, eval_svm)
-from pinfer.runner import (SocketChannel, _decode_layer, _encode_layer,
-                           _meta_from_json, _meta_to_json, prepare_served,
-                           run_inference, serve_connection, serve_loopback)
+from pinfer.runner import (MAX_SESSIONS_PER_CONNECTION, SocketChannel, _decode_layer,
+                           _encode_layer, _feature_parts, _meta_from_json, _meta_to_json,
+                           prepare_served, run_inference, serve_connection,
+                           serve_loopback)
 from pinfer.wire import Transcript
 
 KAPPA = 40
@@ -128,18 +130,19 @@ def _within(seconds, fn):
     return result
 
 
-def test_dead_power_worker_gets_an_error_reply(client_keys, server_keys, rng, monkeypatch):
-    loaded = linear_loaded("svm", rng=rng)
-    x = random_x(4, 12, rng)
-    served = prepare_served("svm-core", loaded, server_keys, KAPPA, rng)
+def _query_with_a_dead_worker(protocol, loaded, x, client_keys, server_keys, rng,
+                              monkeypatch, error, match):
+    """Query once while the power worker exits after the first bytes of its
+    first request, expecting ``error``, then again on the same connection
+    with a working one; returns the second result."""
+    served = prepare_served(protocol, loaded, server_keys, KAPPA, rng)
     channel, thread = serve_loopback(served)
-    query = lambda: run_inference(channel, "svm-core", x, client_keys,  # noqa: E731
+    query = lambda: run_inference(channel, protocol, x, client_keys,  # noqa: E731
                                   kappa=KAPPA, rng=rng)
     try:
         paillier._POWERS.close()
-        # A worker that exits after the first bytes of its first request.
         monkeypatch.setattr(paillier, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
-        with pytest.raises(ProtocolViolationError, match="power worker"):
+        with pytest.raises(error, match=match):
             _within(60, query)
         monkeypatch.undo()
         result = _within(60, query)
@@ -147,6 +150,27 @@ def test_dead_power_worker_gets_an_error_reply(client_keys, server_keys, rng, mo
         channel.close()
     thread.join(timeout=10)
     assert not thread.is_alive()
+    return result
+
+
+def test_dead_power_worker_gets_an_error_reply(client_keys, server_keys, rng, monkeypatch):
+    # The server owns the mask bits of ffnn-relu, so its first mask-bit
+    # batch is the first use of the worker.
+    loaded, x = ffnn_loaded("relu"), pm_one(rng)
+    result = _query_with_a_dead_worker("ffnn-relu", loaded, x, client_keys, server_keys,
+                                       rng, monkeypatch, ProtocolViolationError,
+                                       "power worker")
+    oracle = eval_ffnn(loaded.model, x)
+    assert result.raw == tuple(p.raw for p in oracle)
+    assert result.values == tuple(p.value for p in oracle)
+
+
+def test_dead_power_worker_fails_the_bit_owners_query(client_keys, server_keys, rng,
+                                                      monkeypatch):
+    # svm-core's client encrypts its mask bits before it sends the request.
+    loaded, x = linear_loaded("svm", rng=rng), random_x(4, 12, rng)
+    result = _query_with_a_dead_worker("svm-core", loaded, x, client_keys, server_keys,
+                                       rng, monkeypatch, WorkerError, "power worker")
     assert result.labels == (eval_svm(loaded.model, x).class_label,)
 
 
@@ -372,6 +396,45 @@ def test_short_frames_get_error_replies(client_keys, server_keys, rng, protocol)
         assert result.value == eval_logistic(loaded.model, x).value
 
 
+def test_live_sessions_per_connection_are_capped(client_keys, rng):
+    loaded, x = ffnn_loaded("sign"), pm_one(rng)
+    served = prepare_served("ffnn-generic", loaded, None, KAPPA, rng)
+    channel, thread = serve_loopback(served)
+    channel._sock.settimeout(60)
+    request = _feature_parts(FeatureRequest.encrypt(client_keys[0], x, rng))
+    session_ids = [bytes([i]) * wire.SESSION_ID_BYTES
+                   for i in range(MAX_SESSIONS_PER_CONNECTION + 1)]
+    try:
+        for session_id in session_ids[:-1]:
+            meta_frame = _send(channel, "ffnn-generic", wire.STEP_REQUEST, request, session_id)
+            assert meta_frame.step_id == wire.STEP_META
+            first_layer = wire.unframe(channel.recv())
+            assert first_layer.step_id == wire.STEP_LAYER_DOWN
+        refused = _send(channel, "ffnn-generic", wire.STEP_REQUEST, request, session_ids[-1])
+        assert refused.step_id == wire.STEP_ERROR
+        assert b"live sessions" in refused.parts[0]
+        # The refused request created no session.
+        reply = _send(channel, "ffnn-generic", wire.STEP_LAYER_UP, (), session_ids[-1])
+        assert reply.parts[0] == b"unknown session"
+        # The last live session still runs to the oracle's answer.
+        meta, _ = _meta_from_json(meta_frame.parts[0])
+        keys = {"c": client_keys[0], "s": None}
+        client = NetworkClientSession(meta, client_keys, None, rng)
+        message = _decode_layer(first_layer, meta, keys)
+        while (up := client.handle(message)) is not None:
+            down = _send(channel, "ffnn-generic", *_encode_layer(up, meta, keys),
+                         session_ids[-2])
+            message = _decode_layer(down, meta, keys)
+        # Its end frees a place for a new query.
+        result = run_inference(channel, "ffnn-generic", x, client_keys, kappa=KAPPA, rng=rng)
+    finally:
+        channel.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    oracle = tuple(p.raw for p in eval_ffnn(loaded.model, x))
+    assert client.result.raw == result.raw == oracle
+
+
 class _CannedServer:
     """Client channel answered by canned (step, parts) replies, each sent
     under the session id of the client's last frame (or another one)."""
@@ -443,6 +506,67 @@ def test_client_rejects_short_frames(client_keys, server_keys, rng, case, error)
     channel = _CannedServer(protocol, replies)
     with pytest.raises(error):
         run_inference(channel, protocol, x, client_keys, kappa=KAPPA, rng=rng)
+
+
+def _misordered_replies(case, client_keys, server_keys):
+    pk_c = client_keys[0]
+    ct, ct123 = (wire.serialize_ciphertext(pk_c.encrypt(m), pk_c) for m in (1, 123))
+    generic = _meta_to_json(ffnn_loaded("sign").model.meta("generic"), None)
+    activated = _meta_to_json(ffnn_loaded("sign", "activated").model.meta(
+        "encrypted", "core"), server_keys[0])
+    return {
+        "generic output": ("ffnn-generic", [(wire.STEP_META, (generic,)),
+                                            (wire.STEP_OUTPUT, (ct123,))]),
+        "activated output first": ("ffnn-sign", [(wire.STEP_META, (activated,)),
+                                                 (wire.STEP_OUTPUT, (ct123,))]),
+        "last layer first": ("ffnn-generic", [(wire.STEP_META, (generic,)),
+                                              (wire.STEP_LAYER_DOWN,
+                                               (wire.pack_u32(1), b"\x01", ct))]),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["generic output", "activated output first",
+                                  "last layer first"])
+def test_client_rejects_messages_out_of_order(client_keys, server_keys, rng, case):
+    protocol, replies = _misordered_replies(case, client_keys, server_keys)
+    channel = _CannedServer(protocol, replies)
+    with pytest.raises(ProtocolViolationError, match="layer order"):
+        run_inference(channel, protocol, pm_one(rng), client_keys, kappa=KAPPA, rng=rng)
+
+
+class _EarlyOutput:
+    """Client channel that replaces the server's second layer-down frame
+    with an output frame of one ciphertext of 123."""
+
+    def __init__(self, channel, pk):
+        self.channel = channel
+        self.pk = pk
+
+    def send(self, data):
+        self.channel.send(data)
+
+    def recv(self):
+        data = self.channel.recv()
+        frame = wire.unframe(data)
+        if frame.step_id == wire.STEP_LAYER_DOWN and frame.parts[0] == wire.pack_u32(1):
+            output = wire.serialize_ciphertext(self.pk.encrypt(123), self.pk)
+            return wire.frame(frame.protocol_id, wire.STEP_OUTPUT, frame.session_id,
+                              (output,))
+        return data
+
+
+def test_activated_output_before_the_last_layer_is_refused(client_keys, server_keys, rng):
+    loaded = ffnn_loaded("sign", "activated")
+    served = prepare_served("ffnn-sign", loaded, server_keys, KAPPA, rng)
+    inner, thread = serve_loopback(served)
+    try:
+        with pytest.raises(ProtocolViolationError, match="layer order"):
+            _within(60, lambda: run_inference(_EarlyOutput(inner, client_keys[0]), "ffnn-sign",
+                                              pm_one(rng), client_keys, kappa=KAPPA, rng=rng))
+    finally:
+        inner.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_client_rejects_reply_for_another_session(client_keys, rng):
