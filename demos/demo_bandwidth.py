@@ -68,5 +68,5 @@ for protocol, loaded, needs_keys, plan_args in RUNS:
           f"{stats['round_trips']:>8}   "
           f"up={predicted['up'] // per_ct}, down={predicted['down'] // per_ct}")
     if publish.entries:
-        print(f"{'':14}one-time publish: {publish.stats()['bytes_down']:,} bytes "
+        print(f"{'':14}model fetch: {publish.stats()['bytes_down']:,} bytes "
               f"({publish.ciphertexts('down')} ciphertexts)")

@@ -31,7 +31,7 @@ print(f"model: d={model.d}, precision P={model.precision}, bound length ell={mod
 print("\n[core mode] client encrypts features under its own key")
 pk_client, sk_client = keygen(512, rng)  # 512-bit keys: demo scale only
 
-request, session = regr_core_request(pk_client, x, rng)
+request, precision = regr_core_request(pk_client, x, rng)
 print(f"  client -> server: {len(request.ciphertexts)} ciphertexts "
       "(the fixed coordinate x_0 = 1 is never sent)")
 
@@ -43,15 +43,15 @@ raw = sk_client.decrypt(t_ct)
 print(f"  client decrypts t = {raw}  (= {decode(raw, 2 * PRECISION):+.6f} decoded)")
 assert raw == eval_linear(model, x).raw  # exact, not approximate
 
-prediction = regr_core_finish(sk_client, t_ct, session, activation="sigmoid")
+prediction = regr_core_finish(sk_client, t_ct, precision, activation="sigmoid")
 print(f"  sigmoid(t) = {prediction:.6f}   (oracle: {eval_logistic(model, x).value:.6f})")
 
 # Any injective link function works the same way: the client recovers t and
 # applies it locally, so returning t instead of g(t) leaks nothing extra.
 for g in ("identity", "tanh", "softsign"):
-    request, session = regr_core_request(pk_client, x, rng)
+    request, precision = regr_core_request(pk_client, x, rng)
     value = regr_core_finish(sk_client, regr_core_respond(model, request, rng),
-                             session, activation=g)
+                             precision, activation=g)
     print(f"  with g = {g:9s}: {value:+.6f}")
 
 # --- dual mode: the server publishes its model encrypted ----------------

@@ -51,7 +51,7 @@ def _load_keys(prefix: str):
 
 
 def _require_heuristic_ack(protocol: str, flagged: bool) -> None:
-    if protocol in runner.HEURISTIC_PROTOCOLS and not flagged:
+    if wire.get_protocol(protocol).variant == "heuristic" and not flagged:
         raise ParameterError(
             f"{protocol} leaks model information through reply magnitudes and "
             "has no formal security guarantee; pass --heuristic to accept that")
@@ -199,20 +199,15 @@ def _synthetic_model(protocol: str, d: int, precision: int, layers: int,
     def rows(units, fan_in):
         return [[rng.uniform(-1, 1) for _ in range(fan_in + 1)] for _ in range(units)]
 
-    if protocol in ("regr-core", "regr-dual"):
+    info = wire.get_protocol(protocol)
+    # The last type a protocol serves: logistic for regression.
+    model_type = info.model_types[-1]
+    if model_type != "ffnn":
         weights = [rng.uniform(-1, 1) for _ in range(d)]
-        return LoadedModel("logistic",
+        return LoadedModel(model_type,
                            LinearModel.from_real(weights, rng.uniform(-1, 1), precision),
                            DEFAULT_KAPPA)
-    if protocol in ("svm-core", "svm-heur"):
-        weights = [rng.uniform(-1, 1) for _ in range(d)]
-        return LoadedModel("svm",
-                           LinearModel.from_real(weights, rng.uniform(-1, 1), precision),
-                           DEFAULT_KAPPA)
-    activation = {"ffnn-generic": "relu", "ffnn-sign": "sign",
-                  "ffnn-sign-heur": "sign", "ffnn-relu": "relu",
-                  "ffnn-relu-heur": "relu"}[protocol]
-    defs = [(rows(d, d), activation) for _ in range(layers)]
+    defs = [(rows(d, d), info.activation or "relu") for _ in range(layers)]
     return LoadedModel("ffnn", NetworkSpec.from_real(defs, precision), DEFAULT_KAPPA)
 
 
@@ -220,10 +215,10 @@ def _bench_plan(protocol: str, d: int, loaded: LoadedModel) -> tuple[wire.Messag
     """The closed-form rows of one query. The encrypted network rows are
     taken per hidden layer: the bound length grows with the accumulated
     scale, so a single-ell row would misestimate."""
-    model = loaded.model
-    if loaded.model_type != "ffnn":
+    model, mode = loaded.model, wire.get_protocol(protocol).mode
+    if mode is None:
         return wire.message_plan(protocol, d=d, ell=model.ell)
-    if protocol == "ffnn-generic":
+    if mode == "generic":
         return wire.message_plan(protocol, layers=model.depth, units=d)
     rows = [wire.MessageRow("input", "up", model.d_in)]
     for layer in model.layers[:-1]:
@@ -242,11 +237,8 @@ def cmd_bench(args) -> int:
     kappa = args.kappa
     served = runner.prepare_served(args.protocol, loaded, server_keys, kappa, rng)
 
-    x = FeatureVector.from_real(
-        [rng.uniform(-1, 1) for _ in range(loaded.model.d_in
-                                           if loaded.model_type == "ffnn"
-                                           else loaded.model.d)],
-        args.precision)
+    x = FeatureVector.from_real([rng.uniform(-1, 1) for _ in range(args.d)],
+                                args.precision)
     transcript, publish_transcript = wire.Transcript(), wire.Transcript()
     channel, _ = runner.serve_loopback(served)
     try:
@@ -266,7 +258,7 @@ def cmd_bench(args) -> int:
             ("down (response) bytes", stats["bytes_down"], expected["down"] // 8)]
     if expected["publish"]:
         publish_bytes = publish_transcript.stats()["bytes_down"]
-        rows.append(("one-time publish bytes", publish_bytes, expected["publish"] // 8))
+        rows.append(("model fetch bytes", publish_bytes, expected["publish"] // 8))
     for label, measured, predicted in rows:
         # Informational: framing overhead dominates at toy sizes, so bytes
         # only converge to the closed forms at realistic parameters.

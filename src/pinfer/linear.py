@@ -17,8 +17,9 @@ exchange plain message objects (the wire module handles byte framing):
   product whose sign is the class. Cheapest, but the magnitude of the reply
   leaks some information about the model; callers must opt in explicitly.
 
-Request functions return the outgoing message together with a single-use
-session object holding the client's secrets for the finish step.
+Request functions return the outgoing message together with what the finish
+step needs, if anything: a single-use session holding the client's mask
+(dual and SVM core), or the input precision (regression core).
 """
 
 from __future__ import annotations
@@ -171,11 +172,6 @@ class PublishedLinearModel:
 
 
 @dataclass
-class RegrCoreSession:
-    precision: int
-
-
-@dataclass
 class MaskSession:
     """The client's mask for one dual or SVM core query against ``published``."""
 
@@ -290,9 +286,10 @@ def _injective(activation: str) -> activations.Activation:
 
 def regr_core_request(pk_client: PublicKey, x: FeatureVector,
                       rng: random.Random | None = None
-                      ) -> tuple[FeatureRequest, RegrCoreSession]:
-    """Encrypt the features under the client key."""
-    return FeatureRequest.encrypt(pk_client, x, rng), RegrCoreSession(x.precision)
+                      ) -> tuple[FeatureRequest, int]:
+    """Encrypt the features under the client key; returns the request and
+    the input precision, which ``regr_core_finish`` takes."""
+    return FeatureRequest.encrypt(pk_client, x, rng), x.precision
 
 
 def regr_core_respond(model: LinearModel, request: FeatureRequest,
@@ -304,11 +301,12 @@ def regr_core_respond(model: LinearModel, request: FeatureRequest,
 
 
 def regr_core_finish(sk_client: SecretKey, response: Ciphertext,
-                     session: RegrCoreSession, activation: str = "identity") -> float:
-    """Decrypt the inner product and apply the link function."""
+                     precision: int, activation: str = "identity") -> float:
+    """Decrypt the inner product, at scale 2**(2*precision), and apply the
+    link function."""
     act = _injective(activation)
     t = sk_client.decrypt(response)
-    return act.fn(decode(t, 2 * session.precision))
+    return act.fn(decode(t, 2 * precision))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@
 answers frames for one connection. Both speak the frame format of the wire
 module over one Channel (send/recv of whole frames): a stream socket, either
 a TCP connection or the socket pair of the in-process loopback that tests and
-the bench command use. Published encrypted models are fetched in a separate
-exchange and recorded on their own transcript: publication happens once per
-model, not per query.
+the bench command use. The server encrypts a published model once, at
+set-up; the client of regr-dual and svm-core fetches it at the start of every
+query, in a separate exchange recorded on its own transcript.
 
 The codec is written once per message shape. A feature request (regr-core,
 svm-heur and the network ``STEP_REQUEST``) is the client key followed by one
@@ -46,18 +46,6 @@ from .network import (LayerActivations, LayerChallenges, LayerInners,
 from .numutil import SYSTEM_RNG
 from .paillier import PublicKey, SecretKey
 
-LINEAR_PROTOCOLS = ("regr-core", "regr-dual", "svm-core", "svm-heur")
-NETWORK_PROTOCOLS = ("ffnn-generic", "ffnn-sign", "ffnn-sign-heur",
-                     "ffnn-relu", "ffnn-relu-heur")
-HEURISTIC_PROTOCOLS = ("svm-heur", "ffnn-sign-heur", "ffnn-relu-heur")
-
-_COMPATIBLE = {
-    "regr-core": ("linear", "logistic"),
-    "regr-dual": ("linear", "logistic"),
-    "svm-core": ("svm",),
-    "svm-heur": ("svm",),
-}
-
 
 class ChannelClosed(PinferError):
     """The connection is over: the peer closed it or sent an oversized frame."""
@@ -76,14 +64,18 @@ class SocketChannel:
     """Length-prefixed frames over a stream socket.
 
     A length prefix above ``MAX_FRAME_BYTES`` ends the connection
-    (``ChannelClosed``) before any of the frame's body is read.
+    (``ChannelClosed``) before any of the frame's body is read, and so does
+    a socket error, such as a reset or a broken pipe.
     """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
 
     def send(self, data: bytes) -> None:
-        self._sock.sendall(struct.pack(">I", len(data)) + data)
+        try:
+            self._sock.sendall(struct.pack(">I", len(data)) + data)
+        except OSError as exc:
+            raise ChannelClosed(f"send failed: {exc}") from None
 
     def recv(self) -> bytes:
         header = self._read_exactly(4)
@@ -96,7 +88,10 @@ class SocketChannel:
     def _read_exactly(self, count: int) -> bytes:
         chunks = []
         while count:
-            chunk = self._sock.recv(count)
+            try:
+                chunk = self._sock.recv(count)
+            except OSError as exc:
+                raise ChannelClosed(f"receive failed: {exc}") from None
             if not chunk:
                 raise ChannelClosed("peer closed the socket")
             chunks.append(chunk)
@@ -128,12 +123,12 @@ class InferenceResult:
 class _ClientIO:
     def __init__(self, channel, protocol: str, rng, transcript):
         self.channel = channel
-        self.protocol_id = wire.PROTOCOL_IDS[protocol]
+        self.protocol = wire.get_protocol(protocol)
         self.session_id = rng.randbytes(wire.SESSION_ID_BYTES)
         self.transcript = transcript
 
     def send(self, step: int, parts, n_cts: int = 0) -> None:
-        data = wire.frame(self.protocol_id, step, self.session_id, parts)
+        data = wire.frame(self.protocol.wire_id, step, self.session_id, parts)
         if self.transcript is not None:
             self.transcript.record("up", step, len(data), n_cts)
         self.channel.send(data)
@@ -145,7 +140,7 @@ class _ClientIO:
         if frame.step_id == wire.STEP_ERROR:
             message = frame.parts[0].decode("utf-8", "replace") if frame.parts else "?"
             raise ProtocolViolationError(f"server reported: {message}")
-        if frame.protocol_id != self.protocol_id:
+        if frame.protocol_id != self.protocol.wire_id:
             raise ProtocolViolationError(f"unexpected protocol {frame.protocol_id}")
         if frame.session_id != self.session_id:
             raise ProtocolViolationError("reply belongs to another session")
@@ -164,7 +159,7 @@ class _ClientIO:
 def fetch_published(channel, protocol: str, rng=None,
                     transcript: wire.Transcript | None = None
                     ) -> tuple[PublishedLinearModel, str]:
-    """One-time fetch of the server's encrypted model (dual and svm-core)."""
+    """Fetch the server's encrypted model (regr-dual and svm-core)."""
     rng = rng or SYSTEM_RNG
     io = _ClientIO(channel, protocol, rng, transcript)
     io.send(wire.STEP_PUBLISH_REQUEST, ())
@@ -192,15 +187,15 @@ def run_inference(channel, protocol: str, x: FeatureVector,
     io = _ClientIO(channel, protocol, rng, transcript)
 
     if protocol == "regr-core":
-        request, session = regr_core_request(pk_c, x, rng)
+        request, precision = regr_core_request(pk_c, x, rng)
         io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
         frame = io.recv(wire.STEP_RESPONSE, n_cts=1)
-        reply, activation, precision = _parts(frame, 3)
+        reply, activation, model_precision = _parts(frame, 3)
         t_ct = wire.deserialize_ciphertext(reply, pk_c)
         activation = _text(activation)
-        if wire.unpack_u32(precision) != x.precision:
+        if wire.unpack_u32(model_precision) != precision:
             raise ProtocolViolationError("server model precision differs from the input")
-        value = regr_core_finish(sk_c, t_ct, session, activation)
+        value = regr_core_finish(sk_c, t_ct, precision, activation)
         return InferenceResult((value,), raw=(sk_c.decrypt(t_ct),))
 
     if protocol == "regr-dual":
@@ -239,9 +234,7 @@ def run_inference(channel, protocol: str, x: FeatureVector,
         label = svm_heur_finish(sk_c, wire.deserialize_ciphertext(reply, pk_c))
         return InferenceResult((float(label),), labels=(label,))
 
-    if protocol in NETWORK_PROTOCOLS:
-        return _run_network_client(io, protocol, x, client_keys, rng)
-    raise ParameterError(f"unknown protocol {protocol!r}")
+    return _run_network_client(io, x, client_keys, rng)
 
 
 def _meta_to_json(meta: NetworkMeta, pk_server: PublicKey | None) -> bytes:
@@ -260,10 +253,10 @@ def _meta_from_json(data: bytes) -> tuple[NetworkMeta, PublicKey | None]:
     return meta, pk
 
 
-def _run_network_client(io: _ClientIO, protocol: str, x: FeatureVector,
-                        client_keys, rng) -> InferenceResult:
+def _run_network_client(io: _ClientIO, x: FeatureVector, client_keys,
+                        rng) -> InferenceResult:
     pk_c, sk_c = client_keys
-    if protocol != "ffnn-generic":
+    if io.protocol.variant:
         x.require_scaled()
     request = FeatureRequest.encrypt(pk_c, x, rng)
     io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
@@ -391,40 +384,31 @@ def prepare_served(protocol: str, loaded: LoadedModel,
                    kappa: int | None = None,
                    rng: random.Random | None = None) -> ServedModel:
     """Validate protocol/model/key compatibility; refuses insecure set-ups."""
+    info = wire.get_protocol(protocol)
     rng = rng or SYSTEM_RNG
     kappa = loaded.kappa if kappa is None else kappa
-    if protocol in LINEAR_PROTOCOLS:
-        if loaded.model_type not in _COMPATIBLE[protocol]:
-            raise ParameterError(
-                f"protocol {protocol} cannot serve a {loaded.model_type} model")
-    elif protocol in NETWORK_PROTOCOLS:
-        if loaded.model_type != "ffnn":
-            raise ParameterError(f"protocol {protocol} needs an ffnn model")
+    if loaded.model_type not in info.model_types:
+        raise ParameterError(
+            f"protocol {protocol} cannot serve a {loaded.model_type} model")
+    if info.activation:
         spec = loaded.model
-        if protocol != "ffnn-generic":
-            wanted = "sign" if "sign" in protocol else "relu"
-            gated = list(spec.layers[:-1])
-            if spec.output_mode == "activated":
-                gated.append(spec.layers[-1])
-            if any(layer.activation != wanted for layer in gated):
-                raise ParameterError(
-                    f"protocol {protocol} serves {wanted} layers only")
-    else:
-        raise ParameterError(f"unknown protocol {protocol!r}")
-
-    needs_server_keys = protocol in ("regr-dual", "svm-core", "ffnn-sign", "ffnn-relu")
-    if needs_server_keys and server_keys is None:
+        gated = spec.layers if spec.output_mode == "activated" else spec.layers[:-1]
+        if any(layer.activation != info.activation for layer in gated):
+            raise ParameterError(
+                f"protocol {protocol} serves {info.activation} layers only")
+    if info.needs_server_keys and server_keys is None:
         raise ParameterError(f"protocol {protocol} needs a server key pair")
 
     served = ServedModel(protocol, loaded, server_keys, kappa, rng)
-    if protocol in ("regr-dual", "svm-core"):
-        if protocol == "svm-core":
+    if info.variant == "core":
+        # Sessions check the client key; the server key is checked here, so
+        # an undersized one is refused at startup rather than per query.
+        if info.mode:
+            loaded.model.check_keys(server_keys[0].n, kappa)
+        else:
             check_core_sizing(server_keys[0].n, loaded.model.ell, kappa)
+    if info.publishes:
         served.published = regr_dual_publish(loaded.model, server_keys[0], rng)
-    if protocol in ("ffnn-sign", "ffnn-relu"):
-        # The per-session check runs against the client key; gate the server
-        # key here so an undersized configuration is refused at startup.
-        loaded.model.check_keys(server_keys[0].n, kappa)
     return served
 
 
@@ -443,29 +427,26 @@ def serve_connection(channel, served: ServedModel) -> None:
     """Answer frames on one connection until the peer closes it."""
     protocol_id = wire.PROTOCOL_IDS[served.protocol]
     network_sessions: dict[bytes, tuple] = {}
-    while True:
-        try:
+    try:
+        while True:
             data = channel.recv()
-        except ChannelClosed:
-            return
-        session_id = bytes(wire.SESSION_ID_BYTES)
-        try:
-            frame = wire.unframe(data)
-            session_id = frame.session_id
-            if frame.protocol_id != protocol_id:
-                raise ProtocolViolationError(
-                    f"server is running {served.protocol}, not protocol "
-                    f"{frame.protocol_id}")
-            for step, parts in _handle_frame(served, frame, network_sessions):
-                channel.send(wire.frame(protocol_id, step, session_id, parts))
-        except ChannelClosed:
-            return
-        except PinferError as exc:
+            session_id = bytes(wire.SESSION_ID_BYTES)
             try:
+                frame = wire.unframe(data)
+                session_id = frame.session_id
+                if frame.protocol_id != protocol_id:
+                    raise ProtocolViolationError(
+                        f"server is running {served.protocol}, not protocol "
+                        f"{frame.protocol_id}")
+                for step, parts in _handle_frame(served, frame, network_sessions):
+                    channel.send(wire.frame(protocol_id, step, session_id, parts))
+            except ChannelClosed:
+                raise
+            except PinferError as exc:
                 channel.send(wire.frame(protocol_id, wire.STEP_ERROR, session_id,
                                         (str(exc).encode("utf-8"),)))
-            except Exception:
-                return
+    except ChannelClosed:
+        return
 
 
 def _handle_frame(served: ServedModel, frame: wire.Frame, sessions):
@@ -476,7 +457,7 @@ def _handle_frame(served: ServedModel, frame: wire.Frame, sessions):
             raise ProtocolViolationError(f"{protocol} does not publish a model")
         yield wire.STEP_PUBLISH, _publish_frame_parts(served)
         return
-    if protocol in LINEAR_PROTOCOLS:
+    if wire.PROTOCOLS[protocol].mode is None:
         yield wire.STEP_RESPONSE, _handle_linear_request(served, frame)
         return
     yield from _handle_network_frame(served, frame, sessions)
@@ -514,15 +495,11 @@ def _handle_linear_request(served: ServedModel, frame: wire.Frame) -> tuple:
             wire.pack_u32(model.precision))
 
 
-def _network_mode_variant(protocol: str) -> tuple[str, str]:
-    if protocol == "ffnn-generic":
-        return "generic", "core"
-    return "encrypted", ("heuristic" if protocol.endswith("-heur") else "core")
-
-
 def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
     spec = served.loaded.model
-    mode, variant = _network_mode_variant(served.protocol)
+    info = wire.PROTOCOLS[served.protocol]
+    # ffnn-generic compares nothing, yet its META has always said "core".
+    mode, variant = info.mode, info.variant or "core"
     pk_s = served.server_keys[0] if served.server_keys else None
     if frame.step_id == wire.STEP_REQUEST:
         if frame.session_id in sessions:

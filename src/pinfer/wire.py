@@ -25,18 +25,46 @@ from .paillier import Ciphertext, PublicKey
 
 FRAME_VERSION = 1
 
-PROTOCOL_IDS = {
-    "regr-core": 1,
-    "regr-dual": 2,
-    "svm-core": 3,
-    "svm-heur": 4,
-    "ffnn-generic": 5,
-    "ffnn-sign": 6,
-    "ffnn-sign-heur": 7,
-    "ffnn-relu": 8,
-    "ffnn-relu-heur": 9,
+
+@dataclass(frozen=True)
+class Protocol:
+    """The facts of one protocol that set-up, the runner and the CLI read."""
+
+    wire_id: int
+    model_types: tuple[str, ...]
+    needs_server_keys: bool
+    #: It publishes the model encrypted under the server key.
+    publishes: bool
+    #: Network mode, "generic" or "encrypted"; None for the linear protocols.
+    mode: str | None = None
+    #: "core" (masked comparison) or "heuristic"; None if nothing is compared.
+    variant: str | None = None
+    #: Encrypted networks: the activation every gated layer must have.
+    activation: str | None = None
+
+
+PROTOCOLS = {
+    "regr-core": Protocol(1, ("linear", "logistic"), False, False),
+    "regr-dual": Protocol(2, ("linear", "logistic"), True, True),
+    "svm-core": Protocol(3, ("svm",), True, True, variant="core"),
+    "svm-heur": Protocol(4, ("svm",), False, False, variant="heuristic"),
+    "ffnn-generic": Protocol(5, ("ffnn",), False, False, "generic"),
+    "ffnn-sign": Protocol(6, ("ffnn",), True, False, "encrypted", "core", "sign"),
+    "ffnn-sign-heur": Protocol(7, ("ffnn",), False, False, "encrypted", "heuristic", "sign"),
+    "ffnn-relu": Protocol(8, ("ffnn",), True, False, "encrypted", "core", "relu"),
+    "ffnn-relu-heur": Protocol(9, ("ffnn",), False, False, "encrypted", "heuristic", "relu"),
 }
+PROTOCOL_IDS = {name: p.wire_id for name, p in PROTOCOLS.items()}
 PROTOCOL_NAMES = {v: k for k, v in PROTOCOL_IDS.items()}
+
+
+def get_protocol(name: str) -> Protocol:
+    """The table entry of protocol ``name``; ParameterError if there is none."""
+    try:
+        return PROTOCOLS[name]
+    except KeyError:
+        raise ParameterError(f"unknown protocol {name!r}") from None
+
 
 STEP_PUBLISH_REQUEST = 1
 STEP_PUBLISH = 2
@@ -241,10 +269,12 @@ def message_plan(protocol: str, *, d: int | None = None, ell: int | None = None,
                  ) -> tuple[MessageRow, ...]:
     """Per-direction ciphertext counts each protocol run must reproduce.
 
-    Publication of an encrypted model is listed separately: it happens once,
-    not per query. For the network protocols the rows aggregate over layers
-    and units (the generic row counts the input message as the first up
-    layer, which is what makes both directions symmetric).
+    Publication of an encrypted model is listed as its own row: the server
+    encrypts the model once, and the client fetches it at the start of every
+    query, in an exchange of its own. For the network protocols the rows
+    aggregate over layers and units (the generic row counts the input
+    message as the first up layer, which is what makes both directions
+    symmetric).
     """
     if protocol in ("regr-core", "svm-heur"):
         return (MessageRow("request", "up", d, plain_scalars=1),

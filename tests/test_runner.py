@@ -1,5 +1,6 @@
 import json
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -20,8 +21,9 @@ from pinfer.network import (HeurChallenge, LayerChallenges, LayerMeta,
                             UnitChallenge, unit_layout)
 from pinfer.numutil import insecure_rng
 from pinfer.reference import (eval_ffnn, eval_linear, eval_logistic, eval_svm)
-from pinfer.runner import (MAX_SESSIONS_PER_CONNECTION, SocketChannel, _decode_layer,
-                           _encode_layer, _feature_parts, _meta_from_json, _meta_to_json,
+from pinfer.runner import (MAX_SESSIONS_PER_CONNECTION, ChannelClosed, SocketChannel,
+                           _decode_layer, _encode_layer, _feature_parts,
+                           _meta_from_json, _meta_to_json,
                            prepare_served, run_inference, serve_connection,
                            serve_loopback)
 from pinfer.wire import Transcript
@@ -196,6 +198,51 @@ def test_oversized_frame_header_ends_the_connection(rng):
     finally:
         client_sock.close()
         server_sock.close()
+
+
+def test_reset_mid_frame_ends_the_connection_cleanly(rng, monkeypatch):
+    served = prepare_served("regr-core", linear_loaded(rng=rng), None, KAPPA, rng)
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client_sock = socket.create_connection(listener.getsockname())
+        server_sock, _ = listener.accept()
+    thread = threading.Thread(target=serve_connection,
+                              args=(SocketChannel(server_sock), served), daemon=True)
+    try:
+        thread.start()
+        # Ten bytes of a 100-byte frame, then a reset rather than a close.
+        client_sock.sendall(struct.pack(">I", 100) + bytes(10))
+        client_sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        client_sock.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert uncaught == []
+    finally:
+        server_sock.close()
+
+
+def test_send_to_a_closed_peer_closes_the_channel():
+    sock, peer = socket.socketpair()
+    peer.close()
+    try:
+        with pytest.raises(ChannelClosed):
+            SocketChannel(sock).send(b"frame")
+    finally:
+        sock.close()
+
+
+def test_unknown_protocol_is_a_parameter_error(client_keys, rng):
+    sock, peer = socket.socketpair()
+    try:
+        with pytest.raises(ParameterError, match="unknown protocol"):
+            run_inference(SocketChannel(sock), "nope", random_x(4, 12, rng), client_keys,
+                          kappa=KAPPA, rng=rng)
+        with pytest.raises(ParameterError, match="unknown protocol"):
+            prepare_served("nope", linear_loaded(rng=rng), None, KAPPA, rng)
+    finally:
+        sock.close()
+        peer.close()
 
 
 def ffnn_loaded(activation="sign", output_mode="raw"):
