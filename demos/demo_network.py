@@ -57,5 +57,5 @@ binarised = NetworkSpec.from_integer(
     output_mode="activated")
 run = evaluate_network(binarised, "encrypted", x, client_keys, server_keys,
                        KAPPA, rng=rng)
-print(f"\nbinarised net, activated output: class {run.class_labels[0]:+d}, "
+print(f"\nbinarised net, activated output: class {run.labels[0]:+d}, "
       f"pre-activations withheld (raw={run.raw})")

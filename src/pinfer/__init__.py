@@ -20,7 +20,7 @@ from .linear import (DEFAULT_KAPPA, FeatureVector, LinearModel,
                      regr_dual_publish, regr_dual_request, regr_dual_respond,
                      svm_core_finish, svm_core_request, svm_core_respond,
                      svm_heur_finish, svm_heur_request, svm_heur_respond)
-from .network import (NetworkClientSession, NetworkRun, NetworkServerSession,
+from .network import (InferenceResult, NetworkClientSession, NetworkServerSession,
                       NetworkSpec, evaluate_network)
 from .reference import Prediction, eval_ffnn, eval_linear, eval_logistic, eval_svm
 from .wire import Transcript
@@ -40,7 +40,7 @@ __all__ = [
     "regr_dual_finish", "regr_dual_publish", "regr_dual_request",
     "regr_dual_respond", "svm_core_finish", "svm_core_request",
     "svm_core_respond", "svm_heur_finish", "svm_heur_request", "svm_heur_respond",
-    "NetworkClientSession", "NetworkRun", "NetworkServerSession", "NetworkSpec",
+    "InferenceResult", "NetworkClientSession", "NetworkServerSession", "NetworkSpec",
     "evaluate_network",
     "Prediction", "eval_ffnn", "eval_linear", "eval_logistic", "eval_svm",
     "Transcript",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import activations
+from . import activations, wire
 from .comparison import (ComparisonResponse, UnitChallenge, draw_mask,
                          evaluator_step, mask_challenge, owner_step)
 from .errors import (DimensionMismatchError, ParameterError,
@@ -125,8 +125,10 @@ class FeatureVector:
     def require_scaled(self) -> None:
         """Refuse |x_j| > 2**precision, which every model's bound length assumes."""
         if any(abs(v) > 1 << self.precision for v in self.values[1:]):
+            unbounded = ", ".join(name for name, protocol in wire.PROTOCOLS.items()
+                                  if protocol.variant is None)
             raise ParameterError("input lies outside [-1, 1]; --allow-unscaled inputs "
-                                 "suit only regr-core, regr-dual and ffnn-generic")
+                                 f"suit only {unbounded}")
 
     @classmethod
     def from_real(cls, features, precision: int = 53,

@@ -3,7 +3,8 @@
 Model weights are stored as decimal strings so arbitrarily large fixed-point
 integers survive the JSON round trip exactly. The declared inner-product
 bound length is recomputed from the weights at load time and rejected when it
-understates what the weights can produce.
+understates what the weights can produce. Key files hold, in hex, N as a
+frame carries it (``wire.serialize_public_key``), or p and q.
 """
 
 from __future__ import annotations
@@ -11,12 +12,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from . import wire
+from .errors import MessageFormatError, ParameterError
 from .linear import DEFAULT_KAPPA, FeatureVector, LinearModel
 from .network import NetworkSpec
 from .paillier import PublicKey, SecretKey
 
 FORMAT_VERSION = 1
+#: Key files; version 1 is no longer read.
+KEY_FORMAT_VERSION = 2
 MODEL_TYPES = ("linear", "logistic", "svm", "ffnn")
 
 #: Link function applied client-side per model type.
@@ -96,22 +100,19 @@ def load_model(path: str) -> LoadedModel:
 # ---------------------------------------------------------------------------
 # key files
 
-_KEY_KINDS = {"paillier-public": PublicKey, "paillier-secret": SecretKey}
-
-
-def _save_key(path: str, kind: str, data: bytes) -> None:
-    doc = {"format_version": FORMAT_VERSION, "kind": kind, "data": data.hex()}
+def _save_key(path: str, kind: str, **fields: str) -> None:
+    doc = {"format_version": KEY_FORMAT_VERSION, "kind": kind, **fields}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def save_public_key(path: str, pk: PublicKey) -> None:
-    _save_key(path, "paillier-public", pk.to_bytes())
+    _save_key(path, "paillier-public", n=wire.serialize_public_key(pk).hex())
 
 
 def save_secret_key(path: str, sk: SecretKey) -> None:
-    _save_key(path, "paillier-secret", sk.to_bytes())
+    _save_key(path, "paillier-secret", p=format(sk.p, "x"), q=format(sk.q, "x"))
 
 
 def load_key(path: str) -> PublicKey | SecretKey:
@@ -120,15 +121,19 @@ def load_key(path: str) -> PublicKey | SecretKey:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{path}: not valid JSON ({exc})") from None
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ParameterError(f"{path}: unsupported format version")
-    cls = _KEY_KINDS.get(doc.get("kind"))
-    if cls is None:
-        raise ParameterError(f"{path}: unknown key kind {doc.get('kind')!r}")
+    version = doc.get("format_version")
+    if version != KEY_FORMAT_VERSION:
+        raise ParameterError(f"{path}: key file format {version} is not read; "
+                             "make a new key pair with pinfer keygen")
+    kind = doc.get("kind")
     try:
-        return cls.from_bytes(bytes.fromhex(doc["data"]))
-    except (KeyError, ValueError) as exc:
+        if kind == "paillier-public":
+            return wire.deserialize_public_key(bytes.fromhex(doc["n"]))
+        if kind == "paillier-secret":
+            return SecretKey(int(doc["p"], 16), int(doc["q"], 16))
+    except (KeyError, ValueError, TypeError, MessageFormatError) as exc:
         raise ParameterError(f"{path}: malformed key ({exc})") from None
+    raise ParameterError(f"{path}: unknown key kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ class NetworkMeta:
     d_in: int
     precision: int
     mode: str
-    variant: str
+    #: "core" or "heuristic"; None in generic mode, which compares nothing.
+    variant: str | None
     output_mode: str
 
 
@@ -130,7 +131,7 @@ class NetworkSpec:
     def d_out(self) -> int:
         return self.layers[-1].units
 
-    def meta(self, mode: str, variant: str = "core") -> NetworkMeta:
+    def meta(self, mode: str, variant: str | None = "core") -> NetworkMeta:
         rows = tuple(LayerMeta(l.units, l.activation, l.ell, l.in_scale + self.precision)
                      for l in self.layers)
         return NetworkMeta(rows, self.d_in, self.precision, mode, variant, self.output_mode)
@@ -502,14 +503,19 @@ def unflatten(kind: type, meta: NetworkMeta, index: int, cts):
     return LayerResponses(index, tuple(units))
 
 
-@dataclass(frozen=True)
-class NetworkRun:
-    """Final outputs; ``raw`` holds the output-layer pre-activations when the
+@dataclass
+class InferenceResult:
+    """The client's prediction, for every protocol: ``labels`` holds the
+    classes of sign outputs, and ``raw`` the output pre-activations when the
     client sees them (raw output mode), for exactness checks."""
 
-    outputs: tuple[float, ...]
-    raw: tuple[int, ...] | None
-    class_labels: tuple[int, ...] | None
+    values: tuple[float, ...]
+    labels: tuple[int, ...] | None = None
+    raw: tuple[int, ...] | None = None
+
+    @property
+    def value(self) -> float:
+        return self.values[0]
 
 
 class NetworkServerSession:
@@ -522,13 +528,13 @@ class NetworkServerSession:
 
     def __init__(self, spec: NetworkSpec, *, mode: str,
                  server_keys: tuple[PublicKey, SecretKey] | None = None,
-                 kappa: int = DEFAULT_KAPPA, variant: str = "core",
+                 kappa: int = DEFAULT_KAPPA, variant: str | None = "core",
                  rng: random.Random | None = None):
         if mode not in ("generic", "encrypted"):
             raise ParameterError(f"unknown mode {mode!r}")
-        if variant not in ("core", "heuristic"):
-            raise ParameterError(f"unknown variant {variant!r}")
         if mode == "encrypted":
+            if variant not in ("core", "heuristic"):
+                raise ParameterError(f"unknown variant {variant!r}")
             spec.check_encryptable()
             if variant == "core" and server_keys is None:
                 raise ParameterError("core variant needs a server key pair")
@@ -628,7 +634,7 @@ class NetworkClientSession:
         self.pk, self.sk = client_keys
         self.server_pk = server_public_key
         self.rng = rng or SYSTEM_RNG
-        self.result: NetworkRun | None = None
+        self.result: InferenceResult | None = None
         #: The layer of the next down message; the layer count for the output.
         self._next_layer = 0
 
@@ -697,16 +703,15 @@ class NetworkClientSession:
         outputs = tuple(act.fn(decode(t, layer.t_scale)) for t in values)
         labels = tuple(activations.sign_value(t) for t in values) \
             if layer.activation == "sign" else None
-        self.result = NetworkRun(outputs, tuple(values), labels)
+        self.result = InferenceResult(outputs, labels, tuple(values))
 
     def _finish_activated(self, message: LayerOutputs) -> None:
         layer = self.meta.layers[-1]
         values = [self.sk.decrypt(ct) for ct in message.ciphertexts]
         if layer.activation == "sign":
-            self.result = NetworkRun(tuple(float(v) for v in values), None, tuple(values))
+            self.result = InferenceResult(tuple(float(v) for v in values), tuple(values))
         else:
-            self.result = NetworkRun(tuple(decode(v, layer.t_scale) for v in values),
-                                     None, None)
+            self.result = InferenceResult(tuple(decode(v, layer.t_scale) for v in values))
 
 
 def evaluate_network(spec: NetworkSpec, mode: str, x: FeatureVector,
@@ -714,7 +719,7 @@ def evaluate_network(spec: NetworkSpec, mode: str, x: FeatureVector,
                      server_keys: tuple[PublicKey, SecretKey] | None = None,
                      kappa: int = DEFAULT_KAPPA, variant: str = "core",
                      rng: random.Random | None = None,
-                     transcript=None) -> NetworkRun:
+                     transcript=None) -> InferenceResult:
     """Run both parties in process and return the client's result.
 
     ``transcript``, if given, is a wire.Transcript; message sizes are

@@ -18,9 +18,10 @@ fails fast with :class:`~pinfer.errors.KeyMismatchError`.
 The party that holds the secret key never exponentiates modulo N**2. Its
 own public key (``SecretKey.public_key``) draws the encryption randomness
 r**N as a CRT pair of p-th and q-th powers modulo p**2 and q**2, and
-decryption works modulo p**2 and q**2 as well. A public key rebuilt from
-bytes holds no factors and takes the generic path; both produce the same
-distribution of ciphertexts, and their ciphertexts mix freely.
+decryption works modulo p**2 and q**2 as well. A public key built from N
+alone, as a peer's key is, holds no factors and takes the generic path; both
+produce the same distribution of ciphertexts, and their ciphertexts mix
+freely.
 
 Three batch methods serve the comparison, and each splits its work with a
 worker process: one child process per party process, started at the first
@@ -52,7 +53,6 @@ import atexit
 import contextlib
 import hashlib
 import random
-import struct
 import subprocess
 import sys
 import threading
@@ -65,21 +65,6 @@ from .numutil import (SYSTEM_RNG, crt2, gcd, invert, is_probable_prime, powmod,
 DEFAULT_KEY_BITS = 2048
 #: Absolute floor, for test-scale keys only.
 MIN_KEY_BITS = 64
-
-
-def _pack_int(value: int) -> bytes:
-    raw = value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
-    return struct.pack(">I", len(raw)) + raw
-
-
-def _unpack_int(data: bytes, offset: int) -> tuple[int, int]:
-    if offset + 4 > len(data):
-        raise ParameterError("truncated key bytes")
-    (length,) = struct.unpack_from(">I", data, offset)
-    offset += 4
-    if offset + length > len(data):
-        raise ParameterError("truncated key bytes")
-    return int.from_bytes(data[offset:offset + length], "big"), offset + length
 
 
 class PublicKey:
@@ -230,17 +215,6 @@ class PublicKey:
         if c.public_key.key_id != self.key_id:
             raise KeyMismatchError("ciphertext was produced under a different key")
 
-    def to_bytes(self) -> bytes:
-        """Length-prefixed big-endian encoding of N."""
-        return _pack_int(self.n)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PublicKey":
-        n, offset = _unpack_int(data, 0)
-        if offset != len(data):
-            raise ParameterError("trailing bytes after public key")
-        return cls(n)
-
 
 class SecretKey:
     """Paillier secret key: the prime factors of N.
@@ -325,18 +299,6 @@ class SecretKey:
     def _join(self, f_p: int, f_q: int) -> int:
         """The residue mod N**2 that is f_p mod p**2 and f_q mod q**2."""
         return crt2(f_p, self._p_sq, f_q, self._q_sq, self._q_sq_inv_p_sq)
-
-    def to_bytes(self) -> bytes:
-        """Length-prefixed big-endian encoding of p then q."""
-        return _pack_int(self.p) + _pack_int(self.q)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SecretKey":
-        p, offset = _unpack_int(data, 0)
-        q, offset = _unpack_int(data, offset)
-        if offset != len(data):
-            raise ParameterError("trailing bytes after secret key")
-        return cls(p, q)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ query, in a separate exchange recorded on its own transcript.
 
 The codec is written once per message shape. A feature request (regr-core,
 svm-heur and the network ``STEP_REQUEST``) is the client key followed by one
-ciphertext per feature. A network layer message is a short header (the layer
-index, and going down a flag set on the last layer's inner products) followed
-by its ciphertexts in the order ``network.flatten`` gives, each under the key
-``network.unit_layout`` names for its position; ``_decode_layer`` inverts
-``_encode_layer``. Every decoder checks a frame's part count before it reads
-a part, so a short or overlong frame is refused with an error frame.
+ciphertext per feature. A network layer message is a header of the layer
+index alone (none on the output message) followed by its ciphertexts in the
+order ``network.flatten`` gives, each under the key ``network.unit_layout``
+names for its position; ``_decode_layer`` inverts ``_encode_layer``, and the
+receiver reads the message kind off the index, the step and the network's
+mode, which the protocol id fixes. Every decoder checks a frame's part count
+before it reads a part, so a short or overlong frame is refused with an
+error frame.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector,
                      svm_heur_respond)
 from .comparison import ComparisonResponse, UnitChallenge
 from .modelfile import LoadedModel
-from .network import (LayerActivations, LayerChallenges, LayerInners,
-                      LayerOutputs, LayerMeta, LayerResponses,
+from .network import (InferenceResult, LayerActivations, LayerChallenges,
+                      LayerInners, LayerOutputs, LayerMeta, LayerResponses,
                       NetworkClientSession, NetworkMeta, NetworkServerSession)
 from .numutil import SYSTEM_RNG
 from .paillier import PublicKey, SecretKey
@@ -106,17 +108,6 @@ class SocketChannel:
         self._sock.close()
 
 
-@dataclass
-class InferenceResult:
-    values: tuple[float, ...]
-    labels: tuple[int, ...] | None = None
-    raw: tuple[int, ...] | None = None
-
-    @property
-    def value(self) -> float:
-        return self.values[0]
-
-
 # ---------------------------------------------------------------------------
 # client side
 
@@ -163,14 +154,12 @@ def fetch_published(channel, protocol: str, rng=None,
     rng = rng or SYSTEM_RNG
     io = _ClientIO(channel, protocol, rng, transcript)
     io.send(wire.STEP_PUBLISH_REQUEST, ())
-    frame = io.recv(wire.STEP_PUBLISH, n_cts=lambda f: len(f.parts) - 5)
-    key, d, precision, ell, activation, *body = _parts(frame, 5, at_least=True)
+    frame = io.recv(wire.STEP_PUBLISH, n_cts=lambda f: len(f.parts) - 4)
+    key, precision, ell, activation, *body = _parts(frame, 4, at_least=True)
     pk_server = wire.deserialize_public_key(key)
-    d, precision, ell = (wire.unpack_u32(p) for p in (d, precision, ell))
+    precision, ell = wire.unpack_u32(precision), wire.unpack_u32(ell)
     activation = _text(activation)
     cts = tuple(wire.deserialize_ciphertext(p, pk_server) for p in body)
-    if len(cts) != d + 1:
-        raise ProtocolViolationError("published model has the wrong dimension")
     return PublishedLinearModel(pk_server, cts, ell, precision), activation
 
 
@@ -217,7 +206,6 @@ def run_inference(channel, protocol: str, x: FeatureVector,
         io.send(wire.STEP_REQUEST,
                 (wire.serialize_public_key(pk_c),
                  wire.serialize_ciphertext(request.masked_inner, published.public_key),
-                 wire.pack_u32(published.ell),
                  *(wire.serialize_ciphertext(c, pk_c) for c in request.mask_bits)),
                 n_cts=1 + len(request.mask_bits))
         frame = io.recv(wire.STEP_RESPONSE, n_cts=lambda f: len(f.parts))
@@ -238,16 +226,23 @@ def run_inference(channel, protocol: str, x: FeatureVector,
 
 
 def _meta_to_json(meta: NetworkMeta, pk_server: PublicKey | None) -> bytes:
-    key = pk_server.to_bytes().hex() if pk_server else None
-    return json.dumps({**dataclasses.asdict(meta), "server_key": key}).encode("utf-8")
+    """META: the network's shape and the server key, without the mode and
+    variant that the protocol id already fixes."""
+    doc = dataclasses.asdict(meta)
+    del doc["mode"], doc["variant"]
+    doc["server_key"] = wire.serialize_public_key(pk_server).hex() if pk_server else None
+    return json.dumps(doc).encode("utf-8")
 
 
-def _meta_from_json(data: bytes) -> tuple[NetworkMeta, PublicKey | None]:
+def _meta_from_json(data: bytes, protocol: wire.Protocol
+                    ) -> tuple[NetworkMeta, PublicKey | None]:
+    """Inverse of ``_meta_to_json``; mode and variant come from ``protocol``."""
     try:
         doc = json.loads(data.decode("utf-8"))
         key = doc.pop("server_key")
-        meta = NetworkMeta(tuple(LayerMeta(**layer) for layer in doc.pop("layers")), **doc)
-        pk = PublicKey.from_bytes(bytes.fromhex(key)) if key else None
+        meta = NetworkMeta(tuple(LayerMeta(**layer) for layer in doc.pop("layers")),
+                           mode=protocol.mode, variant=protocol.variant, **doc)
+        pk = wire.deserialize_public_key(bytes.fromhex(key)) if key else None
     except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise MessageFormatError(f"malformed network meta: {exc}") from None
     return meta, pk
@@ -261,7 +256,9 @@ def _run_network_client(io: _ClientIO, x: FeatureVector, client_keys,
     request = FeatureRequest.encrypt(pk_c, x, rng)
     io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
     frame = io.recv(wire.STEP_META, n_cts=0)
-    meta, pk_server = _meta_from_json(_parts(frame, 1)[0])
+    meta, pk_server = _meta_from_json(_parts(frame, 1)[0], io.protocol)
+    if io.protocol.needs_server_keys and pk_server is None:
+        raise ProtocolViolationError("the server sent no public key")
     if x.d != meta.d_in or x.precision != meta.precision:
         raise ParameterError("input does not match the served network")
     session = NetworkClientSession(meta, client_keys, pk_server, rng)
@@ -277,8 +274,7 @@ def _run_network_client(io: _ClientIO, x: FeatureVector, client_keys,
         if reply is None:
             break
         io.send(*_encode_layer(reply, meta, keys), n_cts=len(network.flatten(reply)))
-    run = session.result
-    return InferenceResult(run.outputs, labels=run.class_labels, raw=run.raw)
+    return session.result
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +316,9 @@ def _encode_layer(message, meta: NetworkMeta, keys) -> tuple[int, tuple[bytes, .
     if kind is LayerOutputs:
         step, head, layer = wire.STEP_OUTPUT, (), meta.layers[-1]
     else:
-        layer = meta.layers[message.layer]
-        head = (wire.pack_u32(message.layer),)
         up = kind in (LayerActivations, LayerResponses)
         step = wire.STEP_LAYER_UP if up else wire.STEP_LAYER_DOWN
-        head += () if up else (_output_flag(kind, meta, message.layer),)
+        head, layer = (wire.pack_u32(message.layer),), meta.layers[message.layer]
     layout = network.unit_layout(kind, meta, layer) * layer.units
     return step, head + tuple(wire.serialize_ciphertext(c, keys[k]) for c, k
                               in zip(network.flatten(message), layout, strict=True))
@@ -336,20 +330,16 @@ def _decode_layer(frame: wire.Frame, meta: NetworkMeta, keys):
     if frame.step_id == wire.STEP_OUTPUT:
         kind, body = LayerOutputs, frame.parts
     else:
-        up = frame.step_id == wire.STEP_LAYER_UP
-        parts = _parts(frame, 1 if up else 2, at_least=True)
-        index = wire.unpack_u32(parts[0])
+        head, *body = _parts(frame, 1, at_least=True)
+        index = wire.unpack_u32(head)
         if not 0 <= index <= last:
             raise ProtocolViolationError("layer index out of range")
-        body = parts[1 if up else 2:]
         generic = meta.mode == "generic"
-        if up:
+        if frame.step_id == wire.STEP_LAYER_UP:
             kind = LayerActivations if generic else LayerResponses
         else:
             raw = generic or (index == last and meta.output_mode == "raw")
             kind = LayerInners if raw else LayerChallenges
-            if parts[1] != _output_flag(kind, meta, index):
-                raise ProtocolViolationError("output flag disagrees with the layer count")
     layer = meta.layers[index]
     layout = network.unit_layout(kind, meta, layer) * layer.units
     if len(body) != len(layout):
@@ -357,11 +347,6 @@ def _decode_layer(frame: wire.Frame, meta: NetworkMeta, keys):
             f"layer message has {len(body)} ciphertexts, expected {len(layout)}")
     cts = (wire.deserialize_ciphertext(p, keys[k]) for p, k in zip(body, layout))
     return network.unflatten(kind, meta, index, cts)
-
-
-def _output_flag(kind: type, meta: NetworkMeta, index: int) -> bytes:
-    """A layer-down frame's flag byte: 1 on the last layer's inner products."""
-    return b"\x01" if kind is LayerInners and index == len(meta.layers) - 1 else b"\x00"
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +400,6 @@ def prepare_served(protocol: str, loaded: LoadedModel,
 def _publish_frame_parts(served: ServedModel) -> tuple:
     published = served.published
     return (wire.serialize_public_key(published.public_key),
-            wire.pack_u32(published.d),
             wire.pack_u32(published.precision),
             wire.pack_u32(published.ell),
             served.loaded.activation.encode("utf-8"),
@@ -474,11 +458,9 @@ def _handle_linear_request(served: ServedModel, frame: wire.Frame) -> tuple:
         return (wire.serialize_scalar(masked, pk_s),)
     if protocol == "svm-core":
         pk_s, sk_s = served.server_keys
-        key, inner, ell, *body = _parts(frame, 3, at_least=True)
+        key, inner, *body = _parts(frame, 2, at_least=True)
         pk_c = wire.deserialize_public_key(key)
         masked_inner = wire.deserialize_ciphertext(inner, pk_s)
-        if wire.unpack_u32(ell) != model.ell:
-            raise ProtocolViolationError("client assumed a different bound length")
         bits = tuple(wire.deserialize_ciphertext(p, pk_c) for p in body)
         request = UnitChallenge(masked_inner, bits, model.ell)
         response = svm_core_respond(sk_s, request, model.ell, served.rng)
@@ -498,8 +480,7 @@ def _handle_linear_request(served: ServedModel, frame: wire.Frame) -> tuple:
 def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
     spec = served.loaded.model
     info = wire.PROTOCOLS[served.protocol]
-    # ffnn-generic compares nothing, yet its META has always said "core".
-    mode, variant = info.mode, info.variant or "core"
+    mode, variant = info.mode, info.variant
     pk_s = served.server_keys[0] if served.server_keys else None
     if frame.step_id == wire.STEP_REQUEST:
         if frame.session_id in sessions:

@@ -61,7 +61,7 @@ def test_end_to_end_share(client_keys, rng):
 
 def test_comparison_after_the_worker_is_killed(client_keys, rng):
     pk, sk = client_keys
-    rebuilt = PublicKey.from_bytes(pk.to_bytes())  # blinds through the worker
+    rebuilt = PublicKey(pk.n)  # blinds through the worker
     assert run(sk, rebuilt, 3, 5, 0, 3, rng) == 1
     paillier._POWERS._proc.kill()
     outcome = []

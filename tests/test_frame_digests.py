@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from pinfer import keygen
+from pinfer import keygen, wire
 from pinfer.linear import FeatureVector, LinearModel
 from pinfer.modelfile import LoadedModel
 from pinfer.network import NetworkSpec
@@ -25,23 +25,23 @@ PRECISION = 12
 
 DIGESTS = {
     "regr-core":
-        "3b6833243fcc9cc7c222fc05b14665e58ab9a36f61a3ab86673e9fc4b6e3e0cb",
+        "ba4750e06fac07679a1fc357158c7c1198dc2b58837bb444ec016454b5ed8cf3",
     "regr-dual":
-        "72645e600c9733afa55288a4b88c97c461fe8a94572d85f05085ff74d4856919",
+        "87bf4291abb6e6324651622b0b4381017df95f3f8206d0c4789d748c05749ef6",
     "svm-core":
-        "a7ecf1369f09e1ccfb6cf7b1044c0232640e35a81869052c62bb2b3d701fca91",
+        "d109c33497568fe2570950636ae97d17dc4fb416c6c8f2445e8f9345f13e42d6",
     "svm-heur":
-        "87657b2e583ae09d015a505ee12633ce7846a36733c6223a035ca250bb14a5e2",
+        "6699228dc9fa0f57fc5176ebb93f41bed8024a8074bcd477653e5ea1da71f578",
     "ffnn-generic":
-        "eb45be10ebb3b48a62e6e275ea604a27cdf655054b3e88cfb499045dce547662",
+        "f3942d4b208a905e9347dc82456ce8251b48a46f27756e18c3915236ec4606dc",
     "ffnn-sign":
-        "c9c6732213695ef75f40e95845d2e6541a4675321370b82de858d3993f7bbcc3",
+        "7fa6ce0d2a6510fd8ccd5c89d0f69fc6396f83759a179c99f9b0e89fcd5f42e7",
     "ffnn-sign-heur":
-        "78ba416ed051e18448c79a3c0fb50144ebd39d92be9adbaa565273de4f80a56c",
+        "232f484b0847a737ab173917043df5be858de42d9b448568486f8b169cc25f78",
     "ffnn-relu":
-        "698fd9fe9e7e3eb65184edf3fcd24c7251328bb27a8ac15ff3dcd98c569605ff",
+        "be7ada82239e00f569bd537a908c5de965734112c5a8a27927aa28454056ad7c",
     "ffnn-relu-heur":
-        "1c0f2fe4cd7ee8dc73d9f4e0a58ceed31e156e8276eb40addd99581e7d661e90",
+        "156092b8ce0aebc3f4dbc6046f15c2ecbe3c5a7f6b910fa75ad503f374a53e4a",
 }
 
 _LINEAR_TYPES = {"regr-core": "logistic", "regr-dual": "linear",
@@ -85,6 +85,10 @@ def _loaded(protocol: str) -> tuple[LoadedModel, FeatureVector]:
          ([(1, 1, -1)], activation)],
         output_mode="activated" if activation == "relu" else "raw")
     return LoadedModel("ffnn", spec, KAPPA), FeatureVector((1, -1, -1), 0)
+
+
+def test_every_protocol_has_a_digest():
+    assert set(DIGESTS) == set(wire.PROTOCOLS)
 
 
 @pytest.mark.parametrize("protocol", list(DIGESTS))

@@ -1,5 +1,6 @@
 import pytest
 
+from pinfer import wire
 from pinfer.errors import (DimensionMismatchError, ParameterError,
                            ProtocolViolationError)
 from pinfer.linear import (FeatureVector, LinearModel, check_core_sizing,
@@ -37,6 +38,16 @@ def test_feature_vector_invariants():
     assert unscaled.values == (1, 24, -32)
     with pytest.raises(ParameterError):
         FeatureVector.from_real([1.5], precision=4)
+
+
+def test_unscaled_input_message_names_the_table_protocols_that_compare_nothing():
+    unscaled = FeatureVector.from_real([1.5, -2.0], precision=4, allow_unscaled=True)
+    with pytest.raises(ParameterError, match="allow-unscaled") as refused:
+        unscaled.require_scaled()
+    named = str(refused.value).split("suit only ")[1].split(", ")
+    assert named == [name for name, protocol in wire.PROTOCOLS.items()
+                     if protocol.variant is None]
+    assert named == ["regr-core", "regr-dual", "ffnn-generic"]
 
 
 # --------------------------------------------------------------------------

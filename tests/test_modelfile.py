@@ -7,6 +7,7 @@ from pinfer.linear import LinearModel
 from pinfer.modelfile import (load_input_vector, load_key, load_model,
                               save_model, save_public_key, save_secret_key)
 from pinfer.network import NetworkSpec
+from pinfer.wire import serialize_public_key
 
 
 def test_linear_model_round_trip(tmp_path):
@@ -66,12 +67,43 @@ def test_key_files_round_trip(tmp_path, client_keys):
     pk, sk = client_keys
     save_public_key(tmp_path / "k.pub.json", pk)
     save_secret_key(tmp_path / "k.key.json", sk)
+    # The public key file holds the frame's bytes of N, in hex.
+    assert json.loads((tmp_path / "k.pub.json").read_text()) == {
+        "format_version": 2, "kind": "paillier-public", "n": serialize_public_key(pk).hex()}
+    assert json.loads((tmp_path / "k.key.json").read_text()) == {
+        "format_version": 2, "kind": "paillier-secret",
+        "p": format(sk.p, "x"), "q": format(sk.q, "x")}
     assert load_key(tmp_path / "k.pub.json") == pk
-    assert load_key(tmp_path / "k.key.json").p == sk.p
-    (tmp_path / "odd.json").write_text(json.dumps(
-        {"format_version": 1, "kind": "other", "data": ""}))
-    with pytest.raises(ParameterError):
+    sk2 = load_key(tmp_path / "k.key.json")
+    assert (sk2.p, sk2.q, sk2.public_key) == (sk.p, sk.q, pk)
+    (tmp_path / "odd.json").write_text(json.dumps({"format_version": 2, "kind": "other"}))
+    with pytest.raises(ParameterError, match="unknown key kind"):
         load_key(tmp_path / "odd.json")
+
+
+@pytest.mark.parametrize("kind", ["paillier-public", "paillier-secret"])
+def test_version_1_key_file_is_refused(tmp_path, client_keys, kind):
+    # Version 1 held length-prefixed big-endian integers: N, or p then q.
+    sk = client_keys[1]
+    ints = (sk.public_key.n,) if kind == "paillier-public" else (sk.p, sk.q)
+    data = b"".join(len(raw).to_bytes(4, "big") + raw for raw in
+                    (v.to_bytes((v.bit_length() + 7) // 8, "big") for v in ints))
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"format_version": 1, "kind": kind, "data": data.hex()}))
+    with pytest.raises(ParameterError, match="pinfer keygen"):
+        load_key(path)
+
+
+@pytest.mark.parametrize("fields", [{}, {"n": "not hex"}, {"n": ""}, {"n": 7},
+                                    {"p": "b"}, {"p": "zz", "q": "b"}],
+                         ids=["no n", "n not hex", "empty n", "number for n", "no q",
+                              "p not hex"])
+def test_malformed_version_2_key_file_is_refused(tmp_path, fields):
+    kind = "paillier-public" if "n" in fields or not fields else "paillier-secret"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format_version": 2, "kind": kind, **fields}))
+    with pytest.raises(ParameterError, match="malformed key"):
+        load_key(path)
 
 
 def test_input_vector_parsing(tmp_path):

@@ -228,8 +228,8 @@ def test_sign_network_modes_agree(client_keys, server_keys, rng, variant):
                                      server_keys, KAPPA, variant=variant, rng=rng)
         assert generic.raw == tuple(p.raw for p in oracle)
         assert encrypted.raw == generic.raw
-        assert encrypted.outputs == tuple(p.value for p in oracle)
-        assert encrypted.class_labels == tuple(p.class_label for p in oracle)
+        assert encrypted.values == tuple(p.value for p in oracle)
+        assert encrypted.labels == tuple(p.class_label for p in oracle)
 
 
 @pytest.mark.parametrize("variant", ["core", "heuristic"])
@@ -244,7 +244,7 @@ def test_relu_network_modes_agree(client_keys, server_keys, rng, variant):
                                      server_keys, KAPPA, variant=variant, rng=rng)
         assert generic.raw == tuple(p.raw for p in oracle)
         assert encrypted.raw == generic.raw
-        assert encrypted.outputs == tuple(p.value for p in oracle)
+        assert encrypted.values == tuple(p.value for p in oracle)
 
 
 def test_transcript_round_per_hidden_layer(client_keys, server_keys, rng):
@@ -282,7 +282,7 @@ def test_activated_output_mode(client_keys, server_keys, rng):
         run = evaluate_network(spec, "encrypted", x, client_keys, server_keys,
                                KAPPA, rng=rng)
         assert run.raw is None  # the pre-activation never reaches the client
-        assert run.class_labels == tuple(p.class_label for p in oracle)
+        assert run.labels == tuple(p.class_label for p in oracle)
 
 
 def test_single_identity_layer_reduces_to_regression(client_keys, server_keys, rng):
@@ -292,7 +292,7 @@ def test_single_identity_layer_reduces_to_regression(client_keys, server_keys, r
     x = FeatureVector.from_real([0.5, -0.5], precision=10)
     run = evaluate_network(spec, "generic", x, client_keys, server_keys, KAPPA, rng=rng)
     assert run.raw == (eval_linear(model, x).raw,)
-    assert run.outputs == (eval_linear(model, x).value,)
+    assert run.values == (eval_linear(model, x).value,)
 
 
 def test_encrypted_mode_needs_supported_activation(client_keys, server_keys, rng):
@@ -353,7 +353,7 @@ def test_fractional_weight_networks(client_keys, server_keys, rng, activation, v
         run = evaluate_network(spec, "encrypted", x, client_keys, server_keys,
                                KAPPA, variant=variant, rng=rng)
         assert run.raw == oracle
-        assert run.outputs == tuple(p.value for p in eval_ffnn(spec, x))
+        assert run.values == tuple(p.value for p in eval_ffnn(spec, x))
 
 
 def test_clip_composed_from_relu_units(client_keys, server_keys, rng):

@@ -5,7 +5,8 @@ import threading
 import pytest
 
 from pinfer import comparison, keygen, paillier
-from pinfer.errors import DecryptionError, KeyMismatchError, ParameterError, WorkerError
+from pinfer.errors import (DecryptionError, KeyMismatchError, MessageFormatError,
+                           ParameterError, WorkerError)
 from pinfer.numutil import (SIEVE_BITS, insecure_rng, is_probable_prime, prime_candidate,
                             random_unit)
 from pinfer.paillier import Ciphertext, PublicKey, SecretKey
@@ -134,17 +135,18 @@ def test_decryption_failure_on_non_unit(client_keys):
 
 def test_key_serialization_round_trip(client_keys):
     pk, sk = client_keys
-    assert PublicKey.from_bytes(pk.to_bytes()) == pk
-    sk2 = SecretKey.from_bytes(sk.to_bytes())
-    assert (sk2.p, sk2.q) == (sk.p, sk.q)
+    data = serialize_public_key(pk)
+    assert len(data) == (pk.bit_length + 7) // 8
+    assert deserialize_public_key(data) == pk
+    sk2 = SecretKey(sk.p, sk.q)
     assert sk2.public_key == pk
-    with pytest.raises(ParameterError):
-        PublicKey.from_bytes(pk.to_bytes() + b"\x00")
+    with pytest.raises(MessageFormatError):
+        deserialize_public_key(b"")
 
 
 def test_key_holder_and_rebuilt_key_ciphertexts_mix(client_keys, rng):
     pk, sk = client_keys
-    rebuilt = PublicKey.from_bytes(pk.to_bytes())
+    rebuilt = PublicKey(pk.n)
     values = [0, 1, -1, pk.max_signed, pk.min_signed] + \
         [rng.randrange(pk.min_signed, pk.max_signed + 1) for _ in range(20)]
     for m1, m2 in zip(values, reversed(values)):
@@ -183,7 +185,7 @@ def test_key_holder_never_exponentiates_mod_n_squared(client_keys, rng, monkeypa
     assert moduli and pk.n_squared not in moduli
 
     moduli.clear()
-    rebuilt = PublicKey.from_bytes(pk.to_bytes())
+    rebuilt = PublicKey(pk.n)
     rebuilt.encrypt(-42, rng)
     assert moduli == [pk.n_squared]
 
@@ -199,7 +201,7 @@ def _serial_blinds(key, values, rng):
 @pytest.mark.parametrize("holder", [False, True], ids=["rebuilt-key", "key-holder"])
 def test_blind_all_matches_one_at_a_time(client_keys, holder):
     pk, sk = client_keys
-    key = pk if holder else PublicKey.from_bytes(pk.to_bytes())
+    key = pk if holder else PublicKey(pk.n)
     plain = [0, 1, -5, 7, 0]
     values = [key.encrypt(m, insecure_rng(i)) for i, m in enumerate(plain)]
     batch = key.blind_all(values, insecure_rng(7))
@@ -210,7 +212,7 @@ def test_blind_all_matches_one_at_a_time(client_keys, holder):
 
 
 def _rebuilt_values(pk, rng):
-    key = PublicKey.from_bytes(pk.to_bytes())
+    key = PublicKey(pk.n)
     return key, [key.encrypt(m, rng) for m in (0, 3, -2)]
 
 
@@ -237,7 +239,7 @@ def test_concurrent_batches_stay_in_step(client_keys):
     # key, and the key holder's encryptions and decryptions. A reply read by
     # the wrong batch would carry other powers, so the values would differ.
     pk, sk = client_keys
-    key = PublicKey.from_bytes(pk.to_bytes())
+    key = PublicKey(pk.n)
     values = [key.encrypt(m, insecure_rng(m)) for m in range(4)]
 
     def batch(seed, serial=False):
@@ -344,7 +346,7 @@ class _CountingWorker:
 @pytest.mark.parametrize("holder", [False, True], ids=["rebuilt-key", "key-holder"])
 def test_encrypt_all_matches_the_encrypt_loop(client_keys, holder):
     pk, sk = client_keys
-    key = pk if holder else PublicKey.from_bytes(pk.to_bytes())
+    key = pk if holder else PublicKey(pk.n)
     values = _boundary_values(pk)
     batch_rng, serial_rng = insecure_rng(12), insecure_rng(12)
     batch = key.encrypt_all(values, batch_rng)
@@ -368,7 +370,7 @@ def test_encrypt_all_refuses_a_message_out_of_range_first(client_keys, monkeypat
 
 def test_decrypt_all_matches_decrypt(client_keys, rng):
     pk, sk = client_keys
-    rebuilt = PublicKey.from_bytes(pk.to_bytes())
+    rebuilt = PublicKey(pk.n)
     values = _boundary_values(pk)
     cts = [key.encrypt(m, rng) for m in values for key in (pk, rebuilt)]
     assert sk.decrypt_all(cts) == [sk.decrypt(c) for c in cts] == \
@@ -449,7 +451,7 @@ def test_bit_owner_makes_one_worker_batch_per_step(client_keys, rng, monkeypatch
     serial_rng = insecure_rng(15)
     assert [c.value for c in request.encrypted_bits] == \
         [pk.encrypt(bit, serial_rng).value for bit in (1, 1, 0, 1, 0, 0)]
-    rebuilt = PublicKey.from_bytes(pk.to_bytes())
+    rebuilt = PublicKey(pk.n)
     response = comparison.evaluator_respond(rebuilt, request, 0b1011, 0, rng)
     worker.batches.clear()
     assert comparison.bit_owner_finish(sk, response) == 1
@@ -474,7 +476,7 @@ from pinfer.numutil import insecure_rng
 from pinfer.paillier import PublicKey, keygen
 rng = insecure_rng(5)
 pk, sk = keygen(256, rng)
-key = PublicKey.from_bytes(pk.to_bytes())
+key = PublicKey(pk.n)
 blinded = key.blind_all([key.encrypt(0, rng), key.encrypt(4, rng)], rng)
 assert [sk.decrypt(c) == 0 for c in blinded] == [True, False]
 from pinfer import paillier
@@ -488,11 +490,10 @@ PID = paillier._POWERS._proc.pid
 def test_rebuilt_public_keys_hold_no_secret(client_keys):
     pk, sk = client_keys
     assert pk._secret is sk
-    for rebuilt in (PublicKey.from_bytes(pk.to_bytes()),
+    for rebuilt in (PublicKey(pk.n),
                     deserialize_public_key(serialize_public_key(pk))):
         assert rebuilt._secret is None
         assert rebuilt == pk
-        assert rebuilt.to_bytes() == pk.to_bytes()
         assert serialize_public_key(rebuilt) == serialize_public_key(pk)
         assert repr(rebuilt) == repr(pk)
 

@@ -392,10 +392,9 @@ def _short_frames(protocol, client_keys, served):
     pk_c = client_keys[0]
     if protocol == "svm-core":
         pk_s = served.server_keys[0]
-        # Key, masked inner product and bound length, but no mask bits.
+        # Key and masked inner product, but no mask bits.
         no_bits = (wire.serialize_public_key(pk_c),
-                   wire.serialize_ciphertext(pk_s.encrypt(1), pk_s),
-                   wire.pack_u32(served.loaded.model.ell))
+                   wire.serialize_ciphertext(pk_s.encrypt(1), pk_s))
         return [(wire.STEP_REQUEST, (wire.serialize_public_key(pk_c),), SHORT),
                 (wire.STEP_REQUEST, no_bits, b"mask bits")]
     if protocol != "ffnn-sign":
@@ -464,7 +463,7 @@ def test_live_sessions_per_connection_are_capped(client_keys, rng):
         reply = _send(channel, "ffnn-generic", wire.STEP_LAYER_UP, (), session_ids[-1])
         assert reply.parts[0] == b"unknown session"
         # The last live session still runs to the oracle's answer.
-        meta, _ = _meta_from_json(meta_frame.parts[0])
+        meta, _ = _meta_from_json(meta_frame.parts[0], wire.PROTOCOLS["ffnn-generic"])
         keys = {"c": client_keys[0], "s": None}
         client = NetworkClientSession(meta, client_keys, None, rng)
         message = _decode_layer(first_layer, meta, keys)
@@ -509,8 +508,8 @@ class _CannedServer:
 def _canned_replies(case, client_keys, server_keys):
     pk_c, pk_s = client_keys[0], server_keys[0]
     ct = wire.serialize_ciphertext(pk_c.encrypt(1), pk_c)
-    publish = [wire.serialize_public_key(pk_s), wire.pack_u32(1), wire.pack_u32(12),
-               wire.pack_u32(30), b"identity",
+    publish = [wire.serialize_public_key(pk_s), wire.pack_u32(12), wire.pack_u32(30),
+               b"identity",
                *(wire.serialize_ciphertext(pk_s.encrypt(1), pk_s) for _ in range(2))]
     meta = _meta_to_json(ffnn_loaded("sign").model.meta("encrypted", "core"), pk_s)
     generic_meta = _meta_to_json(ffnn_loaded("sign").model.meta("generic"), None)
@@ -521,7 +520,7 @@ def _canned_replies(case, client_keys, server_keys):
         "svm-heur response": ("svm-heur", [(wire.STEP_RESPONSE, ())]),
         "regr-dual publish": ("regr-dual", [(wire.STEP_PUBLISH, tuple(publish[:3]))]),
         "regr-dual activation": ("regr-dual", [(wire.STEP_PUBLISH, (
-            *publish[:4], b"\xc3", *publish[5:]))]),
+            *publish[:3], b"\xc3", *publish[4:]))]),
         "regr-dual response": ("regr-dual", [(wire.STEP_PUBLISH, tuple(publish)),
                                              (wire.STEP_RESPONSE, ())]),
         "svm-core response": ("svm-core", [(wire.STEP_PUBLISH, tuple(publish)),
@@ -529,10 +528,10 @@ def _canned_replies(case, client_keys, server_keys):
         "ffnn meta": ("ffnn-sign", [(wire.STEP_META, ())]),
         "ffnn layer": ("ffnn-sign", [(wire.STEP_META, (meta,)),
                                      (wire.STEP_LAYER_DOWN, (wire.pack_u32(0),))]),
-        # A hidden layer's inner products flagged with neither 0 nor 1.
+        # A hidden layer's inner products after a version 1 output flag.
         "ffnn flag": ("ffnn-generic", [(wire.STEP_META, (generic_meta,)),
                                        (wire.STEP_LAYER_DOWN,
-                                        (wire.pack_u32(0), b"\x02", ct, ct, ct))]),
+                                        (wire.pack_u32(0), b"\x00", ct, ct, ct))]),
     }[case]
 
 
@@ -568,7 +567,7 @@ def _misordered_replies(case, client_keys, server_keys):
                                                  (wire.STEP_OUTPUT, (ct123,))]),
         "last layer first": ("ffnn-generic", [(wire.STEP_META, (generic,)),
                                               (wire.STEP_LAYER_DOWN,
-                                               (wire.pack_u32(1), b"\x01", ct))]),
+                                               (wire.pack_u32(1), ct))]),
     }[case]
 
 
@@ -693,21 +692,64 @@ def _layer(change):
     lambda doc: {**doc, "layers": 2},
     lambda doc: {**doc, "server_key": "not hex"},
     lambda doc: {**doc, "server_key": 7},
+    # The protocol id fixes both; a META that restates one is refused.
+    lambda doc: {**doc, "mode": "encrypted"},
+    lambda doc: {**doc, "variant": "core"},
     lambda doc: list(doc.values()),
     lambda doc: "meta", lambda doc: 5, lambda doc: None,
 ], ids=["no d_in", "no layers", "no server_key", "extra field", "layer without ell",
         "layer extra field", "list for a layer", "number for layers", "bad key hex",
-        "number for key", "list", "string", "number", "null"])
+        "number for key", "mode field", "variant field", "list", "string", "number",
+        "null"])
 def test_malformed_meta_is_a_format_error(mutate):
     doc = json.loads(_meta_to_json(ffnn_loaded("sign").model.meta("encrypted", "core"), None))
     with pytest.raises(MessageFormatError):
-        _meta_from_json(json.dumps(mutate(doc)).encode("utf-8"))
+        _meta_from_json(json.dumps(mutate(doc)).encode("utf-8"), wire.PROTOCOLS["ffnn-sign"])
 
 
 @pytest.mark.parametrize("data", [b"\xff\xfe", b"{", b""])
 def test_undecodable_meta_is_a_format_error(data):
     with pytest.raises(MessageFormatError):
-        _meta_from_json(data)
+        _meta_from_json(data, wire.PROTOCOLS["ffnn-sign"])
+
+
+class _Relabel:
+    """Client channel that rewrites protocol id ``sent`` to ``seen`` on the
+    way out, and back on the way in."""
+
+    def __init__(self, channel, sent, seen):
+        self.channel, self.sent, self.seen = channel, sent, seen
+
+    @staticmethod
+    def _swap(data, old, new):
+        assert data[1] == old
+        return data[:1] + bytes([new]) + data[2:]
+
+    def send(self, data):
+        self.channel.send(self._swap(data, self.sent, self.seen))
+
+    def recv(self):
+        return self._swap(self.channel.recv(), self.seen, self.sent)
+
+
+@pytest.mark.parametrize("with_server_keys", [False, True])
+def test_client_runs_its_own_protocol_not_the_servers(client_keys, server_keys, rng,
+                                                      with_server_keys):
+    # An ffnn-relu client relabelled to an ffnn-generic server must not fall
+    # back to generic mode, which shows it every pre-activation.
+    served = prepare_served("ffnn-generic", ffnn_loaded("relu"),
+                            server_keys if with_server_keys else None, KAPPA, rng)
+    inner, thread = serve_loopback(served)
+    channel = _Relabel(inner, wire.PROTOCOL_IDS["ffnn-relu"],
+                       wire.PROTOCOL_IDS["ffnn-generic"])
+    try:
+        with pytest.raises(ProtocolViolationError):
+            _within(60, lambda: run_inference(channel, "ffnn-relu", pm_one(rng),
+                                              client_keys, kappa=KAPPA, rng=rng))
+    finally:
+        inner.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_loopback_leaves_no_socket_or_warning_at_exit(checkout_env):
