@@ -321,6 +321,19 @@ def regr_dual_publish(model: LinearModel, pk_server: PublicKey,
     return PublishedLinearModel(cts[0].public_key, cts, model.ell, model.precision)
 
 
+def _check_published_input(published: PublishedLinearModel, x: FeatureVector) -> None:
+    _check_dims(published.d, x.d)
+    if x.precision != published.precision:
+        raise ParameterError("feature precision differs from the published model")
+
+
+def _masked_dot(published: PublishedLinearModel, x: FeatureVector, mask: int,
+                rng: random.Random) -> Ciphertext:
+    """Encrypted theta . x + mask under the server key, from the published model."""
+    acc = encrypted_dot(published.ciphertexts[0], x.values[1:], published.ciphertexts[1:])
+    return acc + published.public_key.encrypt_unsigned(mask, rng)
+
+
 def regr_dual_request(published: PublishedLinearModel, x: FeatureVector,
                       rng: random.Random | None = None, mask: int | None = None
                       ) -> tuple[Ciphertext, MaskSession]:
@@ -329,15 +342,11 @@ def regr_dual_request(published: PublishedLinearModel, x: FeatureVector,
     The mask makes the value the server decrypts uniform over the message
     space. ``mask`` can be forced for tests; by default it is drawn uniformly.
     """
-    _check_dims(published.d, x.d)
-    if x.precision != published.precision:
-        raise ParameterError("feature precision differs from the published model")
+    _check_published_input(published, x)
     rng = rng or SYSTEM_RNG
     n = published.public_key.n
     mask = rng.randrange(n) if mask is None else mask % n
-    acc = encrypted_dot(published.ciphertexts[0], x.values[1:], published.ciphertexts[1:])
-    acc = acc + published.public_key.encrypt_unsigned(mask, rng)
-    return acc, MaskSession(published, mask)
+    return _masked_dot(published, x, mask, rng), MaskSession(published, mask)
 
 
 def regr_dual_respond(sk_server: SecretKey, request: Ciphertext) -> int:
@@ -369,16 +378,13 @@ def svm_core_request(published: PublishedLinearModel, pk_client: PublicKey,
     The sizing check guarantees theta . x + mask never wraps modulo M, so the
     server sees the true integer. ``mask`` can be forced for tests.
     """
-    _check_dims(published.d, x.d)
-    if x.precision != published.precision:
-        raise ParameterError("feature precision differs from the published model")
+    _check_published_input(published, x)
     x.require_scaled()
     ell = published.ell
     check_core_sizing(published.public_key.n, ell, kappa)
     rng = rng or SYSTEM_RNG
     mask = draw_mask(ell, kappa, rng, mask)
-    acc = encrypted_dot(published.ciphertexts[0], x.values[1:], published.ciphertexts[1:])
-    acc = acc + published.public_key.encrypt_unsigned(mask, rng)
+    acc = _masked_dot(published, x, mask, rng)
     return mask_challenge(acc, pk_client, mask, ell, rng), MaskSession(published, mask)
 
 

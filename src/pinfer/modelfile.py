@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from . import wire
-from .errors import MessageFormatError, ParameterError
+from .errors import DimensionMismatchError, MessageFormatError, ParameterError
 from .linear import DEFAULT_KAPPA, FeatureVector, LinearModel
 from .network import NetworkSpec
 from .paillier import PublicKey, SecretKey
@@ -67,20 +67,28 @@ def save_model(path: str, model: LinearModel | NetworkSpec, model_type: str,
         fh.write("\n")
 
 
-def load_model(path: str) -> LoadedModel:
+def _read_document(path: str) -> dict:
+    """The JSON object a model or key file holds; anything else is refused."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: not a JSON object")
+    return doc
+
+
+def load_model(path: str) -> LoadedModel:
+    doc = _read_document(path)
     if doc.get("format_version") != FORMAT_VERSION:
         raise ParameterError(f"{path}: unsupported format version")
     model_type = doc.get("model_type")
     if model_type not in MODEL_TYPES:
         raise ParameterError(f"{path}: unknown model type {model_type!r}")
-    precision = int(doc["precision"])
-    kappa = int(doc.get("kappa", DEFAULT_KAPPA))
     try:
+        precision = int(doc["precision"])
+        kappa = int(doc.get("kappa", DEFAULT_KAPPA))
         if model_type == "ffnn":
             layer_defs = [([tuple(int(w) for w in row) for row in layer["weights"]],
                            layer["activation"])
@@ -92,7 +100,7 @@ def load_model(path: str) -> LoadedModel:
         else:
             theta = tuple(int(w) for w in doc["weights"])
             model = LinearModel(theta, int(doc["ell"]), precision)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, IndexError, ValueError, TypeError, DimensionMismatchError) as exc:
         raise ParameterError(f"{path}: malformed model ({exc})") from None
     return LoadedModel(model_type, model, kappa)
 
@@ -116,11 +124,7 @@ def save_secret_key(path: str, sk: SecretKey) -> None:
 
 
 def load_key(path: str) -> PublicKey | SecretKey:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{path}: not valid JSON ({exc})") from None
+    doc = _read_document(path)
     version = doc.get("format_version")
     if version != KEY_FORMAT_VERSION:
         raise ParameterError(f"{path}: key file format {version} is not read; "

@@ -409,64 +409,45 @@ def _select_live(response, select: int, pad: int) -> Ciphertext:
 
 
 # ---------------------------------------------------------------------------
-# layer messages and party sessions
+# the layer message and its wire layout
+#
+# Whether a layer's units run the comparison decides its message in both
+# directions; ``compares`` is the one place that says so.
 
 @dataclass(frozen=True)
-class LayerInners:
-    """Generic mode / raw output: one inner-product ciphertext per unit."""
+class LayerMessage:
+    """One layer's message in either direction: per unit a ciphertext, or a
+    challenge or response if the layer compares. ``layer`` is None on the
+    output message of an activated network."""
 
-    layer: int
-    ciphertexts: tuple[Ciphertext, ...]
-
-
-@dataclass(frozen=True)
-class LayerChallenges:
-    """Encrypted mode: one unit challenge per unit."""
-
-    layer: int
-    challenges: tuple
+    layer: int | None
+    units: tuple
 
 
-@dataclass(frozen=True)
-class LayerActivations:
-    """Generic mode client reply: re-encrypted activation outputs."""
-
-    layer: int
-    ciphertexts: tuple[Ciphertext, ...]
-
-
-@dataclass(frozen=True)
-class LayerResponses:
-    """Encrypted mode client reply: one unit response per unit."""
-
-    layer: int
-    responses: tuple
+def compares(meta: NetworkMeta, index: int | None) -> bool:
+    """Whether the units of layer ``index`` run the comparison: every layer
+    of an encrypted network except a raw output layer, and never the output
+    message (``index`` None)."""
+    return index is not None and meta.mode == "encrypted" and (
+        index < len(meta.layers) - 1 or meta.output_mode == "activated")
 
 
-@dataclass(frozen=True)
-class LayerOutputs:
-    """Activated output mode: encrypted activation values of the last layer."""
-
-    ciphertexts: tuple[Ciphertext, ...]
-
-
-# ---------------------------------------------------------------------------
-# wire layout of the layer messages
-
-def unit_layout(kind: type, meta: NetworkMeta, layer: LayerMeta) -> str:
-    """Key of each ciphertext in one unit's share of a ``kind`` message, in
-    wire order: 'c' for the client key, 's' for the server key."""
-    if kind is LayerChallenges:
-        return "c" if meta.variant == "heuristic" else "c" + "s" * layer.ell
-    if kind is LayerResponses:
-        head = "c" if layer.activation == "sign" else "ccc"
-        return head if meta.variant == "heuristic" else head + "s" * (layer.ell + 1)
-    return "c"  # inner products, activations and outputs
+def layout(meta: NetworkMeta, index: int | None, up: bool) -> str:
+    """Key of each ciphertext of layer ``index``'s message, in wire order:
+    'c' for the client key, 's' for the server key."""
+    layer = meta.layers[-1 if index is None else index]
+    unit = "c"
+    if compares(meta, index):
+        if up and layer.activation != "sign":
+            unit = "ccc"
+        if meta.variant == "core":
+            unit += "s" * (layer.ell + up)
+    return unit * layer.units
 
 
 def flatten(message) -> tuple[Ciphertext, ...]:
     """A layer message's ciphertexts in wire order, which is the field order
-    of its message and unit classes; ``unflatten`` inverts it."""
+    of its unit classes; ``unflatten`` inverts it."""
     if isinstance(message, Ciphertext):
         return (message,)
     if isinstance(message, tuple):
@@ -476,32 +457,30 @@ def flatten(message) -> tuple[Ciphertext, ...]:
     return ()  # layer index, bound length
 
 
-def unflatten(kind: type, meta: NetworkMeta, index: int, cts):
-    """Rebuild a ``kind`` message of layer ``index`` from its ciphertexts in
-    wire order; their number must match ``unit_layout``."""
+def unflatten(meta: NetworkMeta, index: int | None, up: bool, cts) -> LayerMessage:
+    """Rebuild layer ``index``'s message from its ciphertexts in wire order;
+    their number must match ``layout``."""
     cts = tuple(cts)
-    if kind is LayerOutputs:
-        return LayerOutputs(cts)
-    if kind is LayerInners:
-        return LayerInners(index, cts)
-    if kind is LayerActivations:
-        return LayerActivations(index, cts)
+    if not cts or not compares(meta, index):  # not cts: a layer of no units
+        return LayerMessage(index, cts)
     layer = meta.layers[index]
-    size = len(unit_layout(kind, meta, layer))
+    size = len(cts) // layer.units
     chunks = [cts[i:i + size] for i in range(0, len(cts), size)]
     core = meta.variant == "core"
-    if kind is LayerChallenges:
-        return LayerChallenges(index, tuple(
-            UnitChallenge(u[0], u[1:], layer.ell) if core else HeurChallenge(u[0])
-            for u in chunks))
-    if layer.activation == "sign":
+    if not up:
+        units = (UnitChallenge(u[0], u[1:], layer.ell) if core else HeurChallenge(u[0])
+                 for u in chunks)
+    elif layer.activation == "sign":
         units = (SignUnitResponse(u[0], ComparisonResponse(u[1:])) if core else u[0]
                  for u in chunks)
     else:
         units = (ReluUnitResponse(u[0], u[1:3], ComparisonResponse(u[3:])) if core
                  else ReluHeurResponse(u[0], u[1:3]) for u in chunks)
-    return LayerResponses(index, tuple(units))
+    return LayerMessage(index, tuple(units))
 
+
+# ---------------------------------------------------------------------------
+# party sessions
 
 @dataclass
 class InferenceResult:
@@ -539,12 +518,11 @@ class NetworkServerSession:
             if variant == "core" and server_keys is None:
                 raise ParameterError("core variant needs a server key pair")
         self.spec = spec
-        self.mode = mode
-        self.variant = variant
+        self.meta = spec.meta(mode, variant)
         self.kappa = kappa
         self.server_keys = server_keys
         self.rng = rng or SYSTEM_RNG
-        self._state: list | None = None
+        self._state: tuple | None = None
         self._enc: tuple[Ciphertext, ...] | None = None
         self._layer = 0
         self.done = False
@@ -554,58 +532,47 @@ class NetworkServerSession:
         if request.d != self.spec.d_in:
             raise DimensionMismatchError(
                 f"network expects {self.spec.d_in} inputs, got {request.d}")
-        if self.mode == "encrypted":
-            self.spec.check_keys(request.public_key.n, self.kappa, self.variant)
+        if self.meta.mode == "encrypted":
+            self.spec.check_keys(request.public_key.n, self.kappa, self.meta.variant)
         self._enc = request.ciphertexts
         self._layer = 0
         return self._down()
 
-    def advance(self, reply):
+    def advance(self, reply: LayerMessage) -> LayerMessage:
         """Consume a client reply for the current layer; returns the next down message."""
         if self.done or self._enc is None:
             raise ProtocolViolationError("session is not expecting a reply")
         layer = self.spec.layers[self._layer]
-        if self.mode == "generic":
-            if not isinstance(reply, LayerActivations) or reply.layer != self._layer:
-                raise ProtocolViolationError("expected activations for the current layer")
-            if len(reply.ciphertexts) != layer.units:
-                raise ProtocolViolationError("activation count mismatch")
-            self._enc = reply.ciphertexts
-        else:
-            if not isinstance(reply, LayerResponses) or reply.layer != self._layer:
-                raise ProtocolViolationError("expected unit responses for the current layer")
-            if len(reply.responses) != layer.units:
-                raise ProtocolViolationError("unit response count mismatch")
+        if reply.layer != self._layer or len(reply.units) != layer.units:
+            raise ProtocolViolationError("reply does not fit the current layer")
+        if compares(self.meta, self._layer):
             self._enc = tuple(self._finish_unit(layer, state, resp)
-                              for state, resp in zip(self._state, reply.responses))
+                              for state, resp in zip(self._state, reply.units))
+        else:
+            self._enc = reply.units
         self._layer += 1
         return self._down()
 
-    def _down(self):
+    def _down(self) -> LayerMessage:
         if self._layer == self.spec.depth:
             # Activated output: the unit round already produced the values.
             self.done = True
             fresh = tuple(ct.public_key.rerandomize(ct, self.rng) for ct in self._enc)
-            return LayerOutputs(fresh)
+            return LayerMessage(None, fresh)
         layer = self.spec.layers[self._layer]
-        is_output = self._layer == self.spec.depth - 1
-        if self.mode == "generic" or (is_output and self.spec.output_mode == "raw"):
-            self.done = is_output
-            return LayerInners(self._layer, self._layer_inners(layer))
-        challenges, states = [], []
-        for theta in layer.weights:
-            challenge, state = self._challenge_unit(layer, theta)
-            challenges.append(challenge)
-            states.append(state)
-        self._state = states
-        return LayerChallenges(self._layer, tuple(challenges))
+        if not compares(self.meta, self._layer):
+            self.done = self._layer == self.spec.depth - 1
+            return LayerMessage(self._layer, self._layer_inners(layer))
+        challenges, self._state = zip(*(self._challenge_unit(layer, theta)
+                                        for theta in layer.weights))
+        return LayerMessage(self._layer, challenges)
 
     def _layer_inners(self, layer: LayerSpec) -> tuple[Ciphertext, ...]:
         return tuple(_inner_with_offset(theta, self._enc, 0, self.rng)
                      for theta in layer.weights)
 
     def _challenge_unit(self, layer: LayerSpec, theta):
-        if self.variant == "core":
+        if self.meta.variant == "core":
             return sign_core_challenge(theta, self._enc, self.server_keys[0],
                                        layer.ell, self.kappa, self.rng)
         heur = sign_heur_challenge if layer.activation == "sign" else relu_heur_challenge
@@ -613,10 +580,10 @@ class NetworkServerSession:
 
     def _finish_unit(self, layer: LayerSpec, state, response) -> Ciphertext:
         if layer.activation == "sign":
-            if self.variant == "core":
+            if self.meta.variant == "core":
                 return sign_core_finish(self.server_keys[1], state, response)
             return sign_heur_finish(state, response)
-        if self.variant == "core":
+        if self.meta.variant == "core":
             return relu_core_finish(self.server_keys[1], state, response)
         return relu_heur_finish(state, response)
 
@@ -648,7 +615,7 @@ class NetworkClientSession:
             x.require_scaled()
         return FeatureRequest.encrypt(self.pk, x, self.rng)
 
-    def handle(self, message):
+    def handle(self, message: LayerMessage) -> LayerMessage | None:
         """Process a down message; returns the reply, or None when finished.
 
         Messages must come in layer order, the output message after the
@@ -659,33 +626,27 @@ class NetworkClientSession:
         Raises:
             ProtocolViolationError: a message out of order, or after the result.
         """
-        position = getattr(message, "layer", len(self.meta.layers))
+        index, depth = message.layer, len(self.meta.layers)
+        position = depth if index is None else index
         if self.result is not None or position != self._next_layer:
             raise ProtocolViolationError("message out of layer order")
         self._next_layer = position + 1
-        if isinstance(message, LayerInners):
-            layer = self.meta.layers[message.layer]
-            if len(message.ciphertexts) != layer.units:
-                raise ProtocolViolationError("unit count mismatch")
-            values = [self.sk.decrypt(ct) for ct in message.ciphertexts]
-            if message.layer == len(self.meta.layers) - 1:
-                self._finish_raw(layer, values)
-                return None
-            outs = [activations.apply_fixed(layer.activation, t, layer.t_scale,
-                                            self.meta.precision)
-                    for t in values]
-            cts = tuple(self.pk.encrypt(v, self.rng) for v in outs)
-            return LayerActivations(message.layer, cts)
-        if isinstance(message, LayerChallenges):
-            layer = self.meta.layers[message.layer]
-            if len(message.challenges) != layer.units:
-                raise ProtocolViolationError("unit count mismatch")
-            replies = tuple(self._answer_unit(layer, ch) for ch in message.challenges)
-            return LayerResponses(message.layer, replies)
-        if isinstance(message, LayerOutputs):
+        if index is None:
             self._finish_activated(message)
             return None
-        raise ProtocolViolationError(f"unexpected message {type(message).__name__}")
+        layer = self.meta.layers[index]
+        if len(message.units) != layer.units:
+            raise ProtocolViolationError("unit count mismatch")
+        if compares(self.meta, index):
+            return LayerMessage(index, tuple(self._answer_unit(layer, ch)
+                                             for ch in message.units))
+        values = [self.sk.decrypt(ct) for ct in message.units]
+        if index == depth - 1:
+            self._finish_raw(layer, values)
+            return None
+        outs = [activations.apply_fixed(layer.activation, t, layer.t_scale, self.meta.precision)
+                for t in values]
+        return LayerMessage(index, tuple(self.pk.encrypt(v, self.rng) for v in outs))
 
     def _answer_unit(self, layer: LayerMeta, challenge):
         if self.meta.variant == "core":
@@ -705,9 +666,9 @@ class NetworkClientSession:
             if layer.activation == "sign" else None
         self.result = InferenceResult(outputs, labels, tuple(values))
 
-    def _finish_activated(self, message: LayerOutputs) -> None:
+    def _finish_activated(self, message: LayerMessage) -> None:
         layer = self.meta.layers[-1]
-        values = [self.sk.decrypt(ct) for ct in message.ciphertexts]
+        values = [self.sk.decrypt(ct) for ct in message.units]
         if layer.activation == "sign":
             self.result = InferenceResult(tuple(float(v) for v in values), tuple(values))
         else:
@@ -744,8 +705,8 @@ def evaluate_network(spec: NetworkSpec, mode: str, x: FeatureVector,
     return client.result
 
 
-def _step_of(message) -> int:
-    return getattr(message, "layer", -1) + 1
+def _step_of(message: LayerMessage) -> int:
+    return 0 if message.layer is None else message.layer + 1
 
 
 def _record(transcript, direction: str, step: int, cts) -> None:

@@ -10,14 +10,14 @@ query, in a separate exchange recorded on its own transcript.
 
 The codec is written once per message shape. A feature request (regr-core,
 svm-heur and the network ``STEP_REQUEST``) is the client key followed by one
-ciphertext per feature. A network layer message is a header of the layer
+ciphertext per feature. A ``network.LayerMessage`` is a header of the layer
 index alone (none on the output message) followed by its ciphertexts in the
-order ``network.flatten`` gives, each under the key ``network.unit_layout``
-names for its position; ``_decode_layer`` inverts ``_encode_layer``, and the
-receiver reads the message kind off the index, the step and the network's
-mode, which the protocol id fixes. Every decoder checks a frame's part count
-before it reads a part, so a short or overlong frame is refused with an
-error frame.
+order ``network.flatten`` gives, each under the key ``network.layout`` names
+for its position. ``_decode_layer`` inverts ``_encode_layer``: the index and
+the direction, read off the step, are all ``network.layout`` and
+``network.unflatten`` need besides the META, whose mode and variant the
+protocol id fixes. Every decoder checks a frame's part count before it reads
+a part, so a short or overlong frame is refused with an error frame.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector,
                      svm_heur_respond)
 from .comparison import ComparisonResponse, UnitChallenge
 from .modelfile import LoadedModel
-from .network import (InferenceResult, LayerActivations, LayerChallenges,
-                      LayerInners, LayerOutputs, LayerMeta, LayerResponses,
+from .network import (InferenceResult, LayerMessage, LayerMeta,
                       NetworkClientSession, NetworkMeta, NetworkServerSession)
 from .numutil import SYSTEM_RNG
 from .paillier import PublicKey, SecretKey
@@ -273,7 +272,7 @@ def _run_network_client(io: _ClientIO, x: FeatureVector, client_keys,
         reply = session.handle(message)
         if reply is None:
             break
-        io.send(*_encode_layer(reply, meta, keys), n_cts=len(network.flatten(reply)))
+        io.send(*_encode_layer(reply, meta, keys, up=True), n_cts=len(network.flatten(reply)))
     return session.result
 
 
@@ -310,43 +309,34 @@ def _feature_request(frame: wire.Frame) -> FeatureRequest:
     return FeatureRequest(tuple(wire.deserialize_ciphertext(p, pk) for p in body), pk)
 
 
-def _encode_layer(message, meta: NetworkMeta, keys) -> tuple[int, tuple[bytes, ...]]:
+def _encode_layer(message: LayerMessage, meta: NetworkMeta, keys,
+                  up: bool) -> tuple[int, tuple[bytes, ...]]:
     """Step and parts of a layer message; ``keys`` maps 'c' and 's' to keys."""
-    kind = type(message)
-    if kind is LayerOutputs:
-        step, head, layer = wire.STEP_OUTPUT, (), meta.layers[-1]
+    if message.layer is None:
+        step, head = wire.STEP_OUTPUT, ()
     else:
-        up = kind in (LayerActivations, LayerResponses)
         step = wire.STEP_LAYER_UP if up else wire.STEP_LAYER_DOWN
-        head, layer = (wire.pack_u32(message.layer),), meta.layers[message.layer]
-    layout = network.unit_layout(kind, meta, layer) * layer.units
+        head = (wire.pack_u32(message.layer),)
+    layout = network.layout(meta, message.layer, up)
     return step, head + tuple(wire.serialize_ciphertext(c, keys[k]) for c, k
                               in zip(network.flatten(message), layout, strict=True))
 
 
-def _decode_layer(frame: wire.Frame, meta: NetworkMeta, keys):
+def _decode_layer(frame: wire.Frame, meta: NetworkMeta, keys) -> LayerMessage:
     """Inverse of ``_encode_layer`` for a layer-down, layer-up or output frame."""
-    last = index = len(meta.layers) - 1
-    if frame.step_id == wire.STEP_OUTPUT:
-        kind, body = LayerOutputs, frame.parts
-    else:
+    index, body = None, frame.parts
+    if frame.step_id != wire.STEP_OUTPUT:
         head, *body = _parts(frame, 1, at_least=True)
         index = wire.unpack_u32(head)
-        if not 0 <= index <= last:
+        if index >= len(meta.layers):
             raise ProtocolViolationError("layer index out of range")
-        generic = meta.mode == "generic"
-        if frame.step_id == wire.STEP_LAYER_UP:
-            kind = LayerActivations if generic else LayerResponses
-        else:
-            raw = generic or (index == last and meta.output_mode == "raw")
-            kind = LayerInners if raw else LayerChallenges
-    layer = meta.layers[index]
-    layout = network.unit_layout(kind, meta, layer) * layer.units
+    up = frame.step_id == wire.STEP_LAYER_UP
+    layout = network.layout(meta, index, up)
     if len(body) != len(layout):
         raise ProtocolViolationError(
             f"layer message has {len(body)} ciphertexts, expected {len(layout)}")
     cts = (wire.deserialize_ciphertext(p, keys[k]) for p, k in zip(body, layout))
-    return network.unflatten(kind, meta, index, cts)
+    return network.unflatten(meta, index, up, cts)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +468,7 @@ def _handle_linear_request(served: ServedModel, frame: wire.Frame) -> tuple:
 
 
 def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
-    spec = served.loaded.model
     info = wire.PROTOCOLS[served.protocol]
-    mode, variant = info.mode, info.variant
     pk_s = served.server_keys[0] if served.server_keys else None
     if frame.step_id == wire.STEP_REQUEST:
         if frame.session_id in sessions:
@@ -489,25 +477,25 @@ def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
             raise ProtocolViolationError(
                 f"connection already holds {MAX_SESSIONS_PER_CONNECTION} live sessions")
         request = _feature_request(frame)
-        session = NetworkServerSession(spec, mode=mode, server_keys=served.server_keys,
-                                       kappa=served.kappa, variant=variant,
-                                       rng=served.rng)
+        session = NetworkServerSession(served.loaded.model, mode=info.mode,
+                                       server_keys=served.server_keys, kappa=served.kappa,
+                                       variant=info.variant, rng=served.rng)
         message = session.start(request)
-        meta, keys = spec.meta(mode, variant), {"c": request.public_key, "s": pk_s}
-        yield wire.STEP_META, (_meta_to_json(meta, pk_s),)
+        keys = {"c": request.public_key, "s": pk_s}
+        yield wire.STEP_META, (_meta_to_json(session.meta, pk_s),)
     elif frame.step_id == wire.STEP_LAYER_UP:
         # A refused layer-up ends its session: it is back in the table only
         # after a successful step that leaves it unfinished.
         entry = sessions.pop(frame.session_id, None)
         if entry is None:
             raise ProtocolViolationError("unknown session")
-        session, meta, keys = entry
-        message = session.advance(_decode_layer(frame, meta, keys))
+        session, keys = entry
+        message = session.advance(_decode_layer(frame, session.meta, keys))
     else:
         raise ProtocolViolationError(f"unexpected step {frame.step_id}")
     if not session.done:
-        sessions[frame.session_id] = (session, meta, keys)
-    yield _encode_layer(message, meta, keys)
+        sessions[frame.session_id] = (session, keys)
+    yield _encode_layer(message, session.meta, keys, up=False)
 
 
 def serve_loopback(served: ServedModel):

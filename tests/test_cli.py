@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import shutil
 import socket
@@ -158,6 +159,16 @@ def test_serve_refuses_incompatible_protocol(key_files, model_files, capsys):
                  "--keys", str(key_files / "srv"),
                  "--insecure-test-keys"])
     assert code == 4
+
+
+def test_oracle_refuses_a_model_file_without_precision(model_files, tmp_path, capsys):
+    doc = json.loads((model_files / "logistic.json").read_text())
+    del doc["precision"]
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    code = main(["oracle", "--model", str(tmp_path / "bad.json"),
+                 "--input", str(model_files / "x.txt")])
+    assert code == 4
+    assert "malformed model" in capsys.readouterr().err
 
 
 def test_infer_over_real_socket(key_files, model_files, capsys):

@@ -63,6 +63,32 @@ def test_model_file_error_paths(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("model_type,change", [
+    ("linear", lambda doc: doc.pop("precision")),
+    ("linear", lambda doc: doc.update(precision="x")),
+    ("linear", lambda doc: doc.update(kappa="x")),
+    ("ffnn", lambda doc: doc.update(ell=doc["ell"][:1])),
+], ids=["no precision", "precision not a number", "kappa not a number", "ell list too short"])
+def test_malformed_model_file_is_refused(tmp_path, model_type, change):
+    model = (NetworkSpec.from_integer([([(0, 1, 1)], "sign"), ([(0, 1)], "sign")])
+             if model_type == "ffnn" else LinearModel.from_real([0.5], bias=0.0, precision=10))
+    path = tmp_path / "model.json"
+    save_model(path, model, model_type)
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParameterError, match="malformed model"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("load", [load_model, load_key])
+def test_file_that_is_not_a_json_object_is_refused(tmp_path, load):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(ParameterError, match="not a JSON object"):
+        load(path)
+
+
 def test_key_files_round_trip(tmp_path, client_keys):
     pk, sk = client_keys
     save_public_key(tmp_path / "k.pub.json", pk)

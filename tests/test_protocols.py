@@ -67,9 +67,13 @@ def test_heuristic_protocols_need_the_flag(protocol):
         cli._require_heuristic_ack(protocol, False)
 
 
-def test_readme_and_command_line_name_the_table_protocols():
+def _readme_catalogue() -> str:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    catalogue = readme.split("## Protocol catalogue")[1].split("\n## ")[0]
+    return readme.split("## Protocol catalogue")[1].split("\n## ")[0]
+
+
+def test_readme_and_command_line_name_the_table_protocols():
+    catalogue = _readme_catalogue()
     assert sorted(re.findall(r"^\| `([a-z-]+)`", catalogue, re.M)) == sorted(wire.PROTOCOLS)
     [commands] = [a for a in cli.build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
@@ -78,3 +82,23 @@ def test_readme_and_command_line_name_the_table_protocols():
     assert set(offered) == {"serve", "infer", "bench"}
     for choices in offered.values():
         assert sorted(choices) == sorted(wire.PROTOCOLS)
+
+
+def _catalogue_count(cell: str, ell: int) -> int:
+    """The ciphertext count a catalogue cell opens with, such as "(ℓ+2) cts
+    per unit" or "1 + ℓ ciphertexts", at bound length ``ell``."""
+    expr = re.match(r"\(?([ℓ\d+ ]+?)\)? (?:cts?|ciphertexts|blinded)", cell.strip())[1]
+    return sum(ell if term.strip() == "ℓ" else int(term) for term in expr.split("+"))
+
+
+@pytest.mark.parametrize("protocol", ["svm-core", "ffnn-sign", "ffnn-relu",
+                                      "ffnn-sign-heur", "ffnn-relu-heur"])
+def test_readme_catalogue_counts_match_the_plan(protocol):
+    [row] = [line for line in _readme_catalogue().splitlines()
+             if line.startswith(f"| `{protocol}` ")]
+    client, server = row.split("|")[3:5]
+    for ell in (7, 20):
+        plan = {r.direction: r.ciphertexts for r in wire.message_plan(
+            protocol, d=1, ell=ell, layers=1, units=1) if r.label != "publish"}
+        assert (_catalogue_count(client, ell), _catalogue_count(server, ell)) == \
+            (plan["up"], plan["down"])

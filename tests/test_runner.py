@@ -7,7 +7,7 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pinfer import keygen, paillier, wire
 from pinfer.comparison import ComparisonResponse
@@ -15,10 +15,10 @@ from pinfer.errors import (MessageFormatError, ParameterError, ProtocolViolation
                            WorkerError)
 from pinfer.linear import FeatureRequest, FeatureVector, LinearModel
 from pinfer.modelfile import LoadedModel
-from pinfer.network import (HeurChallenge, LayerChallenges, LayerMeta,
-                            LayerResponses, NetworkClientSession, NetworkMeta, NetworkSpec,
+from pinfer.network import (HeurChallenge, LayerMessage, LayerMeta,
+                            NetworkClientSession, NetworkMeta, NetworkSpec,
                             ReluHeurResponse, ReluUnitResponse, SignUnitResponse,
-                            UnitChallenge, unit_layout)
+                            UnitChallenge, compares, layout)
 from pinfer.numutil import insecure_rng
 from pinfer.reference import (eval_ffnn, eval_linear, eval_logistic, eval_svm)
 from pinfer.runner import (MAX_SESSIONS_PER_CONNECTION, ChannelClosed, SocketChannel,
@@ -467,8 +467,8 @@ def test_live_sessions_per_connection_are_capped(client_keys, rng):
         keys = {"c": client_keys[0], "s": None}
         client = NetworkClientSession(meta, client_keys, None, rng)
         message = _decode_layer(first_layer, meta, keys)
-        while (up := client.handle(message)) is not None:
-            down = _send(channel, "ffnn-generic", *_encode_layer(up, meta, keys),
+        while (reply := client.handle(message)) is not None:
+            down = _send(channel, "ffnn-generic", *_encode_layer(reply, meta, keys, up=True),
                          session_ids[-2])
             message = _decode_layer(down, meta, keys)
         # Its end frees a place for a new query.
@@ -631,9 +631,9 @@ def test_client_rejects_reply_for_another_session(client_keys, rng):
 _LAYOUT_KEYS = (keygen(128, insecure_rng(0x1A40)), keygen(128, insecure_rng(0x1A41)))
 
 
-def _unit(kind, activation, variant, ell, c, s):
-    """One unit's share of a message, built field by field."""
-    if kind is LayerChallenges:
+def _unit(up, activation, variant, ell, c, s):
+    """One comparing unit's share of a message, built field by field."""
+    if not up:
         if variant == "heuristic":
             return HeurChallenge(c())
         return UnitChallenge(c(), tuple(s() for _ in range(ell)), ell)
@@ -645,31 +645,47 @@ def _unit(kind, activation, variant, ell, c, s):
     return ReluUnitResponse(c(), (c(), c()), comparison)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(activation=st.sampled_from(["sign", "relu"]),
-       variant=st.sampled_from(["core", "heuristic"]),
-       down=st.booleans(), ell=st.integers(1, 12), units=st.integers(1, 4),
+       variant=st.sampled_from([None, "core", "heuristic"]),
+       output_mode=st.sampled_from(["raw", "activated"]),
+       index=st.sampled_from([0, 1, None]), up=st.booleans(),
+       ell=st.integers(1, 12), units=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
-def test_layer_codec_round_trip_matches_plan(activation, variant, down, ell, units, seed):
+def test_layer_codec_round_trip_matches_plan(activation, variant, output_mode, index, up,
+                                             ell, units, seed):
+    # Layer 0 is hidden, layer 1 the last layer and None the output message;
+    # variant None is a generic network. Only messages the protocol sends:
+    # the output message follows an activated last layer's responses, and
+    # only a comparing last layer is answered.
+    comparing = variant is not None and (index == 0 or
+                                         (index == 1 and output_mode == "activated"))
+    if index is None:
+        assume(variant is not None and output_mode == "activated" and not up)
+    elif index == 1 and up:
+        assume(comparing)
     (pk_c, _), (pk_s, _) = _LAYOUT_KEYS
     rng = insecure_rng(seed)
-    meta = NetworkMeta((LayerMeta(units, activation, ell, 0), LayerMeta(1, "identity", 1, 0)),
-                       d_in=2, precision=0, mode="encrypted", variant=variant,
-                       output_mode="raw")
-    kind = LayerChallenges if down else LayerResponses
+    meta = NetworkMeta((LayerMeta(units, activation, ell, 0),) * 2, d_in=2, precision=0,
+                       mode="encrypted" if variant else "generic", variant=variant,
+                       output_mode=output_mode)
+    assert compares(meta, index) == comparing
     c = lambda: pk_c.encrypt(rng.randrange(-9, 10), rng)  # noqa: E731
     s = lambda: pk_s.encrypt(rng.randrange(2), rng)  # noqa: E731
-    message = kind(0, tuple(_unit(kind, activation, variant, ell, c, s)
-                            for _ in range(units)))
+    unit = (lambda: _unit(up, activation, variant, ell, c, s)) if comparing else c
+    message = LayerMessage(index, tuple(unit() for _ in range(units)))
     keys = {"c": pk_c, "s": pk_s}
-    step, parts = _encode_layer(message, meta, keys)
-    protocol = f"ffnn-{activation}" + ("-heur" if variant == "heuristic" else "")
+    step, parts = _encode_layer(message, meta, keys, up)
+    protocol = ("ffnn-generic" if variant is None else
+                f"ffnn-{activation}" + ("-heur" if variant == "heuristic" else ""))
     frame = wire.unframe(wire.frame(wire.PROTOCOL_IDS[protocol], step,
                                     bytes(wire.SESSION_ID_BYTES), parts))
     assert _decode_layer(frame, meta, keys) == message
+    # A hidden or comparing layer's message is a row of the plan; a raw last
+    # layer and the output message carry one ciphertext per unit.
     down_row, up_row = wire.message_plan(protocol, ell=ell, layers=1, units=units)
-    row = down_row if down else up_row
-    assert units * len(unit_layout(kind, meta, meta.layers[0])) == row.ciphertexts
+    expected = (up_row if up else down_row).ciphertexts if index == 0 or comparing else units
+    assert len(layout(meta, index, up)) == expected
 
 
 def _drop(key):
