@@ -136,7 +136,8 @@ def bit_owner_finish(sk: SecretKey, response: ComparisonResponse) -> int:
 
 @dataclass(frozen=True)
 class UnitChallenge:
-    """t + mask under the evaluator's key; the mask's low bits under the owner's."""
+    """t + mask under the evaluator's key; the mask's low bits under the owner's.
+    A heuristic network unit sends lam * t + mu in its place, and no bits."""
 
     masked_inner: Ciphertext
     mask_bits: tuple[Ciphertext, ...]

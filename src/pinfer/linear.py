@@ -226,26 +226,23 @@ def check_heuristic_sizing(modulus: int, ell: int, kappa: int) -> None:
 
 
 def draw_heuristic_mask(modulus: int, ell: int, kappa: int,
-                        rng: random.Random | None = None,
-                        require_unit: bool = False) -> tuple[int, int, int]:
-    """Draw (lam, mu, delta) with lam != 0, |mu| < |lam|, sign(mu) = sign(lam).
+                        rng: random.Random | None = None) -> tuple[int, int]:
+    """Draw (lam, mu) with lam a unit modulo the message space, |mu| < |lam|
+    and sign(mu) = sign(lam); mu = 0 is permitted for either sign.
 
-    delta = 0 when lam is positive, 1 when negative. mu = 0 is permitted for
-    either sign. With ``require_unit`` lam is redrawn until invertible modulo
-    the message space (needed when the protocol later divides by lam).
+    lam is redrawn until invertible, so the network's relu units can divide
+    by it; a non-unit lam needs p | lam or q | lam, so at real key sizes the
+    redraw practically never happens.
     """
     rng = rng or SYSTEM_RNG
     check_heuristic_sizing(modulus, ell, kappa)
     lo, hi = heuristic_interval(modulus, ell)
     while True:
         lam = rng.randrange(lo, hi + 1)
-        if lam == 0:
-            continue
-        if require_unit and gcd(abs(lam), modulus) != 1:
-            continue
-        break
+        if lam != 0 and gcd(abs(lam), modulus) == 1:
+            break
     mu = rng.randrange(0, lam) if lam > 0 else rng.randrange(lam + 1, 1)
-    return lam, mu, 0 if lam > 0 else 1
+    return lam, mu
 
 
 def masked_sign_value(t: int, lam: int, mu: int, modulus: int) -> int:
@@ -428,13 +425,12 @@ def svm_heur_respond(model: LinearModel, request: FeatureRequest,
     _check_dims(model.d, request.d)
     pk = request.public_key
     if mask is None:
-        lam, mu, delta = draw_heuristic_mask(pk.n, model.ell, kappa, rng)
+        lam, mu = draw_heuristic_mask(pk.n, model.ell, kappa, rng)
     else:
         lam, mu = mask
         if lam == 0 or abs(mu) >= abs(lam) or (mu != 0 and (mu > 0) != (lam > 0)):
             raise ParameterError("forced mask violates the heuristic constraints")
-        delta = 0 if lam > 0 else 1
-    flip = 1 if delta == 0 else -1
+    flip = 1 if lam > 0 else -1
     return encrypted_dot(pk.encrypt(flip * (lam * model.theta[0] + mu), rng),
                          [flip * lam * coeff for coeff in model.theta[1:]],
                          request.ciphertexts)

@@ -79,6 +79,14 @@ def _read_document(path: str) -> dict:
     return doc
 
 
+def _integers(values) -> tuple[int, ...]:
+    """A JSON list of integers or decimal strings; a string in its place
+    would otherwise be read digit by digit."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list, got {type(values).__name__}")
+    return tuple(int(v) for v in values)
+
+
 def load_model(path: str) -> LoadedModel:
     doc = _read_document(path)
     if doc.get("format_version") != FORMAT_VERSION:
@@ -90,15 +98,15 @@ def load_model(path: str) -> LoadedModel:
         precision = int(doc["precision"])
         kappa = int(doc.get("kappa", DEFAULT_KAPPA))
         if model_type == "ffnn":
-            layer_defs = [([tuple(int(w) for w in row) for row in layer["weights"]],
+            layer_defs = [([_integers(row) for row in layer["weights"]],
                            layer["activation"])
                           for layer in doc["layers"]]
-            ells = [int(e) for e in doc["ell"]]
+            ells = list(_integers(doc["ell"]))
             model = NetworkSpec.from_integer(layer_defs, precision,
                                              output_mode=doc.get("output_mode", "raw"),
                                              ells=ells)
         else:
-            theta = tuple(int(w) for w in doc["weights"])
+            theta = _integers(doc["weights"])
             model = LinearModel(theta, int(doc["ell"]), precision)
     except (KeyError, IndexError, ValueError, TypeError, DimensionMismatchError) as exc:
         raise ParameterError(f"{path}: malformed model ({exc})") from None

@@ -14,8 +14,10 @@ evaluation modes exist:
   to the SVM core protocol the roles are swapped: here the server owns the
   mask and the client evaluates, with a random flip bit that hides the
   outcome from both parties.
-* encrypted, heuristic variant: one ciphertext per unit per direction, with
-  the leakage caveat of the heuristic SVM protocol.
+* encrypted, heuristic variant: the server sends one scaled-and-shifted
+  inner product per unit and the client answers with one ciphertext per
+  sign unit or three per relu unit, with the leakage caveat of the
+  heuristic SVM protocol.
 
 Fixed-point scales accumulate across relu/identity layers (there is no
 homomorphic rescaling), so each layer carries its own bound length and the
@@ -222,47 +224,37 @@ def _out_bound(layer: LayerSpec, precision: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-unit protocol messages and steps
+# the comparing unit
 #
-# The field order of every message class is its wire order (see ``flatten``).
+# Sign and relu units, core and heuristic, run one protocol in three steps.
+# The variant decides how the server hides the inner product t: the core
+# variant adds a mask and sends the mask's low ell bits under the server key
+# for the comparison; the heuristic variant sends lam * t + mu for a unit lam
+# and no bits. The activation decides what the client sends back for its bit
+# b: Enc((-1)**b) for sign, or Enc(b) and the pair (0, t*) or (t*, 0) by b
+# for relu, where t* is its masked value. The server's select bit s then
+# equals [t >= 0] XOR b, so (2s - 1) * (-1)**b is sign(t) and pair[s], with
+# the pad stripped, is relu(t) (times lam in the heuristic variant).
 
 @dataclass(frozen=True)
-class HeurChallenge:
-    """Heuristic-variant unit: the scaled-and-shifted inner product only."""
+class UnitResponse:
+    """The client's answer, in wire order: Enc((-1)**b) for sign or Enc(b)
+    for relu under the client key, relu's pair, and in the core variant the
+    comparison under the server key."""
 
-    masked_inner: Ciphertext
-
-
-@dataclass(frozen=True)
-class SignUnitResponse:
-    masked_sign: Ciphertext            # client key, (-1)**b
-    comparison: ComparisonResponse     # server key
-
-
-@dataclass(frozen=True)
-class ReluUnitResponse:
-    masked_bit: Ciphertext                      # client key, b
-    pair: tuple[Ciphertext, Ciphertext]         # (0, t**) or (t**, 0) by b
-    comparison: ComparisonResponse              # server key
-
-
-@dataclass(frozen=True)
-class ReluHeurResponse:
-    masked_bit: Ciphertext
-    pair: tuple[Ciphertext, Ciphertext]
+    bit: Ciphertext
+    pair: tuple[Ciphertext, ...] = ()
+    comparison: ComparisonResponse | None = None
 
 
 @dataclass
-class CoreUnitState:
-    mask: int
+class UnitState:
+    """The server's secret for one unit: the pad on t (the core mask or the
+    heuristic mu), and the heuristic lam, None in the core variant."""
+
+    pad: int
     ell: int
-
-
-@dataclass
-class HeurState:
-    lam: int
-    mu: int
-    delta: int
+    lam: int | None = None
 
 
 def _inner_with_offset(theta, enc_inputs, offset: int,
@@ -273,139 +265,96 @@ def _inner_with_offset(theta, enc_inputs, offset: int,
                          theta[1:], enc_inputs)
 
 
-def sign_core_challenge(theta, enc_inputs, pk_server: PublicKey, ell: int,
-                        kappa: int = DEFAULT_KAPPA,
-                        rng: random.Random | None = None,
-                        mask: int | None = None
-                        ) -> tuple[UnitChallenge, CoreUnitState]:
-    """Server step: mask the inner product and encrypt the mask bits.
-
-    The inner product stays under the client key; the mask bits go under the
-    server key so the client can act as the comparison evaluator.
-    """
+def unit_challenge(variant: str, theta, enc_inputs, pk_server: PublicKey | None,
+                   ell: int, kappa: int = DEFAULT_KAPPA,
+                   rng: random.Random | None = None
+                   ) -> tuple[UnitChallenge, UnitState]:
+    """Server step: hide t = theta . x by the variant. The masked value stays
+    under the client key; the core mask bits go under the server key so the
+    client can act as the comparison evaluator."""
     rng = rng or SYSTEM_RNG
-    pk_client = enc_inputs[0].public_key
-    check_core_sizing(pk_client.n, ell, kappa)
-    mask = draw_mask(ell, kappa, rng, mask)
-    t_ct = _inner_with_offset(theta, enc_inputs, mask, rng)
-    return mask_challenge(t_ct, pk_server, mask, ell, rng), CoreUnitState(mask, ell)
+    n = enc_inputs[0].public_key.n
+    if variant == "core":
+        check_core_sizing(n, ell, kappa)
+        mask = draw_mask(ell, kappa, rng)
+        t_ct = _inner_with_offset(theta, enc_inputs, mask, rng)
+        return mask_challenge(t_ct, pk_server, mask, ell, rng), UnitState(mask, ell)
+    lam, mu = draw_heuristic_mask(n, ell, kappa, rng)
+    t_ct = _inner_with_offset([lam * coeff for coeff in theta], enc_inputs, mu, rng)
+    return UnitChallenge(t_ct, (), ell), UnitState(mu, ell, lam)
 
 
-def sign_core_answer(sk_client: SecretKey, pk_server: PublicKey,
-                     challenge: UnitChallenge,
-                     rng: random.Random | None = None,
-                     b: int | None = None) -> SignUnitResponse:
-    """Client step: run the comparison with a random flip hiding the outcome."""
+def unit_answer(activation: str, sk_client: SecretKey, pk_server: PublicKey | None,
+                challenge: UnitChallenge, rng: random.Random | None = None,
+                b: int | None = None) -> UnitResponse:
+    """Client step. A core challenge, which carries mask bits, is answered
+    with the comparison under a random flip b (``b`` forces it, a test hook);
+    a heuristic one with b = [lam * t + mu < 0], which lam's sign flips
+    against [t < 0]. Relu's pair is rerandomized so the server cannot match its live
+    entry against what it sent."""
     rng = rng or SYSTEM_RNG
-    if b is None:
-        b = rng.randrange(2)
-    comp = evaluator_step(sk_client, pk_server, challenge, b, rng)
-    return SignUnitResponse(sk_client.public_key.encrypt(1 - 2 * b, rng), comp)
+    pk = sk_client.public_key
+    comparison = None
+    if challenge.mask_bits:
+        if b is None:
+            b = rng.randrange(2)
+        comparison = evaluator_step(sk_client, pk_server, challenge, b, rng)
+    else:
+        b = int(sk_client.decrypt(challenge.masked_inner) < 0)
+    if activation == "sign":
+        return UnitResponse(pk.encrypt(1 - 2 * b, rng), (), comparison)
+    zero = pk.encrypt(0, rng)
+    fresh = pk.rerandomize(challenge.masked_inner, rng)
+    pair = (zero, fresh) if b == 0 else (fresh, zero)
+    return UnitResponse(pk.encrypt(b, rng), pair, comparison)
 
 
-def sign_core_finish(sk_server: SecretKey, state: CoreUnitState,
-                     response: SignUnitResponse) -> Ciphertext:
-    """Server step: unflip; the result decrypts to sign(theta . x)."""
-    flip = 1 if owner_step(sk_server, state.mask, state.ell, response.comparison) else -1
-    return flip * response.masked_sign
-
-
-def _heur_challenge(theta, enc_inputs, ell: int, kappa: int,
-                    rng: random.Random | None, require_unit: bool
-                    ) -> tuple[HeurChallenge, HeurState]:
-    """Encrypted lam * (theta . x) + mu with a fresh heuristic mask."""
-    rng = rng or SYSTEM_RNG
-    pk_client = enc_inputs[0].public_key
-    lam, mu, delta = draw_heuristic_mask(pk_client.n, ell, kappa, rng,
-                                         require_unit=require_unit)
-    acc = encrypted_dot(pk_client.encrypt(lam * theta[0] + mu, rng),
-                        [lam * coeff for coeff in theta[1:]], enc_inputs)
-    return HeurChallenge(acc), HeurState(lam, mu, delta)
-
-
-def sign_heur_challenge(theta, enc_inputs, ell: int,
-                        kappa: int = DEFAULT_KAPPA,
-                        rng: random.Random | None = None
-                        ) -> tuple[HeurChallenge, HeurState]:
-    """Server step: scaled-and-shifted inner product, sign flip kept private."""
-    return _heur_challenge(theta, enc_inputs, ell, kappa, rng, False)
-
-
-def sign_heur_answer(sk_client: SecretKey, challenge: HeurChallenge,
-                     rng: random.Random | None = None) -> Ciphertext:
-    """Client step: encrypt the sign of what it sees (flipped by the server's secret)."""
-    y_star = activations.sign_value(sk_client.decrypt(challenge.masked_inner))
-    return sk_client.public_key.encrypt(y_star, rng)
-
-
-def sign_heur_finish(state: HeurState, response: Ciphertext) -> Ciphertext:
-    return (1 - 2 * state.delta) * response
-
-
-#: Server step of a relu unit: the sign unit's challenge. The one mask serves
-#: both the comparison and the one-time pad on the value.
-relu_core_challenge = sign_core_challenge
-
-
-def relu_core_answer(sk_client: SecretKey, pk_server: PublicKey,
-                     challenge: UnitChallenge,
-                     rng: random.Random | None = None,
-                     b: int | None = None) -> ReluUnitResponse:
-    """Client step: comparison plus an ordered pair hiding which entry is live."""
-    rng = rng or SYSTEM_RNG
-    if b is None:
-        b = rng.randrange(2)
-    comp = evaluator_step(sk_client, pk_server, challenge, b, rng)
-    return ReluUnitResponse(*_relu_pair(sk_client.public_key, challenge.masked_inner,
-                                        b, rng), comp)
-
-
-def relu_core_finish(sk_server: SecretKey, state: CoreUnitState,
-                     response: ReluUnitResponse) -> Ciphertext:
-    """Server step: select the live pair entry and strip the pad obliviously."""
-    select = owner_step(sk_server, state.mask, state.ell, response.comparison)
-    return _select_live(response, select, state.mask)
-
-
-def relu_heur_challenge(theta, enc_inputs, ell: int,
-                        kappa: int = DEFAULT_KAPPA,
-                        rng: random.Random | None = None
-                        ) -> tuple[HeurChallenge, HeurState]:
-    """Server step: like the sign heuristic, but lam must be invertible so the
-    scale can be removed exactly afterwards."""
-    return _heur_challenge(theta, enc_inputs, ell, kappa, rng, True)
-
-
-def relu_heur_answer(sk_client: SecretKey, challenge: HeurChallenge,
-                     rng: random.Random | None = None) -> ReluHeurResponse:
-    b = 0 if sk_client.decrypt(challenge.masked_inner) >= 0 else 1
-    return ReluHeurResponse(*_relu_pair(sk_client.public_key, challenge.masked_inner,
-                                        b, rng))
-
-
-def relu_heur_finish(state: HeurState, response: ReluHeurResponse) -> Ciphertext:
-    n = response.masked_bit.public_key.n
-    return invert(state.lam % n, n) * _select_live(response, 1 - state.delta, state.mu)
-
-
-def _relu_pair(pk_client: PublicKey, masked_inner: Ciphertext, b: int,
-               rng: random.Random | None
-               ) -> tuple[Ciphertext, tuple[Ciphertext, Ciphertext]]:
-    """Encrypted b and the pair (0, t) for b = 0 or (t, 0) for b = 1; t is
-    rerandomized so the server cannot match it against what it sent."""
-    zero = pk_client.encrypt(0, rng)
-    fresh = pk_client.rerandomize(masked_inner, rng)
-    return pk_client.encrypt(b, rng), ((zero, fresh) if b == 0 else (fresh, zero))
-
-
-def _select_live(response, select: int, pad: int) -> Ciphertext:
-    """Oblivious select: pair[select] - pad * [b XOR select], which strips
-    ``pad`` from the live entry and leaves the zero entry zero."""
+def unit_finish(activation: str, sk_server: SecretKey | None, state: UnitState,
+                response: UnitResponse) -> Ciphertext:
+    """Server step: the select bit s = [t >= 0] XOR b gives sign(t) as
+    (2s - 1) * (-1)**b, and relu(t) as pair[s] - pad * [b XOR s], which
+    strips the pad from the live entry and leaves the zero entry zero."""
+    if state.lam is None:
+        s = owner_step(sk_server, state.pad, state.ell, response.comparison)
+    else:
+        s = int(state.lam > 0)
+    if activation == "sign":
+        return (2 * s - 1) * response.bit
     if len(response.pair) != 2:
         raise ProtocolViolationError("pair must have exactly two entries")
-    # [b xor select]: reuse the bit ciphertext for 0, flip it for 1.
-    b_sel = response.masked_bit if select == 0 else (-response.masked_bit).add_plain(1)
-    return response.pair[select] - pad * b_sel
+    # [b xor s]: reuse the bit ciphertext for 0, flip it for 1.
+    b_xor_s = response.bit if s == 0 else (-response.bit).add_plain(1)
+    live = response.pair[s] - state.pad * b_xor_s
+    if state.lam is None:
+        return live
+    n = response.bit.public_key.n
+    return invert(state.lam % n, n) * live
+
+
+# The relu unit's steps by variant, for callers that run one kind of unit.
+
+def relu_core_challenge(theta, enc_inputs, pk_server, ell, kappa=DEFAULT_KAPPA, rng=None):
+    return unit_challenge("core", theta, enc_inputs, pk_server, ell, kappa, rng)
+
+
+def relu_core_answer(sk_client, pk_server, challenge, rng=None, b=None):
+    return unit_answer("relu", sk_client, pk_server, challenge, rng, b)
+
+
+def relu_core_finish(sk_server, state, response):
+    return unit_finish("relu", sk_server, state, response)
+
+
+def relu_heur_challenge(theta, enc_inputs, ell, kappa=DEFAULT_KAPPA, rng=None):
+    return unit_challenge("heuristic", theta, enc_inputs, None, ell, kappa, rng)
+
+
+def relu_heur_answer(sk_client, challenge, rng=None):
+    return unit_answer("relu", sk_client, None, challenge, rng)
+
+
+def relu_heur_finish(state, response):
+    return unit_finish("relu", None, state, response)
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +414,14 @@ def unflatten(meta: NetworkMeta, index: int | None, up: bool, cts) -> LayerMessa
         return LayerMessage(index, cts)
     layer = meta.layers[index]
     size = len(cts) // layer.units
+    # A unit's client-key ciphertexts come first, then its server-key ones.
+    k = layout(meta, index, up)[:size].count("c")
     chunks = [cts[i:i + size] for i in range(0, len(cts), size)]
-    core = meta.variant == "core"
     if not up:
-        units = (UnitChallenge(u[0], u[1:], layer.ell) if core else HeurChallenge(u[0])
-                 for u in chunks)
-    elif layer.activation == "sign":
-        units = (SignUnitResponse(u[0], ComparisonResponse(u[1:])) if core else u[0]
-                 for u in chunks)
+        units = (UnitChallenge(u[0], u[k:], layer.ell) for u in chunks)
     else:
-        units = (ReluUnitResponse(u[0], u[1:3], ComparisonResponse(u[3:])) if core
-                 else ReluHeurResponse(u[0], u[1:3]) for u in chunks)
+        units = (UnitResponse(u[0], u[1:k], ComparisonResponse(u[k:]) if u[k:] else None)
+                 for u in chunks)
     return LayerMessage(index, tuple(units))
 
 
@@ -520,7 +466,7 @@ class NetworkServerSession:
         self.spec = spec
         self.meta = spec.meta(mode, variant)
         self.kappa = kappa
-        self.server_keys = server_keys
+        self.server_keys = server_keys or (None, None)
         self.rng = rng or SYSTEM_RNG
         self._state: tuple | None = None
         self._enc: tuple[Ciphertext, ...] | None = None
@@ -572,20 +518,11 @@ class NetworkServerSession:
                      for theta in layer.weights)
 
     def _challenge_unit(self, layer: LayerSpec, theta):
-        if self.meta.variant == "core":
-            return sign_core_challenge(theta, self._enc, self.server_keys[0],
-                                       layer.ell, self.kappa, self.rng)
-        heur = sign_heur_challenge if layer.activation == "sign" else relu_heur_challenge
-        return heur(theta, self._enc, layer.ell, self.kappa, self.rng)
+        return unit_challenge(self.meta.variant, theta, self._enc, self.server_keys[0],
+                              layer.ell, self.kappa, self.rng)
 
     def _finish_unit(self, layer: LayerSpec, state, response) -> Ciphertext:
-        if layer.activation == "sign":
-            if self.meta.variant == "core":
-                return sign_core_finish(self.server_keys[1], state, response)
-            return sign_heur_finish(state, response)
-        if self.meta.variant == "core":
-            return relu_core_finish(self.server_keys[1], state, response)
-        return relu_heur_finish(state, response)
+        return unit_finish(layer.activation, self.server_keys[1], state, response)
 
 
 class NetworkClientSession:
@@ -648,16 +585,10 @@ class NetworkClientSession:
                 for t in values]
         return LayerMessage(index, tuple(self.pk.encrypt(v, self.rng) for v in outs))
 
-    def _answer_unit(self, layer: LayerMeta, challenge):
-        if self.meta.variant == "core":
-            if not isinstance(challenge, UnitChallenge) or challenge.ell != layer.ell:
-                raise ProtocolViolationError("challenge does not match the layer bound")
-            if layer.activation == "sign":
-                return sign_core_answer(self.sk, self.server_pk, challenge, self.rng)
-            return relu_core_answer(self.sk, self.server_pk, challenge, self.rng)
-        if layer.activation == "sign":
-            return sign_heur_answer(self.sk, challenge, self.rng)
-        return relu_heur_answer(self.sk, challenge, self.rng)
+    def _answer_unit(self, layer: LayerMeta, challenge) -> UnitResponse:
+        if not isinstance(challenge, UnitChallenge) or challenge.ell != layer.ell:
+            raise ProtocolViolationError("challenge does not match the layer bound")
+        return unit_answer(layer.activation, self.sk, self.server_pk, challenge, self.rng)
 
     def _finish_raw(self, layer: LayerMeta, values) -> None:
         act = activations.get(layer.activation)

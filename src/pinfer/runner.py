@@ -235,7 +235,10 @@ def _meta_to_json(meta: NetworkMeta, pk_server: PublicKey | None) -> bytes:
 
 def _meta_from_json(data: bytes, protocol: wire.Protocol
                     ) -> tuple[NetworkMeta, PublicKey | None]:
-    """Inverse of ``_meta_to_json``; mode and variant come from ``protocol``."""
+    """Inverse of ``_meta_to_json``; mode and variant come from ``protocol``.
+    A META the client cannot run is refused: no layers, an unknown output
+    mode, a size that is not a non-negative integer, or a zero bound length,
+    which would make a comparison of no bits."""
     try:
         doc = json.loads(data.decode("utf-8"))
         key = doc.pop("server_key")
@@ -244,6 +247,12 @@ def _meta_from_json(data: bytes, protocol: wire.Protocol
         pk = wire.deserialize_public_key(bytes.fromhex(key)) if key else None
     except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise MessageFormatError(f"malformed network meta: {exc}") from None
+    sizes = (meta.d_in, meta.precision,
+             *(v for layer in meta.layers for v in (layer.units, layer.ell, layer.t_scale)))
+    if not meta.layers or meta.output_mode not in network.OUTPUT_MODES or \
+            not all(type(v) is int and v >= 0 for v in sizes) or \
+            min(layer.ell for layer in meta.layers) < 1:
+        raise MessageFormatError("network meta describes no network the client can run")
     return meta, pk
 
 

@@ -44,6 +44,19 @@ DIGESTS = {
         "156092b8ce0aebc3f4dbc6046f15c2ecbe3c5a7f6b910fa75ad503f374a53e4a",
 }
 
+#: The output modes the table above misses: sign networks with activated
+#: output and relu networks with raw output.
+OTHER_OUTPUT_DIGESTS = {
+    "ffnn-sign":
+        "3b49044791db62c3dbfc7cc87b0e227e8d5afbe57717f26238e124846f456eda",
+    "ffnn-sign-heur":
+        "4ad2dbff9f30b71e3d78ba376a7ab50d8861a34d90386201702954a6c84627d4",
+    "ffnn-relu":
+        "007042bffbbd9d0d93f19d8bb84cff296ef73791fbecdc3a1eb0101c463a713d",
+    "ffnn-relu-heur":
+        "b6dc425fdf8e80a9bcc290457e9943c51b3d7044e272e79420bebae58782c623",
+}
+
 _LINEAR_TYPES = {"regr-core": "logistic", "regr-dual": "linear",
                  "svm-core": "svm", "svm-heur": "svm"}
 
@@ -73,17 +86,18 @@ def digest_keys():
     return keygen(512, insecure_rng(1)), keygen(512, insecure_rng(2))
 
 
-def _loaded(protocol: str) -> tuple[LoadedModel, FeatureVector]:
+def _loaded(protocol: str, other_output: bool = False) -> tuple[LoadedModel, FeatureVector]:
     if protocol in _LINEAR_TYPES:
         model = LinearModel.from_real([0.5, -0.25, 0.75, -1.0], 0.125, PRECISION)
         x = FeatureVector.from_real([0.3, -0.6, 0.9, 0.2], PRECISION)
         return LoadedModel(_LINEAR_TYPES[protocol], model, KAPPA), x
     activation = "relu" if "relu" in protocol else "sign"
+    activated = (activation == "relu") != other_output
     spec = NetworkSpec.from_integer(
         [([(0, 1, 1), (-1, 1, -1), (1, -1, 0)], activation),
          ([(0, 1, -1, 1), (1, 1, 1, -1)], activation),
          ([(1, 1, -1)], activation)],
-        output_mode="activated" if activation == "relu" else "raw")
+        output_mode="activated" if activated else "raw")
     return LoadedModel("ffnn", spec, KAPPA), FeatureVector((1, -1, -1), 0)
 
 
@@ -91,10 +105,9 @@ def test_every_protocol_has_a_digest():
     assert set(DIGESTS) == set(wire.PROTOCOLS)
 
 
-@pytest.mark.parametrize("protocol", list(DIGESTS))
-def test_seeded_query_is_byte_identical(digest_keys, protocol):
-    client_keys, server_keys = digest_keys
-    loaded, x = _loaded(protocol)
+def _query_digest(keys, protocol: str, other_output: bool) -> str:
+    client_keys, server_keys = keys
+    loaded, x = _loaded(protocol, other_output)
     served = prepare_served(protocol, loaded, server_keys, KAPPA, insecure_rng(100))
     inner, thread = serve_loopback(served)
     digest = hashlib.sha256()
@@ -108,4 +121,14 @@ def test_seeded_query_is_byte_identical(digest_keys, protocol):
     thread.join(timeout=10)
     assert not thread.is_alive()
     digest.update(repr((result, transcript, publish)).encode("utf-8"))
-    assert digest.hexdigest() == DIGESTS[protocol]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("protocol", list(DIGESTS))
+def test_seeded_query_is_byte_identical(digest_keys, protocol):
+    assert _query_digest(digest_keys, protocol, False) == DIGESTS[protocol]
+
+
+@pytest.mark.parametrize("protocol", list(OTHER_OUTPUT_DIGESTS))
+def test_seeded_query_in_the_other_output_mode_is_byte_identical(digest_keys, protocol):
+    assert _query_digest(digest_keys, protocol, True) == OTHER_OUTPUT_DIGESTS[protocol]

@@ -255,11 +255,13 @@ def test_heuristic_interval_and_masks(rng):
     # Every admissible (lam, mu) keeps |lam*t + mu| inside the signed range.
     assert hi * 16 - 1 <= (modulus - 1) // 2
     for _ in range(200):
-        lam, mu, delta = draw_heuristic_mask(modulus, 4, kappa=5, rng=rng)
+        lam, mu = draw_heuristic_mask(modulus, 4, kappa=5, rng=rng)
         assert lo <= lam <= hi and lam != 0
         assert abs(mu) < abs(lam)
         assert mu == 0 or (mu > 0) == (lam > 0)
-        assert delta == (0 if lam > 0 else 1)
+    # lam is always a unit: at the composite 4097 = 17 * 241, never a multiple of 17.
+    assert all(draw_heuristic_mask(17 * 241, 4, kappa=5, rng=rng)[0] % 17 != 0
+               for _ in range(200))
 
 
 def test_heuristic_sizing_gate(rng):

@@ -68,7 +68,10 @@ def test_model_file_error_paths(tmp_path):
     ("linear", lambda doc: doc.update(precision="x")),
     ("linear", lambda doc: doc.update(kappa="x")),
     ("ffnn", lambda doc: doc.update(ell=doc["ell"][:1])),
-], ids=["no precision", "precision not a number", "kappa not a number", "ell list too short"])
+    ("linear", lambda doc: doc.update(weights="123")),
+    ("ffnn", lambda doc: doc["layers"][0].update(weights=["123"])),
+], ids=["no precision", "precision not a number", "kappa not a number", "ell list too short",
+        "weights as a string", "weight row as a string"])
 def test_malformed_model_file_is_refused(tmp_path, model_type, change):
     model = (NetworkSpec.from_integer([([(0, 1, 1)], "sign"), ([(0, 1)], "sign")])
              if model_type == "ffnn" else LinearModel.from_real([0.5], bias=0.0, precision=10))

@@ -2,15 +2,9 @@ import pytest
 
 from pinfer.errors import ParameterError, ProtocolViolationError
 from pinfer.linear import FeatureVector
-from pinfer.network import (NetworkClientSession,
-                            NetworkServerSession, NetworkSpec,
-                            ReluUnitResponse, evaluate_network,
-                            relu_core_answer, relu_core_challenge,
-                            relu_core_finish, relu_heur_answer,
-                            relu_heur_challenge, relu_heur_finish,
-                            sign_core_answer, sign_core_challenge,
-                            sign_core_finish, sign_heur_answer,
-                            sign_heur_challenge, sign_heur_finish)
+from pinfer.network import (NetworkClientSession, NetworkServerSession,
+                            NetworkSpec, UnitResponse, evaluate_network,
+                            unit_answer, unit_challenge, unit_finish)
 from pinfer.paillier import SecretKey
 from pinfer.reference import eval_ffnn, eval_linear
 from pinfer.wire import Transcript
@@ -25,113 +19,70 @@ def test_relu_sign_identity():
 
 
 # ---------------------------------------------------------------------------
-# per-unit protocols
+# the comparing unit
+
+UNIT_KINDS = [("sign", "core"), ("sign", "heuristic"),
+              ("relu", "core"), ("relu", "heuristic")]
+
 
 def unit_inputs(pk_client, value, rng):
     # theta = (value, 0) against input 0 gives an inner product of exactly value.
     return (value, 0), [pk_client.encrypt(0, rng)]
 
 
-def run_sign_core(client_keys, server_keys, t_value, ell, rng, b=None, mask=None):
+def run_unit(activation, variant, client_keys, server_keys, t_value, ell, rng, b=None):
     pk_c, sk_c = client_keys
     pk_s, sk_s = server_keys
     theta, enc = unit_inputs(pk_c, t_value, rng)
-    challenge, state = sign_core_challenge(theta, enc, pk_s, ell, KAPPA, rng, mask=mask)
-    response = sign_core_answer(sk_c, pk_s, challenge, rng, b=b)
-    return sk_c.decrypt(sign_core_finish(sk_s, state, response))
+    challenge, state = unit_challenge(variant, theta, enc, pk_s, ell, KAPPA, rng)
+    response = unit_answer(activation, sk_c, pk_s, challenge, rng, b)
+    return sk_c.decrypt(unit_finish(activation, sk_s, state, response))
 
 
-def run_relu_core(client_keys, server_keys, t_value, ell, rng, b=None, mask=None):
-    pk_c, sk_c = client_keys
-    pk_s, sk_s = server_keys
-    theta, enc = unit_inputs(pk_c, t_value, rng)
-    challenge, state = relu_core_challenge(theta, enc, pk_s, ell, KAPPA, rng, mask=mask)
-    response = relu_core_answer(sk_c, pk_s, challenge, rng, b=b)
-    return sk_c.decrypt(relu_core_finish(sk_s, state, response))
+def expected_unit(activation, t):
+    return (1 if t >= 0 else -1) if activation == "sign" else max(0, t)
 
 
-def test_sign_core_unit_basic(client_keys, server_keys, rng):
-    assert run_sign_core(client_keys, server_keys, 3, 5, rng) == 1
-    assert run_sign_core(client_keys, server_keys, 0, 5, rng) == 1
-    assert run_sign_core(client_keys, server_keys, -3, 5, rng) == -1
+@pytest.mark.parametrize("activation,variant", UNIT_KINDS)
+def test_unit_basic(client_keys, server_keys, rng, activation, variant):
+    points = {"sign": (3, 0, -3, -2, 9), "relu": (7, -7, 0, 5, -5)}[activation]
+    for t in points:
+        assert run_unit(activation, variant, client_keys, server_keys, t, 5, rng) == \
+            expected_unit(activation, t), t
 
 
-def test_sign_core_unit_sweep(client_keys, server_keys, rng):
-    # Exhaustive over the value range at ell = 5, fresh mask and flip bit per run.
-    ell = 5
-    for t in range(-31, 32):
-        for _ in range(20):
-            b = rng.randrange(2)
-            assert run_sign_core(client_keys, server_keys, t, ell, rng, b=b) == \
-                (1 if t >= 0 else -1), (t, b)
+@pytest.mark.parametrize("activation,variant,ell,flips", [
+    ("sign", "core", 5, [None] * 20), ("relu", "core", 4, [0, 1]),
+    ("sign", "heuristic", 4, [None] * 34), ("relu", "heuristic", 4, [None] * 34)],
+    ids=["sign-core", "relu-core", "sign-heuristic", "relu-heuristic"])
+def test_unit_sweep(client_keys, server_keys, rng, activation, variant, ell, flips):
+    # Exhaustive over |t| < 2**ell. Each run draws a fresh core mask, and a
+    # fresh flip bit where b is None, or a fresh heuristic (lam, mu).
+    for t in range(1 - (1 << ell), 1 << ell):
+        for b in flips:
+            assert run_unit(activation, variant, client_keys, server_keys, t, ell, rng,
+                            b=b) == expected_unit(activation, t), (t, b)
 
 
 def test_sign_core_mixed_keys(client_keys, server_keys, rng):
     pk_c, _ = client_keys
     pk_s, _ = server_keys
     theta, enc = unit_inputs(pk_c, 3, rng)
-    challenge, _ = sign_core_challenge(theta, enc, pk_s, 4, KAPPA, rng)
+    challenge, _ = unit_challenge("core", theta, enc, pk_s, 4, KAPPA, rng)
     assert challenge.masked_inner.key_id == pk_c.key_id
     assert all(ct.key_id == pk_s.key_id for ct in challenge.mask_bits)
-
-
-def test_relu_core_unit_basic(client_keys, server_keys, rng):
-    assert run_relu_core(client_keys, server_keys, 7, 5, rng) == 7
-    assert run_relu_core(client_keys, server_keys, -7, 5, rng) == 0
-    assert run_relu_core(client_keys, server_keys, 0, 5, rng) == 0
-
-
-def test_relu_core_unit_sweep(client_keys, server_keys, rng):
-    ell = 4
-    for t in range(-15, 16):
-        for b in (0, 1):
-            assert run_relu_core(client_keys, server_keys, t, ell, rng, b=b) == \
-                max(0, t), (t, b)
 
 
 def test_relu_core_pair_length_violation(client_keys, server_keys, rng):
     pk_c, sk_c = client_keys
     pk_s, sk_s = server_keys
     theta, enc = unit_inputs(pk_c, 3, rng)
-    challenge, state = relu_core_challenge(theta, enc, pk_s, 4, KAPPA, rng)
-    response = relu_core_answer(sk_c, pk_s, challenge, rng)
-    forged = ReluUnitResponse(response.masked_bit,
-                              response.pair + (response.pair[0],),
-                              response.comparison)
+    challenge, state = unit_challenge("core", theta, enc, pk_s, 4, KAPPA, rng)
+    response = unit_answer("relu", sk_c, pk_s, challenge, rng)
+    forged = UnitResponse(response.bit, response.pair + (response.pair[0],),
+                          response.comparison)
     with pytest.raises(ProtocolViolationError):
-        relu_core_finish(sk_s, state, forged)
-
-
-def test_sign_heur_unit(client_keys, rng):
-    pk_c, sk_c = client_keys
-    for t_value, expected in ((-2, -1), (0, 1), (9, 1)):
-        theta, enc = unit_inputs(pk_c, t_value, rng)
-        challenge, state = sign_heur_challenge(theta, enc, 4, KAPPA, rng)
-        response = sign_heur_answer(sk_c, challenge, rng)
-        assert sk_c.decrypt(sign_heur_finish(state, response)) == expected
-
-
-def test_relu_heur_unit(client_keys, rng):
-    pk_c, sk_c = client_keys
-    for t_value, expected in ((5, 5), (-5, 0), (0, 0)):
-        theta, enc = unit_inputs(pk_c, t_value, rng)
-        challenge, state = relu_heur_challenge(theta, enc, 4, KAPPA, rng)
-        response = relu_heur_answer(sk_c, challenge, rng)
-        assert sk_c.decrypt(relu_heur_finish(state, response)) == expected
-
-
-def test_heur_units_random_sweep(client_keys, rng):
-    pk_c, sk_c = client_keys
-    enc = [pk_c.encrypt(0, rng)]
-    for _ in range(1000):
-        t_value = rng.randrange(-15, 16)
-        theta = (t_value, 0)
-        challenge, state = sign_heur_challenge(theta, enc, 4, KAPPA, rng)
-        assert sk_c.decrypt(sign_heur_finish(state, sign_heur_answer(sk_c, challenge, rng))) \
-            == (1 if t_value >= 0 else -1)
-        challenge, state = relu_heur_challenge(theta, enc, 4, KAPPA, rng)
-        assert sk_c.decrypt(relu_heur_finish(state, relu_heur_answer(sk_c, challenge, rng))) \
-            == max(0, t_value)
+        unit_finish("relu", sk_s, state, forged)
 
 
 def test_masked_sign_is_balanced(client_keys, server_keys, rng):
@@ -140,11 +91,11 @@ def test_masked_sign_is_balanced(client_keys, server_keys, rng):
     pk_c, sk_c = client_keys
     pk_s, sk_s = server_keys
     theta, enc = unit_inputs(pk_c, 3, rng)
-    challenge, _ = sign_core_challenge(theta, enc, pk_s, 2, KAPPA, rng)
+    challenge, _ = unit_challenge("core", theta, enc, pk_s, 2, KAPPA, rng)
     plus = 0
     for _ in range(1000):
-        response = sign_core_answer(sk_c, pk_s, challenge, rng)
-        plus += sk_c.decrypt(response.masked_sign) == 1
+        response = unit_answer("sign", sk_c, pk_s, challenge, rng)
+        plus += sk_c.decrypt(response.bit) == 1
     sigma = (1000 * 0.25) ** 0.5
     assert abs(plus - 500) <= 5 * sigma
 

@@ -15,10 +15,9 @@ from pinfer.errors import (MessageFormatError, ParameterError, ProtocolViolation
                            WorkerError)
 from pinfer.linear import FeatureRequest, FeatureVector, LinearModel
 from pinfer.modelfile import LoadedModel
-from pinfer.network import (HeurChallenge, LayerMessage, LayerMeta,
-                            NetworkClientSession, NetworkMeta, NetworkSpec,
-                            ReluHeurResponse, ReluUnitResponse, SignUnitResponse,
-                            UnitChallenge, compares, layout)
+from pinfer.network import (LayerMessage, LayerMeta, NetworkClientSession,
+                            NetworkMeta, NetworkSpec, UnitChallenge, UnitResponse,
+                            compares, layout)
 from pinfer.numutil import insecure_rng
 from pinfer.reference import (eval_ffnn, eval_linear, eval_logistic, eval_svm)
 from pinfer.runner import (MAX_SESSIONS_PER_CONNECTION, ChannelClosed, SocketChannel,
@@ -513,6 +512,13 @@ def _canned_replies(case, client_keys, server_keys):
                *(wire.serialize_ciphertext(pk_s.encrypt(1), pk_s) for _ in range(2))]
     meta = _meta_to_json(ffnn_loaded("sign").model.meta("encrypted", "core"), pk_s)
     generic_meta = _meta_to_json(ffnn_loaded("sign").model.meta("generic"), None)
+    doc = json.loads(generic_meta)
+    no_layers = json.dumps({**doc, "layers": []}).encode("utf-8")
+    doc["layers"][0]["units"] = "1"
+    string_units = json.dumps(doc).encode("utf-8")
+    doc = json.loads(meta)
+    doc["layers"][0]["ell"] = 0
+    zero_ell = json.dumps(doc).encode("utf-8")
     return {
         "regr-core response": ("regr-core", [(wire.STEP_RESPONSE, (ct,))]),
         "regr-core activation": ("regr-core", [(wire.STEP_RESPONSE,
@@ -532,6 +538,15 @@ def _canned_replies(case, client_keys, server_keys):
         "ffnn flag": ("ffnn-generic", [(wire.STEP_META, (generic_meta,)),
                                        (wire.STEP_LAYER_DOWN,
                                         (wire.pack_u32(0), b"\x00", ct, ct, ct))]),
+        # A META the client cannot run: without the check, an output frame
+        # raised IndexError, and a layer frame TypeError (string units) or
+        # AttributeError (a comparison of no bits).
+        "ffnn no layers": ("ffnn-generic", [(wire.STEP_META, (no_layers,)),
+                                            (wire.STEP_OUTPUT, ())]),
+        "ffnn string units": ("ffnn-generic", [(wire.STEP_META, (string_units,)),
+                                               (wire.STEP_LAYER_DOWN, (wire.pack_u32(0),))]),
+        "ffnn zero ell": ("ffnn-sign", [(wire.STEP_META, (zero_ell,)),
+                                        (wire.STEP_LAYER_DOWN, (wire.pack_u32(0), ct, ct, ct))]),
     }[case]
 
 
@@ -545,7 +560,10 @@ def _canned_replies(case, client_keys, server_keys):
     ("svm-core response", ProtocolViolationError),
     ("ffnn meta", ProtocolViolationError),
     ("ffnn layer", ProtocolViolationError),
-    ("ffnn flag", ProtocolViolationError)])
+    ("ffnn flag", ProtocolViolationError),
+    ("ffnn no layers", MessageFormatError),
+    ("ffnn string units", MessageFormatError),
+    ("ffnn zero ell", MessageFormatError)])
 def test_client_rejects_short_frames(client_keys, server_keys, rng, case, error):
     protocol, replies = _canned_replies(case, client_keys, server_keys)
     x = pm_one(rng) if protocol.startswith("ffnn") else FeatureVector((1, 1), 12)
@@ -633,16 +651,13 @@ _LAYOUT_KEYS = (keygen(128, insecure_rng(0x1A40)), keygen(128, insecure_rng(0x1A
 
 def _unit(up, activation, variant, ell, c, s):
     """One comparing unit's share of a message, built field by field."""
+    core = variant == "core"
     if not up:
-        if variant == "heuristic":
-            return HeurChallenge(c())
-        return UnitChallenge(c(), tuple(s() for _ in range(ell)), ell)
-    comparison = ComparisonResponse(tuple(s() for _ in range(ell + 1)))
-    if activation == "sign":
-        return c() if variant == "heuristic" else SignUnitResponse(c(), comparison)
-    if variant == "heuristic":
-        return ReluHeurResponse(c(), (c(), c()))
-    return ReluUnitResponse(c(), (c(), c()), comparison)
+        return UnitChallenge(c(), tuple(s() for _ in range(ell if core else 0)), ell)
+    bit = c()
+    pair = () if activation == "sign" else (c(), c())
+    return UnitResponse(bit, pair, ComparisonResponse(tuple(s() for _ in range(ell + 1)))
+                        if core else None)
 
 
 @settings(max_examples=80, deadline=None)
@@ -713,10 +728,20 @@ def _layer(change):
     lambda doc: {**doc, "variant": "core"},
     lambda doc: list(doc.values()),
     lambda doc: "meta", lambda doc: 5, lambda doc: None,
+    # A META the client cannot run.
+    lambda doc: {**doc, "layers": []},
+    lambda doc: {**doc, "output_mode": "soft"},
+    _layer(lambda layer: layer.update(units="1")),
+    _layer(lambda layer: layer.update(ell=-1)),
+    _layer(lambda layer: layer.update(ell=0)),
+    _layer(lambda layer: layer.update(t_scale=True)),
+    lambda doc: {**doc, "d_in": 2.0},
+    lambda doc: {**doc, "precision": None},
 ], ids=["no d_in", "no layers", "no server_key", "extra field", "layer without ell",
         "layer extra field", "list for a layer", "number for layers", "bad key hex",
         "number for key", "mode field", "variant field", "list", "string", "number",
-        "null"])
+        "null", "empty layers", "unknown output mode", "string units", "negative ell", "zero ell",
+        "bool t_scale", "float d_in", "null precision"])
 def test_malformed_meta_is_a_format_error(mutate):
     doc = json.loads(_meta_to_json(ffnn_loaded("sign").model.meta("encrypted", "core"), None))
     with pytest.raises(MessageFormatError):
