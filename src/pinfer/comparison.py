@@ -20,7 +20,10 @@ the core network units with the server as owner and a random flip.
 
 Blinding scalars are drawn from the units modulo M by rejection sampling;
 M = N is composite here, but a product r*h can only vanish modulo M for
-h = 0 when r is a unit, which is all correctness needs.
+h = 0 when r is a unit, which is all correctness needs. Privacy needs more:
+a prime p <= l+2 dividing the owner's N would let the owner read whether p
+divides h, so ``evaluator_step`` refuses an owner key with a factor below
+2**12.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ParameterError, ProtocolViolationError
-from .numutil import SYSTEM_RNG
+from .numutil import _ODD_PRIMORIAL, SYSTEM_RNG, gcd
 from .paillier import Ciphertext, PublicKey, SecretKey
 
 
@@ -165,7 +168,15 @@ def mask_challenge(masked_inner: Ciphertext, pk_owner: PublicKey, mask: int, ell
 def evaluator_step(sk_eval: SecretKey, pk_owner: PublicKey, challenge: UnitChallenge,
                    flip: int, rng: random.Random | None = None) -> ComparisonResponse:
     """Compare the low ell bits of t + mask against the mask's, with the
-    evaluator's share pinned to bit ell of t + mask XOR ``flip``."""
+    evaluator's share pinned to bit ell of t + mask XOR ``flip``.
+
+    Raises:
+        ProtocolViolationError: the owner's modulus has an odd prime factor
+            below 2**12, before any blind. r*h mod such a prime p is 0
+            exactly when p divides h, so the owner could read h mod p.
+    """
+    if gcd(pk_owner.n, _ODD_PRIMORIAL) != 1:
+        raise ProtocolViolationError("the bit owner's modulus has a small factor")
     ell = challenge.ell
     t_star = sk_eval.decrypt_unsigned(challenge.masked_inner)
     delta_eval = ((t_star >> ell) & 1) ^ flip

@@ -156,7 +156,7 @@ class FeatureRequest:
     def encrypt(cls, pk: PublicKey, x: FeatureVector,
                 rng: random.Random | None = None) -> "FeatureRequest":
         """Encrypt x_1..x_d under ``pk``; x_0 is not transmitted."""
-        return cls(tuple(pk.encrypt(v, rng) for v in x.values[1:]), pk)
+        return cls(tuple(pk.encrypt_all(x.values[1:], rng)), pk)
 
 
 @dataclass(frozen=True)
@@ -228,21 +228,24 @@ def check_heuristic_sizing(modulus: int, ell: int, kappa: int) -> None:
 def draw_heuristic_mask(modulus: int, ell: int, kappa: int,
                         rng: random.Random | None = None) -> tuple[int, int]:
     """Draw (lam, mu) with lam a unit modulo the message space, |mu| < |lam|
-    and sign(mu) = sign(lam); mu = 0 is permitted for either sign.
+    and sign(mu) = sign(lam); mu = 0 only for lam > 0.
 
     lam is redrawn until invertible, so the network's relu units can divide
     by it; a non-unit lam needs p | lam or q | lam, so at real key sizes the
-    redraw practically never happens.
+    redraw practically never happens. A negative lam with mu = 0 is redrawn
+    too: the sign unit reads lam * 0 + 0 as t >= 0 and its select bit as
+    t < 0, so it would return -1 for t = 0.
     """
     rng = rng or SYSTEM_RNG
     check_heuristic_sizing(modulus, ell, kappa)
     lo, hi = heuristic_interval(modulus, ell)
     while True:
         lam = rng.randrange(lo, hi + 1)
-        if lam != 0 and gcd(abs(lam), modulus) == 1:
-            break
-    mu = rng.randrange(0, lam) if lam > 0 else rng.randrange(lam + 1, 1)
-    return lam, mu
+        if lam == 0 or gcd(abs(lam), modulus) != 1:
+            continue
+        mu = rng.randrange(0, lam) if lam > 0 else rng.randrange(lam + 1, 1)
+        if lam > 0 or mu != 0:
+            return lam, mu
 
 
 def masked_sign_value(t: int, lam: int, mu: int, modulus: int) -> int:
@@ -256,15 +259,16 @@ def masked_sign_value(t: int, lam: int, mu: int, modulus: int) -> int:
     return v if v < (modulus + 1) // 2 else v - modulus
 
 
-def encrypted_dot(start: Ciphertext, coeffs, cts) -> Ciphertext:
-    """Encrypted start + sum of coeff * ct; a fresh ``start`` makes the sum fresh."""
+def encrypted_dot(pk: PublicKey, start: int, coeffs, cts,
+                  rng: random.Random | None = None) -> Ciphertext:
+    """Enc(start mod N) + sum of coeff * ct under ``pk``, fresh through Enc(start),
+    whose random factor the power worker computes while this thread multiplies."""
     if len(coeffs) != len(cts):
         raise DimensionMismatchError(
             f"{len(coeffs)} coefficients for {len(cts)} ciphertexts")
-    acc = start
-    for coeff, ct in zip(coeffs, cts):
-        acc = acc + coeff * ct
-    return acc
+    terms, (factor,) = pk._factors([pk._draw_base(rng)],
+                                   lambda: [coeff * ct for coeff, ct in zip(coeffs, cts)])
+    return sum(terms, pk.encrypt_unsigned(start % pk.n, factor=factor))
 
 
 def _check_dims(model_d: int, request_d: int) -> None:
@@ -295,8 +299,8 @@ def regr_core_respond(model: LinearModel, request: FeatureRequest,
                       rng: random.Random | None = None) -> Ciphertext:
     """Encrypted inner product theta . x under the client key."""
     _check_dims(model.d, request.d)
-    return encrypted_dot(request.public_key.encrypt(model.theta[0], rng),
-                         model.theta[1:], request.ciphertexts)
+    return encrypted_dot(request.public_key, model.theta[0], model.theta[1:],
+                         request.ciphertexts, rng)
 
 
 def regr_core_finish(sk_client: SecretKey, response: Ciphertext,
@@ -314,8 +318,8 @@ def regr_core_finish(sk_client: SecretKey, response: Ciphertext,
 def regr_dual_publish(model: LinearModel, pk_server: PublicKey,
                       rng: random.Random | None = None) -> PublishedLinearModel:
     """One-time encryption of the model under the server key."""
-    cts = tuple(pk_server.encrypt(t, rng) for t in model.theta)
-    return PublishedLinearModel(cts[0].public_key, cts, model.ell, model.precision)
+    cts = tuple(pk_server.encrypt_all(model.theta, rng))
+    return PublishedLinearModel(pk_server, cts, model.ell, model.precision)
 
 
 def _check_published_input(published: PublishedLinearModel, x: FeatureVector) -> None:
@@ -326,9 +330,9 @@ def _check_published_input(published: PublishedLinearModel, x: FeatureVector) ->
 
 def _masked_dot(published: PublishedLinearModel, x: FeatureVector, mask: int,
                 rng: random.Random) -> Ciphertext:
-    """Encrypted theta . x + mask under the server key, from the published model."""
-    acc = encrypted_dot(published.ciphertexts[0], x.values[1:], published.ciphertexts[1:])
-    return acc + published.public_key.encrypt_unsigned(mask, rng)
+    """Encrypted theta . x + mask under the server key; Enc(mask) is its fresh term."""
+    pk, (theta_0, *theta) = published.public_key, published.ciphertexts
+    return encrypted_dot(pk, mask, x.values[1:], theta, rng) + theta_0
 
 
 def regr_dual_request(published: PublishedLinearModel, x: FeatureVector,
@@ -431,9 +435,9 @@ def svm_heur_respond(model: LinearModel, request: FeatureRequest,
         if lam == 0 or abs(mu) >= abs(lam) or (mu != 0 and (mu > 0) != (lam > 0)):
             raise ParameterError("forced mask violates the heuristic constraints")
     flip = 1 if lam > 0 else -1
-    return encrypted_dot(pk.encrypt(flip * (lam * model.theta[0] + mu), rng),
+    return encrypted_dot(pk, flip * (lam * model.theta[0] + mu),
                          [flip * lam * coeff for coeff in model.theta[1:]],
-                         request.ciphertexts)
+                         request.ciphertexts, rng)
 
 
 def svm_heur_finish(sk_client: SecretKey, response: Ciphertext) -> int:

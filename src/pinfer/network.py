@@ -257,14 +257,6 @@ class UnitState:
     lam: int | None = None
 
 
-def _inner_with_offset(theta, enc_inputs, offset: int,
-                       rng: random.Random | None) -> Ciphertext:
-    """Encrypted theta . x + offset under the inputs' key, with fresh randomness."""
-    pk = enc_inputs[0].public_key
-    return encrypted_dot(pk.encrypt_unsigned((theta[0] + offset) % pk.n, rng),
-                         theta[1:], enc_inputs)
-
-
 def unit_challenge(variant: str, theta, enc_inputs, pk_server: PublicKey | None,
                    ell: int, kappa: int = DEFAULT_KAPPA,
                    rng: random.Random | None = None
@@ -273,14 +265,14 @@ def unit_challenge(variant: str, theta, enc_inputs, pk_server: PublicKey | None,
     under the client key; the core mask bits go under the server key so the
     client can act as the comparison evaluator."""
     rng = rng or SYSTEM_RNG
-    n = enc_inputs[0].public_key.n
+    pk = enc_inputs[0].public_key
     if variant == "core":
-        check_core_sizing(n, ell, kappa)
+        check_core_sizing(pk.n, ell, kappa)
         mask = draw_mask(ell, kappa, rng)
-        t_ct = _inner_with_offset(theta, enc_inputs, mask, rng)
+        t_ct = encrypted_dot(pk, theta[0] + mask, theta[1:], enc_inputs, rng)
         return mask_challenge(t_ct, pk_server, mask, ell, rng), UnitState(mask, ell)
-    lam, mu = draw_heuristic_mask(n, ell, kappa, rng)
-    t_ct = _inner_with_offset([lam * coeff for coeff in theta], enc_inputs, mu, rng)
+    lam, mu = draw_heuristic_mask(pk.n, ell, kappa, rng)
+    t_ct = encrypted_dot(pk, lam * theta[0] + mu, [lam * c for c in theta[1:]], enc_inputs, rng)
     return UnitChallenge(t_ct, (), ell), UnitState(mu, ell, lam)
 
 
@@ -514,7 +506,8 @@ class NetworkServerSession:
         return LayerMessage(self._layer, challenges)
 
     def _layer_inners(self, layer: LayerSpec) -> tuple[Ciphertext, ...]:
-        return tuple(_inner_with_offset(theta, self._enc, 0, self.rng)
+        pk = self._enc[0].public_key
+        return tuple(encrypted_dot(pk, theta[0], theta[1:], self._enc, self.rng)
                      for theta in layer.weights)
 
     def _challenge_unit(self, layer: LayerSpec, theta):
@@ -577,13 +570,13 @@ class NetworkClientSession:
         if compares(self.meta, index):
             return LayerMessage(index, tuple(self._answer_unit(layer, ch)
                                              for ch in message.units))
-        values = [self.sk.decrypt(ct) for ct in message.units]
+        values = self.sk.decrypt_all(message.units)
         if index == depth - 1:
             self._finish_raw(layer, values)
             return None
         outs = [activations.apply_fixed(layer.activation, t, layer.t_scale, self.meta.precision)
                 for t in values]
-        return LayerMessage(index, tuple(self.pk.encrypt(v, self.rng) for v in outs))
+        return LayerMessage(index, tuple(self.pk.encrypt_all(outs, self.rng)))
 
     def _answer_unit(self, layer: LayerMeta, challenge) -> UnitResponse:
         if not isinstance(challenge, UnitChallenge) or challenge.ell != layer.ell:
@@ -599,7 +592,7 @@ class NetworkClientSession:
 
     def _finish_activated(self, message: LayerMessage) -> None:
         layer = self.meta.layers[-1]
-        values = [self.sk.decrypt(ct) for ct in message.units]
+        values = self.sk.decrypt_all(message.units)
         if layer.activation == "sign":
             self.result = InferenceResult(tuple(float(v) for v in values), tuple(values))
         else:

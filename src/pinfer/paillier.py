@@ -23,22 +23,23 @@ alone, as a peer's key is, holds no factors and takes the generic path; both
 produce the same distribution of ciphertexts, and their ciphertexts mix
 freely.
 
-Three batch methods serve the comparison, and each splits its work with a
-worker process: one child process per party process, started at the first
-batch and ended at exit. The worker computes b**e mod m for the bases b of
-a batch while the calling thread does the rest.
+Every batch of fresh randomness goes through ``PublicKey._factors``, which
+shares its powers with a worker process: one child process per party
+process, started at the first batch and ended at exit. The random factors
+do not depend on the values (Paillier, EUROCRYPT 1999, notes they can be
+precomputed), so a batch draws them as single encryptions would, in order,
+and the worker computes its share while the caller computes the rest and
+its own work: the products r*c of ``PublicKey.blind_all``, or the scalar
+products of ``linear.encrypted_dot``.
 
-- ``PublicKey.blind_all`` is the evaluator's blind, r*c rerandomized for a
-  fresh unit r. Its random factors s**N mod N**2 do not depend on the
-  values (Paillier, EUROCRYPT 1999, notes they can be precomputed), so under
-  a key without factors the worker computes them while the caller computes
-  each c**r. The worker receives N, N**2 and the bases s.
-- ``PublicKey.encrypt_all`` and ``SecretKey.decrypt_all`` are the bit
-  owner's encryptions and decryptions under its own key. Each costs two
-  independent half-size exponentiations; the worker computes the one modulo
-  q**2 (y**q, or c**(q-1)) while the caller computes the one modulo p**2.
-  The worker receives q or q - 1, q**2 and the bases y or c mod q**2: secret
-  key material, passed over pipes to a child of the same party process.
+- Under a key built from N alone, the worker computes s**N mod N**2 for
+  every base when the caller has work, and for the last half when it has
+  none. It receives N, N**2 and the bases s.
+- Under a key holder's own key each factor, and in ``SecretKey.decrypt_all``
+  each decryption, is a pair of half-size powers; the worker computes the
+  one modulo q**2 (y**q or c**(q-1)). It receives q or q - 1, q**2 and the
+  bases mod q**2: secret key material, passed over pipes to a child of the
+  same party process.
 
 The worker never receives p, plaintexts, masks or the units r.
 
@@ -131,31 +132,17 @@ class PublicKey:
 
     def encrypt_all(self, ms: list[int],
                     rng: random.Random | None = None) -> list["Ciphertext"]:
-        """``[encrypt(m, rng) for m in ms]``.
-
-        A key holder draws x mod p, then y mod q, for each value in turn,
-        as ``encrypt`` would, so a seeded RNG gives the same ciphertexts;
-        the worker process computes each y**q mod q**2 while this thread
-        computes each x**p mod p**2. A key without factors runs the loop.
+        """``[encrypt(m, rng) for m in ms]``, with the random factors drawn as
+        ``encrypt`` draws them and computed as one ``_factors`` batch.
 
         Raises:
             ParameterError: a message outside the signed message space,
                 before anything is drawn.
             WorkerError: the worker process died; the next batch starts a new one.
         """
-        rng = rng or SYSTEM_RNG
-        sk = self._secret
-        if sk is None:
-            return [self.encrypt(m, rng) for m in ms]
         residues = [self._residue(m) for m in ms]
-        xs, ys = [], []
-        for _ in ms:
-            xs.append(rng.randrange(1, sk.p))
-            ys.append(rng.randrange(1, sk.q))
-        f_ps, f_qs = _POWERS.powers_while(
-            sk.q, sk._q_sq, ys, lambda: [powmod(x, sk.p, sk._p_sq) for x in xs])
-        return [self.encrypt_unsigned(m, factor=sk._join(f_p, f_q))
-                for m, f_p, f_q in zip(residues, f_ps, f_qs)]
+        _, factors = self._factors([self._draw_base(rng) for _ in ms])
+        return [self.encrypt_unsigned(m, factor=f) for m, f in zip(residues, factors)]
 
     def rerandomize(self, c: "Ciphertext", rng: random.Random | None = None,
                     factor: int | None = None) -> "Ciphertext":
@@ -168,42 +155,59 @@ class PublicKey:
 
     def blind_all(self, values: list["Ciphertext"],
                   rng: random.Random | None = None) -> list["Ciphertext"]:
-        """``[rerandomize(r_i * c_i)]`` for a fresh unit r_i per value.
-
-        For each value in turn it draws r_i, then the randomness of its
-        rerandomization, as a one-at-a-time loop would, so a seeded RNG
-        gives the same ciphertexts. Under a key without factors the worker
-        process computes the powers s_i**N while this thread computes each
-        r_i * c_i. A key holder, whose factors are CRT pairs of half-size
-        powers, runs the loop.
+        """``[rerandomize(r_i * c_i)]`` for a fresh unit r_i per value, each
+        drawn before its rerandomization's randomness, as a loop would; the
+        factors are one ``_factors`` batch beside the products r_i * c_i.
 
         Raises:
             WorkerError: the worker process died; the next batch starts a new one.
         """
         rng = rng or SYSTEM_RNG
-        if self._secret is not None:
-            return [self.rerandomize(random_unit(self.n, rng) * c, rng) for c in values]
         units, bases = [], []
         for _ in values:
             units.append(random_unit(self.n, rng))
-            bases.append(rng.randrange(1, self.n))
-        scaled, factors = _POWERS.powers_while(
-            self.n, self.n_squared, bases, lambda: [r * c for r, c in zip(units, values)])
+            bases.append(self._draw_base(rng))
+        scaled, factors = self._factors(bases, lambda: [r * c for r, c in zip(units, values)])
         return [self.rerandomize(c, factor=f) for c, f in zip(scaled, factors)]
 
     def _fresh_factor(self, rng: random.Random | None = None) -> int:
-        """Uniform N-th residue r**N mod N**2."""
-        rng = rng or SYSTEM_RNG
-        sk = self._secret
+        """Uniform N-th residue r**N mod N**2, computed here."""
+        base, sk = self._draw_base(rng), self._secret
         if sk is None:
-            return powmod(rng.randrange(1, self.n), self.n, self.n_squared)
+            return powmod(base, self.n, self.n_squared)
         # x -> x**p mod p**2 depends only on x mod p and maps onto the
         # p-th powers, which raising to q permutes: gcd(N, phi) = 1, so q
         # does not divide p - 1. Likewise modulo q**2.
-        p, q = sk.p, sk.q
-        f_p = powmod(rng.randrange(1, p), p, sk._p_sq)
-        f_q = powmod(rng.randrange(1, q), q, sk._q_sq)
-        return sk._join(f_p, f_q)
+        return sk._join(powmod(base[0], sk.p, sk._p_sq), powmod(base[1], sk.q, sk._q_sq))
+
+    def _draw_base(self, rng: random.Random | None = None):
+        """What one random factor draws: s mod N, or a key holder's x mod p, then y mod q."""
+        rng, sk = rng or SYSTEM_RNG, self._secret
+        if sk is None:
+            return rng.randrange(1, self.n)
+        return rng.randrange(1, sk.p), rng.randrange(1, sk.q)
+
+    def _factors(self, bases: list, work=None) -> tuple:
+        """``(work(), factors)`` for bases from ``_draw_base``, in order. The
+        worker computes a key holder's y**q mod q**2, or under a key without
+        factors s**N mod N**2 for every base if there is ``work`` and for the
+        last half if not, while this thread runs ``work`` and the rest.
+
+        Raises:
+            WorkerError: the worker process died; the next batch starts a new one.
+        """
+        sk = self._secret
+        if sk is not None:
+            (result, f_ps), f_qs = _POWERS.powers_while(
+                sk.q, sk._q_sq, [y for _, y in bases],
+                lambda: (work() if work else None, [powmod(x, sk.p, sk._p_sq) for x, _ in bases]))
+            return result, [sk._join(f_p, f_q) for f_p, f_q in zip(f_ps, f_qs)]
+        split = 0 if work else len(bases) // 2
+        (result, mine), theirs = _POWERS.powers_while(
+            self.n, self.n_squared, bases[split:],
+            lambda: (work() if work else None, [powmod(s, self.n, self.n_squared)
+                                                for s in bases[:split]]))
+        return result, mine + theirs
 
     def _residue(self, m: int) -> int:
         """m mod N, for a signed message m."""

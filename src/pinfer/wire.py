@@ -82,6 +82,11 @@ STEP_ERROR = 15
 
 SESSION_ID_BYTES = 16
 
+#: Longest public key field accepted: 3,072 bits, the largest key ``pinfer
+#: keygen`` makes. The peer that receives a key exponentiates under it, so
+#: the length is checked before the field becomes an integer.
+MAX_KEY_BYTES = 384
+
 
 # ---------------------------------------------------------------------------
 # fixed-width field codecs
@@ -137,6 +142,9 @@ def serialize_public_key(pk: PublicKey) -> bytes:
 def deserialize_public_key(data: bytes) -> PublicKey:
     if not data:
         raise MessageFormatError("empty public key field")
+    if len(data) > MAX_KEY_BYTES:
+        raise MessageFormatError(f"public key field of {len(data)} bytes exceeds "
+                                 f"the {MAX_KEY_BYTES}-byte limit")
     try:
         return PublicKey(int.from_bytes(data, "big"))
     except ParameterError as exc:

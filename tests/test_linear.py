@@ -3,14 +3,17 @@ import pytest
 from pinfer import wire
 from pinfer.errors import (DimensionMismatchError, ParameterError,
                            ProtocolViolationError)
-from pinfer.linear import (FeatureVector, LinearModel, check_core_sizing,
-                           draw_heuristic_mask, heuristic_interval,
+from pinfer.linear import (FeatureRequest, FeatureVector, LinearModel,
+                           check_core_sizing, draw_heuristic_mask,
+                           encrypted_dot, heuristic_interval,
                            masked_sign_value, max_core_ell, regr_core_finish,
                            regr_core_request, regr_core_respond,
                            regr_dual_finish, regr_dual_publish,
                            regr_dual_request, regr_dual_respond,
                            svm_core_finish, svm_core_request, svm_core_respond,
                            svm_heur_finish, svm_heur_request, svm_heur_respond)
+from pinfer.numutil import insecure_rng
+from pinfer.paillier import PublicKey
 from pinfer.reference import eval_linear, eval_logistic, eval_svm
 
 
@@ -110,6 +113,35 @@ def test_regr_core_dimension_mismatch(client_keys, rng):
     request, _ = regr_core_request(pk, FeatureVector((1, 1), 0), rng)
     with pytest.raises(DimensionMismatchError):
         regr_core_respond(model, request, rng)
+
+
+@pytest.mark.parametrize("holder", [False, True], ids=["rebuilt-key", "key-holder"])
+def test_encrypted_dot_matches_encrypt_then_products(client_keys, holder):
+    pk, sk = client_keys
+    key = pk if holder else PublicKey(pk.n)
+    cts = [key.encrypt(m, insecure_rng(i)) for i, m in enumerate((3, -1, 0))]
+    coeffs = (5, -7, 1 << 40)
+    dot_rng, serial_rng = insecure_rng(20), insecure_rng(20)
+    got = encrypted_dot(key, -9, coeffs, cts, dot_rng)
+    want = key.encrypt(-9, serial_rng)
+    for coeff, ct in zip(coeffs, cts):
+        want = want + coeff * ct
+    assert got.value == want.value and got.public_key is key
+    assert dot_rng.random() == serial_rng.random()
+    assert sk.decrypt(got) == -9 + 15 + 7
+    with pytest.raises(DimensionMismatchError):
+        encrypted_dot(key, 0, coeffs[:2], cts, dot_rng)
+
+
+def test_feature_request_matches_the_encrypt_loop(client_keys):
+    pk, _ = client_keys
+    x = FeatureVector((1, 4, -5, 0, 4096), 12)
+    batch_rng, serial_rng = insecure_rng(21), insecure_rng(21)
+    request = FeatureRequest.encrypt(pk, x, batch_rng)
+    serial = [pk.encrypt(v, serial_rng) for v in x.values[1:]]
+    assert [c.value for c in request.ciphertexts] == [c.value for c in serial]
+    assert batch_rng.random() == serial_rng.random()
+    assert request.public_key is pk and request.d == 4
 
 
 # --------------------------------------------------------------------------

@@ -110,6 +110,14 @@ def test_key_files_round_trip(tmp_path, client_keys):
         load_key(tmp_path / "odd.json")
 
 
+def test_public_key_file_above_3072_bits_is_refused(tmp_path):
+    path = tmp_path / "big.pub.json"
+    path.write_text(json.dumps({"format_version": 2, "kind": "paillier-public",
+                                "n": format((1 << 4095) | 1, "x")}))
+    with pytest.raises(ParameterError, match="384-byte limit"):
+        load_key(path)
+
+
 @pytest.mark.parametrize("kind", ["paillier-public", "paillier-secret"])
 def test_version_1_key_file_is_refused(tmp_path, client_keys, kind):
     # Version 1 held length-prefixed big-endian integers: N, or p then q.

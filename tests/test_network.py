@@ -1,10 +1,15 @@
+import math
+import random
+
 import pytest
 
+from pinfer.activations import sign_value
 from pinfer.errors import ParameterError, ProtocolViolationError
-from pinfer.linear import FeatureVector
+from pinfer.linear import FeatureVector, heuristic_interval
 from pinfer.network import (NetworkClientSession, NetworkServerSession,
                             NetworkSpec, UnitResponse, evaluate_network,
                             unit_answer, unit_challenge, unit_finish)
+from pinfer.numutil import insecure_rng
 from pinfer.paillier import SecretKey
 from pinfer.reference import eval_ffnn, eval_linear
 from pinfer.wire import Transcript
@@ -62,6 +67,42 @@ def test_unit_sweep(client_keys, server_keys, rng, activation, variant, ell, fli
         for b in flips:
             assert run_unit(activation, variant, client_keys, server_keys, t, ell, rng,
                             b=b) == expected_unit(activation, t), (t, b)
+
+
+class _ScriptedRng(random.Random):
+    """A seeded stream whose first ``randrange`` calls return ``script``."""
+
+    def __init__(self, script):
+        super().__init__(22)
+        self.script = list(script)
+
+    def randrange(self, *args):
+        return self.script.pop(0) if self.script else super().randrange(*args)
+
+
+def test_sign_heuristic_unit_at_zero_for_every_mask_the_draw_permits():
+    # Toy key N = 11 * 13 with ell = 1 and kappa = 3: lam ranges over
+    # [-36, 36]. The unit's real steps run at t = 0 for every unit lam and
+    # every mu of its range; a pair the draw refuses is drawn again from the
+    # seeded stream, so the state then holds another pair.
+    sk = SecretKey(11, 13)
+    pk = sk.public_key
+    enc = [pk.encrypt(0, insecure_rng(23))]
+    lo, hi = heuristic_interval(pk.n, 1)
+    refused = set()
+    for lam in range(lo, hi + 1):
+        if math.gcd(lam, pk.n) != 1:
+            continue
+        for mu in range(0, lam) if lam > 0 else range(lam + 1, 1):
+            rng = _ScriptedRng([lam, mu])
+            challenge, state = unit_challenge("heuristic", (0, 1), enc, None, 1, 3, rng)
+            if (state.lam, state.pad) != (lam, mu):
+                refused.add((lam, mu))
+                continue
+            response = unit_answer("sign", sk, None, challenge, rng)
+            got = sk.decrypt(unit_finish("sign", None, state, response))
+            assert got == sign_value(0), (lam, mu)
+    assert refused == {(lam, 0) for lam in range(lo, 0) if math.gcd(lam, pk.n) == 1}
 
 
 def test_sign_core_mixed_keys(client_keys, server_keys, rng):

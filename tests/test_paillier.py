@@ -357,6 +357,33 @@ def test_encrypt_all_matches_the_encrypt_loop(client_keys, holder):
     assert [sk.decrypt(c) for c in batch] == values
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 5])
+@pytest.mark.parametrize("holder", [False, True], ids=["rebuilt-key", "key-holder"])
+def test_batches_draw_as_the_serial_loops(client_keys, monkeypatch, holder, size):
+    pk, sk = client_keys
+    key = pk if holder else PublicKey(pk.n)
+    plain = _boundary_values(pk)[:size]
+    values = [key.encrypt(m, insecure_rng(i)) for i, m in enumerate(plain)]
+    worker = _CountingWorker()
+    monkeypatch.setattr(paillier, "_POWERS", worker)
+    cases = ((lambda rng: key.encrypt_all(plain, rng),
+              lambda rng: [key.encrypt(m, rng) for m in plain]),
+             (lambda rng: key.blind_all(values, rng),
+              lambda rng: _serial_blinds(key, values, rng)))
+    for batch, serial in cases:
+        batch_rng, serial_rng = insecure_rng(16), insecure_rng(16)
+        assert [c.value for c in batch(batch_rng)] == [c.value for c in serial(serial_rng)]
+        assert batch_rng.random() == serial_rng.random()
+    # A key holder's worker takes the q**2 half of every factor. Under a
+    # rebuilt key it takes the last half of the encryptions' bases, and all
+    # of the blinds' bases while this thread scales.
+    if holder:
+        assert worker.batches == [(sk.q, sk.q * sk.q, size)] * 2
+    else:
+        assert worker.batches == [(pk.n, pk.n_squared, (size + 1) // 2),
+                                  (pk.n, pk.n_squared, size)]
+
+
 def test_encrypt_all_refuses_a_message_out_of_range_first(client_keys, monkeypatch):
     pk, _ = client_keys
     worker = _CountingWorker()

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import socket
 import struct
 import subprocess
@@ -19,6 +21,7 @@ from pinfer.network import (LayerMessage, LayerMeta, NetworkClientSession,
                             NetworkMeta, NetworkSpec, UnitChallenge, UnitResponse,
                             compares, layout)
 from pinfer.numutil import insecure_rng
+from pinfer.paillier import PublicKey
 from pinfer.reference import (eval_ffnn, eval_linear, eval_logistic, eval_svm)
 from pinfer.runner import (MAX_SESSIONS_PER_CONNECTION, ChannelClosed, SocketChannel,
                            _decode_layer, _encode_layer, _feature_parts,
@@ -101,13 +104,32 @@ def test_svm_heur_over_wire(client_keys, server_keys, rng):
     assert transcript.round_trips == 1
 
 
-@pytest.mark.parametrize("protocol", ["regr-core", "svm-core"])
-def test_power_worker_starts_only_for_comparisons(client_keys, server_keys, rng, protocol):
+def test_import_and_keygen_start_no_power_worker(checkout_env):
+    code = """
+from pinfer import keygen, paillier
+from pinfer.numutil import insecure_rng
+keygen(256, insecure_rng(3))
+assert paillier._POWERS._proc is None
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=checkout_env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("protocol", list(wire.PROTOCOLS))
+def test_power_worker_runs_after_one_query(client_keys, server_keys, rng, protocol):
+    # Every protocol batches encryptions: the client's features, or for
+    # regr-dual and svm-core the fresh term of its masked inner product.
     paillier._POWERS.close()
-    loaded = linear_loaded("svm" if protocol == "svm-core" else "logistic", rng=rng)
-    run_protocol(protocol, loaded, random_x(4, 12, rng), client_keys,
-                 server_keys if protocol == "svm-core" else None, rng)
-    assert (paillier._POWERS._proc is not None) == (protocol == "svm-core")
+    run_protocol(protocol, *_model_and_input(protocol, rng), client_keys, server_keys, rng)
+    assert paillier._POWERS._proc is not None
+
+
+def _model_and_input(protocol, rng):
+    info = wire.PROTOCOLS[protocol]
+    if info.mode:
+        return ffnn_loaded(info.activation or "sign"), pm_one(rng)
+    return linear_loaded(info.model_types[0], rng=rng), random_x(4, 12, rng)
 
 
 def _within(seconds, fn):
@@ -131,22 +153,15 @@ def _within(seconds, fn):
     return result
 
 
-def _query_with_a_dead_worker(protocol, loaded, x, client_keys, server_keys, rng,
-                              monkeypatch, error, match):
-    """Query once while the power worker exits after the first bytes of its
-    first request, expecting ``error``, then again on the same connection
-    with a working one; returns the second result."""
+def _query_after(first, protocol, loaded, x, client_keys, server_keys, rng):
+    """Run ``first(channel)`` on a new connection, then one query on the same
+    connection; returns the query's result."""
     served = prepare_served(protocol, loaded, server_keys, KAPPA, rng)
     channel, thread = serve_loopback(served)
-    query = lambda: run_inference(channel, protocol, x, client_keys,  # noqa: E731
-                                  kappa=KAPPA, rng=rng)
     try:
-        paillier._POWERS.close()
-        monkeypatch.setattr(paillier, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
-        with pytest.raises(error, match=match):
-            _within(60, query)
-        monkeypatch.undo()
-        result = _within(60, query)
+        _within(60, lambda: first(channel))
+        result = _within(60, lambda: run_inference(channel, protocol, x, client_keys,
+                                                   kappa=KAPPA, rng=rng))
     finally:
         channel.close()
     thread.join(timeout=10)
@@ -154,25 +169,104 @@ def _query_with_a_dead_worker(protocol, loaded, x, client_keys, server_keys, rng
     return result
 
 
+def _with_a_dead_worker(monkeypatch, step):
+    """``step(channel)`` while the power worker exits after the first bytes
+    of its first request."""
+    def first(channel):
+        paillier._POWERS.close()
+        monkeypatch.setattr(paillier, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
+        try:
+            step(channel)
+        finally:
+            monkeypatch.undo()
+    return first
+
+
+def _error_reply(protocol, parts, fragment):
+    """A step that sends a request frame of ``parts`` and expects an error
+    frame naming ``fragment``."""
+    def step(channel):
+        reply = _send(channel, protocol, wire.STEP_REQUEST, parts, bytes(wire.SESSION_ID_BYTES))
+        assert reply.step_id == wire.STEP_ERROR and fragment in reply.parts[0]
+    return step
+
+
+def _request_parts(client_keys, x, rng):
+    """A feature request's frame parts, encrypted before any worker is swapped."""
+    return _feature_parts(FeatureRequest.encrypt(client_keys[0], x, rng))
+
+
 def test_dead_power_worker_gets_an_error_reply(client_keys, server_keys, rng, monkeypatch):
-    # The server owns the mask bits of ffnn-relu, so its first mask-bit
-    # batch is the first use of the worker.
+    # The server's first worker batch is the first unit's inner product.
     loaded, x = ffnn_loaded("relu"), pm_one(rng)
-    result = _query_with_a_dead_worker("ffnn-relu", loaded, x, client_keys, server_keys,
-                                       rng, monkeypatch, ProtocolViolationError,
-                                       "power worker")
+    first = _with_a_dead_worker(monkeypatch, _error_reply(
+        "ffnn-relu", _request_parts(client_keys, x, rng), b"power worker"))
+    result = _query_after(first, "ffnn-relu", loaded, x, client_keys, server_keys, rng)
     oracle = eval_ffnn(loaded.model, x)
     assert result.raw == tuple(p.raw for p in oracle)
     assert result.values == tuple(p.value for p in oracle)
+
+
+def test_dead_power_worker_in_regr_core_respond_gets_an_error_reply(client_keys, rng,
+                                                                    monkeypatch):
+    loaded, x = linear_loaded("logistic", rng=rng), random_x(4, 12, rng)
+    first = _with_a_dead_worker(monkeypatch, _error_reply(
+        "regr-core", _request_parts(client_keys, x, rng), b"power worker"))
+    result = _query_after(first, "regr-core", loaded, x, client_keys, None, rng)
+    assert result.value == eval_logistic(loaded.model, x).value
+    assert result.raw == (eval_linear(loaded.model, x).raw,)
 
 
 def test_dead_power_worker_fails_the_bit_owners_query(client_keys, server_keys, rng,
                                                       monkeypatch):
     # svm-core's client encrypts its mask bits before it sends the request.
     loaded, x = linear_loaded("svm", rng=rng), random_x(4, 12, rng)
-    result = _query_with_a_dead_worker("svm-core", loaded, x, client_keys, server_keys,
-                                       rng, monkeypatch, WorkerError, "power worker")
+
+    def query(channel):
+        with pytest.raises(WorkerError, match="power worker"):
+            run_inference(channel, "svm-core", x, client_keys, kappa=KAPPA, rng=rng)
+
+    result = _query_after(_with_a_dead_worker(monkeypatch, query), "svm-core", loaded, x,
+                          client_keys, server_keys, rng)
     assert result.labels == (eval_svm(loaded.model, x).class_label,)
+
+
+def test_oversized_client_key_gets_an_error_reply(client_keys, rng):
+    # A 4,096-bit key is refused by its length, before any work under it.
+    loaded, x = linear_loaded("logistic", rng=rng), random_x(4, 12, rng)
+    key = ((1 << 4095) | 1).to_bytes(512, "big")
+    parts = (key, *_request_parts(client_keys, x, rng)[1:])
+    result = _query_after(_error_reply("regr-core", parts, b"384-byte limit"), "regr-core",
+                          loaded, x, client_keys, None, rng)
+    assert result.value == eval_logistic(loaded.model, x).value
+
+
+#: A 512-bit modulus with the factors 3, 5, 7, 11 and 13.
+SMALL_FACTOR_N = 3 * 5 * 7 * 11 * 13 * ((1 << 498) + 1)
+
+
+class _UnitDraws(random.Random):
+    """A seeded stream that draws only values coprime to ``SMALL_FACTOR_N``,
+    so that every ciphertext under that key is a unit and passes decoding."""
+
+    def randrange(self, *args):
+        while math.gcd(value := super().randrange(*args), SMALL_FACTOR_N) != 1:
+            pass
+        return value
+
+
+def test_small_factor_client_key_gets_an_error_reply(client_keys, server_keys, rng):
+    loaded, x = linear_loaded("svm", rng=rng), random_x(4, 12, rng)
+    bad_keys = (PublicKey(SMALL_FACTOR_N), client_keys[1])
+    with pytest.raises(ProtocolViolationError, match="server reported: .*small factor"):
+        run_protocol("svm-core", loaded, x, bad_keys, server_keys, _UnitDraws(24))
+
+
+def test_small_factor_server_key_in_meta_is_refused(client_keys, rng):
+    loaded, x = ffnn_loaded("sign"), pm_one(rng)
+    bad_keys = (PublicKey(SMALL_FACTOR_N), None)
+    with pytest.raises(ProtocolViolationError, match="^the bit owner's modulus has a small"):
+        run_protocol("ffnn-sign", loaded, x, client_keys, bad_keys, _UnitDraws(25))
 
 
 def test_oversized_frame_header_ends_the_connection(rng):

@@ -1,12 +1,13 @@
 import pytest
 
+from pinfer.cli import KEY_BIT_CHOICES
 from pinfer.errors import MessageFormatError, ParameterError
 from pinfer.paillier import PublicKey
 from pinfer.wire import (Frame, Transcript, ciphertext_width,
                          deserialize_ciphertext, deserialize_public_key,
                          deserialize_scalar, frame, message_plan, plan_bits,
                          serialize_ciphertext, serialize_public_key,
-                         serialize_scalar, unframe, PROTOCOL_IDS)
+                         serialize_scalar, unframe, MAX_KEY_BYTES, PROTOCOL_IDS)
 
 SESSION = bytes(range(16))
 
@@ -50,6 +51,14 @@ def test_scalar_and_key_round_trip(client_keys):
     with pytest.raises(ParameterError):
         serialize_scalar(pk.n, pk)
     assert deserialize_public_key(serialize_public_key(pk)) == pk
+
+
+def test_public_key_field_is_bounded_by_the_largest_key_size():
+    assert MAX_KEY_BYTES * 8 == max(KEY_BIT_CHOICES)
+    largest = PublicKey((1 << (8 * MAX_KEY_BYTES - 1)) | 1)
+    assert deserialize_public_key(serialize_public_key(largest)) == largest
+    with pytest.raises(MessageFormatError, match="384-byte limit"):
+        deserialize_public_key(b"\x01" + serialize_public_key(largest))
 
 
 def test_frame_round_trips():
