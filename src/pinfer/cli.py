@@ -50,6 +50,14 @@ def _load_keys(prefix: str):
     return sk.public_key, sk
 
 
+def _address(text: str) -> tuple[str, int]:
+    """A ``host:port`` option as a socket address; an empty host is 127.0.0.1."""
+    host, _, port = text.rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ParameterError(f"expected host:port with a port up to 65535, got {text!r}")
+    return host or "127.0.0.1", int(port)
+
+
 def _require_heuristic_ack(protocol: str, flagged: bool) -> None:
     if wire.get_protocol(protocol).variant == "heuristic" and not flagged:
         raise ParameterError(
@@ -84,9 +92,8 @@ def _served_from_args(args) -> runner.ServedModel:
 
 
 def cmd_serve(args) -> int:
+    address = _address(args.listen)
     served = _served_from_args(args)
-    host, _, port = args.listen.rpartition(":")
-    address = (host or "127.0.0.1", int(port))
 
     class Handler(socketserver.BaseRequestHandler):
         def handle(self):
@@ -169,8 +176,7 @@ def cmd_infer(args) -> int:
     else:
         if not args.server:
             raise ParameterError("pass --server host:port or --loopback")
-        host, _, port = args.server.rpartition(":")
-        sock = socket.create_connection((host, int(port)))
+        sock = socket.create_connection(_address(args.server))
         channel = runner.SocketChannel(sock)
 
     try:

@@ -9,7 +9,6 @@ addition of equal-precision values; a product of two carries scale 2**(2P).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 #: Default bit-precision, the significand width of an IEEE-754 double.
 DEFAULT_PRECISION = 53
@@ -19,7 +18,7 @@ def encode(x: float, precision: int = DEFAULT_PRECISION) -> int:
     """Scaled-integer representation floor(x * 2**precision).
 
     The floor is taken toward minus infinity, also for negative x, and is
-    computed in exact rational arithmetic so no double rounding occurs.
+    computed on x's exact integer ratio so no double rounding occurs.
 
     Raises:
         ValueError: if x is not finite or precision is negative.
@@ -28,7 +27,8 @@ def encode(x: float, precision: int = DEFAULT_PRECISION) -> int:
         raise ValueError("precision must be non-negative")
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"cannot encode non-finite value {x!r}")
-    return math.floor(Fraction(x) * (1 << precision))
+    num, den = x.as_integer_ratio()
+    return (num << precision) // den
 
 
 def decode(z: int, precision: int = DEFAULT_PRECISION) -> float:

@@ -44,6 +44,12 @@ def _ceil_log2(value: int) -> int:
     return (value - 1).bit_length() if value > 1 else 0
 
 
+def inner_product_bound(theta, x_max: int) -> int:
+    """The largest |theta . x| over x_0 = 1 and |x_j| <= x_max:
+    |theta_0| + sum_j |theta_j| * x_max."""
+    return abs(theta[0]) + x_max * sum(abs(t) for t in theta[1:])
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Integer model vector theta with its inner-product bound.
@@ -67,14 +73,10 @@ class LinearModel:
             raise ParameterError("precision must be non-negative")
         if self.ell < 1:
             raise ParameterError("ell must be positive")
-        if self.worst_case_bound() > (1 << self.ell) - 1:
+        bound = inner_product_bound(self.theta, 1 << self.precision)
+        if bound > (1 << self.ell) - 1:
             raise ParameterError(
-                f"inner product can reach {self.worst_case_bound()}, "
-                f"above the declared bound 2**{self.ell} - 1")
-
-    def worst_case_bound(self) -> int:
-        x_max = 1 << self.precision
-        return abs(self.theta[0]) + sum(abs(t) * x_max for t in self.theta[1:])
+                f"inner product can reach {bound}, above the declared bound 2**{self.ell} - 1")
 
     @property
     def d(self) -> int:
@@ -96,10 +98,8 @@ class LinearModel:
                  *(encode(w, precision) for w in weights))
         d = len(theta) - 1
         natural = 2 * precision + _ceil_log2(d + 1)
-        x_max = 1 << precision
-        bound = abs(theta[0]) + sum(abs(t) * x_max for t in theta[1:])
         if ell is None:
-            ell = max(natural, bound.bit_length())
+            ell = max(natural, inner_product_bound(theta, 1 << precision).bit_length())
         return cls(theta, ell, precision)
 
 

@@ -10,6 +10,7 @@ frame carries it (``wire.serialize_public_key``), or p and q.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from . import wire
@@ -164,6 +165,8 @@ def load_input_vector(path: str, precision: int,
                 value = float(text)
             except ValueError:
                 raise ParameterError(f"{path}:{lineno}: not a decimal number: {text!r}") from None
+            if not math.isfinite(value):
+                raise ParameterError(f"{path}:{lineno}: not a finite number: {text!r}")
             if not allow_unscaled and not -1.0 <= value <= 1.0:
                 raise ParameterError(
                     f"{path}:{lineno}: value {value} outside [-1, 1]; "

@@ -39,13 +39,15 @@ from .errors import (DimensionMismatchError, ParameterError,
 from .fixedpoint import decode, encode
 from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector,
                      check_core_sizing, check_heuristic_sizing,
-                     draw_heuristic_mask, encrypted_dot)
+                     draw_heuristic_mask, encrypted_dot, inner_product_bound)
 from .numutil import SYSTEM_RNG, invert
 from .paillier import Ciphertext, PublicKey, SecretKey
 
 #: Activations with a fully encrypted per-unit protocol.
-ENCRYPTED_ACTIVATIONS = ("sign", "relu")
+ENCRYPTED_ACTIVATIONS = frozenset({"sign", "relu"})
 OUTPUT_MODES = ("raw", "activated")
+#: The variants of each mode.
+MODES = {"generic": (None,), "encrypted": ("core", "heuristic")}
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,11 @@ class LayerMeta:
 
 @dataclass(frozen=True)
 class NetworkMeta:
-    """Client-side view of the network needed to run the protocol."""
+    """Client-side view of the network needed to run the protocol. It
+    refuses a network no party can run: sizes that are not non-negative
+    integers, a zero bound length, an unknown mode, variant, output mode or
+    activation, or a compared or activated output layer that has no unit
+    protocol, being neither sign nor relu."""
 
     layers: tuple[LayerMeta, ...]
     d_in: int
@@ -94,6 +100,22 @@ class NetworkMeta:
     #: "core" or "heuristic"; None in generic mode, which compares nothing.
     variant: str | None
     output_mode: str
+
+    def __post_init__(self):
+        sizes = (self.d_in, self.precision,
+                 *(v for layer in self.layers for v in (layer.units, layer.ell, layer.t_scale)))
+        if not self.layers or not all(type(v) is int and v >= 0 for v in sizes) or \
+                min(layer.ell for layer in self.layers) < 1:
+            raise ParameterError("network sizes must be non-negative integers, and ell positive")
+        if self.output_mode not in OUTPUT_MODES or self.variant not in MODES.get(self.mode, ()):
+            raise ParameterError(f"unknown mode {self.mode!r}, variant {self.variant!r} "
+                                 f"or output mode {self.output_mode!r}")
+        for layer in self.layers:
+            activations.get(layer.activation)
+        if not compared_activations(self) <= ENCRYPTED_ACTIVATIONS or (
+                self.output_mode == "activated" and
+                self.layers[-1].activation not in ENCRYPTED_ACTIVATIONS):
+            raise ParameterError("compared layers and an activated output need sign or relu")
 
 
 @dataclass(frozen=True)
@@ -107,19 +129,14 @@ class NetworkSpec:
     def __post_init__(self):
         if not self.layers:
             raise ParameterError("network needs at least one layer")
-        if self.output_mode not in OUTPUT_MODES:
-            raise ParameterError(f"unknown output mode {self.output_mode!r}")
         fan = self.layers[0].fan_in
         for i, layer in enumerate(self.layers):
-            activations.get(layer.activation)
             if layer.fan_in != fan:
                 raise DimensionMismatchError(f"layer {i} expects {layer.fan_in} inputs, got {fan}")
             if any(len(row) != layer.fan_in + 1 for row in layer.weights):
                 raise DimensionMismatchError(f"layer {i} has ragged weight rows")
             fan = layer.units
-        if self.output_mode == "activated" and \
-                self.layers[-1].activation not in ENCRYPTED_ACTIVATIONS:
-            raise ParameterError("activated output needs a sign or relu output layer")
+        self.meta("generic")  # what any network needs: see NetworkMeta
 
     @property
     def d_in(self) -> int:
@@ -134,15 +151,11 @@ class NetworkSpec:
         return self.layers[-1].units
 
     def meta(self, mode: str, variant: str | None = "core") -> NetworkMeta:
+        """The client's view under ``mode``; generic mode has no variant."""
         rows = tuple(LayerMeta(l.units, l.activation, l.ell, l.in_scale + self.precision)
                      for l in self.layers)
-        return NetworkMeta(rows, self.d_in, self.precision, mode, variant, self.output_mode)
-
-    def check_encryptable(self) -> None:
-        for layer in self.layers[:-1]:
-            if layer.activation not in ENCRYPTED_ACTIVATIONS:
-                raise ParameterError(
-                    f"activation {layer.activation!r} has no encrypted protocol")
+        return NetworkMeta(rows, self.d_in, self.precision, mode,
+                           variant if mode == "encrypted" else None, self.output_mode)
 
     def check_keys(self, modulus: int, kappa: int, variant: str = "core") -> None:
         """Every layer's masked sum must fit the message space at this kappa."""
@@ -160,67 +173,46 @@ class NetworkSpec:
                   output_mode: str = "raw") -> "NetworkSpec":
         """Build from real-valued layers [(rows, activation), ...].
 
-        Each row is [bias, w_1, ..., w_fan_in] with entries in [-1, 1].
-        Scales and bound lengths are derived layer by layer: sign resets the
-        scale to 1, relu and identity keep the accumulated scale, smooth
-        activations re-encode at ``precision``.
+        Each row is [bias, w_1, ..., w_fan_in] with entries in [-1, 1]; the
+        bias is encoded at the layer's input scale plus ``precision``.
         """
-        layers = []
-        in_scale = precision
-        in_bound = 1 << precision
-        for rows, activation in layer_defs:
-            weights = tuple(
-                (encode(row[0], in_scale + precision),
-                 *(encode(w, precision) for w in row[1:]))
-                for row in rows)
-            layers.append(_make_layer(weights, activation, in_scale, in_bound, precision))
-            in_scale, in_bound = layers[-1].out_scale, _out_bound(layers[-1], precision)
-        return cls(tuple(layers), precision, output_mode)
+        return cls._build(layer_defs, precision, output_mode, lambda row, in_scale: (
+            encode(row[0], in_scale + precision), *(encode(w, precision) for w in row[1:])))
 
     @classmethod
     def from_integer(cls, layer_defs, precision: int = 0,
                      output_mode: str = "raw",
                      ells: list[int] | None = None) -> "NetworkSpec":
-        """Build from integer weight rows directly (test and toy models)."""
+        """Build from integer weight rows directly (test and toy models);
+        ``ells`` declares bound lengths, each at least the derived one."""
+        return cls._build(layer_defs, precision, output_mode,
+                          lambda row, in_scale: tuple(row), ells)
+
+    @classmethod
+    def _build(cls, layer_defs, precision: int, output_mode: str, encode_row,
+               ells=None) -> "NetworkSpec":
+        """Derive each layer's bound length from its inputs' bound, then its
+        outputs' scale and bound: sign gives scale 0 and bound 1; relu and
+        identity keep the scale, bounded by 2**ell - 1; smooth activations
+        re-encode at ``precision``."""
         layers = []
-        in_scale = precision
-        in_bound = 1 << precision
+        in_scale, in_bound = precision, 1 << precision
         for i, (rows, activation) in enumerate(layer_defs):
-            weights = tuple(tuple(row) for row in rows)
-            layer = _make_layer(weights, activation, in_scale, in_bound, precision)
+            weights = tuple(encode_row(row, in_scale) for row in rows)
+            ell = max(max(inner_product_bound(row, in_bound) for row in weights).bit_length(), 1)
             if ells is not None:
-                if ells[i] < layer.ell:
-                    raise ParameterError(
-                        f"layer {i}: declared ell {ells[i]} below required {layer.ell}")
-                layer = LayerSpec(weights, activation, ells[i],
-                                  layer.in_scale, layer.out_scale)
-            layers.append(layer)
-            in_scale, in_bound = layer.out_scale, _out_bound(layer, precision)
+                if ells[i] < ell:
+                    raise ParameterError(f"layer {i}: declared ell {ells[i]} below required {ell}")
+                ell = ells[i]
+            if activation == "sign":
+                out_scale, out_bound = 0, 1
+            elif activations.get(activation).integer_exact:
+                out_scale, out_bound = in_scale + precision, (1 << ell) - 1
+            else:
+                out_scale, out_bound = precision, 1 << precision
+            layers.append(LayerSpec(weights, activation, ell, in_scale, out_scale))
+            in_scale, in_bound = out_scale, out_bound
         return cls(tuple(layers), precision, output_mode)
-
-
-def _make_layer(weights, activation: str, in_scale: int, in_bound: int,
-                precision: int) -> LayerSpec:
-    act = activations.get(activation)
-    t_bound = max(abs(row[0]) + sum(abs(w) * in_bound for w in row[1:])
-                  for row in weights)
-    ell = max(t_bound.bit_length(), 1)
-    if act.name == "sign":
-        out_scale = 0
-    elif act.integer_exact:  # relu, identity: keep the accumulated scale
-        out_scale = in_scale + precision
-    else:
-        out_scale = precision
-    return LayerSpec(weights, activation, ell, in_scale, out_scale)
-
-
-def _out_bound(layer: LayerSpec, precision: int) -> int:
-    act = activations.get(layer.activation)
-    if act.name == "sign":
-        return 1
-    if act.integer_exact:
-        return (1 << layer.ell) - 1
-    return 1 << precision
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +365,12 @@ def compares(meta: NetworkMeta, index: int | None) -> bool:
         index < len(meta.layers) - 1 or meta.output_mode == "activated")
 
 
+def compared_activations(meta: NetworkMeta) -> set[str]:
+    """The activations of the layers that run the comparison; a protocol
+    that compares one activation refuses a network where this holds another."""
+    return {layer.activation for i, layer in enumerate(meta.layers) if compares(meta, i)}
+
+
 def layout(meta: NetworkMeta, index: int | None, up: bool) -> str:
     """Key of each ciphertext of layer ``index``'s message, in wire order:
     'c' for the client key, 's' for the server key."""
@@ -447,16 +445,10 @@ class NetworkServerSession:
                  server_keys: tuple[PublicKey, SecretKey] | None = None,
                  kappa: int = DEFAULT_KAPPA, variant: str | None = "core",
                  rng: random.Random | None = None):
-        if mode not in ("generic", "encrypted"):
-            raise ParameterError(f"unknown mode {mode!r}")
-        if mode == "encrypted":
-            if variant not in ("core", "heuristic"):
-                raise ParameterError(f"unknown variant {variant!r}")
-            spec.check_encryptable()
-            if variant == "core" and server_keys is None:
-                raise ParameterError("core variant needs a server key pair")
         self.spec = spec
         self.meta = spec.meta(mode, variant)
+        if self.meta.variant == "core" and server_keys is None:
+            raise ParameterError("core variant needs a server key pair")
         self.kappa = kappa
         self.server_keys = server_keys or (None, None)
         self.rng = rng or SYSTEM_RNG
@@ -525,7 +517,7 @@ class NetworkClientSession:
                  client_keys: tuple[PublicKey, SecretKey],
                  server_public_key: PublicKey | None = None,
                  rng: random.Random | None = None):
-        if meta.mode == "encrypted" and meta.variant == "core" and server_public_key is None:
+        if meta.variant == "core" and server_public_key is None:
             raise ParameterError("core variant needs the server public key")
         self.meta = meta
         self.pk, self.sk = client_keys

@@ -236,24 +236,27 @@ def _meta_to_json(meta: NetworkMeta, pk_server: PublicKey | None) -> bytes:
 def _meta_from_json(data: bytes, protocol: wire.Protocol
                     ) -> tuple[NetworkMeta, PublicKey | None]:
     """Inverse of ``_meta_to_json``; mode and variant come from ``protocol``.
-    A META the client cannot run is refused: no layers, an unknown output
-    mode, a size that is not a non-negative integer, or a zero bound length,
-    which would make a comparison of no bits."""
+    A META the client cannot run is refused: one that ``NetworkMeta``
+    refuses, or one that set-up would refuse for ``protocol`` (see
+    ``_check_activations``)."""
     try:
         doc = json.loads(data.decode("utf-8"))
         key = doc.pop("server_key")
         meta = NetworkMeta(tuple(LayerMeta(**layer) for layer in doc.pop("layers")),
                            mode=protocol.mode, variant=protocol.variant, **doc)
+        _check_activations(meta, protocol)
         pk = wire.deserialize_public_key(bytes.fromhex(key)) if key else None
-    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, ValueError, TypeError, ParameterError) as exc:
         raise MessageFormatError(f"malformed network meta: {exc}") from None
-    sizes = (meta.d_in, meta.precision,
-             *(v for layer in meta.layers for v in (layer.units, layer.ell, layer.t_scale)))
-    if not meta.layers or meta.output_mode not in network.OUTPUT_MODES or \
-            not all(type(v) is int and v >= 0 for v in sizes) or \
-            min(layer.ell for layer in meta.layers) < 1:
-        raise MessageFormatError("network meta describes no network the client can run")
     return meta, pk
+
+
+def _check_activations(meta: NetworkMeta, protocol: wire.Protocol) -> None:
+    """The rule set-up and the client share: every layer that compares has
+    the activation the protocol compares."""
+    if network.compared_activations(meta) - {protocol.activation}:
+        raise ParameterError(f"protocol {wire.PROTOCOL_NAMES[protocol.wire_id]} "
+                             f"serves {protocol.activation} layers only")
 
 
 def _run_network_client(io: _ClientIO, x: FeatureVector, client_keys,
@@ -374,12 +377,8 @@ def prepare_served(protocol: str, loaded: LoadedModel,
     if loaded.model_type not in info.model_types:
         raise ParameterError(
             f"protocol {protocol} cannot serve a {loaded.model_type} model")
-    if info.activation:
-        spec = loaded.model
-        gated = spec.layers if spec.output_mode == "activated" else spec.layers[:-1]
-        if any(layer.activation != info.activation for layer in gated):
-            raise ParameterError(
-                f"protocol {protocol} serves {info.activation} layers only")
+    if info.mode:
+        _check_activations(loaded.model.meta(info.mode, info.variant), info)
     if info.needs_server_keys and server_keys is None:
         raise ParameterError(f"protocol {protocol} needs a server key pair")
 

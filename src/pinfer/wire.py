@@ -43,7 +43,7 @@ class Protocol:
     mode: str | None = None
     #: "core" (masked comparison) or "heuristic"; None if nothing is compared.
     variant: str | None = None
-    #: Encrypted networks: the activation every gated layer must have.
+    #: Encrypted networks: the activation every compared layer must have.
     activation: str | None = None
 
 

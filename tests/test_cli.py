@@ -161,6 +161,31 @@ def test_serve_refuses_incompatible_protocol(key_files, model_files, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("address", ["localhost", "127.0.0.1:abc", "127.0.0.1:",
+                                     "127.0.0.1:70000", "127.0.0.1:-1"])
+@pytest.mark.parametrize("command", ["serve", "infer"])
+def test_bad_address_is_a_configuration_error(key_files, model_files, capsys, command,
+                                              address):
+    if command == "serve":
+        argv = ["serve", "--protocol", "regr-core", "--listen", address,
+                "--model", str(model_files / "logistic.json")]
+    else:
+        argv = ["infer", "--protocol", "regr-core", "--server", address,
+                "--keys", str(key_files / "cli"), "--input", str(model_files / "x.txt"),
+                "--precision", "12", "--insecure-test-keys"]
+    assert main(argv) == 4
+    assert "host:port" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_input_is_a_configuration_error(model_files, tmp_path, capsys, value):
+    (tmp_path / "x.txt").write_text(f"0.5\n{value}\n0.25\n")
+    code = main(["oracle", "--model", str(model_files / "logistic.json"),
+                 "--input", str(tmp_path / "x.txt"), "--allow-unscaled"])
+    assert code == 4
+    assert "x.txt:2: not a finite number" in capsys.readouterr().err
+
+
 def test_oracle_refuses_a_model_file_without_precision(model_files, tmp_path, capsys):
     doc = json.loads((model_files / "logistic.json").read_text())
     del doc["precision"]

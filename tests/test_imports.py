@@ -1,0 +1,45 @@
+"""No module of the package imports a name it never uses.
+
+A stdlib stand-in for pyflakes' F401: a name bound by an import must appear
+as a name elsewhere in its module, or in the module's ``__all__``. An import
+statement whose first line carries ``# noqa: F401`` is exempt; it re-exports
+names for code outside the package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pinfer"
+
+
+def unused_imports(source: str) -> list[str]:
+    """``line: name`` for every imported name that ``source`` never uses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or \
+                "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        imported += [(node.lineno, (alias.asname or alias.name).split(".")[0])
+                     for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{line}: {name}" for line, name in imported if name not in used]
+
+
+def test_the_check_finds_an_unused_import():
+    source = "import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\nloads\n"
+    assert unused_imports(source) == ["1: os", "3: dumps"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

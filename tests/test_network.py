@@ -167,7 +167,7 @@ def test_spec_validation():
         NetworkSpec.from_integer([([(0, 1)], "sigmoid")], output_mode="activated")
     spec = NetworkSpec.from_integer([([(0, 1)], "sigmoid"), ([(0, 1)], "identity")])
     with pytest.raises(ParameterError):
-        spec.check_encryptable()  # sigmoid hidden layer has no encrypted protocol
+        spec.meta("encrypted")  # sigmoid hidden layer has no encrypted protocol
 
 
 def test_spec_ell_chain():

@@ -801,9 +801,9 @@ def _drop(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
-def _layer(change):
+def _layer(change, index=0):
     def mutate(doc):
-        change(doc["layers"][0])
+        change(doc["layers"][index])
         return doc
     return mutate
 
@@ -831,15 +831,53 @@ def _layer(change):
     _layer(lambda layer: layer.update(t_scale=True)),
     lambda doc: {**doc, "d_in": 2.0},
     lambda doc: {**doc, "precision": None},
+    # A network that ffnn-sign set-up would refuse to serve.
+    _layer(lambda layer: layer.update(activation="relu")),
+    _layer(lambda layer: layer.update(activation="tanh")),
+    _layer(lambda layer: layer.update(activation="nonsense"), -1),
+    lambda doc: _layer(lambda layer: layer.update(activation="identity"), -1)(
+        {**doc, "output_mode": "activated"}),
 ], ids=["no d_in", "no layers", "no server_key", "extra field", "layer without ell",
         "layer extra field", "list for a layer", "number for layers", "bad key hex",
         "number for key", "mode field", "variant field", "list", "string", "number",
         "null", "empty layers", "unknown output mode", "string units", "negative ell", "zero ell",
-        "bool t_scale", "float d_in", "null precision"])
+        "bool t_scale", "float d_in", "null precision", "relu layer", "tanh layer",
+        "unknown activation", "activated identity output"])
 def test_malformed_meta_is_a_format_error(mutate):
     doc = json.loads(_meta_to_json(ffnn_loaded("sign").model.meta("encrypted", "core"), None))
     with pytest.raises(MessageFormatError):
         _meta_from_json(json.dumps(mutate(doc)).encode("utf-8"), wire.PROTOCOLS["ffnn-sign"])
+
+
+@pytest.mark.parametrize("activations,output_mode", [
+    (("sign", "identity"), "raw"), (("relu", "identity"), "raw"),
+    (("sign", "relu", "identity"), "raw"), (("relu", "sign", "sign"), "raw"),
+    (("sign", "sign"), "activated"), (("relu", "relu"), "activated"),
+    (("sign", "identity"), "activated"), (("relu", "identity"), "activated"),
+], ids=["sign hidden", "relu hidden", "mixed", "mixed, sign output", "activated sign",
+        "activated relu", "activated identity", "relu, activated identity"])
+@pytest.mark.parametrize("protocol", [name for name, p in wire.PROTOCOLS.items() if p.mode])
+def test_set_up_and_client_refuse_the_same_networks(server_keys, rng, protocol, activations,
+                                                    output_mode):
+    hidden = [(0, 1, 1), (-1, 1, -1)]
+    layers = [(hidden, a) for a in activations[:-1]] + [([(0, 1, -2)], activations[-1])]
+    try:
+        spec = NetworkSpec.from_integer(layers, output_mode=output_mode)
+        prepare_served(protocol, LoadedModel("ffnn", spec, KAPPA), server_keys, KAPPA, rng)
+        served = True
+    except ParameterError:
+        served = False
+    # The same network's META, built with raw output (an activated identity
+    # output has no spec) and given the output mode in the JSON.
+    doc = json.loads(_meta_to_json(NetworkSpec.from_integer(layers).meta("generic"),
+                                   server_keys[0]))
+    doc["output_mode"] = output_mode
+    try:
+        _meta_from_json(json.dumps(doc).encode("utf-8"), wire.PROTOCOLS[protocol])
+        accepted = True
+    except MessageFormatError:
+        accepted = False
+    assert served == accepted
 
 
 @pytest.mark.parametrize("data", [b"\xff\xfe", b"{", b""])
