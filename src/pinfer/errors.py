@@ -30,4 +30,4 @@ class MessageFormatError(PinferError):
 
 
 class WorkerError(PinferError):
-    """The helper process that computes N-th powers died before it answered."""
+    """The power worker, the helper process that computes powers, died before it answered."""

@@ -129,6 +129,9 @@ class NetworkSpec:
     def __post_init__(self):
         if not self.layers:
             raise ParameterError("network needs at least one layer")
+        for i, layer in enumerate(self.layers):
+            if not layer.weights:
+                raise ParameterError(f"layer {i} has no units")
         fan = self.layers[0].fan_in
         for i, layer in enumerate(self.layers):
             if layer.fan_in != fan:
@@ -199,7 +202,8 @@ class NetworkSpec:
         in_scale, in_bound = precision, 1 << precision
         for i, (rows, activation) in enumerate(layer_defs):
             weights = tuple(encode_row(row, in_scale) for row in rows)
-            ell = max(max(inner_product_bound(row, in_bound) for row in weights).bit_length(), 1)
+            ell = max(max((inner_product_bound(row, in_bound) for row in weights),
+                          default=0).bit_length(), 1)
             if ells is not None:
                 if ells[i] < ell:
                     raise ParameterError(f"layer {i}: declared ell {ells[i]} below required {ell}")

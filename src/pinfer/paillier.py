@@ -24,13 +24,13 @@ produce the same distribution of ciphertexts, and their ciphertexts mix
 freely.
 
 Every batch of fresh randomness goes through ``PublicKey._factors``, which
-shares its powers with a worker process: one child process per party
-process, started at the first batch and ended at exit. The random factors
-do not depend on the values (Paillier, EUROCRYPT 1999, notes they can be
-precomputed), so a batch draws them as single encryptions would, in order,
-and the worker computes its share while the caller computes the rest and
-its own work: the products r*c of ``PublicKey.blind_all``, or the scalar
-products of ``linear.encrypted_dot``.
+shares its powers with the power worker of :mod:`pinfer.numutil`: one child
+process per party process, started at the first batch and ended at exit.
+The random factors do not depend on the values (Paillier, EUROCRYPT 1999,
+notes they can be precomputed), so a batch draws them as single encryptions
+would, in order, and the worker computes its share while the caller computes
+the rest and its own work: the products r*c of ``PublicKey.blind_all``, or
+the scalar products of ``linear.encrypted_dot``.
 
 - Under a key built from N alone, the worker computes s**N mod N**2 for
   every base when the caller has work, and for the last half when it has
@@ -40,8 +40,12 @@ products of ``linear.encrypted_dot``.
   one modulo q**2 (y**q or c**(q-1)). It receives q or q - 1, q**2 and the
   bases mod q**2: secret key material, passed over pipes to a child of the
   same party process.
+- While a key is made (``keygen``) or loaded (``SecretKey``), the worker
+  runs half of the prime tests, so it receives prime candidates, p and q
+  among them. That adds nothing to what it can learn: from the q it
+  already receives, p = N/q.
 
-The worker never receives p, plaintexts, masks or the units r.
+The worker never receives plaintexts, masks or the units r.
 
 Key sizes of 2048 or 3072 bits are the production presets; the 64-bit floor
 and the deterministic RNG from :func:`pinfer.numutil.insecure_rng` exist for
@@ -50,18 +54,13 @@ tests only.
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import hashlib
 import random
-import subprocess
-import sys
-import threading
 from dataclasses import dataclass, field
 
-from .errors import DecryptionError, KeyMismatchError, ParameterError, WorkerError
-from .numutil import (SYSTEM_RNG, crt2, gcd, invert, is_probable_prime, powmod,
-                      prime_candidate, random_unit)
+from .errors import DecryptionError, KeyMismatchError, ParameterError
+from .numutil import (SYSTEM_RNG, crt2, gcd, invert, is_probable_prime, powers_while,
+                      powmod, prime_candidate, random_unit)
 
 DEFAULT_KEY_BITS = 2048
 #: Absolute floor, for test-scale keys only.
@@ -198,13 +197,13 @@ class PublicKey:
         """
         sk = self._secret
         if sk is not None:
-            (result, f_ps), f_qs = _POWERS.powers_while(
-                sk.q, sk._q_sq, [y for _, y in bases],
+            (result, f_ps), f_qs = powers_while(
+                [(y, sk.q, sk._q_sq) for _, y in bases],
                 lambda: (work() if work else None, [powmod(x, sk.p, sk._p_sq) for x, _ in bases]))
             return result, [sk._join(f_p, f_q) for f_p, f_q in zip(f_ps, f_qs)]
         split = 0 if work else len(bases) // 2
-        (result, mine), theirs = _POWERS.powers_while(
-            self.n, self.n_squared, bases[split:],
+        (result, mine), theirs = powers_while(
+            [(s, self.n, self.n_squared) for s in bases[split:]],
             lambda: (work() if work else None, [powmod(s, self.n, self.n_squared)
                                                 for s in bases[:split]]))
         return result, mine + theirs
@@ -295,9 +294,8 @@ class SecretKey:
         for c in cts:
             self.public_key._check_own(c)
         p, p_sq, q_sq = self.p, self._p_sq, self._q_sq
-        x_ps, x_qs = _POWERS.powers_while(
-            self.q - 1, q_sq, [c.value % q_sq for c in cts],
-            lambda: [powmod(c.value % p_sq, p - 1, p_sq) for c in cts])
+        x_ps, x_qs = powers_while([(c.value % q_sq, self.q - 1, q_sq) for c in cts],
+                                  lambda: [powmod(c.value % p_sq, p - 1, p_sq) for c in cts])
         return [self.decrypt(c, powers) for c, powers in zip(cts, zip(x_ps, x_qs))]
 
     def _join(self, f_p: int, f_q: int) -> int:
@@ -360,93 +358,6 @@ class Ciphertext:
         return Ciphertext(self.value * (1 + (m % pk.n) * pk.n) % pk.n_squared, pk)
 
 
-#: The worker's program. Each input line is ``e m b_1 ... b_k`` in
-#: lower-case hex, separated by spaces: an exponent, a modulus and the
-#: bases. It answers with one line of the hex ``b_i**e mod m``, in order.
-#: It exits at the end of its input. It ignores SIGINT: a Ctrl-C ends its
-#: parent, whose exit then ends it.
-_WORKER_SRC = """
-import signal, sys
-signal.signal(signal.SIGINT, signal.SIG_IGN)
-try:
-    from gmpy2 import powmod
-except ImportError:
-    powmod = pow
-for line in sys.stdin:
-    exponent, modulus, *bases = (int(w, 16) for w in line.split())
-    print(*(format(powmod(b, exponent, modulus), "x") for b in bases), flush=True)
-"""
-
-
-class _PowerWorker:
-    """The party process's one worker process for batches of powers.
-
-    It starts at the first batch and again after it has died. A lock held
-    from request to reply keeps concurrent batches, from the connections of
-    a server, in step on the one pipe.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._proc: subprocess.Popen | None = None
-
-    def powers_while(self, exponent: int, modulus: int, bases: list[int], work):
-        """``(work(), [pow(b, exponent, modulus) for b in bases])``, with
-        the powers computed in the worker while ``work`` runs here.
-
-        The reply is read even when ``work`` raises, so no stale reply is
-        left for the next batch.
-
-        Raises:
-            WorkerError: the worker died or its reply is not one full line
-                of ``len(bases)`` hex words; it is reaped and the next call
-                starts a new one.
-        """
-        with self._lock:
-            try:
-                if self._proc is None or self._proc.poll() is not None:
-                    self._end()
-                    self._proc = subprocess.Popen([sys.executable, "-I", "-c", _WORKER_SRC],
-                                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                                  text=True)
-                proc = self._proc
-                print(*(format(x, "x") for x in (exponent, modulus, *bases)),
-                      file=proc.stdin, flush=True)
-            except OSError as exc:
-                self._end()
-                raise WorkerError(f"cannot reach the power worker: {exc}") from None
-            try:
-                result = work()
-            finally:
-                try:
-                    line = proc.stdout.readline()
-                    powers = [int(w, 16) for w in line.split()]
-                    if not line.endswith("\n") or len(powers) != len(bases):
-                        raise ValueError
-                except ValueError:
-                    self._end()
-                    raise WorkerError("the power worker exited before it answered") from None
-            return result, powers
-
-    def close(self) -> None:
-        """End the worker, if one runs: EOF on its input, then reap it."""
-        with self._lock:
-            self._end()
-
-    def _end(self) -> None:
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        with contextlib.suppress(OSError):
-            proc.stdin.close()
-        proc.stdout.close()
-        proc.wait()
-
-
-_POWERS = _PowerWorker()
-atexit.register(_POWERS.close)
-
-
 def keygen(bits: int = DEFAULT_KEY_BITS, rng: random.Random | None = None) -> tuple[PublicKey, SecretKey]:
     """Fresh key pair with a modulus of exactly ``bits`` bits.
 
@@ -456,10 +367,14 @@ def keygen(bits: int = DEFAULT_KEY_BITS, rng: random.Random | None = None) -> tu
     come from :func:`~pinfer.numutil.prime_candidate`, a cheap filter; the
     one full primality test per prime (``MR_ROUNDS`` Miller-Rabin rounds,
     error below 2**-80) is the one ``SecretKey`` runs on every key, generated
-    or loaded.
+    or loaded. Both tests split across the power worker of
+    :mod:`pinfer.numutil`, which receives the candidates and, in the
+    Miller-Rabin test, p and q; the primes, and a seeded ``rng``'s state
+    afterwards, are those of a one-at-a-time search.
 
     Raises:
         ParameterError: if bits is below the 64-bit test floor.
+        WorkerError: the worker process died; the next call starts a new one.
     """
     if bits < MIN_KEY_BITS:
         raise ParameterError(f"key size {bits} below the {MIN_KEY_BITS}-bit floor")

@@ -300,6 +300,35 @@ def test_console_entry_point():
         assert command in out.stdout
 
 
+#: Imported at start-up from the first PYTHONPATH entry, before pinfer, so
+#: its exit handler runs after pinfer's: by then no child may be left.
+_NO_CHILD_AT_EXIT = """
+import atexit, os
+
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    os.write(2, b"a child process outlived the exit handlers\\n")
+
+atexit.register(no_child_left)
+"""
+
+
+def test_keygen_command_leaves_no_process_or_warning_at_exit(tmp_path, checkout_env):
+    # keygen runs its prime tests across the power worker, which must be
+    # reaped at exit with no ResourceWarning.
+    (tmp_path / "sitecustomize.py").write_text(_NO_CHILD_AT_EXIT)
+    env = dict(checkout_env, PYTHONPATH=os.pathsep.join([str(tmp_path),
+                                                         checkout_env["PYTHONPATH"]]))
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "pinfer", "keygen", "--bits",
+                          "512", "--insecure-test-keys", "--out", str(tmp_path / "k")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    assert load_key(str(tmp_path / "k.key.json")).public_key.bit_length == 512
+
+
 @pytest.mark.skipif(shutil.which("pinfer") is None,
                     reason="the pinfer script exists only after pip install")
 def test_installed_console_script():

@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from pinfer import paillier
+from pinfer import numutil
 from pinfer.comparison import (ComparisonRequest, ComparisonResponse,
                                bit_owner_finish, bit_owner_request,
                                evaluator_respond)
@@ -63,7 +63,7 @@ def test_comparison_after_the_worker_is_killed(client_keys, rng):
     pk, sk = client_keys
     rebuilt = PublicKey(pk.n)  # blinds through the worker
     assert run(sk, rebuilt, 3, 5, 0, 3, rng) == 1
-    paillier._POWERS._proc.kill()
+    numutil._POWERS._proc.kill()
     outcome = []
 
     def compare():

@@ -1,9 +1,14 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and one module
+owns the power worker and the modular exponentiations.
 
 A stdlib stand-in for pyflakes' F401: a name bound by an import must appear
 as a name elsewhere in its module, or in the module's ``__all__``. An import
 statement whose first line carries ``# noqa: F401`` is exempt; it re-exports
 names for code outside the package.
+
+Exactly one module imports ``subprocess``, the one that starts the power
+worker, and only ``numutil`` calls three-argument ``pow``: every other module
+exponentiates through ``numutil.powmod`` or the worker.
 """
 
 import ast
@@ -43,3 +48,38 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imports_module(source: str, module: str) -> bool:
+    """Whether ``source`` imports ``module`` or a submodule of it."""
+    for node in ast.walk(ast.parse(source)):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                 [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level
+                 else [])
+        if any(name.split(".")[0] == module for name in names):
+            return True
+    return False
+
+
+def calls_three_argument_pow(source: str) -> bool:
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and
+               node.func.id == "pow" and len(node.args) == 3
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_the_checks_find_subprocess_and_pow():
+    assert imports_module("import os, subprocess as sp\n", "subprocess")
+    assert imports_module("from subprocess import PIPE\n", "subprocess")
+    assert not imports_module("from . import subprocess\nx = 'import subprocess'\n",
+                              "subprocess")
+    assert calls_three_argument_pow("y = pow(b, e, m)\n")
+    assert not calls_three_argument_pow("y = pow(b, e)\nz = 'pow(b, e, m)'\n")
+
+
+def test_one_worker_module_and_one_power_module():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert len([name for name, source in sources.items()
+                if imports_module(source, "subprocess")]) == 1
+    assert [name for name, source in sources.items()
+            if calls_three_argument_pow(source)] == ["numutil"]

@@ -84,6 +84,17 @@ def test_malformed_model_file_is_refused(tmp_path, model_type, change):
         load_model(path)
 
 
+def test_model_file_with_a_layer_of_no_units_is_refused(tmp_path):
+    spec = NetworkSpec.from_integer([([(0, 1, 1)], "sign"), ([(0, 1)], "sign")])
+    path = tmp_path / "net.json"
+    save_model(path, spec, "ffnn")
+    doc = json.loads(path.read_text())
+    doc["layers"][1]["weights"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParameterError, match="layer 1 has no units"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("load", [load_model, load_key])
 def test_file_that_is_not_a_json_object_is_refused(tmp_path, load):
     path = tmp_path / "list.json"

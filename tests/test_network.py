@@ -6,7 +6,7 @@ import pytest
 from pinfer.activations import sign_value
 from pinfer.errors import ParameterError, ProtocolViolationError
 from pinfer.linear import FeatureVector, heuristic_interval
-from pinfer.network import (NetworkClientSession, NetworkServerSession,
+from pinfer.network import (LayerSpec, NetworkClientSession, NetworkServerSession,
                             NetworkSpec, UnitResponse, evaluate_network,
                             unit_answer, unit_challenge, unit_finish)
 from pinfer.numutil import insecure_rng
@@ -168,6 +168,18 @@ def test_spec_validation():
     spec = NetworkSpec.from_integer([([(0, 1)], "sigmoid"), ([(0, 1)], "identity")])
     with pytest.raises(ParameterError):
         spec.meta("encrypted")  # sigmoid hidden layer has no encrypted protocol
+
+
+@pytest.mark.parametrize("build,index", [
+    (lambda: NetworkSpec.from_integer([([], "relu")]), 0),
+    (lambda: NetworkSpec.from_integer([([(0, 1)], "relu"), ([], "identity")]), 1),
+    (lambda: NetworkSpec.from_real([([], "relu")], 8), 0),
+    (lambda: NetworkSpec.from_real([([[0.5, 0.5]], "relu"), ([], "identity")], 8), 1),
+    (lambda: NetworkSpec((LayerSpec((), "relu", 1, 0, 0),), 0), 0),
+], ids=["integer-first", "integer-last", "real-first", "real-last", "direct"])
+def test_layer_of_no_units_is_refused(build, index):
+    with pytest.raises(ParameterError, match=f"layer {index} has no units"):
+        build()
 
 
 def test_spec_ell_chain():

@@ -1,10 +1,12 @@
+import math
+import random
 import subprocess
 import sys
 import threading
 
 import pytest
 
-from pinfer import comparison, keygen, paillier
+from pinfer import comparison, keygen, numutil, paillier
 from pinfer.errors import (DecryptionError, KeyMismatchError, MessageFormatError,
                            ParameterError, WorkerError)
 from pinfer.numutil import (SIEVE_BITS, insecure_rng, is_probable_prime, prime_candidate,
@@ -236,23 +238,29 @@ def test_blind_all_stays_in_step_after_a_failed_batch(client_keys, server_keys, 
 
 def test_concurrent_batches_stay_in_step(client_keys):
     # More threads than cores share the one worker: blinds under a rebuilt
-    # key, and the key holder's encryptions and decryptions. A reply read by
-    # the wrong batch would carry other powers, so the values would differ.
+    # key, the key holder's encryptions and decryptions, and key generation.
+    # A reply read by the wrong batch would carry other powers, so the
+    # values would differ.
     pk, sk = client_keys
     key = PublicKey(pk.n)
     values = [key.encrypt(m, insecure_rng(m)) for m in range(4)]
 
     def batch(seed, serial=False):
         rng = insecure_rng(seed)
-        if seed % 3 == 0:
+        if seed % 4 == 0:
             cts = _serial_blinds(key, values, rng) if serial else key.blind_all(values, rng)
-        elif seed % 3 == 1:
+        elif seed % 4 == 1:
             cts = [pk.encrypt(m, rng) for m in PLAIN] if serial else pk.encrypt_all(PLAIN, rng)
-        else:
+        elif seed % 4 == 2:
             return [sk.decrypt(c) for c in values] if serial else sk.decrypt_all(values)
+        elif serial:
+            return _serial_keygen(128, rng)
+        else:
+            _, made = keygen(128, rng)
+            return made.p, made.q
         return [c.value for c in cts]
 
-    expected = {seed: batch(seed, serial=True) for seed in range(6)}
+    expected = {seed: batch(seed, serial=True) for seed in range(8)}
     got = {seed: [] for seed in expected}
 
     def run(seed):
@@ -276,11 +284,11 @@ def test_concurrent_batches_stay_in_step(client_keys):
 def test_worker_that_dies_mid_batch_raises_worker_error(client_keys, rng, monkeypatch):
     pk, sk = client_keys
     key, values = _rebuilt_values(pk, rng)
-    paillier._POWERS.close()
-    monkeypatch.setattr(paillier, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
+    numutil._POWERS.close()
+    monkeypatch.setattr(numutil, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
     with pytest.raises(WorkerError):
         key.blind_all(values, rng)
-    assert paillier._POWERS._proc is None
+    assert numutil._POWERS._proc is None
     monkeypatch.undo()
     assert [sk.decrypt(c) == 0 for c in key.blind_all(values, rng)] == [True, False, False]
 
@@ -289,8 +297,10 @@ def test_worker_that_dies_mid_batch_raises_worker_error(client_keys, rng, monkey
 #: from the right hex words, and then exits.
 _BAD_WORKER = """
 import sys
-exponent, modulus, *bases = (int(w, 16) for w in sys.stdin.readline().split())
-words = [format(pow(b, exponent, modulus), "x") for b in bases]
+words = []
+for group in sys.stdin.readline().split(","):
+    exponent, modulus, *bases = (int(w, 16) for w in group.split())
+    words += [format(pow(b, exponent, modulus), "x") for b in bases]
 sys.stdout.write(REPLY)
 sys.stdout.flush()
 """
@@ -305,8 +315,8 @@ def test_worker_with_a_malformed_reply_raises_worker_error(client_keys, rng, mon
                                                            reply):
     pk, _ = client_keys
     key, values = _rebuilt_values(pk, rng)
-    paillier._POWERS.close()
-    monkeypatch.setattr(paillier, "_WORKER_SRC", _BAD_WORKER.replace("REPLY", reply))
+    numutil._POWERS.close()
+    monkeypatch.setattr(numutil, "_WORKER_SRC", _BAD_WORKER.replace("REPLY", reply))
     raised = []
 
     def blind():
@@ -320,7 +330,7 @@ def test_worker_with_a_malformed_reply_raises_worker_error(client_keys, rng, mon
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert [type(exc) for exc in raised] == [WorkerError]
-    assert paillier._POWERS._proc is None
+    assert numutil._POWERS._proc is None
     monkeypatch.undo()
     batch = key.blind_all(values, insecure_rng(11))
     serial = _serial_blinds(key, values, insecure_rng(11))
@@ -333,14 +343,14 @@ def _boundary_values(pk):
 
 class _CountingWorker:
     """Stands in for the power worker: computes each batch here and keeps
-    its exponent and modulus."""
+    the exponent and modulus of each of its items."""
 
     def __init__(self):
         self.batches = []
 
-    def powers_while(self, exponent, modulus, bases, work):
-        self.batches.append((exponent, modulus, len(bases)))
-        return work(), [pow(b, exponent, modulus) for b in bases]
+    def powers_while(self, items, work):
+        self.batches.append([(exponent, modulus) for _, exponent, modulus in items])
+        return work(), [pow(b, exponent, modulus) for b, exponent, modulus in items]
 
 
 @pytest.mark.parametrize("holder", [False, True], ids=["rebuilt-key", "key-holder"])
@@ -365,7 +375,7 @@ def test_batches_draw_as_the_serial_loops(client_keys, monkeypatch, holder, size
     plain = _boundary_values(pk)[:size]
     values = [key.encrypt(m, insecure_rng(i)) for i, m in enumerate(plain)]
     worker = _CountingWorker()
-    monkeypatch.setattr(paillier, "_POWERS", worker)
+    monkeypatch.setattr(numutil, "_POWERS", worker)
     cases = ((lambda rng: key.encrypt_all(plain, rng),
               lambda rng: [key.encrypt(m, rng) for m in plain]),
              (lambda rng: key.blind_all(values, rng),
@@ -378,16 +388,16 @@ def test_batches_draw_as_the_serial_loops(client_keys, monkeypatch, holder, size
     # rebuilt key it takes the last half of the encryptions' bases, and all
     # of the blinds' bases while this thread scales.
     if holder:
-        assert worker.batches == [(sk.q, sk.q * sk.q, size)] * 2
+        assert worker.batches == [[(sk.q, sk.q * sk.q)] * size] * 2
     else:
-        assert worker.batches == [(pk.n, pk.n_squared, (size + 1) // 2),
-                                  (pk.n, pk.n_squared, size)]
+        assert worker.batches == [[(pk.n, pk.n_squared)] * ((size + 1) // 2),
+                                  [(pk.n, pk.n_squared)] * size]
 
 
 def test_encrypt_all_refuses_a_message_out_of_range_first(client_keys, monkeypatch):
     pk, _ = client_keys
     worker = _CountingWorker()
-    monkeypatch.setattr(paillier, "_POWERS", worker)
+    monkeypatch.setattr(numutil, "_POWERS", worker)
     rng = insecure_rng(13)
     with pytest.raises(ParameterError):
         pk.encrypt_all([1, pk.max_signed + 1], rng)
@@ -409,7 +419,7 @@ def test_decrypt_all_refuses_a_foreign_ciphertext_first(client_keys, server_keys
                                                         monkeypatch):
     pk, sk = client_keys
     worker = _CountingWorker()
-    monkeypatch.setattr(paillier, "_POWERS", worker)
+    monkeypatch.setattr(numutil, "_POWERS", worker)
     with pytest.raises(KeyMismatchError):
         sk.decrypt_all([pk.encrypt(1, rng), server_keys[0].encrypt(1, rng)])
     assert worker.batches == []
@@ -446,8 +456,8 @@ def test_owner_batch_with_a_failing_worker_raises_worker_error(client_keys, rng,
             return [c.value for c in pk.encrypt_all(PLAIN, insecure_rng(14))]
         return sk.decrypt_all(cts)
 
-    paillier._POWERS.close()
-    monkeypatch.setattr(paillier, "_WORKER_SRC", worker)
+    numutil._POWERS.close()
+    monkeypatch.setattr(numutil, "_WORKER_SRC", worker)
     raised = []
 
     def run():
@@ -461,7 +471,7 @@ def test_owner_batch_with_a_failing_worker_raises_worker_error(client_keys, rng,
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert [type(exc) for exc in raised] == [WorkerError]
-    assert paillier._POWERS._proc is None
+    assert numutil._POWERS._proc is None
     monkeypatch.undo()
     serial_rng = insecure_rng(14)
     serial = ([pk.encrypt(m, serial_rng).value for m in PLAIN] if batch == "encrypt_all"
@@ -472,9 +482,9 @@ def test_owner_batch_with_a_failing_worker_raises_worker_error(client_keys, rng,
 def test_bit_owner_makes_one_worker_batch_per_step(client_keys, rng, monkeypatch):
     pk, sk = client_keys
     worker = _CountingWorker()
-    monkeypatch.setattr(paillier, "_POWERS", worker)
+    monkeypatch.setattr(numutil, "_POWERS", worker)
     request = comparison.bit_owner_request(pk, 0b1011, 6, insecure_rng(15))
-    assert worker.batches == [(sk.q, sk.q * sk.q, 6)]
+    assert worker.batches == [[(sk.q, sk.q * sk.q)] * 6]
     serial_rng = insecure_rng(15)
     assert [c.value for c in request.encrypted_bits] == \
         [pk.encrypt(bit, serial_rng).value for bit in (1, 1, 0, 1, 0, 0)]
@@ -482,7 +492,7 @@ def test_bit_owner_makes_one_worker_batch_per_step(client_keys, rng, monkeypatch
     response = comparison.evaluator_respond(rebuilt, request, 0b1011, 0, rng)
     worker.batches.clear()
     assert comparison.bit_owner_finish(sk, response) == 1
-    assert worker.batches == [(sk.q - 1, sk.q * sk.q, 7)]
+    assert worker.batches == [[(sk.q - 1, sk.q * sk.q)] * 7]
 
 
 def test_blind_leaves_no_process_or_warning_at_exit(checkout_env):
@@ -491,8 +501,8 @@ def test_blind_leaves_no_process_or_warning_at_exit(checkout_env):
     code = """
 import atexit, os
 def reaped():
-    from pinfer import paillier
-    assert paillier._POWERS._proc is None
+    from pinfer import numutil
+    assert numutil._POWERS._proc is None
     try:
         os.waitpid(PID, os.WNOHANG)
     except ChildProcessError:
@@ -506,8 +516,8 @@ pk, sk = keygen(256, rng)
 key = PublicKey(pk.n)
 blinded = key.blind_all([key.encrypt(0, rng), key.encrypt(4, rng)], rng)
 assert [sk.decrypt(c) == 0 for c in blinded] == [True, False]
-from pinfer import paillier
-PID = paillier._POWERS._proc.pid
+from pinfer import numutil
+PID = numutil._POWERS._proc.pid
 """
     result = subprocess.run([sys.executable, "-W", "error", "-c", code], env=checkout_env,
                             capture_output=True, text=True, timeout=120)
@@ -547,6 +557,74 @@ def test_keygen_exact_size_with_top_two_bits(bits):
         assert pk.bit_length == bits
         for prime, size in ((sk.p, bits // 2), (sk.q, bits - bits // 2)):
             assert prime >> (size - 2) == 0b11
+
+
+def _serial_keygen(bits, rng):
+    """The primes of a one-at-a-time search, written out: draw until a
+    candidate has no odd factor below 2**SIEVE_BITS and passes base 2, for
+    p then q, until the pair makes a key."""
+    odd_primes = _sieve(1 << SIEVE_BITS)[1:]
+
+    def candidate(size):
+        while True:
+            c = rng.getrandbits(size) | (3 << (size - 2)) | 1
+            if all(c % f for f in odd_primes) and pow(2, c - 1, c) == 1:
+                return c
+
+    def prime(n):  # Miller-Rabin on the first 20 odd primes as bases
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in odd_primes[:20]:
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
+
+    while True:
+        p, q = candidate(bits // 2), candidate(bits - bits // 2)
+        if p != q and prime(p) and prime(q) and math.gcd(p * q, (p - 1) * (q - 1)) == 1:
+            return p, q
+
+
+@pytest.mark.parametrize("bits", [64, 65, 128, 257, 512])
+def test_keygen_matches_a_serial_search(bits):
+    # The candidates are tested in batches across the worker, and the rng
+    # is rewound to just after the winner: same primes, same state after.
+    for seed in range(20):
+        rng, serial_rng = insecure_rng(seed), insecure_rng(seed)
+        _, sk = keygen(bits, rng)
+        assert (sk.p, sk.q) == _serial_keygen(bits, serial_rng)
+        assert rng.random() == serial_rng.random()
+
+
+@pytest.mark.parametrize("bits", [64, 65, 512])
+def test_keygen_from_system_random_has_the_exact_size(bits):
+    for rng in (None, random.SystemRandom()):
+        pk, sk = keygen(bits, rng)
+        assert pk.bit_length == bits and sk.p * sk.q == pk.n
+        assert sk.decrypt(pk.encrypt(-3)) == -3
+
+
+def test_worker_that_dies_during_keygen_raises_worker_error(monkeypatch):
+    _, expected = keygen(512, insecure_rng(17))
+    numutil._POWERS.close()
+    monkeypatch.setattr(numutil, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
+    with pytest.raises(WorkerError):
+        keygen(512, insecure_rng(17))
+    assert numutil._POWERS._proc is None
+    with pytest.raises(WorkerError):
+        SecretKey(expected.p, expected.q)
+    assert numutil._POWERS._proc is None
+    monkeypatch.undo()
+    _, sk = keygen(512, insecure_rng(17))
+    assert (sk.p, sk.q) == (expected.p, expected.q)
 
 
 def test_keygen_tests_each_returned_prime_once(monkeypatch):

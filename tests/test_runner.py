@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pinfer import keygen, paillier, wire
+from pinfer import keygen, numutil, wire
 from pinfer.comparison import ComparisonResponse
 from pinfer.errors import (MessageFormatError, ParameterError, ProtocolViolationError,
                            WorkerError)
@@ -104,12 +104,15 @@ def test_svm_heur_over_wire(client_keys, server_keys, rng):
     assert transcript.round_trips == 1
 
 
-def test_import_and_keygen_start_no_power_worker(checkout_env):
+def test_import_starts_no_power_worker_and_keygen_leaves_one_running(checkout_env):
+    # Key generation splits its prime tests with the worker, which then
+    # stays up for the party's first batch.
     code = """
-from pinfer import keygen, paillier
+from pinfer import keygen, numutil
 from pinfer.numutil import insecure_rng
+assert numutil._POWERS._proc is None
 keygen(256, insecure_rng(3))
-assert paillier._POWERS._proc is None
+assert numutil._POWERS._proc.poll() is None
 """
     result = subprocess.run([sys.executable, "-c", code], env=checkout_env,
                             capture_output=True, text=True, timeout=120)
@@ -120,9 +123,9 @@ assert paillier._POWERS._proc is None
 def test_power_worker_runs_after_one_query(client_keys, server_keys, rng, protocol):
     # Every protocol batches encryptions: the client's features, or for
     # regr-dual and svm-core the fresh term of its masked inner product.
-    paillier._POWERS.close()
+    numutil._POWERS.close()
     run_protocol(protocol, *_model_and_input(protocol, rng), client_keys, server_keys, rng)
-    assert paillier._POWERS._proc is not None
+    assert numutil._POWERS._proc is not None
 
 
 def _model_and_input(protocol, rng):
@@ -173,8 +176,8 @@ def _with_a_dead_worker(monkeypatch, step):
     """``step(channel)`` while the power worker exits after the first bytes
     of its first request."""
     def first(channel):
-        paillier._POWERS.close()
-        monkeypatch.setattr(paillier, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
+        numutil._POWERS.close()
+        monkeypatch.setattr(numutil, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
         try:
             step(channel)
         finally:
