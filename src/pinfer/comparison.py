@@ -56,18 +56,23 @@ def bit_owner_request(pk: PublicKey, mu: int, bit_length: int,
     """Encrypt the binary digits of mu under the bit owner's key.
 
     The bits are one ``PublicKey.encrypt_all`` batch: under the owner's own
-    key, the worker process computes the q**2 half of each encryption's
-    random factor while this thread computes the p**2 half.
+    key, both half-size powers of each random factor are items of one
+    batch shared with the power worker.
 
     Raises:
         ParameterError: if mu is not an l-bit non-negative integer.
     """
+    return ComparisonRequest(tuple(pk.encrypt_all(digits(mu, bit_length), rng)), bit_length)
+
+
+def digits(mu: int, bit_length: int) -> list[int]:
+    """The bit_length binary digits of mu, low bit first: what the bit owner
+    encrypts. ``ParameterError`` if mu is not an l-bit non-negative integer."""
     if bit_length < 1:
         raise ParameterError("bit length must be positive")
     if not 0 <= mu < (1 << bit_length):
         raise ParameterError(f"value {mu} is not a {bit_length}-bit non-negative integer")
-    bits = pk.encrypt_all([(mu >> i) & 1 for i in range(bit_length)], rng)
-    return ComparisonRequest(tuple(bits), bit_length)
+    return [(mu >> i) & 1 for i in range(bit_length)]
 
 
 def evaluator_respond(pk: PublicKey, request: ComparisonRequest, eta: int, delta_eval: int,
@@ -82,7 +87,7 @@ def evaluator_respond(pk: PublicKey, request: ComparisonRequest, eta: int, delta
     each by a fresh unit, rerandomizes, and returns them shuffled. The scaling
     and rerandomizing is one ``PublicKey.blind_all`` batch: under the owner's
     key rebuilt from bytes, the random N-th powers s**N mod N**2 of the
-    rerandomization are computed in a worker process while this thread
+    rerandomization are shared with the power worker while this thread
     scales.
 
     Raises:
@@ -121,9 +126,8 @@ def evaluator_respond(pk: PublicKey, request: ComparisonRequest, eta: int, delta
 def bit_owner_finish(sk: SecretKey, response: ComparisonResponse) -> int:
     """The bit owner's share: 1 iff exactly one blinded value decrypts to zero.
 
-    The values are one ``SecretKey.decrypt_all`` batch: the worker process
-    computes the q**2 half of each decryption while this thread computes
-    the p**2 half.
+    The values are one ``SecretKey.decrypt_all`` batch: both half-size
+    powers of each decryption are items shared with the power worker.
 
     Raises:
         ProtocolViolationError: more than one zero, impossible for honest peers.
@@ -156,13 +160,6 @@ def draw_mask(ell: int, kappa: int, rng: random.Random, mask: int | None = None)
     if not low <= mask < high:
         raise ParameterError("mask outside [2**ell - 1, 2**(ell+kappa))")
     return mask
-
-
-def mask_challenge(masked_inner: Ciphertext, pk_owner: PublicKey, mask: int, ell: int,
-                   rng: random.Random | None = None) -> UnitChallenge:
-    """The owner's challenge for ``masked_inner`` = Enc(t + mask)."""
-    bits = bit_owner_request(pk_owner, mask % (1 << ell), ell, rng).encrypted_bits
-    return UnitChallenge(masked_inner, bits, ell)
 
 
 def evaluator_step(sk_eval: SecretKey, pk_owner: PublicKey, challenge: UnitChallenge,

@@ -28,13 +28,13 @@ import random
 from dataclasses import dataclass, field
 
 from . import activations, wire
-from .comparison import (ComparisonResponse, UnitChallenge, draw_mask,
-                         evaluator_step, mask_challenge, owner_step)
+from .comparison import (ComparisonResponse, UnitChallenge, digits, draw_mask,
+                         evaluator_step, owner_step)
 from .errors import (DimensionMismatchError, ParameterError,
                      ProtocolViolationError)
 from .fixedpoint import decode, encode
 from .numutil import SYSTEM_RNG, gcd
-from .paillier import Ciphertext, PublicKey, SecretKey
+from .paillier import Ciphertext, PublicKey, SecretKey, _factors
 
 #: Default statistical security parameter for masking.
 DEFAULT_KAPPA = 95
@@ -261,14 +261,22 @@ def masked_sign_value(t: int, lam: int, mu: int, modulus: int) -> int:
 
 def encrypted_dot(pk: PublicKey, start: int, coeffs, cts,
                   rng: random.Random | None = None) -> Ciphertext:
-    """Enc(start mod N) + sum of coeff * ct under ``pk``, fresh through Enc(start),
-    whose random factor the power worker computes while this thread multiplies."""
+    """Enc(start mod N) + sum of coeff * ct under ``pk``, fresh through Enc(start)."""
+    return dot_and_bits(pk, start, coeffs, cts, rng)[0]
+
+
+def dot_and_bits(pk: PublicKey, start: int, coeffs, cts, rng: random.Random | None = None,
+                 pk_owner: PublicKey | None = None, bits=()) -> tuple:
+    """``encrypted_dot``, and ``bits`` encrypted under ``pk_owner`` as
+    ``comparison.bit_owner_request`` does: every random factor drawn in that
+    order, then computed in one batch beside the products."""
     if len(coeffs) != len(cts):
-        raise DimensionMismatchError(
-            f"{len(coeffs)} coefficients for {len(cts)} ciphertexts")
-    terms, (factor,) = pk._factors([pk._draw_base(rng)],
-                                   lambda: [coeff * ct for coeff, ct in zip(coeffs, cts)])
-    return sum(terms, pk.encrypt_unsigned(start % pk.n, factor=factor))
+        raise DimensionMismatchError(f"{len(coeffs)} coefficients for {len(cts)} ciphertexts")
+    plain = [(pk, start % pk.n)] + [(pk_owner, bit) for bit in bits]
+    terms, factors = _factors([key._draw(rng) for key, _ in plain],
+                              lambda: [coeff * ct for coeff, ct in zip(coeffs, cts)])
+    fresh, *bits = (key.encrypt_unsigned(m, factor=f) for (key, m), f in zip(plain, factors))
+    return sum(terms, fresh), tuple(bits)
 
 
 def _check_dims(model_d: int, request_d: int) -> None:
@@ -385,8 +393,10 @@ def svm_core_request(published: PublishedLinearModel, pk_client: PublicKey,
     check_core_sizing(published.public_key.n, ell, kappa)
     rng = rng or SYSTEM_RNG
     mask = draw_mask(ell, kappa, rng, mask)
-    acc = _masked_dot(published, x, mask, rng)
-    return mask_challenge(acc, pk_client, mask, ell, rng), MaskSession(published, mask)
+    pk, (theta_0, *theta) = published.public_key, published.ciphertexts
+    acc, bits = dot_and_bits(pk, mask, x.values[1:], theta, rng, pk_client,
+                             digits(mask % (1 << ell), ell))
+    return UnitChallenge(acc + theta_0, bits, ell), MaskSession(published, mask)
 
 
 def svm_core_respond(sk_server: SecretKey, request: UnitChallenge, ell: int,

@@ -32,16 +32,16 @@ from dataclasses import dataclass, fields, is_dataclass
 from . import activations, wire
 # perfbench's tracer wraps bit_owner_finish and evaluator_respond under these names.
 from .comparison import (ComparisonResponse, UnitChallenge,  # noqa: F401
-                         bit_owner_finish, draw_mask, evaluator_respond,
-                         evaluator_step, mask_challenge, owner_step)
+                         bit_owner_finish, digits, draw_mask, evaluator_respond,
+                         evaluator_step, owner_step)
 from .errors import (DimensionMismatchError, ParameterError,
                      ProtocolViolationError)
 from .fixedpoint import decode, encode
-from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector,
-                     check_core_sizing, check_heuristic_sizing,
-                     draw_heuristic_mask, encrypted_dot, inner_product_bound)
+from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector, check_core_sizing,
+                     check_heuristic_sizing, dot_and_bits, draw_heuristic_mask,
+                     encrypted_dot, inner_product_bound)
 from .numutil import SYSTEM_RNG, invert
-from .paillier import Ciphertext, PublicKey, SecretKey
+from .paillier import Ciphertext, PublicKey, SecretKey, _factors
 
 #: Activations with a fully encrypted per-unit protocol.
 ENCRYPTED_ACTIVATIONS = frozenset({"sign", "relu"})
@@ -265,8 +265,9 @@ def unit_challenge(variant: str, theta, enc_inputs, pk_server: PublicKey | None,
     if variant == "core":
         check_core_sizing(pk.n, ell, kappa)
         mask = draw_mask(ell, kappa, rng)
-        t_ct = encrypted_dot(pk, theta[0] + mask, theta[1:], enc_inputs, rng)
-        return mask_challenge(t_ct, pk_server, mask, ell, rng), UnitState(mask, ell)
+        t_ct, bits = dot_and_bits(pk, theta[0] + mask, theta[1:], enc_inputs, rng,
+                                  pk_server, digits(mask % (1 << ell), ell))
+        return UnitChallenge(t_ct, bits, ell), UnitState(mask, ell)
     lam, mu = draw_heuristic_mask(pk.n, ell, kappa, rng)
     t_ct = encrypted_dot(pk, lam * theta[0] + mu, [lam * c for c in theta[1:]], enc_inputs, rng)
     return UnitChallenge(t_ct, (), ell), UnitState(mu, ell, lam)
@@ -491,8 +492,9 @@ class NetworkServerSession:
         if self._layer == self.spec.depth:
             # Activated output: the unit round already produced the values.
             self.done = True
-            fresh = tuple(ct.public_key.rerandomize(ct, self.rng) for ct in self._enc)
-            return LayerMessage(None, fresh)
+            _, factors = _factors([ct.public_key._draw(self.rng) for ct in self._enc])
+            return LayerMessage(None, tuple(ct.public_key.rerandomize(ct, factor=f)
+                                            for ct, f in zip(self._enc, factors)))
         layer = self.spec.layers[self._layer]
         if not compares(self.meta, self._layer):
             self.done = self._layer == self.spec.depth - 1

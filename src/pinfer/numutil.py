@@ -12,26 +12,31 @@ has an exact bit length, and discards those with an odd prime factor below
 exponentiation). :func:`is_probable_prime` is the full Miller-Rabin test, run
 once on each surviving candidate by whoever needs a prime.
 
-:func:`powers_while` hands a list of ``(base, exponent, modulus)`` items to
-the power worker, one child process per party process, started at its first
-batch and ended at exit, and runs the caller's own work meanwhile. Both
-prime tests split across it: the worker runs the Fermat tests of the later
-half of each small batch of candidates, and computes half of the
-Miller-Rabin powers a**d mod n. It therefore receives prime candidates, p
-and q among them, while a key is made or loaded; what it receives for
-encryptions and decryptions is listed in :mod:`pinfer.paillier`.
+:func:`powers_while` computes a list of ``(base, exponent, modulus)`` items
+on both cores: the power worker, one child process per party process,
+started at its first shared batch and ended at exit, takes items from the
+front while the calling thread runs its own work and then takes items from
+the back, so the batch balances itself. Both prime tests are such batches,
+so the worker receives prime candidates, p and q among them, while a key is
+made or loaded; what it receives for encryptions and decryptions is listed
+in :mod:`pinfer.paillier`. The two sides claim items under ``fcntl.lockf``,
+so the worker needs a POSIX system.
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
+import fcntl
 import itertools
 import math
+import os
 import random
 import secrets
+import struct
 import subprocess
 import sys
+import tempfile
 import threading
 
 from .errors import WorkerError
@@ -104,24 +109,37 @@ else:
             raise ValueError(f"{a} is not invertible modulo {mod}") from None
 
 
-#: The worker's program. Each input line is a list of groups separated by
-#: commas, each group ``e m b_1 ... b_k`` in lower-case hex separated by
-#: spaces: an exponent, a modulus and the bases raised to it. It answers
-#: with one line of the hex ``b**e mod m`` of every base, in order. It exits
-#: at the end of its input. It ignores SIGINT: a Ctrl-C ends its parent,
-#: whose exit then ends it.
+#: A batch's claim counters ``front`` and ``back``: the items not yet taken
+#: are ``items[front:back]``, in a file both processes change under a lock.
+_COUNTERS = struct.Struct("<qq")
+
+#: The worker's program; its arguments are the counters' file descriptor
+#: and format. Each input line is a batch, groups ``e m b_1 ... b_k``
+#: separated by commas, in hex separated by spaces: an exponent, a modulus
+#: and the bases raised to it. It takes items from the front until the
+#: counters meet, answers with a line of the hex ``b**e mod m`` of each item
+#: it took, and exits at the end of its input. It ignores SIGINT, which ends
+#: its parent, and so it.
 _WORKER_SRC = """
-import signal, sys
+import fcntl, os, signal, struct, sys
 signal.signal(signal.SIGINT, signal.SIG_IGN)
 try:
     from gmpy2 import powmod
 except ImportError:
     powmod = pow
+claims, counters = int(sys.argv[1]), struct.Struct(sys.argv[2])
+def take():
+    fcntl.lockf(claims, fcntl.LOCK_EX)
+    front, back = counters.unpack(os.pread(claims, counters.size, 0))
+    os.pwrite(claims, counters.pack(front + (front < back), back), 0)
+    fcntl.lockf(claims, fcntl.LOCK_UN)
+    return front < back
 for line in sys.stdin:
+    groups = [[int(w, 16) for w in group.split()] for group in line.split(",")]
+    items = [(b, e, m) for e, m, *bases in groups for b in bases]
     powers = []
-    for group in line.split(","):
-        exponent, modulus, *bases = (int(w, 16) for w in group.split())
-        powers += (format(powmod(b, exponent, modulus), "x") for b in bases)
+    while take():
+        powers.append(format(powmod(*items[len(powers)]), "x"))
     print(*powers, flush=True)
 """
 
@@ -129,56 +147,65 @@ for line in sys.stdin:
 class _PowerWorker:
     """The party process's one worker process for batches of powers.
 
-    It starts at the first batch and again after it has died. A lock held
-    from request to reply keeps concurrent batches, from the connections of
-    a server, in step on the one pipe.
+    It starts at the first batch that shares work, and again after it has
+    died. A lock held for the whole batch keeps concurrent batches in step.
+    The worker gets each batch whole and takes its items itself, with no
+    thread here that would need the GIL the calling thread holds.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._proc: subprocess.Popen | None = None
+        self._claims = None
+        self._front = 0
 
-    def powers_while(self, items: list[tuple[int, int, int]], work):
-        """``(work(), [pow(b, e, m) for b, e, m in items])``, with the powers
-        computed in the worker while ``work`` runs here. Consecutive items
-        of one exponent and modulus share a group on the line, so a batch
-        under one key sends its exponent and modulus once.
-
-        The reply is read even when ``work`` raises, so no stale reply is
-        left for the next batch. No items, no request.
+    def powers_while(self, items: list[tuple[int, int, int]], work=None):
+        """``(work(), [pow(b, e, m) for b, e, m in items])``. The worker takes
+        items from the front, one at a time; this thread runs ``work``, then
+        takes items from the back, until the two sides meet. A batch of one
+        item without work, or of work alone, runs here. When ``work`` raises,
+        the items left are taken and the worker's reply is read, so the next
+        batch is in step.
 
         Raises:
-            WorkerError: the worker died or its reply is not one full line
-                of ``len(items)`` hex words; it is reaped and the next call
-                starts a new one.
+            WorkerError: the worker died, or did not answer with a line of
+                one hex word per item it took; the next call starts a new one.
         """
-        if not items:
-            return work(), []
+        if len(items) + (work is not None) < 2:
+            return work() if work else None, [powmod(*item) for item in items]
         line = ",".join(" ".join(format(x, "x") for x in (e, m, *(b for b, _, _ in group)))
                         for (e, m), group in itertools.groupby(items, lambda item: item[1:]))
+        powers = [0] * len(items)
         with self._lock:
             try:
                 if self._proc is None or self._proc.poll() is not None:
                     self._end()
-                    self._proc = subprocess.Popen([sys.executable, "-I", "-c", _WORKER_SRC],
-                                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                                  text=True)
-                proc = self._proc
-                print(line, file=proc.stdin, flush=True)
+                    self._claims = tempfile.TemporaryFile()
+                    fd = self._claims.fileno()
+                    self._proc = subprocess.Popen(
+                        [sys.executable, "-I", "-c", _WORKER_SRC, str(fd), _COUNTERS.format],
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, pass_fds=(fd,))
+                os.pwrite(self._claims.fileno(), _COUNTERS.pack(0, len(items)), 0)
+                print(line, file=self._proc.stdin, flush=True)
             except OSError as exc:
                 self._end()
                 raise WorkerError(f"cannot reach the power worker: {exc}") from None
             try:
-                result = work()
+                result = work() if work else None
+                while (i := self._take()) is not None:
+                    powers[i] = powmod(*items[i])
             finally:
                 try:
-                    reply = proc.stdout.readline()
-                    powers = [int(w, 16) for w in reply.split()]
-                    if not reply.endswith("\n") or len(powers) != len(items):
+                    while self._take() is not None:  # only if work raised
+                        pass
+                    reply = self._proc.stdout.readline()
+                    theirs = [int(w, 16) for w in reply.split()]
+                    if not reply.endswith("\n") or len(theirs) != self._front:
                         raise ValueError
-                except ValueError:
+                except (OSError, ValueError):
                     self._end()
                     raise WorkerError("the power worker exited before it answered") from None
+            powers[:self._front] = theirs
             return result, powers
 
     def close(self) -> None:
@@ -186,8 +213,21 @@ class _PowerWorker:
         with self._lock:
             self._end()
 
+    def _take(self) -> int | None:
+        """Take the item at the back, if any is left: its index. Once none
+        is, ``_front`` is the number of items the worker took."""
+        claims = self._claims.fileno()
+        fcntl.lockf(claims, fcntl.LOCK_EX)
+        self._front, back = _COUNTERS.unpack(os.pread(claims, _COUNTERS.size, 0))
+        os.pwrite(claims, _COUNTERS.pack(self._front, back - (self._front < back)), 0)
+        fcntl.lockf(claims, fcntl.LOCK_UN)
+        return back - 1 if self._front < back else None
+
     def _end(self) -> None:
         proc, self._proc = self._proc, None
+        if self._claims is not None:
+            self._claims.close()
+            self._claims = None
         if proc is None:
             return
         with contextlib.suppress(OSError):
@@ -200,9 +240,9 @@ _POWERS = _PowerWorker()
 atexit.register(_POWERS.close)
 
 
-def powers_while(items: list[tuple[int, int, int]], work) -> tuple:
-    """``(work(), [b**e mod m for b, e, m in items])``, the powers computed
-    by the party's power worker while ``work`` runs in this thread.
+def powers_while(items: list[tuple[int, int, int]], work=None) -> tuple:
+    """``(work(), [b**e mod m for b, e, m in items])``, computed with the
+    party's power worker (``_PowerWorker.powers_while``).
 
     Raises:
         WorkerError: the worker process died; the next call starts a new one.
@@ -210,18 +250,10 @@ def powers_while(items: list[tuple[int, int, int]], work) -> tuple:
     return _POWERS.powers_while(items, work)
 
 
-def _halved_powers(items: list[tuple[int, int, int]]) -> list[int]:
-    """``[b**e mod m for b, e, m in items]``: the first half computed here,
-    the rest by the worker."""
-    half = len(items) // 2
-    mine, theirs = powers_while(items[half:], lambda: [powmod(*item) for item in items[:half]])
-    return mine + theirs
-
-
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with ``MR_ROUNDS`` random bases from ``secrets``, after
-    trial division. The worker computes half of the powers a**d mod n; the
-    squarings that follow each power run here.
+    trial division. The powers a**d mod n are one :func:`powers_while`
+    batch; the squarings that follow each power run here.
 
     Raises:
         WorkerError: the worker process died; the next call starts a new one.
@@ -235,7 +267,7 @@ def is_probable_prime(n: int) -> bool:
         d //= 2
         s += 1
     bases = [secrets.randbelow(n - 3) + 2 for _ in range(MR_ROUNDS)]
-    for x in _halved_powers([(a, d, n) for a in bases]):
+    for x in powers_while([(a, d, n) for a in bases])[1]:
         if x in (1, n - 1):
             continue
         for _ in range(s - 1):
@@ -251,8 +283,8 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-#: Candidates that pass trial division, drawn and Fermat-tested together:
-#: the first half here, the rest in the worker.
+#: Candidates that pass trial division, drawn and Fermat-tested together as
+#: one :func:`powers_while` batch.
 CANDIDATE_BATCH = 4
 
 
@@ -286,7 +318,7 @@ def prime_candidate(bits: int, rng: random.Random | None = None) -> int:
             if math.gcd(candidate, _ODD_PRIMORIAL) == 1:
                 batch.append(candidate)
                 states.append(rng.getstate() if rewind else None)
-        powers = _halved_powers([(2, c - 1, c) for c in batch])
+        _, powers = powers_while([(2, c - 1, c) for c in batch])
         for candidate, power, state in zip(batch, powers, states):
             if power == 1:
                 if rewind:

@@ -23,29 +23,28 @@ alone, as a peer's key is, holds no factors and takes the generic path; both
 produce the same distribution of ciphertexts, and their ciphertexts mix
 freely.
 
-Every batch of fresh randomness goes through ``PublicKey._factors``, which
-shares its powers with the power worker of :mod:`pinfer.numutil`: one child
-process per party process, started at the first batch and ended at exit.
-The random factors do not depend on the values (Paillier, EUROCRYPT 1999,
-notes they can be precomputed), so a batch draws them as single encryptions
-would, in order, and the worker computes its share while the caller computes
-the rest and its own work: the products r*c of ``PublicKey.blind_all``, or
-the scalar products of ``linear.encrypted_dot``.
+Every random factor goes through ``_factors``, and every decryption through
+``SecretKey._halves``: each lists its powers as items of one batch of
+:func:`pinfer.numutil.powers_while`, shared with the power worker. The
+random factors do not depend on the values (Paillier, EUROCRYPT 1999, notes
+they can be precomputed), so a batch draws them as single encryptions
+would, in order, and the calling thread's work beside it is the products
+r*c of ``PublicKey.blind_all`` or the scalar products of
+``linear.dot_and_bits``. A lone encryption, rerandomization or decryption
+is a batch of its own.
 
-- Under a key built from N alone, the worker computes s**N mod N**2 for
-  every base when the caller has work, and for the last half when it has
-  none. It receives N, N**2 and the bases s.
-- Under a key holder's own key each factor, and in ``SecretKey.decrypt_all``
-  each decryption, is a pair of half-size powers; the worker computes the
-  one modulo q**2 (y**q or c**(q-1)). It receives q or q - 1, q**2 and the
-  bases mod q**2: secret key material, passed over pipes to a child of the
-  same party process.
-- While a key is made (``keygen``) or loaded (``SecretKey``), the worker
-  runs half of the prime tests, so it receives prime candidates, p and q
-  among them. That adds nothing to what it can learn: from the q it
-  already receives, p = N/q.
+- Under a key built from N alone a factor is one item, s**N mod N**2: the
+  worker may receive N, N**2 and the bases s.
+- Under a key holder's own key each factor, and each decryption, is two
+  half-size items, mod p**2 and mod q**2, and the worker may receive either:
+  secret key material (p or q, p - 1 or q - 1, p**2 or q**2, and the bases),
+  passed over pipes to a child of the same party process. It also runs part
+  of the prime tests while a key is made (``keygen``) or loaded
+  (``SecretKey``), so it receives p and q among the candidates. None of this
+  adds to what q alone gives: p = N/q.
 
-The worker never receives plaintexts, masks or the units r.
+The worker never receives plaintexts, masks or the units r: the products
+r*c stay in the calling thread's work.
 
 Key sizes of 2048 or 3072 bits are the production presets; the 64-bit floor
 and the deterministic RNG from :func:`pinfer.numutil.insecure_rng` exist for
@@ -140,7 +139,7 @@ class PublicKey:
             WorkerError: the worker process died; the next batch starts a new one.
         """
         residues = [self._residue(m) for m in ms]
-        _, factors = self._factors([self._draw_base(rng) for _ in ms])
+        _, factors = _factors([self._draw(rng) for _ in ms])
         return [self.encrypt_unsigned(m, factor=f) for m, f in zip(residues, factors)]
 
     def rerandomize(self, c: "Ciphertext", rng: random.Random | None = None,
@@ -162,51 +161,25 @@ class PublicKey:
             WorkerError: the worker process died; the next batch starts a new one.
         """
         rng = rng or SYSTEM_RNG
-        units, bases = [], []
+        units, draws = [], []
         for _ in values:
             units.append(random_unit(self.n, rng))
-            bases.append(self._draw_base(rng))
-        scaled, factors = self._factors(bases, lambda: [r * c for r, c in zip(units, values)])
+            draws.append(self._draw(rng))
+        scaled, factors = _factors(draws, lambda: [r * c for r, c in zip(units, values)])
         return [self.rerandomize(c, factor=f) for c, f in zip(scaled, factors)]
 
     def _fresh_factor(self, rng: random.Random | None = None) -> int:
-        """Uniform N-th residue r**N mod N**2, computed here."""
-        base, sk = self._draw_base(rng), self._secret
-        if sk is None:
-            return powmod(base, self.n, self.n_squared)
-        # x -> x**p mod p**2 depends only on x mod p and maps onto the
-        # p-th powers, which raising to q permutes: gcd(N, phi) = 1, so q
-        # does not divide p - 1. Likewise modulo q**2.
-        return sk._join(powmod(base[0], sk.p, sk._p_sq), powmod(base[1], sk.q, sk._q_sq))
+        """Uniform N-th residue r**N mod N**2: a batch of one ``_factors`` draw."""
+        return _factors([self._draw(rng)])[1][0]
 
-    def _draw_base(self, rng: random.Random | None = None):
-        """What one random factor draws: s mod N, or a key holder's x mod p, then y mod q."""
+    def _draw(self, rng: random.Random | None = None) -> tuple:
+        """One random factor, drawn: this key and its items, s**N mod N**2,
+        or a key holder's x**p mod p**2 and y**q mod q**2 (x drawn first)."""
         rng, sk = rng or SYSTEM_RNG, self._secret
         if sk is None:
-            return rng.randrange(1, self.n)
-        return rng.randrange(1, sk.p), rng.randrange(1, sk.q)
-
-    def _factors(self, bases: list, work=None) -> tuple:
-        """``(work(), factors)`` for bases from ``_draw_base``, in order. The
-        worker computes a key holder's y**q mod q**2, or under a key without
-        factors s**N mod N**2 for every base if there is ``work`` and for the
-        last half if not, while this thread runs ``work`` and the rest.
-
-        Raises:
-            WorkerError: the worker process died; the next batch starts a new one.
-        """
-        sk = self._secret
-        if sk is not None:
-            (result, f_ps), f_qs = powers_while(
-                [(y, sk.q, sk._q_sq) for _, y in bases],
-                lambda: (work() if work else None, [powmod(x, sk.p, sk._p_sq) for x, _ in bases]))
-            return result, [sk._join(f_p, f_q) for f_p, f_q in zip(f_ps, f_qs)]
-        split = 0 if work else len(bases) // 2
-        (result, mine), theirs = powers_while(
-            [(s, self.n, self.n_squared) for s in bases[split:]],
-            lambda: (work() if work else None, [powmod(s, self.n, self.n_squared)
-                                                for s in bases[:split]]))
-        return result, mine + theirs
+            return self, [(rng.randrange(1, self.n), self.n, self.n_squared)]
+        return self, [(rng.randrange(1, sk.p), sk.p, sk._p_sq),
+                      (rng.randrange(1, sk.q), sk.q, sk._q_sq)]
 
     def _residue(self, m: int) -> int:
         """m mod N, for a signed message m."""
@@ -217,6 +190,22 @@ class PublicKey:
     def _check_own(self, c: "Ciphertext") -> None:
         if c.public_key.key_id != self.key_id:
             raise KeyMismatchError("ciphertext was produced under a different key")
+
+
+def _factors(draws: list, work=None) -> tuple:
+    """``(work(), factors)``: the random factor of each ``PublicKey._draw``,
+    in order, its items one ``powers_while`` batch beside ``work``. A key
+    holder's factor is the CRT pair: x -> x**p mod p**2 depends only on x
+    mod p and maps onto the p-th powers, which raising to q permutes, since
+    gcd(N, phi) = 1 means q does not divide p - 1. Likewise modulo q**2.
+
+    Raises:
+        WorkerError: the worker process died; the next batch starts a new one.
+    """
+    result, powers = powers_while([item for _, items in draws for item in items], work)
+    powers = iter(powers)
+    return result, [pk._secret._join(next(powers), next(powers)) if pk._secret else
+                    next(powers) for pk, _ in draws]
 
 
 class SecretKey:
@@ -268,8 +257,7 @@ class SecretKey:
         if gcd(c.value, self.public_key.n) != 1:
             raise DecryptionError("ciphertext is not coprime to the modulus")
         p, q = self.p, self.q
-        x_p, x_q = powers or (powmod(c.value % self._p_sq, p - 1, self._p_sq),
-                              powmod(c.value % self._q_sq, q - 1, self._q_sq))
+        x_p, x_q = powers or powers_while(self._halves(c))[1]
         if (x_p - 1) % p != 0 or (x_q - 1) % q != 0:
             raise DecryptionError("ciphertext does not decode to a valid plaintext")
         m_p = (x_p - 1) // p * self._h_p % p
@@ -281,9 +269,7 @@ class SecretKey:
         return self.public_key.to_signed(self.decrypt_unsigned(c, powers))
 
     def decrypt_all(self, cts: list["Ciphertext"]) -> list[int]:
-        """``[decrypt(c) for c in cts]``, with each c**(q-1) mod q**2
-        computed in the worker process while this thread computes each
-        c**(p-1) mod p**2.
+        """``[decrypt(c) for c in cts]``, every c's ``_halves`` one ``powers_while`` batch.
 
         Raises:
             KeyMismatchError: a ciphertext produced under another key,
@@ -293,10 +279,13 @@ class SecretKey:
         """
         for c in cts:
             self.public_key._check_own(c)
-        p, p_sq, q_sq = self.p, self._p_sq, self._q_sq
-        x_ps, x_qs = powers_while([(c.value % q_sq, self.q - 1, q_sq) for c in cts],
-                                  lambda: [powmod(c.value % p_sq, p - 1, p_sq) for c in cts])
-        return [self.decrypt(c, powers) for c, powers in zip(cts, zip(x_ps, x_qs))]
+        _, x = powers_while([item for c in cts for item in self._halves(c)])
+        return [self.decrypt(c, pair) for c, pair in zip(cts, zip(x[::2], x[1::2]))]
+
+    def _halves(self, c: "Ciphertext") -> list[tuple[int, int, int]]:
+        """The items of c's decryption: c**(p-1) mod p**2, c**(q-1) mod q**2."""
+        return [(c.value % self._p_sq, self.p - 1, self._p_sq),
+                (c.value % self._q_sq, self.q - 1, self._q_sq)]
 
     def _join(self, f_p: int, f_q: int) -> int:
         """The residue mod N**2 that is f_p mod p**2 and f_q mod q**2."""

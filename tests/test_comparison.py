@@ -1,13 +1,18 @@
+import dataclasses
 import threading
 
 import pytest
 
-from pinfer import numutil
-from pinfer.comparison import (ComparisonRequest, ComparisonResponse,
-                               bit_owner_finish, bit_owner_request,
+from pinfer import numutil, paillier
+from pinfer.comparison import (ComparisonRequest, ComparisonResponse, UnitChallenge,
+                               bit_owner_finish, bit_owner_request, draw_mask,
                                evaluator_respond)
 from pinfer.errors import ParameterError, ProtocolViolationError, WorkerError
-from pinfer.paillier import PublicKey
+from pinfer.linear import (FeatureVector, LinearModel, encrypted_dot, regr_dual_publish,
+                           svm_core_finish, svm_core_request, svm_core_respond)
+from pinfer.network import unit_answer, unit_challenge, unit_finish
+from pinfer.numutil import insecure_rng
+from pinfer.paillier import Ciphertext, PublicKey
 
 
 def plain_test_values(mu: int, eta: int, delta_eval: int, ell: int) -> list[int]:
@@ -150,3 +155,168 @@ def test_floor_comparison_identity():
     for a in range(n):
         for b in range(n):
             assert (1 if b <= a else 0) == 1 + (a - b) // n
+
+
+# ---------------------------------------------------------------------------
+# the challenge batch and what the power worker receives
+
+class _RecordingWorker:
+    """Stands in for the power worker: keeps the items of every batch, any of
+    which the routine may hand the worker, and computes them here."""
+
+    def __init__(self):
+        self.batches = []
+
+    def powers_while(self, items, work=None):
+        self.batches.append(list(items))
+        return work() if work else None, [pow(b, e, m) for b, e, m in items]
+
+
+def _received(ct):
+    """``ct`` as its peer decodes it: under a key rebuilt from N alone."""
+    return Ciphertext(ct.value, PublicKey(ct.public_key.n))
+
+
+def _owner_items(sk, count):
+    return [(sk.p, sk.p * sk.p), (sk.q, sk.q * sk.q)] * count
+
+
+def test_unit_challenge_is_one_worker_batch(client_keys, server_keys, monkeypatch):
+    pk_c = PublicKey(client_keys[0].n)
+    pk_s, sk_s = server_keys
+    theta, ell = (5, -3, 2), 6
+    enc = [pk_c.encrypt(m, insecure_rng(20 + m)) for m in (1, 7)]
+    # The same draws in two batches: the masked inner product, then the bits.
+    rng = insecure_rng(21)
+    mask = draw_mask(ell, 40, rng)
+    t_ct = encrypted_dot(pk_c, theta[0] + mask, theta[1:], enc, rng)
+    bits = bit_owner_request(pk_s, mask % (1 << ell), ell, rng).encrypted_bits
+    after = rng.random()
+
+    worker = _RecordingWorker()
+    monkeypatch.setattr(numutil, "_POWERS", worker)
+    rng = insecure_rng(21)
+    challenge, state = unit_challenge("core", theta, enc, pk_s, ell, 40, rng)
+    assert [[(e, m) for _, e, m in batch] for batch in worker.batches] == \
+        [[(pk_c.n, pk_c.n_squared)] + _owner_items(sk_s, ell)]
+    assert state.pad == mask and challenge.ell == ell
+    assert challenge.masked_inner.value == t_ct.value
+    assert [c.value for c in challenge.mask_bits] == [c.value for c in bits]
+    assert rng.random() == after
+
+
+def test_svm_core_request_is_one_worker_batch(client_keys, server_keys, monkeypatch):
+    pk_c, sk_c = client_keys
+    pk_s = PublicKey(server_keys[0].n)
+    published = regr_dual_publish(LinearModel((3, -2, 1), ell=5, precision=0), pk_s,
+                                  insecure_rng(22))
+    x = FeatureVector((1, 1, -1), 0)
+    rng = insecure_rng(23)
+    mask = draw_mask(5, 40, rng)
+    theta_0, *theta = published.ciphertexts
+    acc = encrypted_dot(pk_s, mask, x.values[1:], theta, rng) + theta_0
+    bits = bit_owner_request(pk_c, mask % (1 << 5), 5, rng).encrypted_bits
+    after = rng.random()
+
+    worker = _RecordingWorker()
+    monkeypatch.setattr(numutil, "_POWERS", worker)
+    rng = insecure_rng(23)
+    challenge, session = svm_core_request(published, pk_c, x, 40, rng)
+    assert [[(e, m) for _, e, m in batch] for batch in worker.batches] == \
+        [[(pk_s.n, pk_s.n_squared)] + _owner_items(sk_c, 5)]
+    assert session.mask == mask
+    assert challenge.masked_inner.value == acc.value
+    assert [c.value for c in challenge.mask_bits] == [c.value for c in bits]
+    assert rng.random() == after
+
+
+def test_svm_core_request_refuses_a_published_model_without_bits(client_keys, server_keys,
+                                                                monkeypatch):
+    # ell arrives in the publish frame; ell = 0 would make a challenge with
+    # no mask bits.
+    pk_s = PublicKey(server_keys[0].n)
+    published = regr_dual_publish(LinearModel((3, -2, 1), ell=5, precision=0), pk_s,
+                                  insecure_rng(22))
+    worker = _RecordingWorker()
+    monkeypatch.setattr(numutil, "_POWERS", worker)
+    with pytest.raises(ParameterError):
+        svm_core_request(dataclasses.replace(published, ell=0), client_keys[0],
+                         FeatureVector((1, 1, -1), 0), 40, insecure_rng(23))
+    assert worker.batches == []
+
+
+def _check_no_secret_reaches_the_worker(worker, secrets):
+    items = [item for batch in worker.batches for item in batch]
+    assert items
+    for base, exponent, modulus in items:
+        assert base % modulus not in secrets and exponent not in secrets
+
+
+def _recording_units(monkeypatch):
+    units, draw = [], paillier.random_unit
+
+    def recording_unit(mod, rng=None):
+        units.append(draw(mod, rng))
+        return units[-1]
+
+    monkeypatch.setattr(paillier, "random_unit", recording_unit)
+    return units
+
+
+def test_worker_never_receives_svm_core_units_masks_or_plaintexts(client_keys, server_keys,
+                                                                  monkeypatch):
+    # The items a batch may hand the worker: never a blinding unit r, the
+    # client's mask, the masked or true inner product, a feature or a weight.
+    pk_c, sk_c = client_keys
+    pk_s, sk_s = server_keys
+    weights = (3, -2, 1)
+    published = regr_dual_publish(LinearModel(weights, ell=5, precision=0), pk_s,
+                                  insecure_rng(24))
+    published = dataclasses.replace(published, public_key=PublicKey(pk_s.n),
+                                    ciphertexts=tuple(map(_received, published.ciphertexts)))
+    x = FeatureVector((1, 1, -1), 0)
+    worker = _RecordingWorker()
+    monkeypatch.setattr(numutil, "_POWERS", worker)
+    units = _recording_units(monkeypatch)
+    rng = insecure_rng(25)
+    challenge, session = svm_core_request(published, pk_c, x, 40, rng)
+    mask = session.mask
+    challenge = UnitChallenge(challenge.masked_inner,
+                              tuple(map(_received, challenge.mask_bits)), challenge.ell)
+    response = svm_core_respond(sk_s, challenge, 5, rng)
+    assert svm_core_finish(sk_c, ComparisonResponse(tuple(
+        Ciphertext(c.value, pk_c) for c in response.blinded_values)), session) == 1
+    assert len(units) == 6
+    t = 3 - 2 * 1 + 1 * -1
+    secrets = {*units, mask, t + mask, (t + mask) % (1 << 5), *weights, *x.values}
+    _check_no_secret_reaches_the_worker(worker, secrets)
+
+
+def test_worker_never_receives_relu_unit_units_masks_or_plaintexts(client_keys, server_keys,
+                                                                   monkeypatch):
+    # The relu unit of ffnn-relu, as each party sees the other's
+    # ciphertexts: the server's challenge, the client's answer (its blinds
+    # and three randomizations) and the server's finish.
+    pk_c, sk_c = client_keys
+    pk_s, sk_s = server_keys
+    theta, ell = (2, 3, -1), 6
+    inputs = (1, -1)
+    enc = [_received(pk_c.encrypt(m, insecure_rng(26 + i))) for i, m in enumerate(inputs)]
+    worker = _RecordingWorker()
+    monkeypatch.setattr(numutil, "_POWERS", worker)
+    units = _recording_units(monkeypatch)
+    rng = insecure_rng(27)
+    challenge, state = unit_challenge("core", theta, enc, pk_s, ell, 40, rng)
+    challenge = UnitChallenge(Ciphertext(challenge.masked_inner.value, pk_c),
+                              tuple(map(_received, challenge.mask_bits)), ell)
+    response = unit_answer("relu", sk_c, PublicKey(pk_s.n), challenge, rng, b=1)
+    response = dataclasses.replace(
+        response, bit=_received(response.bit), pair=tuple(map(_received, response.pair)),
+        comparison=ComparisonResponse(tuple(Ciphertext(c.value, pk_s)
+                                            for c in response.comparison.blinded_values)))
+    t = 2 + 3 * 1 + -1 * -1
+    assert sk_c.decrypt(unit_finish("relu", sk_s, state, response)) == t
+    assert len(units) == ell + 1
+    secrets = {*units, state.pad, t, t + state.pad, (t + state.pad) % (1 << ell), *theta,
+               *inputs}
+    _check_no_secret_reaches_the_worker(worker, secrets)

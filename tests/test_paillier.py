@@ -173,23 +173,32 @@ def test_key_holder_fresh_factor_encrypts_zero(client_keys, rng):
 
 def test_key_holder_never_exponentiates_mod_n_squared(client_keys, rng, monkeypatch):
     pk, sk = client_keys
-    moduli = []
+    here = []
     original = paillier.powmod
 
     def counting_powmod(base, exp, mod):
-        moduli.append(mod)
+        here.append(mod)
         return original(base, exp, mod)
 
+    # Every power is either computed in paillier or an item of a batch,
+    # which the stand-in for the worker records whichever side takes it.
     monkeypatch.setattr(paillier, "powmod", counting_powmod)
+    worker = _CountingWorker()
+    monkeypatch.setattr(numutil, "_POWERS", worker)
+
+    def moduli():
+        return here + [modulus for batch in worker.batches for _, modulus in batch]
+
     c = pk.encrypt(-42, rng)
     c = pk.rerandomize(c, rng)
     assert sk.decrypt(c) == -42
-    assert moduli and pk.n_squared not in moduli
+    assert moduli() and pk.n_squared not in moduli()
 
-    moduli.clear()
+    here.clear()
+    worker.batches.clear()
     rebuilt = PublicKey(pk.n)
     rebuilt.encrypt(-42, rng)
-    assert moduli == [pk.n_squared]
+    assert moduli() == [pk.n_squared]
 
 
 PLAIN = [0, 1, -1, 5, -123456789]
@@ -337,6 +346,107 @@ def test_worker_with_a_malformed_reply_raises_worker_error(client_keys, rng, mon
     assert [c.value for c in batch] == [c.value for c in serial]
 
 
+def _mixed_items(client_keys, server_keys, count):
+    """``count`` items with distinct bases over two moduli, alternating, with
+    short and full-width exponents."""
+    rng = insecure_rng(30)
+    keys = (client_keys[0], server_keys[0])
+    return [(rng.randrange(2, key.n_squared), key.n if i % 3 else rng.getrandbits(20),
+             key.n_squared) for i, key in ((i, keys[i % 2]) for i in range(count))]
+
+
+def _slow_work(client_keys, count=20):
+    """Caller work that takes a while: ``count`` full-width powers."""
+    n, n_sq = client_keys[0].n, client_keys[0].n_squared
+    return lambda: sum(pow(3 + i, n, n_sq) for i in range(count)) % 1000
+
+
+def _worker_with(old, new):
+    """The worker's program with the statement ``old`` replaced by ``new``."""
+    assert old in numutil._WORKER_SRC
+    return numutil._WORKER_SRC.replace(old, new)
+
+
+_COMPUTE = 'powers.append(format(powmod(*items[len(powers)]), "x"))'
+_ANSWER = "print(*powers, flush=True)"
+
+
+@pytest.mark.parametrize("with_work", [False, True], ids=["items", "items-and-work"])
+@pytest.mark.parametrize("count", [0, 1, 2, 41])
+def test_powers_while_computes_each_item_once_in_order(client_keys, server_keys, monkeypatch,
+                                                       tmp_path, count, with_work):
+    items = _mixed_items(client_keys, server_keys, count)
+    work = _slow_work(client_keys, 300) if with_work else None
+    log = tmp_path / "worker.log"
+    log.touch()
+    # The worker, also appending each item it computes to the log.
+    logging = f"; print(*items[len(powers) - 1], file=open({str(log)!r}, 'a'))"
+    numutil._POWERS.close()
+    monkeypatch.setattr(numutil, "_WORKER_SRC", _worker_with(_COMPUTE, _COMPUTE + logging))
+    here, original = [], numutil.powmod
+    monkeypatch.setattr(numutil, "powmod", lambda *item: here.append(item) or original(*item))
+    try:
+        result, powers = numutil.powers_while(items, work)
+        started = numutil._POWERS._proc is not None
+    finally:
+        numutil._POWERS.close()
+    there = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert powers == [pow(b, e, m) for b, e, m in items]
+    assert result == (work() if with_work else None)
+    # The worker took a prefix from the front, this thread the rest from the back.
+    assert there == items[:len(there)] and here == items[len(there):][::-1]
+    # One item without work, or work alone, never reaches the worker.
+    assert started == (count + with_work >= 2)
+    if count and with_work:
+        assert there
+
+
+def test_powers_while_stays_in_step_after_work_raises(client_keys, server_keys):
+    items = _mixed_items(client_keys, server_keys, 41)
+    slow = _slow_work(client_keys)
+
+    def failing():
+        slow()
+        raise ArithmeticError("work failed")
+
+    for work in (failing, lambda: 1 / 0):
+        with pytest.raises(ArithmeticError):
+            numutil.powers_while(items, work)
+        assert numutil._POWERS._proc is not None
+        assert numutil.powers_while(items, slow) == (slow(), [pow(*item) for item in items])
+
+
+@pytest.mark.parametrize("fault", ["pass", "print('xyz', flush=True)",
+                                   "print(*powers[:-1], flush=True)",
+                                   "print(*powers, end='', flush=True)"],
+                         ids=["dies", "non-hex-word", "too-few-words",
+                              "cut-short-without-newline"])
+def test_worker_that_fails_mid_batch_raises_worker_error(client_keys, server_keys, monkeypatch,
+                                                         fault):
+    # The worker takes three items, then fails and exits while this thread computes.
+    items = _mixed_items(client_keys, server_keys, 41)
+    worker = _worker_with("while take():", "while len(powers) < 3 and take():")
+    numutil._POWERS.close()
+    assert _ANSWER in worker
+    monkeypatch.setattr(numutil, "_WORKER_SRC", worker.replace(_ANSWER, fault + "; sys.exit()"))
+    raised = []
+
+    def batch():
+        try:
+            numutil.powers_while(items, _slow_work(client_keys, 300))
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=batch, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [type(exc) for exc in raised] == [WorkerError]
+    assert numutil._POWERS._proc is None
+    monkeypatch.undo()
+    assert numutil.powers_while(items) == (None, [pow(*item) for item in items])
+
+
 def _boundary_values(pk):
     return PLAIN + [pk.max_signed, pk.min_signed]
 
@@ -348,9 +458,9 @@ class _CountingWorker:
     def __init__(self):
         self.batches = []
 
-    def powers_while(self, items, work):
+    def powers_while(self, items, work=None):
         self.batches.append([(exponent, modulus) for _, exponent, modulus in items])
-        return work(), [pow(b, exponent, modulus) for b, exponent, modulus in items]
+        return work() if work else None, [pow(b, e, m) for b, e, m in items]
 
 
 @pytest.mark.parametrize("holder", [False, True], ids=["rebuilt-key", "key-holder"])
@@ -380,18 +490,18 @@ def test_batches_draw_as_the_serial_loops(client_keys, monkeypatch, holder, size
               lambda rng: [key.encrypt(m, rng) for m in plain]),
              (lambda rng: key.blind_all(values, rng),
               lambda rng: _serial_blinds(key, values, rng)))
+    batches = []
     for batch, serial in cases:
         batch_rng, serial_rng = insecure_rng(16), insecure_rng(16)
-        assert [c.value for c in batch(batch_rng)] == [c.value for c in serial(serial_rng)]
+        worker.batches.clear()
+        got = [c.value for c in batch(batch_rng)]
+        batches += worker.batches
+        assert got == [c.value for c in serial(serial_rng)]
         assert batch_rng.random() == serial_rng.random()
-    # A key holder's worker takes the q**2 half of every factor. Under a
-    # rebuilt key it takes the last half of the encryptions' bases, and all
-    # of the blinds' bases while this thread scales.
-    if holder:
-        assert worker.batches == [[(sk.q, sk.q * sk.q)] * size] * 2
-    else:
-        assert worker.batches == [[(pk.n, pk.n_squared)] * ((size + 1) // 2),
-                                  [(pk.n, pk.n_squared)] * size]
+    # Each is one batch of every factor's items: both half-size powers of a
+    # key holder's factor, or s**N under a rebuilt key.
+    items = [(sk.p, sk.p * sk.p), (sk.q, sk.q * sk.q)] if holder else [(pk.n, pk.n_squared)]
+    assert batches == [items * size] * 2
 
 
 def test_encrypt_all_refuses_a_message_out_of_range_first(client_keys, monkeypatch):
@@ -418,10 +528,11 @@ def test_decrypt_all_matches_decrypt(client_keys, rng):
 def test_decrypt_all_refuses_a_foreign_ciphertext_first(client_keys, server_keys, rng,
                                                         monkeypatch):
     pk, sk = client_keys
+    cts = [pk.encrypt(1, rng), server_keys[0].encrypt(1, rng)]
     worker = _CountingWorker()
     monkeypatch.setattr(numutil, "_POWERS", worker)
     with pytest.raises(KeyMismatchError):
-        sk.decrypt_all([pk.encrypt(1, rng), server_keys[0].encrypt(1, rng)])
+        sk.decrypt_all(cts)
     assert worker.batches == []
 
 
@@ -484,7 +595,7 @@ def test_bit_owner_makes_one_worker_batch_per_step(client_keys, rng, monkeypatch
     worker = _CountingWorker()
     monkeypatch.setattr(numutil, "_POWERS", worker)
     request = comparison.bit_owner_request(pk, 0b1011, 6, insecure_rng(15))
-    assert worker.batches == [[(sk.q, sk.q * sk.q)] * 6]
+    assert worker.batches == [[(sk.p, sk.p * sk.p), (sk.q, sk.q * sk.q)] * 6]
     serial_rng = insecure_rng(15)
     assert [c.value for c in request.encrypted_bits] == \
         [pk.encrypt(bit, serial_rng).value for bit in (1, 1, 0, 1, 0, 0)]
@@ -492,7 +603,7 @@ def test_bit_owner_makes_one_worker_batch_per_step(client_keys, rng, monkeypatch
     response = comparison.evaluator_respond(rebuilt, request, 0b1011, 0, rng)
     worker.batches.clear()
     assert comparison.bit_owner_finish(sk, response) == 1
-    assert worker.batches == [[(sk.q - 1, sk.q * sk.q)] * 7]
+    assert worker.batches == [[(sk.p - 1, sk.p * sk.p), (sk.q - 1, sk.q * sk.q)] * 7]
 
 
 def test_blind_leaves_no_process_or_warning_at_exit(checkout_env):
