@@ -16,7 +16,7 @@ import socket
 import socketserver
 import sys
 
-from . import reference, runner, wire
+from . import numutil, reference, runner, wire
 from .errors import ParameterError, PinferError, ProtocolViolationError
 from .linear import DEFAULT_KAPPA, FeatureVector, LinearModel, max_core_ell
 from .modelfile import (LoadedModel, load_input_vector, load_key,
@@ -108,7 +108,7 @@ def cmd_serve(args) -> int:
     except OSError as exc:
         raise ParameterError(f"cannot listen on {args.listen}: {exc}") from None
     print(f"serving {args.protocol} ({served.loaded.model_type} model) "
-          f"on {address[0]}:{address[1]}")
+          f"on {address[0]}:{address[1]}, powers in {numutil.BACKEND}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -1,9 +1,14 @@
 """Big-integer helpers: modular exponentiation, inverses, CRT, probable primes,
 and the power worker.
 
-Delegates to gmpy2 when it is installed (roughly an order of magnitude faster
-on crypto-sized operands); otherwise falls back to pure Python. All callers go
-through this module so the two paths stay interchangeable.
+:func:`powmod` and :func:`invert` run in GMP: through gmpy2 when it imports,
+else through the system's libgmp (``libgmp.so.10``) by ``ctypes``, else in
+Python's ``pow``. :data:`BACKEND` names the choice. On the libgmp path every
+power with an exponent above 0 and an odd modulus above 1 is GMP's
+constant-time ``mpz_powm_sec``, since the exponents and bases here are
+secrets, and ``pow`` takes the rest. All callers go through this module, and
+the worker's program starts with the same source, so both sides of a batch
+compute alike.
 
 Prime search is split in two. :func:`prime_candidate` is a cheap filter: it
 draws odd integers with their top two bits set, so the product of two of them
@@ -41,14 +46,6 @@ import threading
 
 from .errors import WorkerError
 
-try:
-    import gmpy2
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    gmpy2 = None
-    HAVE_GMPY2 = False
-
 #: Module-wide default entropy source. Cryptographically secure.
 SYSTEM_RNG = random.SystemRandom()
 
@@ -82,51 +79,95 @@ def insecure_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-if HAVE_GMPY2:
-
-    def powmod(base: int, exp: int, mod: int) -> int:
-        """base**exp mod mod; negative exponents require an invertible base."""
+#: The arithmetic backend, run by this module at import and by the worker's
+#: program before its loop. Each libgmp call makes and clears its own mpz
+#: temporaries, because ctypes drops the GIL for the power or the inverse
+#: (``CDLL``) and other threads may be inside the binding at once; the
+#: conversions around it are cheap and keep the GIL (``PyDLL``).
+_ARITH_SRC = '''
+import ctypes
+try:
+    import gmpy2
+except ImportError:
+    gmpy2 = None
+class _Mpz(ctypes.Structure):
+    _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("limbs", ctypes.c_void_p)]
+def _load_gmp(name="libgmp.so.10", search=True):
+    try:
+        slow, fast = ctypes.CDLL(name), ctypes.PyDLL(name)
+    except OSError:
+        from ctypes.util import find_library
+        found = search and find_library("gmp")
+        return _load_gmp(found, False) if found else None
+    gmp, z, n, i, p = {}, ctypes.POINTER(_Mpz), ctypes.c_size_t, ctypes.c_int, ctypes.c_void_p
+    for lib, name, restype, *argtypes in (
+            (fast, "init", None, z), (fast, "clear", None, z),
+            (fast, "import", None, z, n, i, n, i, n, ctypes.c_char_p),
+            (fast, "export", p, p, p, i, n, i, n, z),
+            (slow, "powm_sec", None, z, z, z, z), (slow, "invert", i, z, z, z)):
+        gmp[name] = getattr(lib, "__gmpz_" + name)
+        gmp[name].restype, gmp[name].argtypes = restype, argtypes
+    return gmp
+_gmp = None if gmpy2 else _load_gmp()
+BACKEND = "gmpy2" if gmpy2 else "libgmp" if _gmp else "python"
+def _gmp_call(name, bound, *args):
+    """(result, status) of GMP's ``name(result, *args)`` on non-negative
+    ints, the result below ``bound``."""
+    zs = [_Mpz() for _ in range(len(args) + 1)]
+    for z in zs:
+        _gmp["init"](z)
+    try:
+        for z, x in zip(zs[1:], args):
+            data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+            _gmp["import"](z, len(data), -1, 1, 0, 0, data)
+        status = _gmp[name](*zs)
+        out = ctypes.create_string_buffer((bound.bit_length() + 7) // 8)
+        _gmp["export"](out, None, -1, 1, 0, 0, zs[0])
+        return int.from_bytes(out.raw, "little"), status
+    finally:
+        for z in zs:
+            _gmp["clear"](z)
+def powmod(base, exp, mod):
+    """base**exp mod mod; negative exponents require an invertible base."""
+    if gmpy2:
         return int(gmpy2.powmod(base, exp, mod))
+    if _gmp and exp > 0 and mod > 1 and mod & 1:
+        return _gmp_call("powm_sec", mod, base % mod, exp, mod)[0]
+    return pow(base, exp, mod)
+'''
+exec(_ARITH_SRC)
+HAVE_GMPY2 = BACKEND == "gmpy2"
 
-    def invert(a: int, mod: int) -> int:
-        """Multiplicative inverse of a modulo mod."""
-        try:
+
+def invert(a: int, mod: int) -> int:
+    """Multiplicative inverse of a modulo mod."""
+    try:
+        if gmpy2:
             return int(gmpy2.invert(a, mod))
-        except ZeroDivisionError:
-            raise ValueError(f"{a} is not invertible modulo {mod}") from None
-
-else:
-
-    def powmod(base: int, exp: int, mod: int) -> int:
-        """base**exp mod mod; negative exponents require an invertible base."""
-        return pow(base, exp, mod)
-
-    def invert(a: int, mod: int) -> int:
-        """Multiplicative inverse of a modulo mod."""
-        try:
-            return pow(a, -1, mod)
-        except ValueError:
-            raise ValueError(f"{a} is not invertible modulo {mod}") from None
+        if _gmp and mod > 1:
+            inverse, found = _gmp_call("invert", mod, a % mod, mod)
+            if found:
+                return inverse
+            raise ValueError
+        return pow(a, -1, mod)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{a} is not invertible modulo {mod}") from None
 
 
 #: A batch's claim counters ``front`` and ``back``: the items not yet taken
 #: are ``items[front:back]``, in a file both processes change under a lock.
 _COUNTERS = struct.Struct("<qq")
 
-#: The worker's program; its arguments are the counters' file descriptor
-#: and format. Each input line is a batch, groups ``e m b_1 ... b_k``
-#: separated by commas, in hex separated by spaces: an exponent, a modulus
-#: and the bases raised to it. It takes items from the front until the
-#: counters meet, answers with a line of the hex ``b**e mod m`` of each item
-#: it took, and exits at the end of its input. It ignores SIGINT, which ends
-#: its parent, and so it.
-_WORKER_SRC = """
+#: The worker's program: the arithmetic backend, then a loop whose arguments
+#: are the counters' file descriptor and format. Each input line is a batch,
+#: groups ``e m b_1 ... b_k`` separated by commas, in hex separated by
+#: spaces: an exponent, a modulus and the bases raised to it. It takes
+#: items from the front until the counters meet, answers with a line of the
+#: hex ``b**e mod m`` of each item it took, and exits at the end of its
+#: input. It ignores SIGINT, which ends its parent, and so it.
+_WORKER_SRC = _ARITH_SRC + """
 import fcntl, os, signal, struct, sys
 signal.signal(signal.SIGINT, signal.SIG_IGN)
-try:
-    from gmpy2 import powmod
-except ImportError:
-    powmod = pow
 claims, counters = int(sys.argv[1]), struct.Struct(sys.argv[2])
 def take():
     fcntl.lockf(claims, fcntl.LOCK_EX)
@@ -148,7 +189,8 @@ class _PowerWorker:
     """The party process's one worker process for batches of powers.
 
     It starts at the first batch that shares work, and again after it has
-    died. A lock held for the whole batch keeps concurrent batches in step.
+    died. A lock held for the whole batch keeps concurrent batches in step;
+    a batch that finds it held runs on its own thread instead of waiting.
     The worker gets each batch whole and takes its items itself, with no
     thread here that would need the GIL the calling thread holds.
     """
@@ -163,7 +205,8 @@ class _PowerWorker:
         """``(work(), [pow(b, e, m) for b, e, m in items])``. The worker takes
         items from the front, one at a time; this thread runs ``work``, then
         takes items from the back, until the two sides meet. A batch of one
-        item without work, or of work alone, runs here. When ``work`` raises,
+        item without work, or of work alone, runs here, and so does a batch
+        that finds another batch using the worker. When ``work`` raises,
         the items left are taken and the worker's reply is read, so the next
         batch is in step.
 
@@ -171,12 +214,12 @@ class _PowerWorker:
             WorkerError: the worker died, or did not answer with a line of
                 one hex word per item it took; the next call starts a new one.
         """
-        if len(items) + (work is not None) < 2:
+        if len(items) + (work is not None) < 2 or not self._lock.acquire(blocking=False):
             return work() if work else None, [powmod(*item) for item in items]
-        line = ",".join(" ".join(format(x, "x") for x in (e, m, *(b for b, _, _ in group)))
-                        for (e, m), group in itertools.groupby(items, lambda item: item[1:]))
-        powers = [0] * len(items)
-        with self._lock:
+        try:
+            line = ",".join(" ".join(format(x, "x") for x in (e, m, *(b for b, _, _ in group)))
+                            for (e, m), group in itertools.groupby(items, lambda item: item[1:]))
+            powers = [0] * len(items)
             try:
                 if self._proc is None or self._proc.poll() is not None:
                     self._end()
@@ -207,6 +250,8 @@ class _PowerWorker:
                     raise WorkerError("the power worker exited before it answered") from None
             powers[:self._front] = theirs
             return result, powers
+        finally:
+            self._lock.release()
 
     def close(self) -> None:
         """End the worker, if one runs: EOF on its input, then reap it."""

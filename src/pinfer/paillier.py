@@ -44,7 +44,10 @@ is a batch of its own.
   adds to what q alone gives: p = N/q.
 
 The worker never receives plaintexts, masks or the units r: the products
-r*c stay in the calling thread's work.
+r*c stay in the calling thread's work. Each power is computed in
+:mod:`pinfer.numutil`'s backend (GMP when the system has it, see
+``numutil.BACKEND``) on both sides of a batch; the backend changes how an
+item is computed, never which items a batch holds or the worker receives.
 
 Key sizes of 2048 or 3072 bits are the production presets; the 64-bit floor
 and the deterministic RNG from :func:`pinfer.numutil.insecure_rng` exist for

@@ -226,6 +226,24 @@ def test_infer_over_real_socket(key_files, model_files, capsys):
     assert "verify: matches" in out
 
 
+def test_serve_names_its_arithmetic(model_files, capsys):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    server = threading.Thread(
+        target=main,
+        args=(["serve", "--protocol", "regr-core",
+               "--model", str(model_files / "logistic.json"),
+               "--listen", f"127.0.0.1:{port}", "--kappa", "40"],),
+        daemon=True)
+    server.start()
+    deadline = time.time() + 30
+    while "serving" not in (out := capsys.readouterr().out) and time.time() < deadline:
+        time.sleep(0.05)
+    assert out.rstrip("\n").endswith(
+        f"on 127.0.0.1:{port}, powers in {pinfer.numutil.BACKEND}"), out
+
+
 def test_concurrent_sessions_over_socket(key_files, model_files):
     # One server, several clients at once; every session must verify.
     with socket.socket() as probe:

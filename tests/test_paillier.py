@@ -1,8 +1,10 @@
 import math
+import os
 import random
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -777,14 +779,31 @@ def test_is_probable_prime_matches_sieve():
     assert [n for n in range(-2, limit) if is_probable_prime(n)] == _sieve(limit)
 
 
-def test_pure_python_fallback(checkout_env):
-    # Same behavior without gmpy2; isolated in a subprocess so the reload
-    # cannot leak into other tests.
-    code = """
-import sys
+#: Run before ``pinfer`` is imported: each makes ``numutil`` choose one
+#: backend. The worker runs under ``python -I`` and chooses its own.
+_BACKENDS = {
+    "python": """
+import ctypes, sys
 sys.modules["gmpy2"] = None  # forces the ImportError branch
+def no_library(*args, **kwargs):
+    raise OSError("libgmp is blocked")
+ctypes.CDLL = no_library
+""",
+    "gmpy2": """
+import sys, types
+sys.modules["gmpy2"] = gmpy2 = types.ModuleType("gmpy2")
+gmpy2.powmod = pow
+gmpy2.invert = lambda a, m: pow(a, -1, m)
+""",
+}
+
+
+def test_pure_python_fallback(checkout_env):
+    # Same behavior without gmpy2 or libgmp; isolated in a subprocess so the
+    # reload cannot leak into other tests.
+    code = _BACKENDS["python"] + """
 import pinfer.numutil as nu
-assert not nu.HAVE_GMPY2
+assert nu.BACKEND == "python" and not nu.HAVE_GMPY2
 from pinfer.numutil import insecure_rng
 from pinfer.paillier import keygen
 rng = insecure_rng(99)
@@ -799,3 +818,53 @@ assert sk.decrypt(5 * pk.encrypt(-2, rng) - pk.encrypt(1, rng)) == -11
     result = subprocess.run([sys.executable, "-c", code], env=checkout_env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("backend", list(_BACKENDS))
+def test_every_backend_reproduces_the_digests(checkout_env, backend):
+    code = _BACKENDS[backend] + f"""
+from pinfer import keygen, numutil
+from pinfer.numutil import insecure_rng
+assert numutil.BACKEND == {backend!r}
+assert numutil.invert(3, 7) == 5 and numutil.powmod(3, 5, 7) == 5
+import test_frame_digests as digests
+keys = keygen(512, insecure_rng(1)), keygen(512, insecure_rng(2))
+for protocol in ("svm-core", "ffnn-relu"):
+    assert digests._query_digest(keys, protocol, False) == digests.DIGESTS[protocol], protocol
+"""
+    env = dict(checkout_env, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent), checkout_env["PYTHONPATH"]]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_batch_that_finds_the_worker_busy_runs_on_its_own_thread(client_keys):
+    # A batch of another connection holds the worker: this one computes its
+    # items here rather than wait for it.
+    pk, sk = client_keys
+    key, plain = PublicKey(pk.n), [0, 3, -2]
+    values = [key.encrypt(m, insecure_rng(40 + i)) for i, m in enumerate(plain)]
+    serial = [c.value for c in _serial_blinds(key, values, insecure_rng(41))]
+    held, done = threading.Event(), threading.Event()
+
+    def hold():
+        with numutil._POWERS._lock:
+            held.set()
+            done.wait(120)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    got = []
+    try:
+        assert held.wait(60)
+        batch = threading.Thread(target=lambda: got.extend(
+            [sk.decrypt(values[1]), [c.value for c in key.blind_all(values, insecure_rng(41))]]),
+            daemon=True)
+        batch.start()
+        batch.join(timeout=60)
+        assert not batch.is_alive()
+    finally:
+        done.set()
+        holder.join(timeout=60)
+    assert got == [3, serial]

@@ -6,8 +6,9 @@ from pinfer.paillier import PublicKey
 from pinfer.wire import (Frame, Transcript, ciphertext_width,
                          deserialize_ciphertext, deserialize_public_key,
                          deserialize_scalar, frame, message_plan, plan_bits,
-                         serialize_ciphertext, serialize_public_key,
-                         serialize_scalar, unframe, MAX_KEY_BYTES, PROTOCOL_IDS)
+                         scalar_width, serialize_ciphertext, serialize_public_key,
+                         serialize_scalar, unframe, unpack_u32, MAX_KEY_BYTES,
+                         PROTOCOL_IDS)
 
 SESSION = bytes(range(16))
 
@@ -53,6 +54,21 @@ def test_scalar_and_key_round_trip(client_keys):
     assert deserialize_public_key(serialize_public_key(pk)) == pk
 
 
+def test_field_refusals_name_the_fault(client_keys):
+    pk, _ = client_keys
+    width = scalar_width(pk)
+    with pytest.raises(MessageFormatError, match=f"scalar must be {width} bytes, got {width - 1}"):
+        deserialize_scalar(bytes(width - 1), pk)
+    with pytest.raises(MessageFormatError, match="scalar outside the message space"):
+        deserialize_scalar(pk.n.to_bytes(width, "big"), pk)
+    for n in (pk.n + 1, 2, 1):
+        with pytest.raises(MessageFormatError, match="modulus must be odd and greater than 2"):
+            deserialize_public_key(n.to_bytes(width, "big"))
+    assert unpack_u32(bytes([0, 0, 1, 2])) == 258
+    with pytest.raises(MessageFormatError, match="u32 field must be 4 bytes"):
+        unpack_u32(bytes(5))
+
+
 def test_public_key_field_is_bounded_by_the_largest_key_size():
     assert MAX_KEY_BYTES * 8 == max(KEY_BIT_CHOICES)
     largest = PublicKey((1 << (8 * MAX_KEY_BYTES - 1)) | 1)
@@ -86,6 +102,16 @@ def test_frame_rejects_corruption():
     bad_version[0] = 9
     with pytest.raises(MessageFormatError):
         unframe(bytes(bad_version))
+
+
+def test_short_frames_are_refused_by_message():
+    data = frame(1, 3, SESSION, (b"abc",))
+    header = 3 + len(SESSION) + 4
+    with pytest.raises(MessageFormatError, match="frame too short"):
+        unframe(data[:header - 1])
+    # The part count promises one part, but its length field is cut short.
+    with pytest.raises(MessageFormatError, match="truncated frame: missing part length"):
+        unframe(data[:header + 3])
 
 
 def test_frame_fuzz_round_trip(rng):
