@@ -56,8 +56,7 @@ def bit_owner_request(pk: PublicKey, mu: int, bit_length: int,
     """Encrypt the binary digits of mu under the bit owner's key.
 
     The bits are one ``PublicKey.encrypt_all`` batch: under the owner's own
-    key, both half-size powers of each random factor are items of one
-    batch shared with the power worker.
+    key, both half-size powers of each random factor are its items.
 
     Raises:
         ParameterError: if mu is not an l-bit non-negative integer.
@@ -86,9 +85,9 @@ def evaluator_respond(pk: PublicKey, request: ComparisonRequest, eta: int, delta
     plus the equality guard h_-1 = delta_eval + sum_j (mu_j XOR eta_j), scales
     each by a fresh unit, rerandomizes, and returns them shuffled. The scaling
     and rerandomizing is one ``PublicKey.blind_all`` batch: under the owner's
-    key rebuilt from bytes, the random N-th powers s**N mod N**2 of the
-    rerandomization are shared with the power worker while this thread
-    scales.
+    key rebuilt from bytes, a helper thread computes the random N-th powers
+    s**N mod N**2 of the rerandomization while this thread scales, then
+    both take the rest.
 
     Raises:
         ParameterError: eta out of range or delta_eval not a bit.
@@ -127,7 +126,7 @@ def bit_owner_finish(sk: SecretKey, response: ComparisonResponse) -> int:
     """The bit owner's share: 1 iff exactly one blinded value decrypts to zero.
 
     The values are one ``SecretKey.decrypt_all`` batch: both half-size
-    powers of each decryption are items shared with the power worker.
+    powers of each decryption are its items.
 
     Raises:
         ProtocolViolationError: more than one zero, impossible for honest peers.

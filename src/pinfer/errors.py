@@ -27,7 +27,3 @@ class ProtocolViolationError(PinferError):
 
 class MessageFormatError(PinferError):
     """Bytes on the wire do not decode to a valid frame or field."""
-
-
-class WorkerError(PinferError):
-    """The power worker, the helper process that computes powers, died before it answered."""

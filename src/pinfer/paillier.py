@@ -25,29 +25,18 @@ freely.
 
 Every random factor goes through ``_factors``, and every decryption through
 ``SecretKey._halves``: each lists its powers as items of one batch of
-:func:`pinfer.numutil.powers_while`, shared with the power worker. The
-random factors do not depend on the values (Paillier, EUROCRYPT 1999, notes
-they can be precomputed), so a batch draws them as single encryptions
-would, in order, and the calling thread's work beside it is the products
-r*c of ``PublicKey.blind_all`` or the scalar products of
-``linear.dot_and_bits``. A lone encryption, rerandomization or decryption
-is a batch of its own.
-
-- Under a key built from N alone a factor is one item, s**N mod N**2: the
-  worker may receive N, N**2 and the bases s.
-- Under a key holder's own key each factor, and each decryption, is two
-  half-size items, mod p**2 and mod q**2, and the worker may receive either:
-  secret key material (p or q, p - 1 or q - 1, p**2 or q**2, and the bases),
-  passed over pipes to a child of the same party process. It also runs part
-  of the prime tests while a key is made (``keygen``) or loaded
-  (``SecretKey``), so it receives p and q among the candidates. None of this
-  adds to what q alone gives: p = N/q.
-
-The worker never receives plaintexts, masks or the units r: the products
-r*c stay in the calling thread's work. Each power is computed in
-:mod:`pinfer.numutil`'s backend (GMP when the system has it, see
-``numutil.BACKEND``) on both sides of a batch; the backend changes how an
-item is computed, never which items a batch holds or the worker receives.
+:func:`pinfer.numutil.powers_while`, which splits them between the calling
+thread and a helper thread. The random factors do not depend on the values
+(Paillier, EUROCRYPT 1999, notes they can be precomputed), so a batch draws
+them as single encryptions would, in order, and the calling thread's work
+beside it is the products r*c of ``PublicKey.blind_all`` or the scalar
+products of ``linear.dot_and_bits``. A lone encryption, rerandomization or
+decryption is a batch of its own. Under a key built from N alone a factor
+is one item, s**N mod N**2; under a key holder's own key each factor, and
+each decryption, is two half-size items, mod p**2 and mod q**2. Each power
+is computed in :mod:`pinfer.numutil`'s backend (GMP when the system has it,
+see ``numutil.BACKEND``); the backend changes how an item is computed,
+never which items a batch holds.
 
 Key sizes of 2048 or 3072 bits are the production presets; the 64-bit floor
 and the deterministic RNG from :func:`pinfer.numutil.insecure_rng` exist for
@@ -60,9 +49,10 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
+from . import numutil
 from .errors import DecryptionError, KeyMismatchError, ParameterError
-from .numutil import (SYSTEM_RNG, crt2, gcd, invert, is_probable_prime, powers_while,
-                      powmod, prime_candidate, random_unit)
+from .numutil import (SYSTEM_RNG, crt2, gcd, invert, is_probable_prime, powmod,
+                      prime_candidate, random_unit)
 
 DEFAULT_KEY_BITS = 2048
 #: Absolute floor, for test-scale keys only.
@@ -139,7 +129,6 @@ class PublicKey:
         Raises:
             ParameterError: a message outside the signed message space,
                 before anything is drawn.
-            WorkerError: the worker process died; the next batch starts a new one.
         """
         residues = [self._residue(m) for m in ms]
         _, factors = _factors([self._draw(rng) for _ in ms])
@@ -159,9 +148,6 @@ class PublicKey:
         """``[rerandomize(r_i * c_i)]`` for a fresh unit r_i per value, each
         drawn before its rerandomization's randomness, as a loop would; the
         factors are one ``_factors`` batch beside the products r_i * c_i.
-
-        Raises:
-            WorkerError: the worker process died; the next batch starts a new one.
         """
         rng = rng or SYSTEM_RNG
         units, draws = [], []
@@ -201,11 +187,8 @@ def _factors(draws: list, work=None) -> tuple:
     holder's factor is the CRT pair: x -> x**p mod p**2 depends only on x
     mod p and maps onto the p-th powers, which raising to q permutes, since
     gcd(N, phi) = 1 means q does not divide p - 1. Likewise modulo q**2.
-
-    Raises:
-        WorkerError: the worker process died; the next batch starts a new one.
     """
-    result, powers = powers_while([item for _, items in draws for item in items], work)
+    result, powers = numutil.powers_while([item for _, items in draws for item in items], work)
     powers = iter(powers)
     return result, [pk._secret._join(next(powers), next(powers)) if pk._secret else
                     next(powers) for pk, _ in draws]
@@ -260,7 +243,7 @@ class SecretKey:
         if gcd(c.value, self.public_key.n) != 1:
             raise DecryptionError("ciphertext is not coprime to the modulus")
         p, q = self.p, self.q
-        x_p, x_q = powers or powers_while(self._halves(c))[1]
+        x_p, x_q = powers or numutil.powers_while(self._halves(c))[1]
         if (x_p - 1) % p != 0 or (x_q - 1) % q != 0:
             raise DecryptionError("ciphertext does not decode to a valid plaintext")
         m_p = (x_p - 1) // p * self._h_p % p
@@ -276,13 +259,12 @@ class SecretKey:
 
         Raises:
             KeyMismatchError: a ciphertext produced under another key,
-                before the worker sees any value.
+                before any power is computed.
             DecryptionError: as ``decrypt``.
-            WorkerError: the worker process died; the next batch starts a new one.
         """
         for c in cts:
             self.public_key._check_own(c)
-        _, x = powers_while([item for c in cts for item in self._halves(c)])
+        _, x = numutil.powers_while([item for c in cts for item in self._halves(c)])
         return [self.decrypt(c, pair) for c, pair in zip(cts, zip(x[::2], x[1::2]))]
 
     def _halves(self, c: "Ciphertext") -> list[tuple[int, int, int]]:
@@ -359,14 +341,12 @@ def keygen(bits: int = DEFAULT_KEY_BITS, rng: random.Random | None = None) -> tu
     come from :func:`~pinfer.numutil.prime_candidate`, a cheap filter; the
     one full primality test per prime (``MR_ROUNDS`` Miller-Rabin rounds,
     error below 2**-80) is the one ``SecretKey`` runs on every key, generated
-    or loaded. Both tests split across the power worker of
-    :mod:`pinfer.numutil`, which receives the candidates and, in the
-    Miller-Rabin test, p and q; the primes, and a seeded ``rng``'s state
-    afterwards, are those of a one-at-a-time search.
+    or loaded. Both tests are :func:`~pinfer.numutil.powers_while` batches;
+    the primes, and a seeded ``rng``'s state afterwards, are those of a
+    one-at-a-time search.
 
     Raises:
         ParameterError: if bits is below the 64-bit test floor.
-        WorkerError: the worker process died; the next call starts a new one.
     """
     if bits < MIN_KEY_BITS:
         raise ParameterError(f"key size {bits} below the {MIN_KEY_BITS}-bit floor")

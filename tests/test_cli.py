@@ -319,7 +319,7 @@ def test_console_entry_point():
 
 
 #: Imported at start-up from the first PYTHONPATH entry, before pinfer, so
-#: its exit handler runs after pinfer's: by then no child may be left.
+#: its exit handler runs last: by then no child may be left.
 _NO_CHILD_AT_EXIT = """
 import atexit, os
 
@@ -335,8 +335,8 @@ atexit.register(no_child_left)
 
 
 def test_keygen_command_leaves_no_process_or_warning_at_exit(tmp_path, checkout_env):
-    # keygen runs its prime tests across the power worker, which must be
-    # reaped at exit with no ResourceWarning.
+    # keygen runs its prime tests as batches of powers on two threads, and
+    # must exit with no child process and no ResourceWarning.
     (tmp_path / "sitecustomize.py").write_text(_NO_CHILD_AT_EXIT)
     env = dict(checkout_env, PYTHONPATH=os.pathsep.join([str(tmp_path),
                                                          checkout_env["PYTHONPATH"]]))

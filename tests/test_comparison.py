@@ -1,18 +1,16 @@
 import dataclasses
-import threading
 
 import pytest
 
-from pinfer import numutil, paillier
-from pinfer.comparison import (ComparisonRequest, ComparisonResponse, UnitChallenge,
-                               bit_owner_finish, bit_owner_request, draw_mask,
-                               evaluator_respond)
-from pinfer.errors import ParameterError, ProtocolViolationError, WorkerError
+from pinfer import numutil
+from pinfer.comparison import (ComparisonRequest, ComparisonResponse, bit_owner_finish,
+                               bit_owner_request, draw_mask, evaluator_respond)
+from pinfer.errors import ParameterError, ProtocolViolationError
 from pinfer.linear import (FeatureVector, LinearModel, encrypted_dot, regr_dual_publish,
-                           svm_core_finish, svm_core_request, svm_core_respond)
-from pinfer.network import unit_answer, unit_challenge, unit_finish
+                           svm_core_request)
+from pinfer.network import unit_challenge
 from pinfer.numutil import insecure_rng
-from pinfer.paillier import Ciphertext, PublicKey
+from pinfer.paillier import PublicKey
 
 
 def plain_test_values(mu: int, eta: int, delta_eval: int, ell: int) -> list[int]:
@@ -62,31 +60,6 @@ def test_end_to_end_share(client_keys, rng):
     pk, sk = client_keys
     delta_own = run(sk, pk, 3, 5, 0, 3, rng)
     assert delta_own ^ 0 == 1  # 3 <= 5
-
-
-def test_comparison_after_the_worker_is_killed(client_keys, rng):
-    pk, sk = client_keys
-    rebuilt = PublicKey(pk.n)  # blinds through the worker
-    assert run(sk, rebuilt, 3, 5, 0, 3, rng) == 1
-    numutil._POWERS._proc.kill()
-    outcome = []
-
-    def compare():
-        try:
-            outcome.append(run(sk, rebuilt, 6, 2, 0, 3, rng))
-        except WorkerError as exc:
-            outcome.append(exc)
-
-    thread = threading.Thread(target=compare, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive() and outcome
-    # Either the dead worker was seen and replaced, or the comparison failed
-    # with WorkerError; the next one then runs on a new worker.
-    if isinstance(outcome[0], WorkerError):
-        outcome[0] = run(sk, rebuilt, 6, 2, 0, 3, rng)
-    assert outcome[0] == 0  # 6 > 2
-    assert run(sk, rebuilt, 4, 4, 1, 3, rng) ^ 1 == 1
 
 
 def test_exhaustive_small(client_keys, rng):
@@ -158,23 +131,19 @@ def test_floor_comparison_identity():
 
 
 # ---------------------------------------------------------------------------
-# the challenge batch and what the power worker receives
+# the challenge batch
 
-class _RecordingWorker:
-    """Stands in for the power worker: keeps the items of every batch, any of
-    which the routine may hand the worker, and computes them here."""
+def _record_batches(monkeypatch):
+    """Replace ``numutil.powers_while`` with a stand-in that keeps the items
+    of every batch and computes them here; returns the list of batches."""
+    batches = []
 
-    def __init__(self):
-        self.batches = []
-
-    def powers_while(self, items, work=None):
-        self.batches.append(list(items))
+    def powers_while(items, work=None):
+        batches.append(list(items))
         return work() if work else None, [pow(b, e, m) for b, e, m in items]
 
-
-def _received(ct):
-    """``ct`` as its peer decodes it: under a key rebuilt from N alone."""
-    return Ciphertext(ct.value, PublicKey(ct.public_key.n))
+    monkeypatch.setattr(numutil, "powers_while", powers_while)
+    return batches
 
 
 def _owner_items(sk, count):
@@ -193,11 +162,10 @@ def test_unit_challenge_is_one_worker_batch(client_keys, server_keys, monkeypatc
     bits = bit_owner_request(pk_s, mask % (1 << ell), ell, rng).encrypted_bits
     after = rng.random()
 
-    worker = _RecordingWorker()
-    monkeypatch.setattr(numutil, "_POWERS", worker)
+    batches = _record_batches(monkeypatch)
     rng = insecure_rng(21)
     challenge, state = unit_challenge("core", theta, enc, pk_s, ell, 40, rng)
-    assert [[(e, m) for _, e, m in batch] for batch in worker.batches] == \
+    assert [[(e, m) for _, e, m in batch] for batch in batches] == \
         [[(pk_c.n, pk_c.n_squared)] + _owner_items(sk_s, ell)]
     assert state.pad == mask and challenge.ell == ell
     assert challenge.masked_inner.value == t_ct.value
@@ -218,11 +186,10 @@ def test_svm_core_request_is_one_worker_batch(client_keys, server_keys, monkeypa
     bits = bit_owner_request(pk_c, mask % (1 << 5), 5, rng).encrypted_bits
     after = rng.random()
 
-    worker = _RecordingWorker()
-    monkeypatch.setattr(numutil, "_POWERS", worker)
+    batches = _record_batches(monkeypatch)
     rng = insecure_rng(23)
     challenge, session = svm_core_request(published, pk_c, x, 40, rng)
-    assert [[(e, m) for _, e, m in batch] for batch in worker.batches] == \
+    assert [[(e, m) for _, e, m in batch] for batch in batches] == \
         [[(pk_s.n, pk_s.n_squared)] + _owner_items(sk_c, 5)]
     assert session.mask == mask
     assert challenge.masked_inner.value == acc.value
@@ -237,86 +204,9 @@ def test_svm_core_request_refuses_a_published_model_without_bits(client_keys, se
     pk_s = PublicKey(server_keys[0].n)
     published = regr_dual_publish(LinearModel((3, -2, 1), ell=5, precision=0), pk_s,
                                   insecure_rng(22))
-    worker = _RecordingWorker()
-    monkeypatch.setattr(numutil, "_POWERS", worker)
+    batches = _record_batches(monkeypatch)
     with pytest.raises(ParameterError):
         svm_core_request(dataclasses.replace(published, ell=0), client_keys[0],
                          FeatureVector((1, 1, -1), 0), 40, insecure_rng(23))
-    assert worker.batches == []
+    assert batches == []
 
-
-def _check_no_secret_reaches_the_worker(worker, secrets):
-    items = [item for batch in worker.batches for item in batch]
-    assert items
-    for base, exponent, modulus in items:
-        assert base % modulus not in secrets and exponent not in secrets
-
-
-def _recording_units(monkeypatch):
-    units, draw = [], paillier.random_unit
-
-    def recording_unit(mod, rng=None):
-        units.append(draw(mod, rng))
-        return units[-1]
-
-    monkeypatch.setattr(paillier, "random_unit", recording_unit)
-    return units
-
-
-def test_worker_never_receives_svm_core_units_masks_or_plaintexts(client_keys, server_keys,
-                                                                  monkeypatch):
-    # The items a batch may hand the worker: never a blinding unit r, the
-    # client's mask, the masked or true inner product, a feature or a weight.
-    pk_c, sk_c = client_keys
-    pk_s, sk_s = server_keys
-    weights = (3, -2, 1)
-    published = regr_dual_publish(LinearModel(weights, ell=5, precision=0), pk_s,
-                                  insecure_rng(24))
-    published = dataclasses.replace(published, public_key=PublicKey(pk_s.n),
-                                    ciphertexts=tuple(map(_received, published.ciphertexts)))
-    x = FeatureVector((1, 1, -1), 0)
-    worker = _RecordingWorker()
-    monkeypatch.setattr(numutil, "_POWERS", worker)
-    units = _recording_units(monkeypatch)
-    rng = insecure_rng(25)
-    challenge, session = svm_core_request(published, pk_c, x, 40, rng)
-    mask = session.mask
-    challenge = UnitChallenge(challenge.masked_inner,
-                              tuple(map(_received, challenge.mask_bits)), challenge.ell)
-    response = svm_core_respond(sk_s, challenge, 5, rng)
-    assert svm_core_finish(sk_c, ComparisonResponse(tuple(
-        Ciphertext(c.value, pk_c) for c in response.blinded_values)), session) == 1
-    assert len(units) == 6
-    t = 3 - 2 * 1 + 1 * -1
-    secrets = {*units, mask, t + mask, (t + mask) % (1 << 5), *weights, *x.values}
-    _check_no_secret_reaches_the_worker(worker, secrets)
-
-
-def test_worker_never_receives_relu_unit_units_masks_or_plaintexts(client_keys, server_keys,
-                                                                   monkeypatch):
-    # The relu unit of ffnn-relu, as each party sees the other's
-    # ciphertexts: the server's challenge, the client's answer (its blinds
-    # and three randomizations) and the server's finish.
-    pk_c, sk_c = client_keys
-    pk_s, sk_s = server_keys
-    theta, ell = (2, 3, -1), 6
-    inputs = (1, -1)
-    enc = [_received(pk_c.encrypt(m, insecure_rng(26 + i))) for i, m in enumerate(inputs)]
-    worker = _RecordingWorker()
-    monkeypatch.setattr(numutil, "_POWERS", worker)
-    units = _recording_units(monkeypatch)
-    rng = insecure_rng(27)
-    challenge, state = unit_challenge("core", theta, enc, pk_s, ell, 40, rng)
-    challenge = UnitChallenge(Ciphertext(challenge.masked_inner.value, pk_c),
-                              tuple(map(_received, challenge.mask_bits)), ell)
-    response = unit_answer("relu", sk_c, PublicKey(pk_s.n), challenge, rng, b=1)
-    response = dataclasses.replace(
-        response, bit=_received(response.bit), pair=tuple(map(_received, response.pair)),
-        comparison=ComparisonResponse(tuple(Ciphertext(c.value, pk_s)
-                                            for c in response.comparison.blinded_values)))
-    t = 2 + 3 * 1 + -1 * -1
-    assert sk_c.decrypt(unit_finish("relu", sk_s, state, response)) == t
-    assert len(units) == ell + 1
-    secrets = {*units, state.pad, t, t + state.pad, (t + state.pad) % (1 << ell), *theta,
-               *inputs}
-    _check_no_secret_reaches_the_worker(worker, secrets)

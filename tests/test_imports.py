@@ -1,14 +1,14 @@
-"""No module of the package imports a name it never uses, and one module
-owns the power worker and the modular exponentiations.
+"""No module of the package imports a name it never uses, none starts a
+process, and one module owns the modular exponentiations.
 
 A stdlib stand-in for pyflakes' F401: a name bound by an import must appear
 as a name elsewhere in its module, or in the module's ``__all__``. An import
 statement whose first line carries ``# noqa: F401`` is exempt; it re-exports
 names for code outside the package.
 
-Exactly one module imports ``subprocess``, the one that starts the power
-worker, and only ``numutil`` calls three-argument ``pow``: every other module
-exponentiates through ``numutil.powmod`` or the worker.
+No module imports ``subprocess``, and only ``numutil`` calls three-argument
+``pow``: every other module exponentiates through ``numutil.powmod`` or
+``numutil.powers_while``.
 """
 
 import ast
@@ -76,10 +76,10 @@ def test_the_checks_find_subprocess_and_pow():
     assert not calls_three_argument_pow("y = pow(b, e)\nz = 'pow(b, e, m)'\n")
 
 
-def test_one_worker_module_and_one_power_module():
+def test_no_subprocess_module_and_one_power_module():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
-    assert len([name for name, source in sources.items()
-                if imports_module(source, "subprocess")]) == 1
+    assert [name for name, source in sources.items()
+            if imports_module(source, "subprocess")] == []
     assert [name for name, source in sources.items()
             if calls_three_argument_pow(source)] == ["numutil"]

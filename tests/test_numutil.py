@@ -1,6 +1,5 @@
 """The arithmetic backend: ``numutil.powmod`` and ``numutil.invert`` give
-Python's values on every input, from any thread, and the power worker's
-program computes with the same backend as the module."""
+Python's values on every input, from any thread."""
 
 import ctypes
 import subprocess
@@ -9,7 +8,6 @@ import threading
 
 import pytest
 
-from pinfer import numutil
 from pinfer.numutil import insecure_rng, invert, powmod
 
 
@@ -86,16 +84,6 @@ def test_threads_in_the_binding_at_once_get_their_own_values():
     assert got == {k: [want] * 3 for k in range(8)}
 
 
-def test_the_worker_program_starts_with_the_module_backend():
-    assert numutil._WORKER_SRC.startswith(numutil._ARITH_SRC)
-    head = numutil._ARITH_SRC + "print(BACKEND, _gmp is not None, powmod(3, 10**20, 2**61 - 1))"
-    result = subprocess.run([sys.executable, "-I", "-c", head], capture_output=True, text=True,
-                            timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == [numutil.BACKEND, str(numutil._gmp is not None),
-                                     str(pow(3, 10**20, 2**61 - 1))]
-
-
 def _soname_loads():
     try:
         ctypes.CDLL("libgmp.so.10")
@@ -104,8 +92,7 @@ def _soname_loads():
     return True
 
 
-@pytest.mark.skipif(numutil.HAVE_GMPY2 or not _soname_loads(),
-                    reason="libgmp is chosen by its soname only without gmpy2")
+@pytest.mark.skipif(not _soname_loads(), reason="libgmp.so.10 does not load")
 def test_importing_pinfer_starts_no_process(checkout_env):
     # ctypes.util.find_library runs ldconfig or a compiler; the soname needs neither.
     code = """

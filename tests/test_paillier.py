@@ -10,7 +10,7 @@ import pytest
 
 from pinfer import comparison, keygen, numutil, paillier
 from pinfer.errors import (DecryptionError, KeyMismatchError, MessageFormatError,
-                           ParameterError, WorkerError)
+                           ParameterError)
 from pinfer.numutil import (SIEVE_BITS, insecure_rng, is_probable_prime, prime_candidate,
                             random_unit)
 from pinfer.paillier import Ciphertext, PublicKey, SecretKey
@@ -183,13 +183,12 @@ def test_key_holder_never_exponentiates_mod_n_squared(client_keys, rng, monkeypa
         return original(base, exp, mod)
 
     # Every power is either computed in paillier or an item of a batch,
-    # which the stand-in for the worker records whichever side takes it.
+    # which the stand-in for ``powers_while`` records.
     monkeypatch.setattr(paillier, "powmod", counting_powmod)
-    worker = _CountingWorker()
-    monkeypatch.setattr(numutil, "_POWERS", worker)
+    batches = _count_batches(monkeypatch)
 
     def moduli():
-        return here + [modulus for batch in worker.batches for _, modulus in batch]
+        return here + [modulus for batch in batches for _, modulus in batch]
 
     c = pk.encrypt(-42, rng)
     c = pk.rerandomize(c, rng)
@@ -197,7 +196,7 @@ def test_key_holder_never_exponentiates_mod_n_squared(client_keys, rng, monkeypa
     assert moduli() and pk.n_squared not in moduli()
 
     here.clear()
-    worker.batches.clear()
+    batches.clear()
     rebuilt = PublicKey(pk.n)
     rebuilt.encrypt(-42, rng)
     assert moduli() == [pk.n_squared]
@@ -234,7 +233,7 @@ def test_blind_all_stays_in_step_after_a_failed_batch(client_keys, server_keys, 
     pk, sk = client_keys
     key, values = _rebuilt_values(pk, rng)
     if fault == "scale":
-        # r * None raises between the request to the worker and its reply.
+        # r * None raises in the work beside the batch's powers.
         bad, error = [values[0], None], TypeError
     else:
         bad, error = [values[0], server_keys[0].encrypt(1, rng)], KeyMismatchError
@@ -248,10 +247,9 @@ def test_blind_all_stays_in_step_after_a_failed_batch(client_keys, server_keys, 
 
 
 def test_concurrent_batches_stay_in_step(client_keys):
-    # More threads than cores share the one worker: blinds under a rebuilt
-    # key, the key holder's encryptions and decryptions, and key generation.
-    # A reply read by the wrong batch would carry other powers, so the
-    # values would differ.
+    # More threads than cores, each batch with its own helper: blinds under
+    # a rebuilt key, the key holder's encryptions and decryptions, and key
+    # generation. A power stored in another batch would change the values.
     pk, sk = client_keys
     key = PublicKey(pk.n)
     values = [key.encrypt(m, insecure_rng(m)) for m in range(4)]
@@ -292,62 +290,6 @@ def test_concurrent_batches_stay_in_step(client_keys):
     assert got == {seed: [want] * 5 for seed, want in expected.items()}
 
 
-def test_worker_that_dies_mid_batch_raises_worker_error(client_keys, rng, monkeypatch):
-    pk, sk = client_keys
-    key, values = _rebuilt_values(pk, rng)
-    numutil._POWERS.close()
-    monkeypatch.setattr(numutil, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
-    with pytest.raises(WorkerError):
-        key.blind_all(values, rng)
-    assert numutil._POWERS._proc is None
-    monkeypatch.undo()
-    assert [sk.decrypt(c) == 0 for c in key.blind_all(values, rng)] == [True, False, False]
-
-
-#: A worker that answers its first request wrongly, as ``REPLY`` builds it
-#: from the right hex words, and then exits.
-_BAD_WORKER = """
-import sys
-words = []
-for group in sys.stdin.readline().split(","):
-    exponent, modulus, *bases = (int(w, 16) for w in group.split())
-    words += [format(pow(b, exponent, modulus), "x") for b in bases]
-sys.stdout.write(REPLY)
-sys.stdout.flush()
-"""
-
-
-@pytest.mark.parametrize("reply", [
-    '" ".join(words)[:-1]',
-    '" ".join(["xyz"] + words[1:]) + "\\n"',
-    '" ".join(words[:-1]) + "\\n"',
-], ids=["cut-short-without-newline", "non-hex-word", "too-few-words"])
-def test_worker_with_a_malformed_reply_raises_worker_error(client_keys, rng, monkeypatch,
-                                                           reply):
-    pk, _ = client_keys
-    key, values = _rebuilt_values(pk, rng)
-    numutil._POWERS.close()
-    monkeypatch.setattr(numutil, "_WORKER_SRC", _BAD_WORKER.replace("REPLY", reply))
-    raised = []
-
-    def blind():
-        try:
-            key.blind_all(values, insecure_rng(10))
-        except Exception as exc:
-            raised.append(exc)
-
-    thread = threading.Thread(target=blind, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert [type(exc) for exc in raised] == [WorkerError]
-    assert numutil._POWERS._proc is None
-    monkeypatch.undo()
-    batch = key.blind_all(values, insecure_rng(11))
-    serial = _serial_blinds(key, values, insecure_rng(11))
-    assert [c.value for c in batch] == [c.value for c in serial]
-
-
 def _mixed_items(client_keys, server_keys, count):
     """``count`` items with distinct bases over two moduli, alternating, with
     short and full-width exponents."""
@@ -363,42 +305,36 @@ def _slow_work(client_keys, count=20):
     return lambda: sum(pow(3 + i, n, n_sq) for i in range(count)) % 1000
 
 
-def _worker_with(old, new):
-    """The worker's program with the statement ``old`` replaced by ``new``."""
-    assert old in numutil._WORKER_SRC
-    return numutil._WORKER_SRC.replace(old, new)
-
-
-_COMPUTE = 'powers.append(format(powmod(*items[len(powers)]), "x"))'
-_ANSWER = "print(*powers, flush=True)"
-
-
 @pytest.mark.parametrize("with_work", [False, True], ids=["items", "items-and-work"])
 @pytest.mark.parametrize("count", [0, 1, 2, 41])
 def test_powers_while_computes_each_item_once_in_order(client_keys, server_keys, monkeypatch,
-                                                       tmp_path, count, with_work):
+                                                       count, with_work):
     items = _mixed_items(client_keys, server_keys, count)
     work = _slow_work(client_keys, 300) if with_work else None
-    log = tmp_path / "worker.log"
-    log.touch()
-    # The worker, also appending each item it computes to the log.
-    logging = f"; print(*items[len(powers) - 1], file=open({str(log)!r}, 'a'))"
-    numutil._POWERS.close()
-    monkeypatch.setattr(numutil, "_WORKER_SRC", _worker_with(_COMPUTE, _COMPUTE + logging))
-    here, original = [], numutil.powmod
-    monkeypatch.setattr(numutil, "powmod", lambda *item: here.append(item) or original(*item))
-    try:
-        result, powers = numutil.powers_while(items, work)
-        started = numutil._POWERS._proc is not None
-    finally:
-        numutil._POWERS.close()
-    there = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    # Which thread computes each item, and which threads the batch starts.
+    computed, started, original = [], [], numutil.powmod
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(numutil, "powmod",
+                        lambda *item: computed.append((threading.current_thread(), item))
+                        or original(*item))
+    monkeypatch.setattr(threading, "Thread", Thread)
+    threads = threading.active_count()
+    result, powers = numutil.powers_while(items, work)
+    assert threading.active_count() == threads
+    here = [item for thread, item in computed if thread is threading.current_thread()]
+    there = [item for thread, item in computed if thread is not threading.current_thread()]
     assert powers == [pow(b, e, m) for b, e, m in items]
     assert result == (work() if with_work else None)
-    # The worker took a prefix from the front, this thread the rest from the back.
+    # The helper took a prefix from the front, this thread the rest from the back.
     assert there == items[:len(there)] and here == items[len(there):][::-1]
-    # One item without work, or work alone, never reaches the worker.
-    assert started == (count + with_work >= 2)
+    # One item without work, or work alone, starts no helper.
+    assert len(started) == (count + with_work >= 2)
+    assert {thread for thread, _ in computed} <= {threading.current_thread(), *started}
     if count and with_work:
         assert there
 
@@ -411,40 +347,31 @@ def test_powers_while_stays_in_step_after_work_raises(client_keys, server_keys):
         slow()
         raise ArithmeticError("work failed")
 
+    threads = threading.active_count()
     for work in (failing, lambda: 1 / 0):
         with pytest.raises(ArithmeticError):
             numutil.powers_while(items, work)
-        assert numutil._POWERS._proc is not None
+        assert threading.active_count() == threads
         assert numutil.powers_while(items, slow) == (slow(), [pow(*item) for item in items])
 
 
-@pytest.mark.parametrize("fault", ["pass", "print('xyz', flush=True)",
-                                   "print(*powers[:-1], flush=True)",
-                                   "print(*powers, end='', flush=True)"],
-                         ids=["dies", "non-hex-word", "too-few-words",
-                              "cut-short-without-newline"])
-def test_worker_that_fails_mid_batch_raises_worker_error(client_keys, server_keys, monkeypatch,
-                                                         fault):
-    # The worker takes three items, then fails and exits while this thread computes.
+def test_a_power_that_fails_on_the_helper_raises_in_the_caller(client_keys, server_keys,
+                                                              monkeypatch):
+    # A batch that ignored the helper's failure would return a slot the
+    # helper never filled.
     items = _mixed_items(client_keys, server_keys, 41)
-    worker = _worker_with("while take():", "while len(powers) < 3 and take():")
-    numutil._POWERS.close()
-    assert _ANSWER in worker
-    monkeypatch.setattr(numutil, "_WORKER_SRC", worker.replace(_ANSWER, fault + "; sys.exit()"))
-    raised = []
+    caller, original = threading.current_thread(), numutil.powmod
 
-    def batch():
-        try:
-            numutil.powers_while(items, _slow_work(client_keys, 300))
-        except Exception as exc:
-            raised.append(exc)
+    def failing_on_the_helper(*item):
+        if threading.current_thread() is not caller:
+            raise ArithmeticError("power failed on the helper")
+        return original(*item)
 
-    thread = threading.Thread(target=batch, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert [type(exc) for exc in raised] == [WorkerError]
-    assert numutil._POWERS._proc is None
+    monkeypatch.setattr(numutil, "powmod", failing_on_the_helper)
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match="on the helper"):
+        numutil.powers_while(items, _slow_work(client_keys, 300))
+    assert threading.active_count() == threads
     monkeypatch.undo()
     assert numutil.powers_while(items) == (None, [pow(*item) for item in items])
 
@@ -453,16 +380,18 @@ def _boundary_values(pk):
     return PLAIN + [pk.max_signed, pk.min_signed]
 
 
-class _CountingWorker:
-    """Stands in for the power worker: computes each batch here and keeps
-    the exponent and modulus of each of its items."""
+def _count_batches(monkeypatch):
+    """Replace ``numutil.powers_while`` with a stand-in that computes each
+    batch on this thread and keeps the exponent and modulus of each of its
+    items; returns the list of batches it keeps."""
+    batches = []
 
-    def __init__(self):
-        self.batches = []
-
-    def powers_while(self, items, work=None):
-        self.batches.append([(exponent, modulus) for _, exponent, modulus in items])
+    def powers_while(items, work=None):
+        batches.append([(exponent, modulus) for _, exponent, modulus in items])
         return work() if work else None, [pow(b, e, m) for b, e, m in items]
+
+    monkeypatch.setattr(numutil, "powers_while", powers_while)
+    return batches
 
 
 @pytest.mark.parametrize("holder", [False, True], ids=["rebuilt-key", "key-holder"])
@@ -486,8 +415,7 @@ def test_batches_draw_as_the_serial_loops(client_keys, monkeypatch, holder, size
     key = pk if holder else PublicKey(pk.n)
     plain = _boundary_values(pk)[:size]
     values = [key.encrypt(m, insecure_rng(i)) for i, m in enumerate(plain)]
-    worker = _CountingWorker()
-    monkeypatch.setattr(numutil, "_POWERS", worker)
+    made = _count_batches(monkeypatch)
     cases = ((lambda rng: key.encrypt_all(plain, rng),
               lambda rng: [key.encrypt(m, rng) for m in plain]),
              (lambda rng: key.blind_all(values, rng),
@@ -495,9 +423,9 @@ def test_batches_draw_as_the_serial_loops(client_keys, monkeypatch, holder, size
     batches = []
     for batch, serial in cases:
         batch_rng, serial_rng = insecure_rng(16), insecure_rng(16)
-        worker.batches.clear()
+        made.clear()
         got = [c.value for c in batch(batch_rng)]
-        batches += worker.batches
+        batches += made
         assert got == [c.value for c in serial(serial_rng)]
         assert batch_rng.random() == serial_rng.random()
     # Each is one batch of every factor's items: both half-size powers of a
@@ -508,12 +436,11 @@ def test_batches_draw_as_the_serial_loops(client_keys, monkeypatch, holder, size
 
 def test_encrypt_all_refuses_a_message_out_of_range_first(client_keys, monkeypatch):
     pk, _ = client_keys
-    worker = _CountingWorker()
-    monkeypatch.setattr(numutil, "_POWERS", worker)
+    batches = _count_batches(monkeypatch)
     rng = insecure_rng(13)
     with pytest.raises(ParameterError):
         pk.encrypt_all([1, pk.max_signed + 1], rng)
-    assert worker.batches == []
+    assert batches == []
     assert rng.random() == insecure_rng(13).random()
 
 
@@ -531,11 +458,10 @@ def test_decrypt_all_refuses_a_foreign_ciphertext_first(client_keys, server_keys
                                                         monkeypatch):
     pk, sk = client_keys
     cts = [pk.encrypt(1, rng), server_keys[0].encrypt(1, rng)]
-    worker = _CountingWorker()
-    monkeypatch.setattr(numutil, "_POWERS", worker)
+    batches = _count_batches(monkeypatch)
     with pytest.raises(KeyMismatchError):
         sk.decrypt_all(cts)
-    assert worker.batches == []
+    assert batches == []
 
 
 @pytest.mark.parametrize("bad", ["p", "q", "zero"])
@@ -549,79 +475,35 @@ def test_decrypt_all_fails_as_decrypt_on_a_non_unit(client_keys, rng, bad):
     with pytest.raises(DecryptionError) as batch:
         sk.decrypt_all(broken)
     assert str(batch.value) == str(serial.value)
-    # The worker's reply to the failed batch was read: the next one is in step.
     assert sk.decrypt_all(cts) == PLAIN
-
-
-@pytest.mark.parametrize("worker", [
-    "import sys; sys.stdin.buffer.read(4)",
-    _BAD_WORKER.replace("REPLY", '" ".join(words[:-1]) + "\\n"'),
-    _BAD_WORKER.replace("REPLY", '" ".join(words)[:-1]'),
-], ids=["dies", "too-few-words", "cut-short-without-newline"])
-@pytest.mark.parametrize("batch", ["encrypt_all", "decrypt_all"])
-def test_owner_batch_with_a_failing_worker_raises_worker_error(client_keys, rng, monkeypatch,
-                                                               batch, worker):
-    pk, sk = client_keys
-    cts = [pk.encrypt(m, rng) for m in PLAIN]
-
-    def run_batch():
-        if batch == "encrypt_all":
-            return [c.value for c in pk.encrypt_all(PLAIN, insecure_rng(14))]
-        return sk.decrypt_all(cts)
-
-    numutil._POWERS.close()
-    monkeypatch.setattr(numutil, "_WORKER_SRC", worker)
-    raised = []
-
-    def run():
-        try:
-            run_batch()
-        except Exception as exc:
-            raised.append(exc)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert [type(exc) for exc in raised] == [WorkerError]
-    assert numutil._POWERS._proc is None
-    monkeypatch.undo()
-    serial_rng = insecure_rng(14)
-    serial = ([pk.encrypt(m, serial_rng).value for m in PLAIN] if batch == "encrypt_all"
-              else [sk.decrypt(c) for c in cts])
-    assert run_batch() == serial
 
 
 def test_bit_owner_makes_one_worker_batch_per_step(client_keys, rng, monkeypatch):
     pk, sk = client_keys
-    worker = _CountingWorker()
-    monkeypatch.setattr(numutil, "_POWERS", worker)
+    batches = _count_batches(monkeypatch)
     request = comparison.bit_owner_request(pk, 0b1011, 6, insecure_rng(15))
-    assert worker.batches == [[(sk.p, sk.p * sk.p), (sk.q, sk.q * sk.q)] * 6]
+    assert batches == [[(sk.p, sk.p * sk.p), (sk.q, sk.q * sk.q)] * 6]
     serial_rng = insecure_rng(15)
     assert [c.value for c in request.encrypted_bits] == \
         [pk.encrypt(bit, serial_rng).value for bit in (1, 1, 0, 1, 0, 0)]
     rebuilt = PublicKey(pk.n)
     response = comparison.evaluator_respond(rebuilt, request, 0b1011, 0, rng)
-    worker.batches.clear()
+    batches.clear()
     assert comparison.bit_owner_finish(sk, response) == 1
-    assert worker.batches == [[(sk.p - 1, sk.p * sk.p), (sk.q - 1, sk.q * sk.q)] * 7]
+    assert batches == [[(sk.p - 1, sk.p * sk.p), (sk.q - 1, sk.q * sk.q)] * 7]
 
 
 def test_blind_leaves_no_process_or_warning_at_exit(checkout_env):
-    # Registered before pinfer is imported, so it runs after pinfer's own
-    # exit handler: by then the worker must be reaped.
     code = """
-import atexit, os
-def reaped():
-    from pinfer import numutil
-    assert numutil._POWERS._proc is None
+import atexit, os, threading
+def alone():
+    assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
     try:
-        os.waitpid(PID, os.WNOHANG)
+        os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
         return
-    raise AssertionError("the worker was not reaped")
-atexit.register(reaped)
+    raise AssertionError("a child process is left")
+atexit.register(alone)
 from pinfer.numutil import insecure_rng
 from pinfer.paillier import PublicKey, keygen
 rng = insecure_rng(5)
@@ -629,8 +511,6 @@ pk, sk = keygen(256, rng)
 key = PublicKey(pk.n)
 blinded = key.blind_all([key.encrypt(0, rng), key.encrypt(4, rng)], rng)
 assert [sk.decrypt(c) == 0 for c in blinded] == [True, False]
-from pinfer import numutil
-PID = numutil._POWERS._proc.pid
 """
     result = subprocess.run([sys.executable, "-W", "error", "-c", code], env=checkout_env,
                             capture_output=True, text=True, timeout=120)
@@ -725,21 +605,6 @@ def test_keygen_from_system_random_has_the_exact_size(bits):
         assert sk.decrypt(pk.encrypt(-3)) == -3
 
 
-def test_worker_that_dies_during_keygen_raises_worker_error(monkeypatch):
-    _, expected = keygen(512, insecure_rng(17))
-    numutil._POWERS.close()
-    monkeypatch.setattr(numutil, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
-    with pytest.raises(WorkerError):
-        keygen(512, insecure_rng(17))
-    assert numutil._POWERS._proc is None
-    with pytest.raises(WorkerError):
-        SecretKey(expected.p, expected.q)
-    assert numutil._POWERS._proc is None
-    monkeypatch.undo()
-    _, sk = keygen(512, insecure_rng(17))
-    assert (sk.p, sk.q) == (expected.p, expected.q)
-
-
 def test_keygen_tests_each_returned_prime_once(monkeypatch):
     tested = []
     original = paillier.is_probable_prime
@@ -779,22 +644,30 @@ def test_is_probable_prime_matches_sieve():
     assert [n for n in range(-2, limit) if is_probable_prime(n)] == _sieve(limit)
 
 
-#: Run before ``pinfer`` is imported: each makes ``numutil`` choose one
-#: backend. The worker runs under ``python -I`` and chooses its own.
-_BACKENDS = {
-    "python": """
-import ctypes, sys
-sys.modules["gmpy2"] = None  # forces the ImportError branch
+#: Blocks libgmp, which ``numutil`` chooses first when it loads.
+_NO_LIBGMP = """
+import ctypes
 def no_library(*args, **kwargs):
     raise OSError("libgmp is blocked")
 ctypes.CDLL = no_library
-""",
-    "gmpy2": """
+"""
+
+_GMPY2_STUB = """
 import sys, types
 sys.modules["gmpy2"] = gmpy2 = types.ModuleType("gmpy2")
 gmpy2.powmod = pow
 gmpy2.invert = lambda a, m: pow(a, -1, m)
+"""
+
+#: Run before ``pinfer`` is imported: each makes ``numutil`` choose one
+#: backend. libgmp is chosen before an importable gmpy2.
+_BACKENDS = {
+    "python": _NO_LIBGMP + """
+import sys
+sys.modules["gmpy2"] = None  # forces the ImportError branch
 """,
+    "gmpy2": _NO_LIBGMP + _GMPY2_STUB,
+    "libgmp": _GMPY2_STUB,
 }
 
 
@@ -820,7 +693,9 @@ assert sk.decrypt(5 * pk.encrypt(-2, rng) - pk.encrypt(1, rng)) == -11
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("backend", list(_BACKENDS))
+@pytest.mark.parametrize("backend", [
+    "python", "gmpy2", pytest.param("libgmp", marks=pytest.mark.skipif(
+        numutil.BACKEND != "libgmp", reason="libgmp does not load"))])
 def test_every_backend_reproduces_the_digests(checkout_env, backend):
     code = _BACKENDS[backend] + f"""
 from pinfer import keygen, numutil
@@ -838,33 +713,3 @@ for protocol in ("svm-core", "ffnn-relu"):
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
 
-
-def test_a_batch_that_finds_the_worker_busy_runs_on_its_own_thread(client_keys):
-    # A batch of another connection holds the worker: this one computes its
-    # items here rather than wait for it.
-    pk, sk = client_keys
-    key, plain = PublicKey(pk.n), [0, 3, -2]
-    values = [key.encrypt(m, insecure_rng(40 + i)) for i, m in enumerate(plain)]
-    serial = [c.value for c in _serial_blinds(key, values, insecure_rng(41))]
-    held, done = threading.Event(), threading.Event()
-
-    def hold():
-        with numutil._POWERS._lock:
-            held.set()
-            done.wait(120)
-
-    holder = threading.Thread(target=hold, daemon=True)
-    holder.start()
-    got = []
-    try:
-        assert held.wait(60)
-        batch = threading.Thread(target=lambda: got.extend(
-            [sk.decrypt(values[1]), [c.value for c in key.blind_all(values, insecure_rng(41))]]),
-            daemon=True)
-        batch.start()
-        batch.join(timeout=60)
-        assert not batch.is_alive()
-    finally:
-        done.set()
-        holder.join(timeout=60)
-    assert got == [3, serial]

@@ -13,8 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pinfer import keygen, numutil, wire
 from pinfer.comparison import ComparisonResponse
-from pinfer.errors import (MessageFormatError, ParameterError, ProtocolViolationError,
-                           WorkerError)
+from pinfer.errors import MessageFormatError, ParameterError, ProtocolViolationError
 from pinfer.linear import FeatureRequest, FeatureVector, LinearModel
 from pinfer.modelfile import LoadedModel
 from pinfer.network import (LayerMessage, LayerMeta, NetworkClientSession,
@@ -104,15 +103,21 @@ def test_svm_heur_over_wire(client_keys, server_keys, rng):
     assert transcript.round_trips == 1
 
 
-def test_import_starts_no_power_worker_and_keygen_leaves_one_running(checkout_env):
-    # Key generation splits its prime tests with the worker, which then
-    # stays up for the party's first batch.
+def test_import_and_keygen_leave_only_the_main_thread(checkout_env):
+    # Key generation's prime tests are batches whose helpers end with them.
     code = """
-from pinfer import keygen, numutil
+import os, threading
+from pinfer import keygen
 from pinfer.numutil import insecure_rng
-assert numutil._POWERS._proc is None
+assert threading.enumerate() == [threading.main_thread()]
 keygen(256, insecure_rng(3))
-assert numutil._POWERS._proc.poll() is None
+assert threading.enumerate() == [threading.main_thread()]
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    raise AssertionError("a child process is left")
 """
     result = subprocess.run([sys.executable, "-c", code], env=checkout_env,
                             capture_output=True, text=True, timeout=120)
@@ -120,12 +125,19 @@ assert numutil._POWERS._proc.poll() is None
 
 
 @pytest.mark.parametrize("protocol", list(wire.PROTOCOLS))
-def test_power_worker_runs_after_one_query(client_keys, server_keys, rng, protocol):
+def test_power_worker_runs_after_one_query(client_keys, server_keys, rng, protocol,
+                                           monkeypatch):
     # Every protocol batches encryptions: the client's features, or for
     # regr-dual and svm-core the fresh term of its masked inner product.
-    numutil._POWERS.close()
+    sizes, original = [], numutil.powers_while
+
+    def recording(items, work=None):
+        sizes.append(len(items))
+        return original(items, work)
+
+    monkeypatch.setattr(numutil, "powers_while", recording)
     run_protocol(protocol, *_model_and_input(protocol, rng), client_keys, server_keys, rng)
-    assert numutil._POWERS._proc is not None
+    assert max(sizes) >= 2
 
 
 def _model_and_input(protocol, rng):
@@ -172,66 +184,50 @@ def _query_after(first, protocol, loaded, x, client_keys, server_keys, rng):
     return result
 
 
-def _with_a_dead_worker(monkeypatch, step):
-    """``step(channel)`` while the power worker exits after the first bytes
-    of its first request."""
-    def first(channel):
-        numutil._POWERS.close()
-        monkeypatch.setattr(numutil, "_WORKER_SRC", "import sys; sys.stdin.buffer.read(4)")
-        try:
-            step(channel)
-        finally:
-            monkeypatch.undo()
-    return first
-
-
-def _error_reply(protocol, parts, fragment):
-    """A step that sends a request frame of ``parts`` and expects an error
+def _error_reply(protocol, parts, fragment, step=wire.STEP_REQUEST):
+    """A step that sends a ``step`` frame of ``parts`` and expects an error
     frame naming ``fragment``."""
-    def step(channel):
-        reply = _send(channel, protocol, wire.STEP_REQUEST, parts, bytes(wire.SESSION_ID_BYTES))
+    def send(channel):
+        reply = _send(channel, protocol, step, parts, bytes(wire.SESSION_ID_BYTES))
         assert reply.step_id == wire.STEP_ERROR and fragment in reply.parts[0]
-    return step
+    return send
 
 
 def _request_parts(client_keys, x, rng):
-    """A feature request's frame parts, encrypted before any worker is swapped."""
+    """A feature request's frame parts."""
     return _feature_parts(FeatureRequest.encrypt(client_keys[0], x, rng))
 
 
-def test_dead_power_worker_gets_an_error_reply(client_keys, server_keys, rng, monkeypatch):
-    # The server's first worker batch is the first unit's inner product.
-    loaded, x = ffnn_loaded("relu"), pm_one(rng)
-    first = _with_a_dead_worker(monkeypatch, _error_reply(
-        "ffnn-relu", _request_parts(client_keys, x, rng), b"power worker"))
-    result = _query_after(first, "ffnn-relu", loaded, x, client_keys, server_keys, rng)
-    oracle = eval_ffnn(loaded.model, x)
-    assert result.raw == tuple(p.raw for p in oracle)
-    assert result.values == tuple(p.value for p in oracle)
+@pytest.mark.parametrize("protocol,step,fragment", [
+    ("regr-core", wire.STEP_PUBLISH_REQUEST, b"regr-core does not publish a model"),
+    ("svm-heur", wire.STEP_LAYER_UP, b"unexpected step"),
+    ("ffnn-relu", wire.STEP_LAYER_UP, b"layer index out of range"),
+    ("ffnn-generic", wire.STEP_RESPONSE, b"unexpected step"),
+], ids=["publish-to-regr-core", "layer-up-to-svm-heur", "layer-index-past-the-end",
+        "response-to-ffnn-generic"])
+def test_refused_steps_get_an_error_reply(client_keys, server_keys, rng, protocol, step,
+                                          fragment):
+    loaded, x = _model_and_input(protocol, rng)
+    if protocol == "ffnn-relu":
+        # A live session first, so the layer-up frame reaches the decoder,
+        # with an index one past the network's last layer.
+        def refuse(channel):
+            reply = _send(channel, protocol, wire.STEP_REQUEST,
+                          _request_parts(client_keys, x, rng), bytes(wire.SESSION_ID_BYTES))
+            assert reply.step_id == wire.STEP_META
+            assert wire.unframe(channel.recv()).step_id == wire.STEP_LAYER_DOWN
+            _error_reply(protocol, (wire.pack_u32(len(loaded.model.layers)),), fragment,
+                         step)(channel)
+    else:
+        refuse = _error_reply(protocol, (), fragment, step)
 
-
-def test_dead_power_worker_in_regr_core_respond_gets_an_error_reply(client_keys, rng,
-                                                                    monkeypatch):
-    loaded, x = linear_loaded("logistic", rng=rng), random_x(4, 12, rng)
-    first = _with_a_dead_worker(monkeypatch, _error_reply(
-        "regr-core", _request_parts(client_keys, x, rng), b"power worker"))
-    result = _query_after(first, "regr-core", loaded, x, client_keys, None, rng)
-    assert result.value == eval_logistic(loaded.model, x).value
-    assert result.raw == (eval_linear(loaded.model, x).raw,)
-
-
-def test_dead_power_worker_fails_the_bit_owners_query(client_keys, server_keys, rng,
-                                                      monkeypatch):
-    # svm-core's client encrypts its mask bits before it sends the request.
-    loaded, x = linear_loaded("svm", rng=rng), random_x(4, 12, rng)
-
-    def query(channel):
-        with pytest.raises(WorkerError, match="power worker"):
-            run_inference(channel, "svm-core", x, client_keys, kappa=KAPPA, rng=rng)
-
-    result = _query_after(_with_a_dead_worker(monkeypatch, query), "svm-core", loaded, x,
-                          client_keys, server_keys, rng)
-    assert result.labels == (eval_svm(loaded.model, x).class_label,)
+    result = _query_after(refuse, protocol, loaded, x, client_keys, server_keys, rng)
+    if protocol == "regr-core":
+        assert result.value == eval_linear(loaded.model, x).value
+    elif protocol == "svm-heur":
+        assert result.labels == (eval_svm(loaded.model, x).class_label,)
+    else:
+        assert result.raw == tuple(p.raw for p in eval_ffnn(loaded.model, x))
 
 
 def test_oversized_client_key_gets_an_error_reply(client_keys, rng):
@@ -951,6 +947,32 @@ assert result.raw == (eval_linear(model, x).raw,)
     result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
                             env=checkout_env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0 and result.stderr == "", result.stderr
+
+
+def test_a_query_runs_without_fcntl(checkout_env):
+    # As on a platform whose Python has no fcntl module.
+    code = """
+import sys
+sys.modules["fcntl"] = None
+from pinfer import keygen
+from pinfer.linear import FeatureVector, LinearModel
+from pinfer.modelfile import LoadedModel
+from pinfer.numutil import insecure_rng
+from pinfer.reference import eval_svm
+from pinfer.runner import prepare_served, run_inference, serve_loopback
+rng = insecure_rng(4)
+client_keys, server_keys = keygen(256, rng), keygen(256, rng)
+model = LinearModel.from_real([0.5, -0.25, 0.75], 0.125, precision=8)
+served = prepare_served("svm-core", LoadedModel("svm", model, 40), server_keys, 40, rng)
+channel, _ = serve_loopback(served)
+x = FeatureVector.from_real([0.75, -1.0, 0.5], 8)
+result = run_inference(channel, "svm-core", x, client_keys, kappa=40, rng=rng)
+channel.close()
+assert result.labels == (eval_svm(model, x).class_label,)
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=checkout_env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 UNSCALED = {"linear": FeatureVector.from_real([1.5, -2.0, 0.25, 3.0], 12, allow_unscaled=True),
