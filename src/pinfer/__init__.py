@@ -12,8 +12,7 @@ from .errors import (DecryptionError, DimensionMismatchError, KeyMismatchError,
                      ProtocolViolationError)
 from .fixedpoint import DEFAULT_PRECISION, decode, encode
 from .paillier import Ciphertext, PublicKey, SecretKey, keygen
-from .comparison import (ComparisonRequest, ComparisonResponse,
-                         bit_owner_finish, bit_owner_request, evaluator_respond)
+from .comparison import bit_owner_finish, bit_owner_request, evaluator_respond
 from .linear import (DEFAULT_KAPPA, FeatureVector, LinearModel,
                      PublishedLinearModel, max_core_ell, regr_core_finish,
                      regr_core_request, regr_core_respond, regr_dual_finish,
@@ -33,8 +32,7 @@ __all__ = [
     "ProtocolViolationError",
     "DEFAULT_PRECISION", "decode", "encode",
     "Ciphertext", "PublicKey", "SecretKey", "keygen",
-    "ComparisonRequest", "ComparisonResponse", "bit_owner_finish",
-    "bit_owner_request", "evaluator_respond",
+    "bit_owner_finish", "bit_owner_request", "evaluator_respond",
     "DEFAULT_KAPPA", "FeatureVector", "LinearModel", "PublishedLinearModel",
     "max_core_ell", "regr_core_finish", "regr_core_request", "regr_core_respond",
     "regr_dual_finish", "regr_dual_publish", "regr_dual_request",

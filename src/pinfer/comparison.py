@@ -1,10 +1,11 @@
 """Shared-output private comparison (DGK-style), and the masked comparison on top.
 
-One party (the bit owner) holds a private l-bit integer mu and sends its bits
-encrypted under its own key. The other party (the evaluator) holds a private
-l-bit integer eta and a share bit delta_eval, and answers with l+1 blinded
-ciphertexts in random order. The bit owner decrypts them and sets its share
-delta_owner = 1 iff exactly one decrypts to zero. The shares then satisfy
+One party (the bit owner) holds a private l-bit integer mu; ``bit_owner_request``
+returns its bits encrypted under its own key, a tuple, low bit first. The other
+(the evaluator) holds a private l-bit integer eta and a share bit delta_eval;
+``evaluator_respond`` reads l off the tuple's length and returns the l+1
+blinded values in random order. ``bit_owner_finish`` decrypts them: the owner's
+share delta_owner is 1 iff exactly one is zero. The shares then satisfy
 
     delta_owner XOR delta_eval = [mu <= eta].
 
@@ -36,24 +37,9 @@ from .numutil import _ODD_PRIMORIAL, SYSTEM_RNG, gcd
 from .paillier import Ciphertext, PublicKey, SecretKey
 
 
-@dataclass(frozen=True)
-class ComparisonRequest:
-    """Encryptions of the bit owner's bits, low bit first."""
-
-    encrypted_bits: tuple[Ciphertext, ...]
-    bit_length: int
-
-
-@dataclass(frozen=True)
-class ComparisonResponse:
-    """The l+1 blinded values, uniformly permuted."""
-
-    blinded_values: tuple[Ciphertext, ...]
-
-
 def bit_owner_request(pk: PublicKey, mu: int, bit_length: int,
-                      rng: random.Random | None = None) -> ComparisonRequest:
-    """Encrypt the binary digits of mu under the bit owner's key.
+                      rng: random.Random | None = None) -> tuple[Ciphertext, ...]:
+    """Encrypt the binary digits of mu under the bit owner's key, low bit first.
 
     The bits are one ``PublicKey.encrypt_all`` batch: under the owner's own
     key, both half-size powers of each random factor are its items.
@@ -61,12 +47,12 @@ def bit_owner_request(pk: PublicKey, mu: int, bit_length: int,
     Raises:
         ParameterError: if mu is not an l-bit non-negative integer.
     """
-    return ComparisonRequest(tuple(pk.encrypt_all(digits(mu, bit_length), rng)), bit_length)
+    return tuple(pk.encrypt_all(digits(mu, bit_length), rng))
 
 
 def digits(mu: int, bit_length: int) -> list[int]:
-    """The bit_length binary digits of mu, low bit first: what the bit owner
-    encrypts. ``ParameterError`` if mu is not an l-bit non-negative integer."""
+    """The bit_length binary digits of mu, low bit first: the bits of either
+    party's input. ``ParameterError`` if mu is not an l-bit non-negative integer."""
     if bit_length < 1:
         raise ParameterError("bit length must be positive")
     if not 0 <= mu < (1 << bit_length):
@@ -74,9 +60,10 @@ def digits(mu: int, bit_length: int) -> list[int]:
     return [(mu >> i) & 1 for i in range(bit_length)]
 
 
-def evaluator_respond(pk: PublicKey, request: ComparisonRequest, eta: int, delta_eval: int,
-                      rng: random.Random | None = None) -> ComparisonResponse:
-    """Blinded test values for the comparison against eta.
+def evaluator_respond(pk: PublicKey, bits: tuple[Ciphertext, ...], eta: int, delta_eval: int,
+                      rng: random.Random | None = None) -> tuple[Ciphertext, ...]:
+    """Blinded test values for the comparison of the l = len(bits) encrypted
+    bits, low bit first, against eta.
 
     For i = l-1 .. 0 the evaluator forms, over encrypted data,
 
@@ -90,27 +77,22 @@ def evaluator_respond(pk: PublicKey, request: ComparisonRequest, eta: int, delta
     both take the rest.
 
     Raises:
-        ParameterError: eta out of range or delta_eval not a bit.
-        ProtocolViolationError: request length disagrees with its bit length.
+        ParameterError: no bits, eta not an l-bit non-negative integer, or
+            delta_eval not a bit.
     """
     rng = rng or SYSTEM_RNG
-    ell = request.bit_length
-    if len(request.encrypted_bits) != ell:
-        raise ProtocolViolationError("comparison request length disagrees with its bit length")
-    if not 0 <= eta < (1 << ell):
-        raise ParameterError(f"value {eta} is not a {ell}-bit non-negative integer")
+    eta_bits = digits(eta, len(bits))
     if delta_eval not in (0, 1):
         raise ParameterError("share must be a bit")
     s = 1 - 2 * delta_eval
-    eta_bits = [(eta >> i) & 1 for i in range(ell)]
     # XOR against a known bit: reuse the ciphertext for 0, flip it for 1.
-    xor_terms = [bits if eta_bits[i] == 0 else (-bits).add_plain(1)
-                 for i, bits in enumerate(request.encrypted_bits)]
+    xor_terms = [bit if eta_bits[i] == 0 else (-bit).add_plain(1)
+                 for i, bit in enumerate(bits)]
 
     values: list[Ciphertext] = []
     suffix = None  # encrypted sum of xor_terms[j] for j > i
-    for i in reversed(range(ell)):
-        term = request.encrypted_bits[i] if s == 1 else -request.encrypted_bits[i]
+    for i in reversed(range(len(bits))):
+        term = bits[i] if s == 1 else -bits[i]
         value = term.add_plain(1 - s * eta_bits[i])
         if suffix is not None:
             value = value + suffix
@@ -119,10 +101,10 @@ def evaluator_respond(pk: PublicKey, request: ComparisonRequest, eta: int, delta
     values.append(suffix.add_plain(delta_eval))
     blinded = pk.blind_all(values, rng)
     rng.shuffle(blinded)
-    return ComparisonResponse(tuple(blinded))
+    return tuple(blinded)
 
 
-def bit_owner_finish(sk: SecretKey, response: ComparisonResponse) -> int:
+def bit_owner_finish(sk: SecretKey, blinded: tuple[Ciphertext, ...]) -> int:
     """The bit owner's share: 1 iff exactly one blinded value decrypts to zero.
 
     The values are one ``SecretKey.decrypt_all`` batch: both half-size
@@ -131,7 +113,7 @@ def bit_owner_finish(sk: SecretKey, response: ComparisonResponse) -> int:
     Raises:
         ProtocolViolationError: more than one zero, impossible for honest peers.
     """
-    zeros = sk.decrypt_all(list(response.blinded_values)).count(0)
+    zeros = sk.decrypt_all(list(blinded)).count(0)
     if zeros > 1:
         raise ProtocolViolationError(f"{zeros} blinded values decrypted to zero")
     return 1 if zeros == 1 else 0
@@ -162,25 +144,27 @@ def draw_mask(ell: int, kappa: int, rng: random.Random, mask: int | None = None)
 
 
 def evaluator_step(sk_eval: SecretKey, pk_owner: PublicKey, challenge: UnitChallenge,
-                   flip: int, rng: random.Random | None = None) -> ComparisonResponse:
-    """Compare the low ell bits of t + mask against the mask's, with the
-    evaluator's share pinned to bit ell of t + mask XOR ``flip``.
+                   flip: int, rng: random.Random | None = None) -> tuple[Ciphertext, ...]:
+    """The blinded values comparing the low ell bits of t + mask against the
+    mask's, with the evaluator's share bit ell of t + mask XOR ``flip``.
 
     Raises:
-        ProtocolViolationError: the owner's modulus has an odd prime factor
-            below 2**12, before any blind. r*h mod such a prime p is 0
-            exactly when p divides h, so the owner could read h mod p.
+        ProtocolViolationError: the challenge carries other than ell mask
+            bits; or the owner's modulus has an odd prime factor below
+            2**12, before any blind. r*h mod such a prime p is 0 exactly
+            when p divides h, so the owner could read h mod p.
     """
+    ell = challenge.ell
+    if len(challenge.mask_bits) != ell:
+        raise ProtocolViolationError(f"expected {ell} mask bits, got {len(challenge.mask_bits)}")
     if gcd(pk_owner.n, _ODD_PRIMORIAL) != 1:
         raise ProtocolViolationError("the bit owner's modulus has a small factor")
-    ell = challenge.ell
     t_star = sk_eval.decrypt_unsigned(challenge.masked_inner)
     delta_eval = ((t_star >> ell) & 1) ^ flip
-    return evaluator_respond(pk_owner, ComparisonRequest(challenge.mask_bits, ell),
-                             t_star % (1 << ell), delta_eval, rng)
+    return evaluator_respond(pk_owner, challenge.mask_bits, t_star % (1 << ell), delta_eval, rng)
 
 
 def owner_step(sk_owner: SecretKey, mask: int, ell: int,
-               response: ComparisonResponse) -> int:
+               blinded: tuple[Ciphertext, ...]) -> int:
     """[t >= 0] XOR flip: the owner's share XOR bit ell of the mask."""
-    return bit_owner_finish(sk_owner, response) ^ ((mask >> ell) & 1)
+    return bit_owner_finish(sk_owner, blinded) ^ ((mask >> ell) & 1)

@@ -28,8 +28,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import activations, wire
-from .comparison import (ComparisonResponse, UnitChallenge, digits, draw_mask,
-                         evaluator_step, owner_step)
+from .comparison import UnitChallenge, digits, draw_mask, evaluator_step, owner_step
 from .errors import (DimensionMismatchError, ParameterError,
                      ProtocolViolationError)
 from .fixedpoint import decode, encode
@@ -38,10 +37,6 @@ from .paillier import Ciphertext, PublicKey, SecretKey, _factors
 
 #: Default statistical security parameter for masking.
 DEFAULT_KAPPA = 95
-
-
-def _ceil_log2(value: int) -> int:
-    return (value - 1).bit_length() if value > 1 else 0
 
 
 def inner_product_bound(theta, x_max: int) -> int:
@@ -87,20 +82,17 @@ class LinearModel:
         return 2 * self.precision
 
     @classmethod
-    def from_real(cls, weights, bias: float = 0.0, precision: int = 53,
-                  ell: int | None = None) -> "LinearModel":
+    def from_real(cls, weights, bias: float = 0.0, precision: int = 53) -> "LinearModel":
         """Encode real weights in [-1, 1] at the given precision.
 
-        The default bound length is ell = 2*precision + ceil(log2(d+1)),
-        widened if the encoded coefficients demand it.
+        The bound length is ell = 2*precision + ceil(log2(d+1)), widened if
+        the encoded coefficients demand it.
         """
         theta = (encode(bias, 2 * precision),
                  *(encode(w, precision) for w in weights))
-        d = len(theta) - 1
-        natural = 2 * precision + _ceil_log2(d + 1)
-        if ell is None:
-            ell = max(natural, inner_product_bound(theta, 1 << precision).bit_length())
-        return cls(theta, ell, precision)
+        natural = 2 * precision + (len(theta) - 1).bit_length()
+        return cls(theta, max(natural, inner_product_bound(theta, 1 << precision).bit_length()),
+                   precision)
 
 
 @dataclass(frozen=True)
@@ -400,7 +392,7 @@ def svm_core_request(published: PublishedLinearModel, pk_client: PublicKey,
 
 
 def svm_core_respond(sk_server: SecretKey, request: UnitChallenge, ell: int,
-                     rng: random.Random | None = None) -> ComparisonResponse:
+                     rng: random.Random | None = None) -> tuple[Ciphertext, ...]:
     """Decrypt the masked sum and answer the embedded comparison with flip 0,
     so the client's share reconstructs the sign of the inner product."""
     # Checked first: the client's key is read off the first mask bit.
@@ -410,7 +402,7 @@ def svm_core_respond(sk_server: SecretKey, request: UnitChallenge, ell: int,
     return evaluator_step(sk_server, request.mask_bits[0].public_key, request, 0, rng)
 
 
-def svm_core_finish(sk_client: SecretKey, response: ComparisonResponse,
+def svm_core_finish(sk_client: SecretKey, response: tuple[Ciphertext, ...],
                     session: MaskSession) -> int:
     """Recover the class: +1 iff theta . x >= 0."""
     ell = session.published.ell

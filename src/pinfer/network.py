@@ -31,9 +31,8 @@ from dataclasses import dataclass, fields, is_dataclass
 
 from . import activations, wire
 # perfbench's tracer wraps bit_owner_finish and evaluator_respond under these names.
-from .comparison import (ComparisonResponse, UnitChallenge,  # noqa: F401
-                         bit_owner_finish, digits, draw_mask, evaluator_respond,
-                         evaluator_step, owner_step)
+from .comparison import (UnitChallenge, bit_owner_finish, digits,  # noqa: F401
+                         draw_mask, evaluator_respond, evaluator_step, owner_step)
 from .errors import (DimensionMismatchError, ParameterError,
                      ProtocolViolationError)
 from .fixedpoint import decode, encode
@@ -236,11 +235,12 @@ class NetworkSpec:
 class UnitResponse:
     """The client's answer, in wire order: Enc((-1)**b) for sign or Enc(b)
     for relu under the client key, relu's pair, and in the core variant the
-    comparison under the server key."""
+    comparison's blinded values under the server key (empty in the
+    heuristic variant)."""
 
     bit: Ciphertext
     pair: tuple[Ciphertext, ...] = ()
-    comparison: ComparisonResponse | None = None
+    comparison: tuple[Ciphertext, ...] = ()
 
 
 @dataclass
@@ -283,7 +283,7 @@ def unit_answer(activation: str, sk_client: SecretKey, pk_server: PublicKey | No
     entry against what it sent."""
     rng = rng or SYSTEM_RNG
     pk = sk_client.public_key
-    comparison = None
+    comparison = ()
     if challenge.mask_bits:
         if b is None:
             b = rng.randrange(2)
@@ -415,8 +415,7 @@ def unflatten(meta: NetworkMeta, index: int | None, up: bool, cts) -> LayerMessa
     if not up:
         units = (UnitChallenge(u[0], u[k:], layer.ell) for u in chunks)
     else:
-        units = (UnitResponse(u[0], u[1:k], ComparisonResponse(u[k:]) if u[k:] else None)
-                 for u in chunks)
+        units = (UnitResponse(u[0], u[1:k], u[k:]) for u in chunks)
     return LayerMessage(index, tuple(units))
 
 
@@ -481,7 +480,7 @@ class NetworkServerSession:
         if reply.layer != self._layer or len(reply.units) != layer.units:
             raise ProtocolViolationError("reply does not fit the current layer")
         if compares(self.meta, self._layer):
-            self._enc = tuple(self._finish_unit(layer, state, resp)
+            self._enc = tuple(unit_finish(layer.activation, self.server_keys[1], state, resp)
                               for state, resp in zip(self._state, reply.units))
         else:
             self._enc = reply.units
@@ -499,21 +498,15 @@ class NetworkServerSession:
         if not compares(self.meta, self._layer):
             self.done = self._layer == self.spec.depth - 1
             return LayerMessage(self._layer, self._layer_inners(layer))
-        challenges, self._state = zip(*(self._challenge_unit(layer, theta)
-                                        for theta in layer.weights))
+        challenges, self._state = zip(*(
+            unit_challenge(self.meta.variant, theta, self._enc, self.server_keys[0],
+                           layer.ell, self.kappa, self.rng) for theta in layer.weights))
         return LayerMessage(self._layer, challenges)
 
     def _layer_inners(self, layer: LayerSpec) -> tuple[Ciphertext, ...]:
         pk = self._enc[0].public_key
         return tuple(encrypted_dot(pk, theta[0], theta[1:], self._enc, self.rng)
                      for theta in layer.weights)
-
-    def _challenge_unit(self, layer: LayerSpec, theta):
-        return unit_challenge(self.meta.variant, theta, self._enc, self.server_keys[0],
-                              layer.ell, self.kappa, self.rng)
-
-    def _finish_unit(self, layer: LayerSpec, state, response) -> Ciphertext:
-        return unit_finish(layer.activation, self.server_keys[1], state, response)
 
 
 class NetworkClientSession:

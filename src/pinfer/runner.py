@@ -1,20 +1,22 @@
 """Wire-level protocol drivers: frames over a byte channel.
 
 ``run_inference`` is the client side of every protocol; ``serve_connection``
-answers frames for one connection. Both speak the frame format of the wire
-module over one Channel (send/recv of whole frames): a stream socket, either
-a TCP connection or the socket pair of the in-process loopback that tests and
-the bench command use. The server encrypts a published model once, at
-set-up; the client of regr-dual and svm-core fetches it at the start of every
-query, in a separate exchange recorded on its own transcript.
+answers frames for one connection, where it holds one live network session
+at most: a new ``STEP_REQUEST`` ends it. Both speak the frame format of the
+wire module over one Channel (send/recv of whole frames): a stream socket,
+either a TCP connection or the socket pair of the in-process loopback that
+tests and the bench command use. The server encrypts a published model once,
+at set-up; the client of regr-dual and svm-core fetches it at the start of
+every query, in a separate exchange recorded on its own transcript.
 
 The codec is written once per message shape. A feature request (regr-core,
 svm-heur and the network ``STEP_REQUEST``) is the client key followed by one
-ciphertext per feature. A ``network.LayerMessage`` is a header of the layer
-index alone (none on the output message) followed by its ciphertexts in the
-order ``network.flatten`` gives, each under the key ``network.layout`` names
-for its position. ``_decode_layer`` inverts ``_encode_layer``: the index and
-the direction, read off the step, are all ``network.layout`` and
+ciphertext per feature; svm-core's response is the comparison's blinded
+values. A ``network.LayerMessage`` is a header of the layer index alone (none
+on the output message) followed by its ciphertexts in the order
+``network.flatten`` gives, each under the key ``network.layout`` names for its
+position. ``_decode_layer`` inverts ``_encode_layer``: the index and the
+direction, read off the step, are all ``network.layout`` and
 ``network.unflatten`` need besides the META, whose mode and variant the
 protocol id fixes. Every decoder checks a frame's part count before it reads
 a part, so a short or overlong frame is refused with an error frame.
@@ -40,7 +42,7 @@ from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector,
                      regr_dual_respond, svm_core_finish, svm_core_request,
                      svm_core_respond, svm_heur_finish, svm_heur_request,
                      svm_heur_respond)
-from .comparison import ComparisonResponse, UnitChallenge
+from .comparison import UnitChallenge
 from .modelfile import LoadedModel
 from .network import (InferenceResult, LayerMessage, LayerMeta,
                       NetworkClientSession, NetworkMeta, NetworkServerSession)
@@ -55,10 +57,6 @@ class ChannelClosed(PinferError):
 #: Largest frame ``SocketChannel.recv`` accepts. A 3072-bit ciphertext is
 #: 768 bytes, so this is over 87,000 ciphertexts in one message.
 MAX_FRAME_BYTES = 64 << 20
-
-#: Live network sessions one connection may hold; a further request is
-#: refused with an error frame and creates no session.
-MAX_SESSIONS_PER_CONNECTION = 16
 
 
 class SocketChannel:
@@ -208,8 +206,8 @@ def run_inference(channel, protocol: str, x: FeatureVector,
                  *(wire.serialize_ciphertext(c, pk_c) for c in request.mask_bits)),
                 n_cts=1 + len(request.mask_bits))
         frame = io.recv(wire.STEP_RESPONSE, n_cts=lambda f: len(f.parts))
-        response = ComparisonResponse(tuple(
-            wire.deserialize_ciphertext(p, pk_c) for p in _parts(frame, published.ell + 1)))
+        response = tuple(wire.deserialize_ciphertext(p, pk_c)
+                         for p in _parts(frame, published.ell + 1))
         label = svm_core_finish(sk_c, response, session)
         return InferenceResult((float(label),), labels=(label,))
 
@@ -462,8 +460,7 @@ def _handle_linear_request(served: ServedModel, frame: wire.Frame) -> tuple:
         bits = tuple(wire.deserialize_ciphertext(p, pk_c) for p in body)
         request = UnitChallenge(masked_inner, bits, model.ell)
         response = svm_core_respond(sk_s, request, model.ell, served.rng)
-        return tuple(wire.serialize_ciphertext(c, pk_c)
-                     for c in response.blinded_values)
+        return tuple(wire.serialize_ciphertext(c, pk_c) for c in response)
     request = _feature_request(frame)
     pk_c = request.public_key
     if protocol == "svm-heur":
@@ -481,9 +478,8 @@ def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
     if frame.step_id == wire.STEP_REQUEST:
         if frame.session_id in sessions:
             raise ProtocolViolationError("session already active")
-        if len(sessions) >= MAX_SESSIONS_PER_CONNECTION:
-            raise ProtocolViolationError(
-                f"connection already holds {MAX_SESSIONS_PER_CONNECTION} live sessions")
+        # One live session per connection: a new request ends the last one.
+        sessions.clear()
         request = _feature_request(frame)
         session = NetworkServerSession(served.loaded.model, mode=info.mode,
                                        server_keys=served.server_keys, kappa=served.kappa,

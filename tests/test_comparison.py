@@ -3,8 +3,8 @@ import dataclasses
 import pytest
 
 from pinfer import numutil
-from pinfer.comparison import (ComparisonRequest, ComparisonResponse, bit_owner_finish,
-                               bit_owner_request, draw_mask, evaluator_respond)
+from pinfer.comparison import (bit_owner_finish, bit_owner_request, draw_mask,
+                               evaluator_respond)
 from pinfer.errors import ParameterError, ProtocolViolationError
 from pinfer.linear import (FeatureVector, LinearModel, encrypted_dot, regr_dual_publish,
                            svm_core_request)
@@ -33,9 +33,9 @@ def run(sk_owner, pk_owner, mu, eta, delta_eval, ell, rng):
 def test_request_shape(client_keys, rng):
     pk, sk = client_keys
     request = bit_owner_request(pk, 5, 3, rng)
-    assert [sk.decrypt(c) for c in request.encrypted_bits] == [1, 0, 1]
+    assert [sk.decrypt(c) for c in request] == [1, 0, 1]
     request = bit_owner_request(pk, 0, 4, rng)
-    assert [sk.decrypt(c) for c in request.encrypted_bits] == [0, 0, 0, 0]
+    assert [sk.decrypt(c) for c in request] == [0, 0, 0, 0]
 
 
 def test_request_rejects_out_of_range(client_keys):
@@ -52,7 +52,7 @@ def test_zero_counts_match_plain_evaluation(client_keys, rng, mu, eta, zeros):
     assert plain_test_values(mu, eta, 0, 3).count(0) == zeros
     request = bit_owner_request(pk, mu, 3, rng)
     response = evaluator_respond(pk, request, eta, 0, rng)
-    decrypted = [sk.decrypt(c) for c in response.blinded_values]
+    decrypted = [sk.decrypt(c) for c in response]
     assert decrypted.count(0) == zeros
 
 
@@ -80,7 +80,7 @@ def test_at_most_one_zero_exhaustive(client_keys, rng):
             for delta_eval in (0, 1):
                 request = bit_owner_request(pk, mu, ell, rng)
                 response = evaluator_respond(pk, request, eta, delta_eval, rng)
-                zeros = sum(1 for c in response.blinded_values if sk.decrypt(c) == 0)
+                zeros = sum(1 for c in response if sk.decrypt(c) == 0)
                 assert zeros <= 1
 
 
@@ -90,7 +90,7 @@ def test_blinding_varies_across_runs(client_keys, rng):
     seen = set()
     for _ in range(20):
         response = evaluator_respond(pk, request, 9, 0, rng)
-        values = tuple(sorted(sk.decrypt_unsigned(c) for c in response.blinded_values))
+        values = tuple(sorted(sk.decrypt_unsigned(c) for c in response))
         seen.add(values)
     assert len(seen) > 1
 
@@ -102,14 +102,13 @@ def test_respond_validates_inputs(client_keys, rng):
         evaluator_respond(pk, request, 8, 0, rng)
     with pytest.raises(ParameterError):
         evaluator_respond(pk, request, 3, 2, rng)
-    bad = ComparisonRequest(request.encrypted_bits, 4)
-    with pytest.raises(ProtocolViolationError):
-        evaluator_respond(pk, bad, 3, 0, rng)
+    with pytest.raises(ParameterError):
+        evaluator_respond(pk, (), 0, 0, rng)
 
 
 def test_two_zeros_is_a_protocol_violation(client_keys, rng):
     pk, sk = client_keys
-    forged = ComparisonResponse((pk.encrypt(0, rng), pk.encrypt(0, rng), pk.encrypt(3, rng)))
+    forged = (pk.encrypt(0, rng), pk.encrypt(0, rng), pk.encrypt(3, rng))
     with pytest.raises(ProtocolViolationError):
         bit_owner_finish(sk, forged)
 
@@ -159,7 +158,7 @@ def test_unit_challenge_is_one_worker_batch(client_keys, server_keys, monkeypatc
     rng = insecure_rng(21)
     mask = draw_mask(ell, 40, rng)
     t_ct = encrypted_dot(pk_c, theta[0] + mask, theta[1:], enc, rng)
-    bits = bit_owner_request(pk_s, mask % (1 << ell), ell, rng).encrypted_bits
+    bits = bit_owner_request(pk_s, mask % (1 << ell), ell, rng)
     after = rng.random()
 
     batches = _record_batches(monkeypatch)
@@ -183,7 +182,7 @@ def test_svm_core_request_is_one_worker_batch(client_keys, server_keys, monkeypa
     mask = draw_mask(5, 40, rng)
     theta_0, *theta = published.ciphertexts
     acc = encrypted_dot(pk_s, mask, x.values[1:], theta, rng) + theta_0
-    bits = bit_owner_request(pk_c, mask % (1 << 5), 5, rng).encrypted_bits
+    bits = bit_owner_request(pk_c, mask % (1 << 5), 5, rng)
     after = rng.random()
 
     batches = _record_batches(monkeypatch)

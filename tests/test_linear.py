@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pinfer import wire
@@ -263,6 +265,10 @@ def test_svm_core_bit_count_mismatch(server_keys, client_keys, rng):
     request, _ = svm_core_request(published, pk_c, FeatureVector((1, 0), 0), 40, rng)
     with pytest.raises(ProtocolViolationError):
         svm_core_respond(sk_s, request, ell=6, rng=rng)
+    # A challenge whose own ell disagrees with its bits is refused in the
+    # comparison step.
+    with pytest.raises(ProtocolViolationError, match="expected 6 mask bits, got 5"):
+        svm_core_respond(sk_s, dataclasses.replace(request, ell=6), ell=5, rng=rng)
 
 
 def test_svm_core_session_single_use(server_keys, client_keys, rng):

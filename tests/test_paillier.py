@@ -484,7 +484,7 @@ def test_bit_owner_makes_one_worker_batch_per_step(client_keys, rng, monkeypatch
     request = comparison.bit_owner_request(pk, 0b1011, 6, insecure_rng(15))
     assert batches == [[(sk.p, sk.p * sk.p), (sk.q, sk.q * sk.q)] * 6]
     serial_rng = insecure_rng(15)
-    assert [c.value for c in request.encrypted_bits] == \
+    assert [c.value for c in request] == \
         [pk.encrypt(bit, serial_rng).value for bit in (1, 1, 0, 1, 0, 0)]
     rebuilt = PublicKey(pk.n)
     response = comparison.evaluator_respond(rebuilt, request, 0b1011, 0, rng)

@@ -12,17 +12,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pinfer import keygen, numutil, wire
-from pinfer.comparison import ComparisonResponse
-from pinfer.errors import MessageFormatError, ParameterError, ProtocolViolationError
+from pinfer.errors import (MessageFormatError, ParameterError, PinferError,
+                           ProtocolViolationError)
 from pinfer.linear import FeatureRequest, FeatureVector, LinearModel
 from pinfer.modelfile import LoadedModel
 from pinfer.network import (LayerMessage, LayerMeta, NetworkClientSession,
                             NetworkMeta, NetworkSpec, UnitChallenge, UnitResponse,
-                            compares, layout)
+                            compares, evaluate_network, layout)
 from pinfer.numutil import insecure_rng
 from pinfer.paillier import PublicKey
 from pinfer.reference import (eval_ffnn, eval_linear, eval_logistic, eval_svm)
-from pinfer.runner import (MAX_SESSIONS_PER_CONNECTION, ChannelClosed, SocketChannel,
+from pinfer.runner import (ChannelClosed, SocketChannel,
                            _decode_layer, _encode_layer, _feature_parts,
                            _meta_from_json, _meta_to_json,
                            prepare_served, run_inference, serve_connection,
@@ -202,22 +202,35 @@ def _request_parts(client_keys, x, rng):
     ("regr-core", wire.STEP_PUBLISH_REQUEST, b"regr-core does not publish a model"),
     ("svm-heur", wire.STEP_LAYER_UP, b"unexpected step"),
     ("ffnn-relu", wire.STEP_LAYER_UP, b"layer index out of range"),
+    ("ffnn-relu", wire.STEP_LAYER_UP, b"reply does not fit the current layer"),
     ("ffnn-generic", wire.STEP_RESPONSE, b"unexpected step"),
+    ("ffnn-sign", wire.STEP_REQUEST, b"network expects"),
 ], ids=["publish-to-regr-core", "layer-up-to-svm-heur", "layer-index-past-the-end",
-        "response-to-ffnn-generic"])
+        "layer-up-for-the-next-layer", "response-to-ffnn-generic",
+        "request-one-feature-short"])
 def test_refused_steps_get_an_error_reply(client_keys, server_keys, rng, protocol, step,
                                           fragment):
     loaded, x = _model_and_input(protocol, rng)
     if protocol == "ffnn-relu":
         # A live session first, so the layer-up frame reaches the decoder,
-        # with an index one past the network's last layer.
+        # with an index one past the network's last layer, or the next
+        # layer's index and that layer's reply layout.
         def refuse(channel):
             reply = _send(channel, protocol, wire.STEP_REQUEST,
                           _request_parts(client_keys, x, rng), bytes(wire.SESSION_ID_BYTES))
             assert reply.step_id == wire.STEP_META
             assert wire.unframe(channel.recv()).step_id == wire.STEP_LAYER_DOWN
-            _error_reply(protocol, (wire.pack_u32(len(loaded.model.layers)),), fragment,
-                         step)(channel)
+            meta, pk_s = _meta_from_json(reply.parts[0], wire.PROTOCOLS[protocol])
+            keys = {"c": client_keys[0], "s": pk_s}
+            index, body = len(meta.layers), ()
+            if b"fit" in fragment:
+                index = 1
+                body = tuple(wire.serialize_ciphertext(keys[k].encrypt(0), keys[k])
+                             for k in layout(meta, index, up=True))
+            _error_reply(protocol, (wire.pack_u32(index), *body), fragment, step)(channel)
+    elif step == wire.STEP_REQUEST:
+        # One ciphertext short of the network's inputs.
+        refuse = _error_reply(protocol, _request_parts(client_keys, x, rng)[:-1], fragment)
     else:
         refuse = _error_reply(protocol, (), fragment, step)
 
@@ -534,36 +547,35 @@ def test_short_frames_get_error_replies(client_keys, server_keys, rng, protocol)
         assert result.value == eval_logistic(loaded.model, x).value
 
 
-def test_live_sessions_per_connection_are_capped(client_keys, rng):
+def test_a_new_request_ends_the_live_session(client_keys, rng):
     loaded, x = ffnn_loaded("sign"), pm_one(rng)
     served = prepare_served("ffnn-generic", loaded, None, KAPPA, rng)
     channel, thread = serve_loopback(served)
     channel._sock.settimeout(60)
     request = _feature_parts(FeatureRequest.encrypt(client_keys[0], x, rng))
-    session_ids = [bytes([i]) * wire.SESSION_ID_BYTES
-                   for i in range(MAX_SESSIONS_PER_CONNECTION + 1)]
+    first, second = (bytes([i]) * wire.SESSION_ID_BYTES for i in (1, 2))
+    keys = {"c": client_keys[0], "s": None}
     try:
-        for session_id in session_ids[:-1]:
+        downs = {}
+        for session_id in (first, second):
             meta_frame = _send(channel, "ffnn-generic", wire.STEP_REQUEST, request, session_id)
             assert meta_frame.step_id == wire.STEP_META
-            first_layer = wire.unframe(channel.recv())
-            assert first_layer.step_id == wire.STEP_LAYER_DOWN
-        refused = _send(channel, "ffnn-generic", wire.STEP_REQUEST, request, session_ids[-1])
-        assert refused.step_id == wire.STEP_ERROR
-        assert b"live sessions" in refused.parts[0]
-        # The refused request created no session.
-        reply = _send(channel, "ffnn-generic", wire.STEP_LAYER_UP, (), session_ids[-1])
-        assert reply.parts[0] == b"unknown session"
-        # The last live session still runs to the oracle's answer.
+            downs[session_id] = wire.unframe(channel.recv())
         meta, _ = _meta_from_json(meta_frame.parts[0], wire.PROTOCOLS["ffnn-generic"])
-        keys = {"c": client_keys[0], "s": None}
+        # The second request ended the first session.
         client = NetworkClientSession(meta, client_keys, None, rng)
-        message = _decode_layer(first_layer, meta, keys)
+        reply = client.handle(_decode_layer(downs[first], meta, keys))
+        refused = _send(channel, "ffnn-generic", *_encode_layer(reply, meta, keys, up=True),
+                        first)
+        assert refused.step_id == wire.STEP_ERROR
+        assert refused.parts[0] == b"unknown session"
+        # The second session runs to the oracle's answer, and so does a new query.
+        client = NetworkClientSession(meta, client_keys, None, rng)
+        message = _decode_layer(downs[second], meta, keys)
         while (reply := client.handle(message)) is not None:
             down = _send(channel, "ffnn-generic", *_encode_layer(reply, meta, keys, up=True),
-                         session_ids[-2])
+                         second)
             message = _decode_layer(down, meta, keys)
-        # Its end frees a place for a new query.
         result = run_inference(channel, "ffnn-generic", x, client_keys, kappa=KAPPA, rng=rng)
     finally:
         channel.close()
@@ -739,6 +751,62 @@ def test_client_rejects_reply_for_another_session(client_keys, rng):
         run_inference(channel, "regr-core", x, client_keys, rng=rng)
 
 
+def _stray_replies(case, client_keys):
+    pk_c = client_keys[0]
+    regr = (wire.serialize_ciphertext(pk_c.encrypt(5), pk_c), b"identity", wire.pack_u32(12))
+    generic = _meta_to_json(ffnn_loaded("sign").model.meta("generic"), None)
+    return {
+        "reply under another protocol": ("regr-core", _CannedServer(
+            "svm-heur", [(wire.STEP_RESPONSE, regr)])),
+        "META for regr-core": ("regr-core", _CannedServer(
+            "regr-core", [(wire.STEP_META, (generic,))])),
+        "response after META": ("ffnn-generic", _CannedServer(
+            "ffnn-generic", [(wire.STEP_META, (generic,)), (wire.STEP_RESPONSE, ())])),
+    }[case]
+
+
+@pytest.mark.parametrize("case,fragment", [
+    ("reply under another protocol", "unexpected protocol"),
+    ("META for regr-core", "unexpected step"),
+    ("response after META", "unexpected step")])
+def test_client_refuses_a_reply_of_another_kind(client_keys, rng, case, fragment):
+    # The second case is refused where a reply's step is expected, the third
+    # in the network loop.
+    protocol, channel = _stray_replies(case, client_keys)
+    x = pm_one(rng) if protocol.startswith("ffnn") else FeatureVector((1, 1), 12)
+    with pytest.raises(ProtocolViolationError, match=fragment):
+        run_inference(channel, protocol, x, client_keys, kappa=KAPPA, rng=rng)
+
+
+@pytest.mark.parametrize("protocol,fragment", [
+    ("regr-core", "server model precision differs from the input"),
+    ("ffnn-generic", "input does not match the served network"),
+    ("regr-dual", "feature precision differs from the published model")])
+def test_input_at_another_precision_is_refused(client_keys, server_keys, rng, protocol,
+                                                fragment):
+    loaded, x = _model_and_input(protocol, rng)
+    x = FeatureVector(x.values, x.precision + 1)
+    with pytest.raises(PinferError, match=fragment):
+        run_protocol(protocol, loaded, x, client_keys, server_keys, rng)
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh", "softplus", "leaky_relu"])
+def test_smooth_hidden_layers_in_generic_mode(client_keys, rng, activation):
+    # The client re-encodes a smooth activation at the model precision.
+    precision = 12
+
+    def rows(units, fan_in):
+        return [[rng.uniform(-1, 1) for _ in range(fan_in + 1)] for _ in range(units)]
+    spec = NetworkSpec.from_real([(rows(3, 2), activation), (rows(2, 3), "identity")],
+                                 precision)
+    x = FeatureVector.from_real([rng.uniform(-1, 1), rng.uniform(-1, 1)], precision)
+    oracle = tuple(p.raw for p in eval_ffnn(spec, x))
+    result = run_protocol("ffnn-generic", LoadedModel("ffnn", spec, KAPPA), x, client_keys,
+                          None, rng)
+    assert result.raw == oracle
+    assert evaluate_network(spec, "generic", x, client_keys, rng=rng).raw == oracle
+
+
 _LAYOUT_KEYS = (keygen(128, insecure_rng(0x1A40)), keygen(128, insecure_rng(0x1A41)))
 
 
@@ -749,8 +817,7 @@ def _unit(up, activation, variant, ell, c, s):
         return UnitChallenge(c(), tuple(s() for _ in range(ell if core else 0)), ell)
     bit = c()
     pair = () if activation == "sign" else (c(), c())
-    return UnitResponse(bit, pair, ComparisonResponse(tuple(s() for _ in range(ell + 1)))
-                        if core else None)
+    return UnitResponse(bit, pair, tuple(s() for _ in range(ell + 1)) if core else ())
 
 
 @settings(max_examples=80, deadline=None)
