@@ -13,11 +13,13 @@ Neither party learns the comparison result on its own.
 
 The masked comparison finds the sign of a value |t| < 2**l. The mask owner
 sends t + r under the evaluator's key, with r uniform over
-[2**l - 1, 2**(l+kappa)), and the low l bits of r under its own key. The
-evaluator compares the low l bits of t + r against them with delta_eval =
-bit l of t + r XOR a flip bit; the owner's share XOR bit l of r is then
-[t >= 0] XOR flip. svm-core runs it with the client as owner and flip 0,
-the core network units with the server as owner and a random flip.
+[2**l - 1, 2**(l+kappa)), and the low l bits of r under its own key
+(``linear.masked_challenge``). The evaluator reads l off the bit count,
+which its caller checks, and compares the low l bits of t + r against them
+with delta_eval = bit l of t + r XOR a flip bit; the owner's share XOR bit
+l of r is then [t >= 0] XOR flip. svm-core runs it with the client as
+owner and flip 0, the core network units with the server as owner and a
+random flip.
 
 Blinding scalars are drawn from the units modulo M by rejection sampling;
 M = N is composite here, but a product r*h can only vanish modulo M for
@@ -29,11 +31,12 @@ divides h, so ``evaluator_step`` refuses an owner key with a factor below
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .errors import ParameterError, ProtocolViolationError
-from .numutil import _ODD_PRIMORIAL, SYSTEM_RNG, gcd
+from .numutil import _ODD_PRIMORIAL, SYSTEM_RNG
 from .paillier import Ciphertext, PublicKey, SecretKey
 
 
@@ -124,12 +127,12 @@ def bit_owner_finish(sk: SecretKey, blinded: tuple[Ciphertext, ...]) -> int:
 
 @dataclass(frozen=True)
 class UnitChallenge:
-    """t + mask under the evaluator's key; the mask's low bits under the owner's.
-    A heuristic network unit sends lam * t + mu in its place, and no bits."""
+    """t + mask under the evaluator's key; the mask's low ell bits under the
+    owner's, whose count the receiver checks against its ell. A heuristic
+    network unit sends lam * t + mu in its place, and no bits."""
 
     masked_inner: Ciphertext
     mask_bits: tuple[Ciphertext, ...]
-    ell: int
 
 
 def draw_mask(ell: int, kappa: int, rng: random.Random, mask: int | None = None) -> int:
@@ -147,17 +150,15 @@ def evaluator_step(sk_eval: SecretKey, pk_owner: PublicKey, challenge: UnitChall
                    flip: int, rng: random.Random | None = None) -> tuple[Ciphertext, ...]:
     """The blinded values comparing the low ell bits of t + mask against the
     mask's, with the evaluator's share bit ell of t + mask XOR ``flip``.
+    ell is the number of mask bits; the caller checks it against its own.
 
     Raises:
-        ProtocolViolationError: the challenge carries other than ell mask
-            bits; or the owner's modulus has an odd prime factor below
-            2**12, before any blind. r*h mod such a prime p is 0 exactly
-            when p divides h, so the owner could read h mod p.
+        ProtocolViolationError: the owner's modulus has an odd prime factor
+            below 2**12, before any blind. r*h mod such a prime p is 0
+            exactly when p divides h, so the owner could read h mod p.
     """
-    ell = challenge.ell
-    if len(challenge.mask_bits) != ell:
-        raise ProtocolViolationError(f"expected {ell} mask bits, got {len(challenge.mask_bits)}")
-    if gcd(pk_owner.n, _ODD_PRIMORIAL) != 1:
+    ell = len(challenge.mask_bits)
+    if math.gcd(pk_owner.n, _ODD_PRIMORIAL) != 1:
         raise ProtocolViolationError("the bit owner's modulus has a small factor")
     t_star = sk_eval.decrypt_unsigned(challenge.masked_inner)
     delta_eval = ((t_star >> ell) & 1) ^ flip

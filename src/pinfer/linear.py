@@ -24,6 +24,7 @@ step needs, if anything: a single-use session holding the client's mask
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ from .comparison import UnitChallenge, digits, draw_mask, evaluator_step, owner_
 from .errors import (DimensionMismatchError, ParameterError,
                      ProtocolViolationError)
 from .fixedpoint import decode, encode
-from .numutil import SYSTEM_RNG, gcd
+from .numutil import SYSTEM_RNG
 from .paillier import Ciphertext, PublicKey, SecretKey, _factors
 
 #: Default statistical security parameter for masking.
@@ -233,7 +234,7 @@ def draw_heuristic_mask(modulus: int, ell: int, kappa: int,
     lo, hi = heuristic_interval(modulus, ell)
     while True:
         lam = rng.randrange(lo, hi + 1)
-        if lam == 0 or gcd(abs(lam), modulus) != 1:
+        if lam == 0 or math.gcd(abs(lam), modulus) != 1:
             continue
         mu = rng.randrange(0, lam) if lam > 0 else rng.randrange(lam + 1, 1)
         if lam > 0 or mu != 0:
@@ -269,6 +270,21 @@ def dot_and_bits(pk: PublicKey, start: int, coeffs, cts, rng: random.Random | No
                               lambda: [coeff * ct for coeff, ct in zip(coeffs, cts)])
     fresh, *bits = (key.encrypt_unsigned(m, factor=f) for (key, m), f in zip(plain, factors))
     return sum(terms, fresh), tuple(bits)
+
+
+def masked_challenge(pk: PublicKey, start: int, coeffs, cts, pk_owner: PublicKey, ell: int,
+                     kappa: int, rng: random.Random | None = None, mask: int | None = None
+                     ) -> tuple[UnitChallenge, int]:
+    """The mask owner's challenge on t = start + coeffs . cts, |t| < 2**ell, and
+    its mask: t + mask under ``pk``, which the sizing check keeps from wrapping,
+    and the mask's low ell bits under ``pk_owner``, in one ``dot_and_bits``
+    batch. ``mask`` can be forced for tests."""
+    check_core_sizing(pk.n, ell, kappa)
+    rng = rng or SYSTEM_RNG
+    mask = draw_mask(ell, kappa, rng, mask)
+    t_ct, bits = dot_and_bits(pk, start + mask, coeffs, cts, rng, pk_owner,
+                              digits(mask % (1 << ell), ell))
+    return UnitChallenge(t_ct, bits), mask
 
 
 def _check_dims(model_d: int, request_d: int) -> None:
@@ -328,26 +344,20 @@ def _check_published_input(published: PublishedLinearModel, x: FeatureVector) ->
         raise ParameterError("feature precision differs from the published model")
 
 
-def _masked_dot(published: PublishedLinearModel, x: FeatureVector, mask: int,
-                rng: random.Random) -> Ciphertext:
-    """Encrypted theta . x + mask under the server key; Enc(mask) is its fresh term."""
-    pk, (theta_0, *theta) = published.public_key, published.ciphertexts
-    return encrypted_dot(pk, mask, x.values[1:], theta, rng) + theta_0
-
-
 def regr_dual_request(published: PublishedLinearModel, x: FeatureVector,
                       rng: random.Random | None = None, mask: int | None = None
                       ) -> tuple[Ciphertext, MaskSession]:
-    """Homomorphic inner product plus a fresh uniform mask.
+    """Homomorphic inner product theta . x plus a fresh uniform mask.
 
     The mask makes the value the server decrypts uniform over the message
     space. ``mask`` can be forced for tests; by default it is drawn uniformly.
     """
     _check_published_input(published, x)
     rng = rng or SYSTEM_RNG
-    n = published.public_key.n
-    mask = rng.randrange(n) if mask is None else mask % n
-    return _masked_dot(published, x, mask, rng), MaskSession(published, mask)
+    pk = published.public_key
+    mask = rng.randrange(pk.n) if mask is None else mask % pk.n
+    return (encrypted_dot(pk, mask, x.values, published.ciphertexts, rng),
+            MaskSession(published, mask))
 
 
 def regr_dual_respond(sk_server: SecretKey, request: Ciphertext) -> int:
@@ -373,22 +383,15 @@ def svm_core_request(published: PublishedLinearModel, pk_client: PublicKey,
                      x: FeatureVector, kappa: int = DEFAULT_KAPPA,
                      rng: random.Random | None = None, mask: int | None = None
                      ) -> tuple[UnitChallenge, MaskSession]:
-    """The client's masked-comparison challenge: theta . x + mask under the
-    server key, the low ell bits of the mask under the client key.
-
-    The sizing check guarantees theta . x + mask never wraps modulo M, so the
-    server sees the true integer. ``mask`` can be forced for tests.
+    """The client's ``masked_challenge`` on theta . x (x_0 = 1): the masked
+    sum under the server key, the mask's low ell bits under the client key.
+    ``mask`` can be forced for tests.
     """
     _check_published_input(published, x)
     x.require_scaled()
-    ell = published.ell
-    check_core_sizing(published.public_key.n, ell, kappa)
-    rng = rng or SYSTEM_RNG
-    mask = draw_mask(ell, kappa, rng, mask)
-    pk, (theta_0, *theta) = published.public_key, published.ciphertexts
-    acc, bits = dot_and_bits(pk, mask, x.values[1:], theta, rng, pk_client,
-                             digits(mask % (1 << ell), ell))
-    return UnitChallenge(acc + theta_0, bits, ell), MaskSession(published, mask)
+    challenge, mask = masked_challenge(published.public_key, 0, x.values, published.ciphertexts,
+                                       pk_client, published.ell, kappa, rng, mask)
+    return challenge, MaskSession(published, mask)
 
 
 def svm_core_respond(sk_server: SecretKey, request: UnitChallenge, ell: int,
@@ -397,8 +400,7 @@ def svm_core_respond(sk_server: SecretKey, request: UnitChallenge, ell: int,
     so the client's share reconstructs the sign of the inner product."""
     # Checked first: the client's key is read off the first mask bit.
     if len(request.mask_bits) != ell:
-        raise ProtocolViolationError(
-            f"expected {ell} mask bits, got {len(request.mask_bits)}")
+        raise ProtocolViolationError(f"expected {ell} mask bits, got {len(request.mask_bits)}")
     return evaluator_step(sk_server, request.mask_bits[0].public_key, request, 0, rng)
 
 

@@ -31,14 +31,14 @@ from dataclasses import dataclass, fields, is_dataclass
 
 from . import activations, wire
 # perfbench's tracer wraps bit_owner_finish and evaluator_respond under these names.
-from .comparison import (UnitChallenge, bit_owner_finish, digits,  # noqa: F401
-                         draw_mask, evaluator_respond, evaluator_step, owner_step)
+from .comparison import (UnitChallenge, bit_owner_finish,  # noqa: F401
+                         evaluator_respond, evaluator_step, owner_step)
 from .errors import (DimensionMismatchError, ParameterError,
                      ProtocolViolationError)
 from .fixedpoint import decode, encode
 from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector, check_core_sizing,
-                     check_heuristic_sizing, dot_and_bits, draw_heuristic_mask,
-                     encrypted_dot, inner_product_bound)
+                     check_heuristic_sizing, draw_heuristic_mask, encrypted_dot,
+                     inner_product_bound, masked_challenge)
 from .numutil import SYSTEM_RNG, invert
 from .paillier import Ciphertext, PublicKey, SecretKey, _factors
 
@@ -63,7 +63,6 @@ class LayerSpec:
     activation: str
     ell: int
     in_scale: int
-    out_scale: int
 
     @property
     def units(self) -> int:
@@ -213,7 +212,7 @@ class NetworkSpec:
                 out_scale, out_bound = in_scale + precision, (1 << ell) - 1
             else:
                 out_scale, out_bound = precision, 1 << precision
-            layers.append(LayerSpec(weights, activation, ell, in_scale, out_scale))
+            layers.append(LayerSpec(weights, activation, ell, in_scale))
             in_scale, in_bound = out_scale, out_bound
         return cls(tuple(layers), precision, output_mode)
 
@@ -263,14 +262,12 @@ def unit_challenge(variant: str, theta, enc_inputs, pk_server: PublicKey | None,
     rng = rng or SYSTEM_RNG
     pk = enc_inputs[0].public_key
     if variant == "core":
-        check_core_sizing(pk.n, ell, kappa)
-        mask = draw_mask(ell, kappa, rng)
-        t_ct, bits = dot_and_bits(pk, theta[0] + mask, theta[1:], enc_inputs, rng,
-                                  pk_server, digits(mask % (1 << ell), ell))
-        return UnitChallenge(t_ct, bits, ell), UnitState(mask, ell)
+        challenge, mask = masked_challenge(pk, theta[0], theta[1:], enc_inputs, pk_server,
+                                           ell, kappa, rng)
+        return challenge, UnitState(mask, ell)
     lam, mu = draw_heuristic_mask(pk.n, ell, kappa, rng)
     t_ct = encrypted_dot(pk, lam * theta[0] + mu, [lam * c for c in theta[1:]], enc_inputs, rng)
-    return UnitChallenge(t_ct, (), ell), UnitState(mu, ell, lam)
+    return UnitChallenge(t_ct, ()), UnitState(mu, ell, lam)
 
 
 def unit_answer(activation: str, sk_client: SecretKey, pk_server: PublicKey | None,
@@ -398,7 +395,7 @@ def flatten(message) -> tuple[Ciphertext, ...]:
         return tuple(ct for item in message for ct in flatten(item))
     if is_dataclass(message):
         return flatten(tuple(getattr(message, f.name) for f in fields(message)))
-    return ()  # layer index, bound length
+    return ()  # layer index
 
 
 def unflatten(meta: NetworkMeta, index: int | None, up: bool, cts) -> LayerMessage:
@@ -413,7 +410,7 @@ def unflatten(meta: NetworkMeta, index: int | None, up: bool, cts) -> LayerMessa
     k = layout(meta, index, up)[:size].count("c")
     chunks = [cts[i:i + size] for i in range(0, len(cts), size)]
     if not up:
-        units = (UnitChallenge(u[0], u[k:], layer.ell) for u in chunks)
+        units = (UnitChallenge(u[0], u[k:]) for u in chunks)
     else:
         units = (UnitResponse(u[0], u[1:k], u[k:]) for u in chunks)
     return LayerMessage(index, tuple(units))
@@ -570,8 +567,9 @@ class NetworkClientSession:
         return LayerMessage(index, tuple(self.pk.encrypt_all(outs, self.rng)))
 
     def _answer_unit(self, layer: LayerMeta, challenge) -> UnitResponse:
-        if not isinstance(challenge, UnitChallenge) or challenge.ell != layer.ell:
-            raise ProtocolViolationError("challenge does not match the layer bound")
+        bits = layer.ell if self.meta.variant == "core" else 0
+        if not isinstance(challenge, UnitChallenge) or len(challenge.mask_bits) != bits:
+            raise ProtocolViolationError(f"challenge does not carry the layer's {bits} mask bits")
         return unit_answer(layer.activation, self.sk, self.server_pk, challenge, self.rng)
 
     def _finish_raw(self, layer: LayerMeta, values) -> None:

@@ -223,10 +223,6 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
 #: Candidates that pass trial division, drawn and Fermat-tested together as
 #: one :func:`powers_while` batch.
 CANDIDATE_BATCH = 4

@@ -46,12 +46,13 @@ tests only.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 
 from . import numutil
 from .errors import DecryptionError, KeyMismatchError, ParameterError
-from .numutil import (SYSTEM_RNG, crt2, gcd, invert, is_probable_prime, powmod,
+from .numutil import (SYSTEM_RNG, crt2, invert, is_probable_prime, powmod,
                       prime_candidate, random_unit)
 
 DEFAULT_KEY_BITS = 2048
@@ -162,11 +163,11 @@ class PublicKey:
         return _factors([self._draw(rng)])[1][0]
 
     def _draw(self, rng: random.Random | None = None) -> tuple:
-        """One random factor, drawn: this key and its items, s**N mod N**2,
-        or a key holder's x**p mod p**2 and y**q mod q**2 (x drawn first)."""
+        """One random factor, drawn: this key and its items, s**N mod N**2 for
+        a unit s, or a key holder's x**p mod p**2 and y**q mod q**2 (x first)."""
         rng, sk = rng or SYSTEM_RNG, self._secret
         if sk is None:
-            return self, [(rng.randrange(1, self.n), self.n, self.n_squared)]
+            return self, [(random_unit(self.n, rng), self.n, self.n_squared)]
         return self, [(rng.randrange(1, sk.p), sk.p, sk._p_sq),
                       (rng.randrange(1, sk.q), sk.q, sk._q_sq)]
 
@@ -214,7 +215,7 @@ class SecretKey:
         self.q = q
         n = p * q
         phi = (p - 1) * (q - 1)
-        if gcd(n, phi) != 1:
+        if math.gcd(n, phi) != 1:
             raise ParameterError("modulus shares a factor with its totient")
         self.public_key = PublicKey(n)
         self.public_key._secret = self
@@ -240,7 +241,7 @@ class SecretKey:
                 valid encryption.
         """
         self.public_key._check_own(c)
-        if gcd(c.value, self.public_key.n) != 1:
+        if math.gcd(c.value, self.public_key.n) != 1:
             raise DecryptionError("ciphertext is not coprime to the modulus")
         p, q = self.p, self.q
         x_p, x_q = powers or numutil.powers_while(self._halves(c))[1]

@@ -458,7 +458,7 @@ def _handle_linear_request(served: ServedModel, frame: wire.Frame) -> tuple:
         pk_c = wire.deserialize_public_key(key)
         masked_inner = wire.deserialize_ciphertext(inner, pk_s)
         bits = tuple(wire.deserialize_ciphertext(p, pk_c) for p in body)
-        request = UnitChallenge(masked_inner, bits, model.ell)
+        request = UnitChallenge(masked_inner, bits)
         response = svm_core_respond(sk_s, request, model.ell, served.rng)
         return tuple(wire.serialize_ciphertext(c, pk_c) for c in response)
     request = _feature_request(frame)

@@ -20,11 +20,11 @@ ciphertext counts each protocol must match.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 from .errors import MessageFormatError, ParameterError
-from .numutil import gcd
 from .paillier import Ciphertext, PublicKey
 
 FRAME_VERSION = 2
@@ -114,7 +114,7 @@ def deserialize_ciphertext(data: bytes, pk: PublicKey) -> Ciphertext:
     value = int.from_bytes(data, "big")
     if value >= pk.n_squared:
         raise MessageFormatError("ciphertext value outside the ciphertext space")
-    if gcd(value, pk.n) != 1:
+    if math.gcd(value, pk.n) != 1:
         raise MessageFormatError("ciphertext value is not a unit modulo N")
     return Ciphertext(value, pk)
 

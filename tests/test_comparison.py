@@ -2,15 +2,17 @@ import dataclasses
 
 import pytest
 
-from pinfer import numutil
+from pinfer import activations, numutil
 from pinfer.comparison import (bit_owner_finish, bit_owner_request, draw_mask,
                                evaluator_respond)
 from pinfer.errors import ParameterError, ProtocolViolationError
-from pinfer.linear import (FeatureVector, LinearModel, encrypted_dot, regr_dual_publish,
-                           svm_core_request)
-from pinfer.network import unit_challenge
+from pinfer.linear import (FeatureVector, LinearModel, encrypted_dot, masked_challenge,
+                           regr_dual_publish, svm_core_finish, svm_core_request,
+                           svm_core_respond)
+from pinfer.network import UnitState, unit_answer, unit_challenge, unit_finish
 from pinfer.numutil import insecure_rng
-from pinfer.paillier import PublicKey
+from pinfer.paillier import PublicKey, SecretKey
+from pinfer.reference import eval_svm
 
 
 def plain_test_values(mu: int, eta: int, delta_eval: int, ell: int) -> list[int]:
@@ -149,7 +151,7 @@ def _owner_items(sk, count):
     return [(sk.p, sk.p * sk.p), (sk.q, sk.q * sk.q)] * count
 
 
-def test_unit_challenge_is_one_worker_batch(client_keys, server_keys, monkeypatch):
+def test_unit_challenge_is_one_batch(client_keys, server_keys, monkeypatch):
     pk_c = PublicKey(client_keys[0].n)
     pk_s, sk_s = server_keys
     theta, ell = (5, -3, 2), 6
@@ -166,13 +168,13 @@ def test_unit_challenge_is_one_worker_batch(client_keys, server_keys, monkeypatc
     challenge, state = unit_challenge("core", theta, enc, pk_s, ell, 40, rng)
     assert [[(e, m) for _, e, m in batch] for batch in batches] == \
         [[(pk_c.n, pk_c.n_squared)] + _owner_items(sk_s, ell)]
-    assert state.pad == mask and challenge.ell == ell
+    assert state.pad == mask
     assert challenge.masked_inner.value == t_ct.value
     assert [c.value for c in challenge.mask_bits] == [c.value for c in bits]
     assert rng.random() == after
 
 
-def test_svm_core_request_is_one_worker_batch(client_keys, server_keys, monkeypatch):
+def test_svm_core_request_is_one_batch(client_keys, server_keys, monkeypatch):
     pk_c, sk_c = client_keys
     pk_s = PublicKey(server_keys[0].n)
     published = regr_dual_publish(LinearModel((3, -2, 1), ell=5, precision=0), pk_s,
@@ -209,3 +211,69 @@ def test_svm_core_request_refuses_a_published_model_without_bits(client_keys, se
                          FeatureVector((1, 1, -1), 0), 40, insecure_rng(23))
     assert batches == []
 
+
+# ---------------------------------------------------------------------------
+# every mask at a toy key
+#
+# The core comparing steps over every |t| < 2**ell, every mask the draw
+# permits (forced through ``masked_challenge``) and both flips, against the
+# oracle. Neither toy modulus has a prime factor below 2**12, so
+# ``evaluator_step`` accepts either as the owner's.
+
+TOY_ELL, TOY_KAPPA = 2, 3
+TOY_TS = range(1 - (1 << TOY_ELL), 1 << TOY_ELL)
+TOY_MASKS = range((1 << TOY_ELL) - 1, 1 << (TOY_ELL + TOY_KAPPA))
+
+
+@pytest.fixture(scope="module")
+def toy_keys():
+    """The client's and the server's toy secret keys, then each one's public
+    key as the peer holds it, with no secret linked."""
+    sk_c, sk_s = SecretKey(4099, 4111), SecretKey(4127, 4129)
+    return sk_c, sk_s, PublicKey(sk_c.public_key.n), PublicKey(sk_s.public_key.n)
+
+
+def _toy_theta(t):
+    """(theta_0, theta_1) with theta . (1, 1) = t and bound |t| < 2**ell."""
+    return t - t // 2, t // 2
+
+
+def test_svm_core_is_exact_at_every_mask_of_a_toy_key(toy_keys):
+    sk_c, sk_s, pk_c, pk_s = toy_keys
+    x = FeatureVector((1, 1), 0)
+    rng = insecure_rng(0x70C1)
+    for t in TOY_TS:
+        model = LinearModel(_toy_theta(t), TOY_ELL, 0)
+        published = regr_dual_publish(model, pk_s, rng)
+        expected = eval_svm(model, x).class_label
+        for mask in TOY_MASKS:
+            challenge, session = svm_core_request(published, pk_c, x, TOY_KAPPA, rng, mask)
+            response = svm_core_respond(sk_s, challenge, TOY_ELL, rng)
+            assert svm_core_finish(sk_c, response, session) == expected, (t, mask)
+
+
+@pytest.mark.parametrize("activation", ["sign", "relu"])
+def test_core_unit_is_exact_at_every_mask_and_flip_of_a_toy_key(toy_keys, activation):
+    sk_c, sk_s, pk_c, pk_s = toy_keys
+    rng = insecure_rng(0x70C2)
+    for t in TOY_TS:
+        theta = _toy_theta(t)
+        enc = [pk_c.encrypt(1, rng)]
+        expected = activations.apply_fixed(activation, t, 0, 0)
+        for mask in TOY_MASKS:
+            challenge, pad = masked_challenge(pk_c, theta[0], theta[1:], enc, pk_s, TOY_ELL,
+                                              TOY_KAPPA, rng, mask)
+            assert pad == mask
+            for b in (0, 1):
+                response = unit_answer(activation, sk_c, pk_s, challenge, rng, b)
+                out = unit_finish(activation, sk_s, UnitState(mask, TOY_ELL), response)
+                assert sk_c.decrypt(out) == expected, (t, mask, b)
+
+
+@pytest.mark.parametrize("mask", [TOY_MASKS.start - 1, TOY_MASKS.stop])
+def test_forced_mask_outside_the_draw_is_refused(toy_keys, mask):
+    _, _, pk_c, pk_s = toy_keys
+    rng = insecure_rng(0x70C3)
+    with pytest.raises(ParameterError, match="mask outside"):
+        masked_challenge(pk_c, 0, (1,), [pk_c.encrypt(1, rng)], pk_s, TOY_ELL, TOY_KAPPA, rng,
+                         mask)

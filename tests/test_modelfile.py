@@ -63,6 +63,18 @@ def test_model_file_error_paths(tmp_path):
         load_model(path)
 
 
+def _rewritten(tmp_path, model_type, change):
+    """A saved toy model's file after ``change`` edits its document."""
+    model = (NetworkSpec.from_integer([([(0, 1, 1)], "sign"), ([(0, 1)], "sign")])
+             if model_type == "ffnn" else LinearModel.from_real([0.5], bias=0.0, precision=10))
+    path = tmp_path / "model.json"
+    save_model(path, model, model_type)
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize("model_type,change", [
     ("linear", lambda doc: doc.pop("precision")),
     ("linear", lambda doc: doc.update(precision="x")),
@@ -73,15 +85,26 @@ def test_model_file_error_paths(tmp_path):
 ], ids=["no precision", "precision not a number", "kappa not a number", "ell list too short",
         "weights as a string", "weight row as a string"])
 def test_malformed_model_file_is_refused(tmp_path, model_type, change):
-    model = (NetworkSpec.from_integer([([(0, 1, 1)], "sign"), ([(0, 1)], "sign")])
-             if model_type == "ffnn" else LinearModel.from_real([0.5], bias=0.0, precision=10))
-    path = tmp_path / "model.json"
-    save_model(path, model, model_type)
-    doc = json.loads(path.read_text())
-    change(doc)
-    path.write_text(json.dumps(doc))
     with pytest.raises(ParameterError, match="malformed model"):
-        load_model(path)
+        load_model(_rewritten(tmp_path, model_type, change))
+
+
+@pytest.mark.parametrize("model_type,change,message", [
+    ("linear", lambda doc: doc.update(weights=doc["weights"][:1]),
+     "model needs a bias and at least one weight"),
+    ("linear", lambda doc: doc.update(precision=-1), "precision must be non-negative"),
+    ("linear", lambda doc: doc.update(ell=0), "ell must be positive"),
+    ("ffnn", lambda doc: doc.update(layers=[], ell=[]), "network needs at least one layer"),
+    ("ffnn", lambda doc: doc["layers"][1].update(weights=[["0", "1", "0"]]),
+     "layer 1 expects 2 inputs, got 1"),
+    ("ffnn", lambda doc: doc["layers"][0].update(weights=[["0", "1", "1"], ["0", "1"]]),
+     "layer 0 has ragged weight rows"),
+    ("ffnn", lambda doc: doc.update(ell=[1, 1]), "layer 0: declared ell 1 below required 2"),
+], ids=["no weight", "negative precision", "ell 0", "no layers", "fan-in mismatch",
+        "ragged rows", "ell below the derived one"])
+def test_model_file_that_no_model_fits_is_refused(tmp_path, model_type, change, message):
+    with pytest.raises(ParameterError, match=message):
+        load_model(_rewritten(tmp_path, model_type, change))
 
 
 def test_model_file_with_a_layer_of_no_units_is_refused(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,8 +7,8 @@ import pytest
 from pinfer.activations import sign_value
 from pinfer.errors import ParameterError, ProtocolViolationError
 from pinfer.linear import FeatureVector, heuristic_interval
-from pinfer.network import (LayerSpec, NetworkClientSession, NetworkServerSession,
-                            NetworkSpec, UnitResponse, evaluate_network,
+from pinfer.network import (LayerMessage, LayerSpec, NetworkClientSession,
+                            NetworkServerSession, NetworkSpec, UnitResponse, evaluate_network,
                             unit_answer, unit_challenge, unit_finish)
 from pinfer.numutil import insecure_rng
 from pinfer.paillier import SecretKey
@@ -175,7 +176,7 @@ def test_spec_validation():
     (lambda: NetworkSpec.from_integer([([(0, 1)], "relu"), ([], "identity")]), 1),
     (lambda: NetworkSpec.from_real([([], "relu")], 8), 0),
     (lambda: NetworkSpec.from_real([([[0.5, 0.5]], "relu"), ([], "identity")], 8), 1),
-    (lambda: NetworkSpec((LayerSpec((), "relu", 1, 0, 0),), 0), 0),
+    (lambda: NetworkSpec((LayerSpec((), "relu", 1, 0),), 0), 0),
 ], ids=["integer-first", "integer-last", "real-first", "real-last", "direct"])
 def test_layer_of_no_units_is_refused(build, index):
     with pytest.raises(ParameterError, match=f"layer {index} has no units"):
@@ -196,11 +197,11 @@ def test_relu_scale_law():
     rows2 = [[0.5, 0.25, -0.25, 1.0]]
     spec = NetworkSpec.from_real([(rows1, "relu"), (rows2, "relu")], precision)
     log_terms = 0
-    for index, layer in enumerate(spec.layers):
+    for index, (layer, meta) in enumerate(zip(spec.layers, spec.meta("generic").layers)):
         width = layer.fan_in + 1
         log_terms += (width - 1).bit_length() if width > 1 else 0
         assert layer.in_scale == (index + 1) * precision
-        assert layer.out_scale == (index + 2) * precision
+        assert meta.t_scale == (index + 2) * precision
         assert layer.ell <= (index + 2) * precision + log_terms
 
 
@@ -385,3 +386,50 @@ def test_encrypted_network_refuses_unscaled_input(client_keys, server_keys, rng,
                          rng=rng)
     run = evaluate_network(spec, "generic", x, client_keys, rng=rng)
     assert run.raw == tuple(p.raw for p in eval_ffnn(spec, x))
+
+
+# ---------------------------------------------------------------------------
+# refusals only the Python API reaches: the runner holds a server session only
+# between a step and its reply, and the codec fixes each message's shape
+
+def test_server_session_refuses_a_reply_it_is_not_expecting(client_keys, rng):
+    spec = sign_net()
+    server = NetworkServerSession(spec, mode="generic", rng=rng)
+    client = NetworkClientSession(spec.meta("generic"), client_keys, rng=rng)
+    with pytest.raises(ProtocolViolationError, match="session is not expecting a reply"):
+        server.advance(LayerMessage(0, ()))  # before start
+    reply = client.handle(server.start(client.request(pm_one_inputs(rng, 2))))
+    client.handle(server.advance(reply))
+    assert server.done and client.result is not None
+    with pytest.raises(ProtocolViolationError, match="session is not expecting a reply"):
+        server.advance(reply)
+
+
+def test_client_session_refuses_a_wrong_unit_count(client_keys, rng):
+    client = NetworkClientSession(sign_net().meta("generic"), client_keys, rng=rng)
+    with pytest.raises(ProtocolViolationError, match="unit count mismatch"):
+        client.handle(LayerMessage(0, (client_keys[0].encrypt(1, rng),)))
+
+
+@pytest.mark.parametrize("variant", ["core", "heuristic"])
+def test_client_session_refuses_a_challenge_without_the_layers_mask_bits(
+        client_keys, server_keys, rng, variant):
+    spec = sign_net()
+    meta = spec.meta("encrypted", variant)
+    server = NetworkServerSession(spec, mode="encrypted", server_keys=server_keys,
+                                  kappa=KAPPA, variant=variant, rng=rng)
+    message = server.start(NetworkClientSession(meta, client_keys, server_keys[0], rng)
+                           .request(pm_one_inputs(rng, 2)))
+    first, rest = message.units[0], message.units[1:]
+    bits = meta.layers[0].ell if variant == "core" else 0
+    assert len(first.mask_bits) == bits
+    extra = server_keys[0].encrypt(0, rng)
+    forged = [dataclasses.replace(first, mask_bits=first.mask_bits + (extra,)),
+              first.masked_inner]
+    if bits:
+        forged.append(dataclasses.replace(first, mask_bits=first.mask_bits[1:]))
+    for unit in forged:
+        client = NetworkClientSession(meta, client_keys, server_keys[0], rng)
+        with pytest.raises(ProtocolViolationError,
+                           match=f"challenge does not carry the layer's {bits} mask bits"):
+            client.handle(LayerMessage(0, (unit, *rest)))

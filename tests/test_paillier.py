@@ -116,6 +116,15 @@ def test_rerandomize_preserves_plaintext(client_keys, rng):
     assert pk.rerandomize(zero, rng).value not in (zero.value, pk.encrypt(0, rng).value)
 
 
+def test_public_key_draws_a_unit_factor():
+    # A factor sharing a prime with N makes a ciphertext no key holder can
+    # decrypt; at N = 11 * 13 a plain draw from [1, N) hits one in 22 of 142.
+    pk, sk = PublicKey(11 * 13), SecretKey(11, 13)
+    rng = insecure_rng(0xD4A)
+    for _ in range(200):
+        assert sk.decrypt(pk.encrypt(1, rng)) == 1
+
+
 def test_add_plain(client_keys, rng):
     pk, sk = client_keys
     c = pk.encrypt(10, rng)
@@ -478,7 +487,7 @@ def test_decrypt_all_fails_as_decrypt_on_a_non_unit(client_keys, rng, bad):
     assert sk.decrypt_all(cts) == PLAIN
 
 
-def test_bit_owner_makes_one_worker_batch_per_step(client_keys, rng, monkeypatch):
+def test_bit_owner_makes_one_batch_per_step(client_keys, rng, monkeypatch):
     pk, sk = client_keys
     batches = _count_batches(monkeypatch)
     request = comparison.bit_owner_request(pk, 0b1011, 6, insecure_rng(15))
@@ -588,8 +597,8 @@ def _serial_keygen(bits, rng):
 
 @pytest.mark.parametrize("bits", [64, 65, 128, 257, 512])
 def test_keygen_matches_a_serial_search(bits):
-    # The candidates are tested in batches across the worker, and the rng
-    # is rewound to just after the winner: same primes, same state after.
+    # The candidates are tested in batches, and the rng is rewound to just
+    # after the winner: same primes, same state after.
     for seed in range(20):
         rng, serial_rng = insecure_rng(seed), insecure_rng(seed)
         _, sk = keygen(bits, rng)

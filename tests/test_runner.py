@@ -814,7 +814,7 @@ def _unit(up, activation, variant, ell, c, s):
     """One comparing unit's share of a message, built field by field."""
     core = variant == "core"
     if not up:
-        return UnitChallenge(c(), tuple(s() for _ in range(ell if core else 0)), ell)
+        return UnitChallenge(c(), tuple(s() for _ in range(ell if core else 0)))
     bit = c()
     pair = () if activation == "sign" else (c(), c())
     return UnitResponse(bit, pair, tuple(s() for _ in range(ell + 1)) if core else ())
