@@ -2,7 +2,7 @@
 plaintext oracle and bandwidth bench.
 
 Exit codes: 0 success, 2 verification or count mismatch, 3 protocol
-violation, 4 configuration error.
+violation or a lost connection, 4 configuration error.
 
 The heuristic protocols trade bandwidth for a documented model-information
 leak; serving or querying them requires the explicit --heuristic flag.
@@ -97,6 +97,7 @@ def cmd_serve(args) -> int:
 
     class Handler(socketserver.BaseRequestHandler):
         def handle(self):
+            self.request.settimeout(runner.PEER_TIMEOUT_S)
             runner.serve_connection(runner.SocketChannel(self.request), served)
 
     class Server(socketserver.ThreadingTCPServer):
@@ -176,7 +177,7 @@ def cmd_infer(args) -> int:
     else:
         if not args.server:
             raise ParameterError("pass --server host:port or --loopback")
-        sock = socket.create_connection(_address(args.server))
+        sock = socket.create_connection(_address(args.server), runner.PEER_TIMEOUT_S)
         channel = runner.SocketChannel(sock)
 
     try:
@@ -356,6 +357,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ProtocolViolationError as exc:
         print(f"protocol violation: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL_VIOLATION
+    except runner.ChannelClosed as exc:
+        print(f"connection lost: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL_VIOLATION
     except PinferError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -373,9 +373,10 @@ def compared_activations(meta: NetworkMeta) -> set[str]:
     return {layer.activation for i, layer in enumerate(meta.layers) if compares(meta, i)}
 
 
-def layout(meta: NetworkMeta, index: int | None, up: bool) -> str:
-    """Key of each ciphertext of layer ``index``'s message, in wire order:
-    'c' for the client key, 's' for the server key."""
+def layout(meta: NetworkMeta, index: int | None, up: bool) -> tuple[str, int]:
+    """Key of each ciphertext of one unit of layer ``index``'s message, in
+    wire order ('c' for the client key, 's' for the server key), and the
+    layer's unit count: the message is ``keys * units``."""
     layer = meta.layers[-1 if index is None else index]
     unit = "c"
     if compares(meta, index):
@@ -383,7 +384,7 @@ def layout(meta: NetworkMeta, index: int | None, up: bool) -> str:
             unit = "ccc"
         if meta.variant == "core":
             unit += "s" * (layer.ell + up)
-    return unit * layer.units
+    return unit, layer.units
 
 
 def flatten(message) -> tuple[Ciphertext, ...]:
@@ -404,10 +405,9 @@ def unflatten(meta: NetworkMeta, index: int | None, up: bool, cts) -> LayerMessa
     cts = tuple(cts)
     if not cts or not compares(meta, index):  # not cts: a layer of no units
         return LayerMessage(index, cts)
-    layer = meta.layers[index]
-    size = len(cts) // layer.units
+    unit, _ = layout(meta, index, up)
     # A unit's client-key ciphertexts come first, then its server-key ones.
-    k = layout(meta, index, up)[:size].count("c")
+    k, size = unit.count("c"), len(unit)
     chunks = [cts[i:i + size] for i in range(0, len(cts), size)]
     if not up:
         units = (UnitChallenge(u[0], u[k:]) for u in chunks)

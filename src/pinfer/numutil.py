@@ -1,12 +1,15 @@
 """Big-integer helpers: modular exponentiation, inverses, CRT, probable primes,
 and batches of powers on two threads.
 
-:func:`powmod` and :func:`invert` run in GMP: through the system's libgmp
-(``libgmp.so.10``) by ``ctypes`` when it loads, else through gmpy2 when it
-imports, else in Python's ``pow``. :data:`BACKEND` names the choice. On the
-libgmp path every power with an exponent above 0 and an odd modulus above 1
-is GMP's constant-time ``mpz_powm_sec``, since the exponents and bases here
-are secrets, and ``pow`` takes the rest. All callers go through this module.
+:func:`powmod` and :func:`invert` have two backends; :data:`BACKEND` names
+the one chosen at import. ``"libgmp"``, when the system's GMP
+(``libgmp.so.10``, else ``find_library("gmp")``) loads through ``ctypes``:
+every power with an exponent above 0 and an odd modulus above 1 is GMP's
+constant-time ``mpz_powm_sec``, since the exponents and bases here are
+secrets, every inverse is ``mpz_invert``, and ``pow`` takes the rest.
+``"python"`` otherwise: Python's ``pow``, correct but not constant-time and
+about 5-7x slower at 2048 bits. gmpy2 is never used, even when it imports.
+All callers go through this module.
 
 Prime search is split in two. :func:`prime_candidate` is a cheap filter: it
 draws odd integers with their top two bits set, so the product of two of them
@@ -20,7 +23,7 @@ on two threads: a helper thread, started for the batch and joined before it
 returns, takes items from the front while the calling thread runs its own
 work and then takes items from the back, so the batch balances itself. Both
 prime tests are such batches. Only the libgmp path runs the two threads at
-once, since its powers drop the GIL; on the others the helper takes turns
+once, since its powers drop the GIL; under ``pow`` the helper takes turns
 with the caller. No value leaves the process.
 """
 
@@ -93,14 +96,10 @@ def _load_gmp(name: str | None = "libgmp.so.10", search: bool = True) -> dict | 
 
 
 _gmp = _load_gmp()
-gmpy2 = None
-if _gmp is None:
-    try:
-        import gmpy2
-    except ImportError:
-        pass
-BACKEND = "libgmp" if _gmp else "gmpy2" if gmpy2 else "python"
-HAVE_GMPY2 = BACKEND == "gmpy2"
+BACKEND = "libgmp" if _gmp else "python"
+# Always False: the bench's environment line still reads it. It goes when
+# the bench records BACKEND in its place.
+HAVE_GMPY2 = False
 
 
 def _gmp_call(name: str, bound: int, *args: int) -> tuple[int, int]:
@@ -127,8 +126,6 @@ def powmod(base: int, exp: int, mod: int) -> int:
     """base**exp mod mod; negative exponents require an invertible base."""
     if _gmp and exp > 0 and mod > 1 and mod & 1:
         return _gmp_call("powm_sec", mod, base % mod, exp, mod)[0]
-    if gmpy2:
-        return int(gmpy2.powmod(base, exp, mod))
     return pow(base, exp, mod)
 
 
@@ -140,8 +137,6 @@ def invert(a: int, mod: int) -> int:
             if found:
                 return inverse
             raise ValueError
-        if gmpy2:
-            return int(gmpy2.invert(a, mod))
         return pow(a, -1, mod)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{a} is not invertible modulo {mod}") from None

@@ -15,8 +15,8 @@ ciphertext per feature; svm-core's response is the comparison's blinded
 values. A ``network.LayerMessage`` is a header of the layer index alone (none
 on the output message) followed by its ciphertexts in the order
 ``network.flatten`` gives, each under the key ``network.layout`` names for its
-position. ``_decode_layer`` inverts ``_encode_layer``: the index and the
-direction, read off the step, are all ``network.layout`` and
+place in its unit. ``_decode_layer`` inverts ``_encode_layer``: the index and
+the direction, read off the step, are all ``network.layout`` and
 ``network.unflatten`` need besides the META, whose mode and variant the
 protocol id fixes. Every decoder checks a frame's part count before it reads
 a part, so a short or overlong frame is refused with an error frame.
@@ -57,6 +57,14 @@ class ChannelClosed(PinferError):
 #: Largest frame ``SocketChannel.recv`` accepts. A 3072-bit ciphertext is
 #: 768 bytes, so this is over 87,000 ciphertexts in one message.
 MAX_FRAME_BYTES = 64 << 20
+
+#: Seconds ``pinfer serve`` and ``pinfer infer`` wait on a silent peer before
+#: they drop the connection. They set it on their sockets; ``SocketChannel``
+#: does not, so in-process channels wait as long as they need. On a 2-core
+#: Xeon a full-width power mod N**2 at 3072 bits takes 0.38 s under ``pow``
+#: and 53 ms under libgmp, so only a step of over about 1,500 such powers
+#: (about 20,000 under libgmp, on both cores) outlasts it.
+PEER_TIMEOUT_S = 600
 
 
 class SocketChannel:
@@ -266,6 +274,11 @@ def _run_network_client(io: _ClientIO, x: FeatureVector, client_keys,
     io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
     frame = io.recv(wire.STEP_META, n_cts=0)
     meta, pk_server = _meta_from_json(_parts(frame, 1)[0], io.protocol)
+    # Set-up's key check under this client key keeps every compared core
+    # layer's ell below its bit length, which also bounds a unit's layout.
+    if meta.variant == "core" and any(layer.ell >= pk_c.bit_length and network.compares(meta, i)
+                                      for i, layer in enumerate(meta.layers)):
+        raise MessageFormatError("malformed network meta: ell exceeds the client key")
     if io.protocol.needs_server_keys and pk_server is None:
         raise ProtocolViolationError("the server sent no public key")
     if x.d != meta.d_in or x.precision != meta.precision:
@@ -327,9 +340,9 @@ def _encode_layer(message: LayerMessage, meta: NetworkMeta, keys,
     else:
         step = wire.STEP_LAYER_UP if up else wire.STEP_LAYER_DOWN
         head = (wire.pack_u32(message.layer),)
-    layout = network.layout(meta, message.layer, up)
+    unit, units = network.layout(meta, message.layer, up)
     return step, head + tuple(wire.serialize_ciphertext(c, keys[k]) for c, k
-                              in zip(network.flatten(message), layout, strict=True))
+                              in zip(network.flatten(message), unit * units, strict=True))
 
 
 def _decode_layer(frame: wire.Frame, meta: NetworkMeta, keys) -> LayerMessage:
@@ -341,11 +354,12 @@ def _decode_layer(frame: wire.Frame, meta: NetworkMeta, keys) -> LayerMessage:
         if index >= len(meta.layers):
             raise ProtocolViolationError("layer index out of range")
     up = frame.step_id == wire.STEP_LAYER_UP
-    layout = network.layout(meta, index, up)
-    if len(body) != len(layout):
+    unit, units = network.layout(meta, index, up)
+    # Counted before anything is built per ciphertext: META declares units.
+    if len(body) != len(unit) * units:
         raise ProtocolViolationError(
-            f"layer message has {len(body)} ciphertexts, expected {len(layout)}")
-    cts = (wire.deserialize_ciphertext(p, keys[k]) for p, k in zip(body, layout))
+            f"layer message has {len(body)} ciphertexts, expected {len(unit) * units}")
+    cts = (wire.deserialize_ciphertext(p, keys[k]) for p, k in zip(body, unit * units))
     return network.unflatten(meta, index, up, cts)
 
 

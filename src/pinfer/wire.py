@@ -288,6 +288,9 @@ def message_plan(protocol: str, *, d: int | None = None, ell: int | None = None,
     message as the first up layer, which is what makes both directions
     symmetric).
     """
+    info = get_protocol(protocol)
+    if info.variant == "core" and ell is None:
+        raise ParameterError(f"{protocol} needs ell")
     if protocol in ("regr-core", "svm-heur"):
         return (MessageRow("request", "up", d, plain_scalars=1),
                 MessageRow("response", "down", 1))
@@ -302,18 +305,15 @@ def message_plan(protocol: str, *, d: int | None = None, ell: int | None = None,
     if protocol == "ffnn-generic":
         return (MessageRow("inner products", "down", layers * units),
                 MessageRow("activations", "up", layers * units))
-    per_unit = {
-        "ffnn-sign": ((ell + 1 if ell else None), (ell + 2 if ell else None)),
-        "ffnn-sign-heur": (1, 1),
-        "ffnn-relu": ((ell + 1 if ell else None), (ell + 4 if ell else None)),
-        "ffnn-relu-heur": (1, 3),
-    }
-    if protocol in per_unit:
-        down, up = per_unit[protocol]
-        total = layers * units
-        return (MessageRow("unit challenges", "down", total * down),
-                MessageRow("unit responses", "up", total * up))
-    raise ParameterError(f"unknown protocol {protocol!r}")
+    # Per unit: a heuristic unit's one ciphertext down and its one (sign) or
+    # three (relu) up, to which a core unit adds its ell mask bits down and
+    # the comparison's ell + 1 values up.
+    down, up = 1, 3 if info.activation == "relu" else 1
+    if info.variant == "core":
+        down, up = down + ell, up + ell + 1
+    total = layers * units
+    return (MessageRow("unit challenges", "down", total * down),
+            MessageRow("unit responses", "up", total * up))
 
 
 def plan_bits(protocol: str, ell_m: int, **kwargs) -> dict:

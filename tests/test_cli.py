@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -17,7 +18,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
 import pytest
 
 import pinfer
-from pinfer import wire
+from pinfer import runner, wire
 from pinfer.cli import _load_keys, main
 from pinfer.errors import ParameterError
 from pinfer.linear import LinearModel, max_core_ell
@@ -224,6 +225,60 @@ def test_infer_over_real_socket(key_files, model_files, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "verify: matches" in out
+
+
+def _regr_core_infer(port, key_files, model_files):
+    return ["infer", "--server", f"127.0.0.1:{port}", "--protocol", "regr-core",
+            "--keys", str(key_files / "cli"), "--input", str(model_files / "x.txt"),
+            "--precision", "12", "--kappa", "40",
+            "--verify", str(model_files / "logistic.json"), "--insecure-test-keys"]
+
+
+def test_serve_drops_a_peer_that_stalls_mid_frame(key_files, model_files, monkeypatch):
+    monkeypatch.setattr(runner, "PEER_TIMEOUT_S", 1)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    threading.Thread(target=main, daemon=True, args=(
+        ["serve", "--protocol", "regr-core", "--model", str(model_files / "logistic.json"),
+         "--listen", f"127.0.0.1:{port}", "--kappa", "40"],)).start()
+    deadline = time.time() + 5
+    while True:
+        try:
+            stalled = socket.create_connection(("127.0.0.1", port), timeout=10)
+            break
+        except OSError:
+            assert time.time() < deadline
+            time.sleep(0.05)
+    with stalled:
+        # Ten bytes of a 100-byte frame, then silence: the server closes.
+        stalled.sendall(struct.pack(">I", 100) + bytes(10))
+        start = time.monotonic()
+        assert stalled.recv(1) == b""
+        assert 1 <= time.monotonic() - start < 10
+    assert main(_regr_core_infer(port, key_files, model_files)) == 0
+
+
+def test_infer_gives_up_on_a_silent_server(key_files, model_files, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "PEER_TIMEOUT_S", 1)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        accepted = []
+        thread = threading.Thread(target=lambda: accepted.append(listener.accept()[0]),
+                                  daemon=True)
+        thread.start()
+        # In a thread of its own, so a client that waits for ever fails the test.
+        codes, argv = [], _regr_core_infer(listener.getsockname()[1], key_files, model_files)
+        client = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+        start = time.monotonic()
+        client.start()
+        client.join(timeout=10)
+        elapsed = time.monotonic() - start
+        thread.join(timeout=10)
+        for conn in accepted:
+            conn.close()
+    assert codes == [3]
+    assert capsys.readouterr().err == "connection lost: receive failed: timed out\n"
+    assert 1 <= elapsed < 10
 
 
 def test_serve_names_its_arithmetic(model_files, capsys):

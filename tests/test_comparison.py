@@ -1,14 +1,18 @@
 import dataclasses
+import itertools
+import math
 
 import pytest
 
-from pinfer import activations, numutil
+from pinfer import activations, network, numutil
 from pinfer.comparison import (bit_owner_finish, bit_owner_request, draw_mask,
                                evaluator_respond)
 from pinfer.errors import ParameterError, ProtocolViolationError
-from pinfer.linear import (FeatureVector, LinearModel, encrypted_dot, masked_challenge,
-                           regr_dual_publish, svm_core_finish, svm_core_request,
-                           svm_core_respond)
+from pinfer.linear import (FeatureVector, LinearModel, check_core_sizing,
+                           check_heuristic_sizing, encrypted_dot, heuristic_interval,
+                           masked_challenge, regr_dual_publish, svm_core_finish,
+                           svm_core_request, svm_core_respond, svm_heur_finish,
+                           svm_heur_request, svm_heur_respond)
 from pinfer.network import UnitState, unit_answer, unit_challenge, unit_finish
 from pinfer.numutil import insecure_rng
 from pinfer.paillier import PublicKey, SecretKey
@@ -277,3 +281,110 @@ def test_forced_mask_outside_the_draw_is_refused(toy_keys, mask):
     with pytest.raises(ParameterError, match="mask outside"):
         masked_challenge(pk_c, 0, (1,), [pk_c.encrypt(1, rng)], pk_s, TOY_ELL, TOY_KAPPA, rng,
                          mask)
+
+
+# ---------------------------------------------------------------------------
+# at the edges of the sizing rules
+#
+# The same sweeps at the smallest Paillier modulus each sizing check admits,
+# as the key that holds the masked value: the core rule's bound itself at
+# ell = 2, kappa = 3 (35), and the heuristic interval's at (2, 3) and
+# (3, 3) (33 and 65), where every admissible (lam, mu) is forced. A check
+# that admitted a smaller modulus, or an interval one wider, lets a masked
+# value wrap here.
+
+def _paillier_keys():
+    """The secret key of each Paillier modulus p * q, p < q, in increasing order."""
+    for n in itertools.count(15, 2):
+        p = next(p for p in range(3, n + 1, 2) if n % p == 0)
+        if p < n // p:
+            try:
+                yield SecretKey(p, n // p)
+            except ParameterError:  # q not prime, or gcd(n, phi) > 1
+                pass
+
+
+def _smallest_admitted(check, ell, kappa):
+    for sk in _paillier_keys():
+        try:
+            check(sk.public_key.n, ell, kappa)
+            return sk
+        except ParameterError:
+            pass
+
+
+def _heuristic_masks(n, ell):
+    """Every (lam, mu) that ``draw_heuristic_mask`` can return."""
+    lo, hi = heuristic_interval(n, ell)
+    for lam in range(lo, hi + 1):
+        if lam and math.gcd(abs(lam), n) == 1:
+            yield from ((lam, mu) for mu in (range(lam) if lam > 0 else range(lam + 1, 0)))
+
+
+def test_core_is_exact_at_the_smallest_admitted_key(toy_keys):
+    sk_c, sk_s, pk_c, pk_s = toy_keys
+    sk_edge = _smallest_admitted(check_core_sizing, TOY_ELL, TOY_KAPPA)
+    pk_edge = PublicKey(sk_edge.public_key.n)
+    rng = insecure_rng(0x70C4)
+    x = FeatureVector((1, 1), 0)
+    for t in TOY_TS:
+        # svm-core: the server, which holds the masked value, is the evaluator.
+        model = LinearModel(_toy_theta(t), TOY_ELL, 0)
+        published = regr_dual_publish(model, pk_edge, rng)
+        expected = eval_svm(model, x).class_label
+        for mask in TOY_MASKS:
+            challenge, session = svm_core_request(published, pk_c, x, TOY_KAPPA, rng, mask)
+            response = svm_core_respond(sk_edge, challenge, TOY_ELL, rng)
+            assert svm_core_finish(sk_c, response, session) == expected, (t, mask)
+        # The core units: the client, which holds it there, is the evaluator.
+        theta, enc = _toy_theta(t), [pk_edge.encrypt(1, rng)]
+        for activation in ("sign", "relu"):
+            expected = activations.apply_fixed(activation, t, 0, 0)
+            for mask in TOY_MASKS:
+                challenge, _ = masked_challenge(pk_edge, theta[0], theta[1:], enc, pk_s,
+                                                TOY_ELL, TOY_KAPPA, rng, mask)
+                for b in (0, 1):
+                    response = unit_answer(activation, sk_edge, pk_s, challenge, rng, b)
+                    out = unit_finish(activation, sk_s, UnitState(mask, TOY_ELL), response)
+                    assert sk_edge.decrypt(out) == expected, (activation, t, mask, b)
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_heuristic_is_exact_at_the_smallest_admitted_key(monkeypatch, ell):
+    sk = _smallest_admitted(check_heuristic_sizing, ell, TOY_KAPPA)
+    pk = sk.public_key
+    rng = insecure_rng(0x70C5)
+    x = FeatureVector((1, 1), 0)
+    request = svm_heur_request(pk, x, rng)
+    for t in range(1 - (1 << ell), 1 << ell):
+        model, theta = LinearModel(_toy_theta(t), ell, 0), _toy_theta(t)
+        for lam, mu in _heuristic_masks(pk.n, ell):
+            response = svm_heur_respond(model, request, TOY_KAPPA, rng, (lam, mu))
+            assert svm_heur_finish(sk, response) == eval_svm(model, x).class_label, (t, lam, mu)
+            monkeypatch.setattr(network, "draw_heuristic_mask", lambda *args: (lam, mu))
+            for activation in ("sign", "relu"):
+                challenge, state = unit_challenge("heuristic", theta, request.ciphertexts,
+                                                  None, ell, TOY_KAPPA, rng)
+                out = unit_finish(activation, None, state,
+                                  unit_answer(activation, sk, None, challenge, rng))
+                assert sk.decrypt(out) == activations.apply_fixed(activation, t, 0, 0), \
+                    (activation, t, lam, mu)
+
+
+@pytest.mark.parametrize("ell,kappa", [(ell, kappa) for ell in range(1, 5)
+                                       for kappa in range(1, 5)])
+def test_sizing_checks_refuse_every_modulus_below_their_bound(ell, kappa):
+    for check, bound in ((check_core_sizing, (1 << ell) * ((1 << kappa) + 1) - 1),
+                         (check_heuristic_sizing, (1 << (ell + kappa)) - 1)):
+        for modulus in range(1, bound):
+            with pytest.raises(ParameterError):
+                check(modulus, ell, kappa)
+        check(bound, ell, kappa)
+
+
+def test_the_smallest_admitted_keys_of_the_sweeps():
+    # The core sweep runs at its bound itself; 33 and 65 are the smallest
+    # Paillier moduli above the heuristic bounds of 31 and 63.
+    assert [_smallest_admitted(check, ell, TOY_KAPPA).public_key.n for check, ell in (
+        (check_core_sizing, 2), (check_heuristic_sizing, 2), (check_heuristic_sizing, 3))
+    ] == [35, 33, 65]

@@ -661,28 +661,14 @@ def no_library(*args, **kwargs):
 ctypes.CDLL = no_library
 """
 
-_GMPY2_STUB = """
-import sys, types
-sys.modules["gmpy2"] = gmpy2 = types.ModuleType("gmpy2")
-gmpy2.powmod = pow
-gmpy2.invert = lambda a, m: pow(a, -1, m)
-"""
-
 #: Run before ``pinfer`` is imported: each makes ``numutil`` choose one
-#: backend. libgmp is chosen before an importable gmpy2.
-_BACKENDS = {
-    "python": _NO_LIBGMP + """
-import sys
-sys.modules["gmpy2"] = None  # forces the ImportError branch
-""",
-    "gmpy2": _NO_LIBGMP + _GMPY2_STUB,
-    "libgmp": _GMPY2_STUB,
-}
+#: backend.
+_BACKENDS = {"python": _NO_LIBGMP, "libgmp": ""}
 
 
 def test_pure_python_fallback(checkout_env):
-    # Same behavior without gmpy2 or libgmp; isolated in a subprocess so the
-    # reload cannot leak into other tests.
+    # Same behavior without libgmp; isolated in a subprocess so the reload
+    # cannot leak into other tests.
     code = _BACKENDS["python"] + """
 import pinfer.numutil as nu
 assert nu.BACKEND == "python" and not nu.HAVE_GMPY2
@@ -702,8 +688,29 @@ assert sk.decrypt(5 * pk.encrypt(-2, rng) - pk.encrypt(1, rng)) == -11
     assert result.returncode == 0, result.stderr
 
 
+def test_an_importable_gmpy2_is_not_used(checkout_env):
+    # A gmpy2 module whose every call fails, present before import, changes
+    # neither the choice of backend nor any power or inverse: with libgmp
+    # loading as it does here, then with libgmp blocked.
+    code = f"""
+import importlib, sys, types
+sys.modules["gmpy2"] = gmpy2 = types.ModuleType("gmpy2")
+gmpy2.powmod = gmpy2.invert = gmpy2.mpz = None
+from pinfer import numutil
+assert numutil.BACKEND == {numutil.BACKEND!r}
+assert numutil.invert(3, 7) == 5 and numutil.powmod(3, 5, 7) == 5
+{_NO_LIBGMP}
+numutil = importlib.reload(numutil)
+assert numutil.BACKEND == "python", numutil.BACKEND
+assert numutil.invert(3, 7) == 5 and numutil.powmod(3, 5, 7) == 5
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=checkout_env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize("backend", [
-    "python", "gmpy2", pytest.param("libgmp", marks=pytest.mark.skipif(
+    "python", pytest.param("libgmp", marks=pytest.mark.skipif(
         numutil.BACKEND != "libgmp", reason="libgmp does not load"))])
 def test_every_backend_reproduces_the_digests(checkout_env, backend):
     code = _BACKENDS[backend] + f"""

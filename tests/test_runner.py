@@ -125,8 +125,8 @@ else:
 
 
 @pytest.mark.parametrize("protocol", list(wire.PROTOCOLS))
-def test_power_worker_runs_after_one_query(client_keys, server_keys, rng, protocol,
-                                           monkeypatch):
+def test_every_protocol_batches_its_powers(client_keys, server_keys, rng, protocol,
+                                            monkeypatch):
     # Every protocol batches encryptions: the client's features, or for
     # regr-dual and svm-core the fresh term of its masked inner product.
     sizes, original = [], numutil.powers_while
@@ -225,8 +225,9 @@ def test_refused_steps_get_an_error_reply(client_keys, server_keys, rng, protoco
             index, body = len(meta.layers), ()
             if b"fit" in fragment:
                 index = 1
+                unit, units = layout(meta, index, up=True)
                 body = tuple(wire.serialize_ciphertext(keys[k].encrypt(0), keys[k])
-                             for k in layout(meta, index, up=True))
+                             for k in unit * units)
             _error_reply(protocol, (wire.pack_u32(index), *body), fragment, step)(channel)
     elif step == wire.STEP_REQUEST:
         # One ciphertext short of the network's inputs.
@@ -677,6 +678,32 @@ def test_client_rejects_short_frames(client_keys, server_keys, rng, case, error)
         run_inference(channel, protocol, x, client_keys, kappa=KAPPA, rng=rng)
 
 
+@pytest.mark.parametrize("units,ell,error", [
+    (100_000, 1_000, MessageFormatError), (1, 1 << 31, MessageFormatError),
+    (1_000_000, 10, ProtocolViolationError)],
+    ids=["many units of a wide ell", "one unit of a huge ell", "many units"])
+def test_hostile_meta_costs_no_memory(client_keys, server_keys, rng, units, ell, error):
+    # An ffnn-relu META whose first layer declares ``units`` relu units of
+    # ``ell`` bits, then a layer frame of no ciphertexts. An ell at or above
+    # the client key's bit length is refused before the layer frame is read;
+    # the rest are refused by the frame's part count, before a layout of one
+    # key per declared ciphertext is built.
+    doc = json.loads(_meta_to_json(ffnn_loaded("relu").model.meta("encrypted", "core"),
+                                   server_keys[0]))
+    doc["layers"][0].update(units=units, ell=ell)
+    channel = _CannedServer("ffnn-relu", [(wire.STEP_META, (json.dumps(doc).encode(),)),
+                                          (wire.STEP_LAYER_DOWN, (wire.pack_u32(0),))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            run_inference(channel, "ffnn-relu", pm_one(rng), client_keys, kappa=KAPPA, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(channel.replies) == (error is MessageFormatError)
+
+
 def _misordered_replies(case, client_keys, server_keys):
     pk_c = client_keys[0]
     ct, ct123 = (wire.serialize_ciphertext(pk_c.encrypt(m), pk_c) for m in (1, 123))
@@ -860,7 +887,8 @@ def test_layer_codec_round_trip_matches_plan(activation, variant, output_mode, i
     # layer and the output message carry one ciphertext per unit.
     down_row, up_row = wire.message_plan(protocol, ell=ell, layers=1, units=units)
     expected = (up_row if up else down_row).ciphertexts if index == 0 or comparing else units
-    assert len(layout(meta, index, up)) == expected
+    unit, units = layout(meta, index, up)
+    assert len(unit) * units == expected
 
 
 def _drop(key):

@@ -157,6 +157,17 @@ def test_message_plan_counts():
         message_plan("nope")
 
 
+@pytest.mark.parametrize("protocol,shape", [
+    ("svm-core", {"d": 30}), ("ffnn-sign", {"layers": 1, "units": 2}),
+    ("ffnn-relu", {"layers": 1, "units": 2})])
+def test_message_plan_refuses_a_missing_ell(protocol, shape):
+    with pytest.raises(ParameterError, match=f"^{protocol} needs ell$"):
+        message_plan(protocol, **shape)
+    # The heuristic units carry no mask bits, so they need none.
+    if protocol.startswith("ffnn"):
+        assert message_plan(protocol + "-heur", **shape)
+
+
 def test_plan_bits_reproduce_published_sizes():
     ell_m = 2048
     kib = 1024 * 8  # bits per KiB
