@@ -185,8 +185,10 @@ class MaskSession:
 # sizing checks
 
 def check_core_sizing(modulus: int, ell: int, kappa: int) -> None:
-    """Require M >= 2**ell * (2**kappa + 1) - 1 so the masked sum cannot wrap."""
-    if modulus < (1 << ell) * ((1 << kappa) + 1) - 1:
+    """Require M >= 2**ell * (2**kappa + 1) - 1 so the masked sum cannot wrap;
+    at kappa = 0, where nothing is masked, so that |t| < M/2 decrypts as t.
+    Bit lengths are compared first, so a peer's ell costs no memory."""
+    if ell + kappa >= modulus.bit_length() or modulus < (1 << ell) * ((1 << kappa) + 1) - 1:
         raise ParameterError(
             f"message space of {modulus.bit_length()} bits is too small for "
             f"ell={ell}, kappa={kappa}")
@@ -313,8 +315,10 @@ def regr_core_request(pk_client: PublicKey, x: FeatureVector,
 
 def regr_core_respond(model: LinearModel, request: FeatureRequest,
                       rng: random.Random | None = None) -> Ciphertext:
-    """Encrypted inner product theta . x under the client key."""
+    """Encrypted inner product theta . x under the client key, which must
+    hold it without wrapping."""
     _check_dims(model.d, request.d)
+    check_core_sizing(request.public_key.n, model.ell, 0)
     return encrypted_dot(request.public_key, model.theta[0], model.theta[1:],
                          request.ciphertexts, rng)
 

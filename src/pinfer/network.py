@@ -20,8 +20,8 @@ evaluation modes exist:
   heuristic SVM protocol.
 
 Fixed-point scales accumulate across relu/identity layers (there is no
-homomorphic rescaling), so each layer carries its own bound length and the
-admissible depth is capped by the key size; see NetworkSpec.
+homomorphic rescaling); both parties derive them (``t_scales``), each layer
+carries its own bound length, and the key size caps the admissible depth.
 """
 
 from __future__ import annotations
@@ -51,18 +51,14 @@ MODES = {"generic": (None,), "encrypted": ("core", "heuristic")}
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer: d_l rows of 1 + d_{l-1} integer weights, bias first.
-
-    ``in_scale`` is the fixed-point scale of the layer's inputs, so each
-    inner product carries scale ``in_scale + precision`` (the bias is stored
-    pre-scaled to match). ``ell`` is the bit length of the bound on the inner
-    product magnitude.
+    """One layer: d_l rows of 1 + d_{l-1} integer weights, bias first, the
+    bias at the layer's inner-product scale (``t_scales``). ``ell`` is the
+    bit length of the bound on the inner product magnitude.
     """
 
     weights: tuple[tuple[int, ...], ...]
     activation: str
     ell: int
-    in_scale: int
 
     @property
     def units(self) -> int:
@@ -80,7 +76,6 @@ class LayerMeta:
     units: int
     activation: str
     ell: int
-    t_scale: int
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,7 @@ class NetworkMeta:
 
     def __post_init__(self):
         sizes = (self.d_in, self.precision,
-                 *(v for layer in self.layers for v in (layer.units, layer.ell, layer.t_scale)))
+                 *(v for layer in self.layers for v in (layer.units, layer.ell)))
         if not self.layers or not all(type(v) is int and v >= 0 for v in sizes) or \
                 min(layer.ell for layer in self.layers) < 1:
             raise ParameterError("network sizes must be non-negative integers, and ell positive")
@@ -118,7 +113,7 @@ class NetworkMeta:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Layered integer model with per-layer bound lengths and scales."""
+    """Layered integer model with per-layer bound lengths; see ``t_scales``."""
 
     layers: tuple[LayerSpec, ...]
     precision: int
@@ -153,12 +148,11 @@ class NetworkSpec:
 
     def meta(self, mode: str, variant: str | None = "core") -> NetworkMeta:
         """The client's view under ``mode``; generic mode has no variant."""
-        rows = tuple(LayerMeta(l.units, l.activation, l.ell, l.in_scale + self.precision)
-                     for l in self.layers)
+        rows = tuple(LayerMeta(l.units, l.activation, l.ell) for l in self.layers)
         return NetworkMeta(rows, self.d_in, self.precision, mode,
                            variant if mode == "encrypted" else None, self.output_mode)
 
-    def check_keys(self, modulus: int, kappa: int, variant: str = "core") -> None:
+    def check_keys(self, modulus: int, kappa: int, variant: str | None = "core") -> None:
         """Every layer's masked sum must fit the message space at this kappa."""
         for i, layer in enumerate(self.layers):
             try:
@@ -175,10 +169,10 @@ class NetworkSpec:
         """Build from real-valued layers [(rows, activation), ...].
 
         Each row is [bias, w_1, ..., w_fan_in] with entries in [-1, 1]; the
-        bias is encoded at the layer's input scale plus ``precision``.
+        bias is encoded at the layer's inner-product scale.
         """
-        return cls._build(layer_defs, precision, output_mode, lambda row, in_scale: (
-            encode(row[0], in_scale + precision), *(encode(w, precision) for w in row[1:])))
+        return cls._build(layer_defs, precision, output_mode, lambda row, t_scale: (
+            encode(row[0], t_scale), *(encode(w, precision) for w in row[1:])))
 
     @classmethod
     def from_integer(cls, layer_defs, precision: int = 0,
@@ -187,34 +181,40 @@ class NetworkSpec:
         """Build from integer weight rows directly (test and toy models);
         ``ells`` declares bound lengths, each at least the derived one."""
         return cls._build(layer_defs, precision, output_mode,
-                          lambda row, in_scale: tuple(row), ells)
+                          lambda row, t_scale: tuple(row), ells)
 
     @classmethod
     def _build(cls, layer_defs, precision: int, output_mode: str, encode_row,
                ells=None) -> "NetworkSpec":
         """Derive each layer's bound length from its inputs' bound, then its
-        outputs' scale and bound: sign gives scale 0 and bound 1; relu and
-        identity keep the scale, bounded by 2**ell - 1; smooth activations
-        re-encode at ``precision``."""
-        layers = []
-        in_scale, in_bound = precision, 1 << precision
-        for i, (rows, activation) in enumerate(layer_defs):
-            weights = tuple(encode_row(row, in_scale) for row in rows)
+        outputs' bound: 1 for sign, 2**ell - 1 for relu and identity, and
+        2**precision for the smooth activations, which re-encode."""
+        layers, in_bound = [], 1 << precision
+        scales = t_scales(precision, [activation for _, activation in layer_defs])
+        for i, ((rows, activation), t_scale) in enumerate(zip(layer_defs, scales)):
+            weights = tuple(encode_row(row, t_scale) for row in rows)
             ell = max(max((inner_product_bound(row, in_bound) for row in weights),
                           default=0).bit_length(), 1)
             if ells is not None:
                 if ells[i] < ell:
                     raise ParameterError(f"layer {i}: declared ell {ells[i]} below required {ell}")
                 ell = ells[i]
-            if activation == "sign":
-                out_scale, out_bound = 0, 1
-            elif activations.get(activation).integer_exact:
-                out_scale, out_bound = in_scale + precision, (1 << ell) - 1
-            else:
-                out_scale, out_bound = precision, 1 << precision
-            layers.append(LayerSpec(weights, activation, ell, in_scale))
-            in_scale, in_bound = out_scale, out_bound
+            exact = activations.get(activation).integer_exact
+            in_bound = 1 if activation == "sign" else (1 << ell) - 1 if exact else 1 << precision
+            layers.append(LayerSpec(weights, activation, ell))
         return cls(tuple(layers), precision, output_mode)
+
+
+def t_scales(precision: int, layer_activations) -> tuple[int, ...]:
+    """Each layer's inner-product scale: its inputs' scale plus ``precision``.
+    The input is at ``precision`` and a sign output at 0 (a bare +-1); relu and
+    identity keep their scale, and smooth activations re-encode at ``precision``."""
+    scales, in_scale = [], precision
+    for activation in layer_activations:
+        scales.append(in_scale + precision)
+        exact = activations.get(activation).integer_exact
+        in_scale = 0 if activation == "sign" else scales[-1] if exact else precision
+    return tuple(scales)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +463,9 @@ class NetworkServerSession:
         if request.d != self.spec.d_in:
             raise DimensionMismatchError(
                 f"network expects {self.spec.d_in} inputs, got {request.d}")
-        if self.meta.mode == "encrypted":
-            self.spec.check_keys(request.public_key.n, self.kappa, self.meta.variant)
+        # Generic mode masks nothing; the client key must still hold each t.
+        kappa = self.kappa if self.meta.mode == "encrypted" else 0
+        self.spec.check_keys(request.public_key.n, kappa, self.meta.variant)
         self._enc = request.ciphertexts
         self._layer = 0
         return self._down()
@@ -516,6 +517,7 @@ class NetworkClientSession:
         if meta.variant == "core" and server_public_key is None:
             raise ParameterError("core variant needs the server public key")
         self.meta = meta
+        self.t_scales = t_scales(meta.precision, [layer.activation for layer in meta.layers])
         self.pk, self.sk = client_keys
         self.server_pk = server_public_key
         self.rng = rng or SYSTEM_RNG
@@ -562,8 +564,8 @@ class NetworkClientSession:
         if index == depth - 1:
             self._finish_raw(layer, values)
             return None
-        outs = [activations.apply_fixed(layer.activation, t, layer.t_scale, self.meta.precision)
-                for t in values]
+        outs = [activations.apply_fixed(layer.activation, t, self.t_scales[index],
+                                        self.meta.precision) for t in values]
         return LayerMessage(index, tuple(self.pk.encrypt_all(outs, self.rng)))
 
     def _answer_unit(self, layer: LayerMeta, challenge) -> UnitResponse:
@@ -574,7 +576,7 @@ class NetworkClientSession:
 
     def _finish_raw(self, layer: LayerMeta, values) -> None:
         act = activations.get(layer.activation)
-        outputs = tuple(act.fn(decode(t, layer.t_scale)) for t in values)
+        outputs = tuple(act.fn(decode(t, self.t_scales[-1])) for t in values)
         labels = tuple(activations.sign_value(t) for t in values) \
             if layer.activation == "sign" else None
         self.result = InferenceResult(outputs, labels, tuple(values))
@@ -585,7 +587,7 @@ class NetworkClientSession:
         if layer.activation == "sign":
             self.result = InferenceResult(tuple(float(v) for v in values), tuple(values))
         else:
-            self.result = InferenceResult(tuple(decode(v, layer.t_scale) for v in values))
+            self.result = InferenceResult(tuple(decode(v, self.t_scales[-1]) for v in values))
 
 
 def evaluate_network(spec: NetworkSpec, mode: str, x: FeatureVector,

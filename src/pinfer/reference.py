@@ -14,7 +14,7 @@ from . import activations
 from .errors import DimensionMismatchError
 from .fixedpoint import decode
 from .linear import FeatureVector, LinearModel
-from .network import NetworkSpec
+from .network import NetworkSpec, t_scales
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,12 @@ def eval_ffnn(spec: NetworkSpec, x: FeatureVector) -> list[Prediction]:
     if x.d != spec.d_in:
         raise DimensionMismatchError(f"network expects {spec.d_in} inputs, got {x.d}")
     state = list(x.values[1:])
-    for layer in spec.layers[:-1]:
-        t_scale = layer.in_scale + spec.precision
+    scales = t_scales(spec.precision, [layer.activation for layer in spec.layers])
+    for layer, t_scale in zip(spec.layers[:-1], scales):
         pre = [inner_product(theta, [1, *state]) for theta in layer.weights]
         state = [activations.apply_fixed(layer.activation, t, t_scale, spec.precision)
                  for t in pre]
-    out = spec.layers[-1]
-    t_scale = out.in_scale + spec.precision
+    out, t_scale = spec.layers[-1], scales[-1]
     act = activations.get(out.activation)
     preds = []
     for theta in out.weights:

@@ -223,7 +223,9 @@ def run_inference(channel, protocol: str, x: FeatureVector,
         request = svm_heur_request(pk_c, x, rng)
         io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
         frame = io.recv(wire.STEP_RESPONSE, n_cts=1)
-        (reply,) = _parts(frame, 1)
+        reply, model_precision = _parts(frame, 2)
+        if wire.unpack_u32(model_precision) != x.precision:
+            raise ProtocolViolationError("server model precision differs from the input")
         label = svm_heur_finish(sk_c, wire.deserialize_ciphertext(reply, pk_c))
         return InferenceResult((float(label),), labels=(label,))
 
@@ -395,13 +397,15 @@ def prepare_served(protocol: str, loaded: LoadedModel,
         raise ParameterError(f"protocol {protocol} needs a server key pair")
 
     served = ServedModel(protocol, loaded, server_keys, kappa, rng)
-    if info.variant == "core":
+    if info.needs_server_keys:
         # Sessions check the client key; the server key is checked here, so
         # an undersized one is refused at startup rather than per query.
+        # regr-dual compares nothing, so its key need only hold t: kappa 0.
+        kappa_s = kappa if info.variant == "core" else 0
         if info.mode:
-            loaded.model.check_keys(server_keys[0].n, kappa)
+            loaded.model.check_keys(server_keys[0].n, kappa_s)
         else:
-            check_core_sizing(server_keys[0].n, loaded.model.ell, kappa)
+            check_core_sizing(server_keys[0].n, loaded.model.ell, kappa_s)
     if info.publishes:
         served.published = regr_dual_publish(loaded.model, server_keys[0], rng)
     return served
@@ -477,9 +481,10 @@ def _handle_linear_request(served: ServedModel, frame: wire.Frame) -> tuple:
         return tuple(wire.serialize_ciphertext(c, pk_c) for c in response)
     request = _feature_request(frame)
     pk_c = request.public_key
+    # Both replies end with the model's precision, which the client checks.
     if protocol == "svm-heur":
         response = svm_heur_respond(model, request, served.kappa, served.rng)
-        return (wire.serialize_ciphertext(response, pk_c),)
+        return (wire.serialize_ciphertext(response, pk_c), wire.pack_u32(model.precision))
     response = regr_core_respond(model, request, served.rng)
     return (wire.serialize_ciphertext(response, pk_c),
             served.loaded.activation.encode("utf-8"),

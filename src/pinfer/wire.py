@@ -13,9 +13,9 @@ ciphertext must be a unit modulo N**2, so zero and other values sharing a
 factor with N are refused here rather than deep inside a protocol. Version 2
 sends nothing the receiver can derive: no output flag on layer messages, no
 model dimension in the publish frame, no bound length in the svm-core request
-and no network mode or variant in META. Transcripts record per-message byte
-and ciphertext counts; ``message_plan`` gives the closed-form per-message
-ciphertext counts each protocol must match.
+and no network mode, variant or layer scale in META. Transcripts record
+per-message byte and ciphertext counts; ``message_plan`` gives the
+closed-form per-message ciphertext counts each protocol must match.
 """
 
 from __future__ import annotations
@@ -289,8 +289,12 @@ def message_plan(protocol: str, *, d: int | None = None, ell: int | None = None,
     symmetric).
     """
     info = get_protocol(protocol)
-    if info.variant == "core" and ell is None:
-        raise ParameterError(f"{protocol} needs ell")
+    shape = {"d": d} if info.mode is None else {"layers": layers, "units": units}
+    if info.variant == "core":
+        shape["ell"] = ell
+    for name, value in shape.items():
+        if value is None:
+            raise ParameterError(f"{protocol} needs {name}")
     if protocol in ("regr-core", "svm-heur"):
         return (MessageRow("request", "up", d, plain_scalars=1),
                 MessageRow("response", "down", 1))

@@ -129,6 +129,21 @@ def test_infer_loopback_with_verify(key_files, model_files, protocol, model, cap
     assert "verify: matches" in out
 
 
+def test_infer_verify_against_another_model_is_a_mismatch(key_files, model_files, tmp_path,
+                                                          capsys):
+    other = LinearModel.from_real([-0.5, 0.25, 0.75], bias=-0.1, precision=12)
+    save_model(tmp_path / "other.json", other, "logistic", kappa=40)
+    code = main(["infer", "--loopback", "--protocol", "regr-core",
+                 "--model", str(model_files / "logistic.json"),
+                 "--keys", str(key_files / "cli"),
+                 "--input", str(model_files / "x.txt"),
+                 "--precision", "12", "--kappa", "40",
+                 "--verify", str(tmp_path / "other.json"),
+                 "--insecure-test-keys"])
+    assert code == 2
+    assert "VERIFY MISMATCH" in capsys.readouterr().err
+
+
 def test_infer_heuristic_needs_flag(key_files, model_files, capsys):
     args = ["infer", "--loopback", "--protocol", "svm-heur",
             "--model", str(model_files / "svm.json"),
@@ -279,6 +294,28 @@ def test_infer_gives_up_on_a_silent_server(key_files, model_files, monkeypatch, 
     assert codes == [3]
     assert capsys.readouterr().err == "connection lost: receive failed: timed out\n"
     assert 1 <= elapsed < 10
+
+
+def test_infer_against_a_server_of_another_protocol_exits_3(key_files, model_files, capsys):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    threading.Thread(target=main, daemon=True, args=(
+        ["serve", "--protocol", "regr-core", "--model", str(model_files / "logistic.json"),
+         "--listen", f"127.0.0.1:{port}", "--kappa", "40"],)).start()
+    argv = _regr_core_infer(port, key_files, model_files)
+    argv[argv.index("regr-core")] = "svm-heur"
+    deadline = time.time() + 5
+    while True:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=0.2).close()
+            break
+        except OSError:
+            assert time.time() < deadline
+            time.sleep(0.05)
+    assert main(argv + ["--heuristic"]) == 3
+    assert "protocol violation: server reported: server is running regr-core" in \
+        capsys.readouterr().err
 
 
 def test_serve_names_its_arithmetic(model_files, capsys):

@@ -31,30 +31,30 @@ DIGESTS = {
     "svm-core":
         "d109c33497568fe2570950636ae97d17dc4fb416c6c8f2445e8f9345f13e42d6",
     "svm-heur":
-        "6699228dc9fa0f57fc5176ebb93f41bed8024a8074bcd477653e5ea1da71f578",
+        "b094d46272037564bec7f4600d8a3021832afbed6d363b1e10630d0f0539634f",
     "ffnn-generic":
-        "f3942d4b208a905e9347dc82456ce8251b48a46f27756e18c3915236ec4606dc",
+        "e2f0d3c5cd7cbfde62c1a743a082c7fdfb4bbd47c202b996d1dcf8b74e482fc2",
     "ffnn-sign":
-        "7fa6ce0d2a6510fd8ccd5c89d0f69fc6396f83759a179c99f9b0e89fcd5f42e7",
+        "2415b81f7015b66de36bb27a9167d63727fcccd324d4ffd079e1af942b23c72d",
     "ffnn-sign-heur":
-        "232f484b0847a737ab173917043df5be858de42d9b448568486f8b169cc25f78",
+        "ad6651516b437f078b073c0ae9c3282ff1fb7bfa59a20353d1e337c49e108892",
     "ffnn-relu":
-        "be7ada82239e00f569bd537a908c5de965734112c5a8a27927aa28454056ad7c",
+        "e472842226622d166245abf6dec331c6a58e38a22896bcbc03f7fdab01ee8627",
     "ffnn-relu-heur":
-        "156092b8ce0aebc3f4dbc6046f15c2ecbe3c5a7f6b910fa75ad503f374a53e4a",
+        "73d19aca973c7ee15bd92c8cb5aa235f67100959c118dcb6f32f8ebd009b159f",
 }
 
 #: The output modes the table above misses: sign networks with activated
 #: output and relu networks with raw output.
 OTHER_OUTPUT_DIGESTS = {
     "ffnn-sign":
-        "3b49044791db62c3dbfc7cc87b0e227e8d5afbe57717f26238e124846f456eda",
+        "58449410c5ee0d994fdbcdaa10c587bde6e234358b2fbefd3523ee8fdcd1126b",
     "ffnn-sign-heur":
-        "4ad2dbff9f30b71e3d78ba376a7ab50d8861a34d90386201702954a6c84627d4",
+        "cf56ff5077c48b0c49d33b776d7bbd27c1b189135a6027c4f55cbdd652900c56",
     "ffnn-relu":
-        "007042bffbbd9d0d93f19d8bb84cff296ef73791fbecdc3a1eb0101c463a713d",
+        "27caba465a0ba199d959000237ff553561d71fa04529e865dcc49b754a689bb5",
     "ffnn-relu-heur":
-        "b6dc425fdf8e80a9bcc290457e9943c51b3d7044e272e79420bebae58782c623",
+        "261daa78a7725b02330bda689ef7cc89552bd127bf1482a831040d4eb253fa75",
 }
 
 _LINEAR_TYPES = {"regr-core": "logistic", "regr-dual": "linear",

@@ -6,10 +6,11 @@ import pytest
 
 from pinfer.activations import sign_value
 from pinfer.errors import ParameterError, ProtocolViolationError
+from pinfer.fixedpoint import encode
 from pinfer.linear import FeatureVector, heuristic_interval
 from pinfer.network import (LayerMessage, LayerSpec, NetworkClientSession,
                             NetworkServerSession, NetworkSpec, UnitResponse, evaluate_network,
-                            unit_answer, unit_challenge, unit_finish)
+                            t_scales, unit_answer, unit_challenge, unit_finish)
 from pinfer.numutil import insecure_rng
 from pinfer.paillier import SecretKey
 from pinfer.reference import eval_ffnn, eval_linear
@@ -176,7 +177,7 @@ def test_spec_validation():
     (lambda: NetworkSpec.from_integer([([(0, 1)], "relu"), ([], "identity")]), 1),
     (lambda: NetworkSpec.from_real([([], "relu")], 8), 0),
     (lambda: NetworkSpec.from_real([([[0.5, 0.5]], "relu"), ([], "identity")], 8), 1),
-    (lambda: NetworkSpec((LayerSpec((), "relu", 1, 0),), 0), 0),
+    (lambda: NetworkSpec((LayerSpec((), "relu", 1),), 0), 0),
 ], ids=["integer-first", "integer-last", "real-first", "real-last", "direct"])
 def test_layer_of_no_units_is_refused(build, index):
     with pytest.raises(ParameterError, match=f"layer {index} has no units"):
@@ -196,13 +197,18 @@ def test_relu_scale_law():
     rows1 = [[0.25, 0.5, -0.5], [0.0, -1.0, 1.0], [0.125, 0.25, 0.25]]
     rows2 = [[0.5, 0.25, -0.25, 1.0]]
     spec = NetworkSpec.from_real([(rows1, "relu"), (rows2, "relu")], precision)
+    scales = t_scales(precision, ["relu", "relu"])
     log_terms = 0
-    for index, (layer, meta) in enumerate(zip(spec.layers, spec.meta("generic").layers)):
+    for index, (layer, t_scale) in enumerate(zip(spec.layers, scales)):
         width = layer.fan_in + 1
         log_terms += (width - 1).bit_length() if width > 1 else 0
-        assert layer.in_scale == (index + 1) * precision
-        assert meta.t_scale == (index + 2) * precision
+        assert t_scale == (index + 2) * precision
+        # The bias is encoded at the layer's inner-product scale.
+        bias = (rows1, rows2)[index][0][0]
+        assert layer.weights[0][0] == encode(bias, t_scale)
         assert layer.ell <= (index + 2) * precision + log_terms
+    # Sign restarts the scale at 0 and a smooth activation at the precision.
+    assert t_scales(8, ["relu", "sign", "tanh", "identity", "relu"]) == (16, 24, 8, 16, 24)
 
 
 def test_generic_hidden_state(client_keys, rng):

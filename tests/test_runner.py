@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -413,6 +414,43 @@ def test_undersized_keys_refused_at_startup(server_keys, rng):
         prepare_served("svm-core", loaded, tiny_keys, 95, rng)
     # The same model hosts fine on an adequately sized modulus.
     prepare_served("svm-core", loaded, server_keys, 95, rng)
+    # regr-dual masks no comparison, but its key must still hold t: ell = 133.
+    wide = LoadedModel("linear", LinearModel.from_real([0.5] * 30, 0.1, precision=64), 95)
+    with pytest.raises(ParameterError, match="kappa=0"):
+        prepare_served("regr-dual", wide, tiny_keys, 95, rng)
+    prepare_served("regr-dual", wide, server_keys, 95, rng)
+
+
+def test_regr_core_refuses_a_client_key_it_would_wrap(rng):
+    # ell = 133 under a 128-bit client key: the inner product would decrypt
+    # to another integer, so the server answers with an error frame.
+    tiny_keys = keygen(128, insecure_rng(7))
+    loaded = LoadedModel("linear", LinearModel.from_real([0.5] * 30, 0.1, precision=64), KAPPA)
+    assert loaded.model.ell >= tiny_keys[0].bit_length
+    with pytest.raises(ProtocolViolationError, match="128 bits is too small for ell=133"):
+        run_protocol("regr-core", loaded, random_x(30, 64, rng), tiny_keys, None, rng)
+
+
+@pytest.mark.parametrize("depth", [8, 10])
+def test_generic_network_refuses_a_client_key_it_would_wrap(client_keys, depth):
+    # 2-unit relu layers and an identity output at P = 53 grow ell by about
+    # 53 bits a layer: 8 layers stay below the 512-bit client key and are
+    # exact; 10 pass it and would decrypt to other integers, so the server
+    # answers with an error frame.
+    rng = insecure_rng(0x5CA1E)
+
+    def rows(units):
+        return [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(units)]
+    spec = NetworkSpec.from_real([(rows(2), "relu")] * (depth - 1) + [(rows(1), "identity")], 53)
+    x = random_x(2, 53, rng)
+    loaded = LoadedModel("ffnn", spec, KAPPA)
+    assert (max(layer.ell for layer in spec.layers) < 512) == (depth == 8)
+    if depth == 8:
+        result = run_protocol("ffnn-generic", loaded, x, client_keys, None, rng)
+        assert result.raw == tuple(p.raw for p in eval_ffnn(spec, x))
+    else:
+        with pytest.raises(ProtocolViolationError, match="512 bits is too small .* kappa=0"):
+            run_protocol("ffnn-generic", loaded, x, client_keys, None, rng)
 
 
 def test_server_reports_errors_as_frames(client_keys, server_keys, rng):
@@ -704,6 +742,49 @@ def test_hostile_meta_costs_no_memory(client_keys, server_keys, rng, units, ell,
     assert len(channel.replies) == (error is MessageFormatError)
 
 
+def test_meta_of_the_other_format_age_is_refused(client_keys, rng):
+    # A META of the earlier format also sent each layer's inner-product
+    # scale, "t_scale", which the client now derives. It is refused before
+    # any scale is used: a scale of 2**30 bits cost that format's client
+    # over 100 MiB and returned 0.0.
+    doc = json.loads(_meta_to_json(ffnn_loaded("relu").model.meta("generic"), None))
+    earlier = {**doc, "layers": [{**layer, "t_scale": 1 << 30} for layer in doc["layers"]]}
+    channel = _CannedServer("ffnn-generic", [(wire.STEP_META, (json.dumps(earlier).encode(),))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(MessageFormatError, match="t_scale"):
+            run_inference(channel, "ffnn-generic", pm_one(rng), client_keys, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # The earlier client built each layer as LayerMeta(**layer) with a
+    # required t_scale, and refused the TypeError as a malformed META.
+    earlier_layer = dataclasses.make_dataclass(
+        "LayerMeta", [*(f.name for f in dataclasses.fields(LayerMeta)), "t_scale"])
+    for layer in doc["layers"]:
+        with pytest.raises(TypeError, match="t_scale"):
+            earlier_layer(**layer)
+
+
+def test_hostile_publish_ell_costs_no_memory(client_keys, server_keys, rng):
+    # An svm-core PUBLISH of ell = 2**32 - 1: the client's sizing check
+    # compares bit lengths before it computes 2**ell.
+    pk_s = server_keys[0]
+    publish = (wire.serialize_public_key(pk_s), wire.pack_u32(12), wire.pack_u32(2**32 - 1),
+               b"identity", *(wire.serialize_ciphertext(pk_s.encrypt(1), pk_s) for _ in range(2)))
+    channel = _CannedServer("svm-core", [(wire.STEP_PUBLISH, publish)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="512 bits is too small"):
+            run_inference(channel, "svm-core", FeatureVector((1, 1), 12), client_keys,
+                          kappa=KAPPA, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _misordered_replies(case, client_keys, server_keys):
     pk_c = client_keys[0]
     ct, ct123 = (wire.serialize_ciphertext(pk_c.encrypt(m), pk_c) for m in (1, 123))
@@ -807,6 +888,7 @@ def test_client_refuses_a_reply_of_another_kind(client_keys, rng, case, fragment
 
 @pytest.mark.parametrize("protocol,fragment", [
     ("regr-core", "server model precision differs from the input"),
+    ("svm-heur", "server model precision differs from the input"),
     ("ffnn-generic", "input does not match the served network"),
     ("regr-dual", "feature precision differs from the published model")])
 def test_input_at_another_precision_is_refused(client_keys, server_keys, rng, protocol,
@@ -868,7 +950,7 @@ def test_layer_codec_round_trip_matches_plan(activation, variant, output_mode, i
         assume(comparing)
     (pk_c, _), (pk_s, _) = _LAYOUT_KEYS
     rng = insecure_rng(seed)
-    meta = NetworkMeta((LayerMeta(units, activation, ell, 0),) * 2, d_in=2, precision=0,
+    meta = NetworkMeta((LayerMeta(units, activation, ell),) * 2, d_in=2, precision=0,
                        mode="encrypted" if variant else "generic", variant=variant,
                        output_mode=output_mode)
     assert compares(meta, index) == comparing
@@ -907,7 +989,7 @@ def _layer(change, index=0):
     lambda doc: {**doc, "depth": 2},
     _layer(lambda layer: layer.pop("ell")),
     _layer(lambda layer: layer.update(width=3)),
-    lambda doc: {**doc, "layers": [[3, "sign", 4, 0], *doc["layers"][1:]]},
+    lambda doc: {**doc, "layers": [[3, "sign", 4], *doc["layers"][1:]]},
     lambda doc: {**doc, "layers": 2},
     lambda doc: {**doc, "server_key": "not hex"},
     lambda doc: {**doc, "server_key": 7},
@@ -922,7 +1004,7 @@ def _layer(change, index=0):
     _layer(lambda layer: layer.update(units="1")),
     _layer(lambda layer: layer.update(ell=-1)),
     _layer(lambda layer: layer.update(ell=0)),
-    _layer(lambda layer: layer.update(t_scale=True)),
+    _layer(lambda layer: layer.update(ell=True)),
     lambda doc: {**doc, "d_in": 2.0},
     lambda doc: {**doc, "precision": None},
     # A network that ffnn-sign set-up would refuse to serve.
@@ -935,7 +1017,7 @@ def _layer(change, index=0):
         "layer extra field", "list for a layer", "number for layers", "bad key hex",
         "number for key", "mode field", "variant field", "list", "string", "number",
         "null", "empty layers", "unknown output mode", "string units", "negative ell", "zero ell",
-        "bool t_scale", "float d_in", "null precision", "relu layer", "tanh layer",
+        "bool ell", "float d_in", "null precision", "relu layer", "tanh layer",
         "unknown activation", "activated identity output"])
 def test_malformed_meta_is_a_format_error(mutate):
     doc = json.loads(_meta_to_json(ffnn_loaded("sign").model.meta("encrypted", "core"), None))

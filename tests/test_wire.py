@@ -159,12 +159,18 @@ def test_message_plan_counts():
 
 @pytest.mark.parametrize("protocol,shape", [
     ("svm-core", {"d": 30}), ("ffnn-sign", {"layers": 1, "units": 2}),
-    ("ffnn-relu", {"layers": 1, "units": 2})])
+    ("ffnn-relu", {"layers": 1, "units": 2}),
+    ("regr-core", {"d": None}), ("svm-heur", {"d": None}), ("regr-dual", {"d": None}),
+    ("svm-core", {"d": None, "ell": 10}), ("ffnn-generic", {"layers": None, "units": 2}),
+    ("ffnn-sign", {"layers": 1, "units": None, "ell": 10}),
+    ("ffnn-relu-heur", {"layers": None, "units": 2})])
 def test_message_plan_refuses_a_missing_ell(protocol, shape):
-    with pytest.raises(ParameterError, match=f"^{protocol} needs ell$"):
+    # A shape names the size it lacks as None; the first three lack ell.
+    missing = next((name for name, value in shape.items() if value is None), "ell")
+    with pytest.raises(ParameterError, match=f"^{protocol} needs {missing}$"):
         message_plan(protocol, **shape)
     # The heuristic units carry no mask bits, so they need none.
-    if protocol.startswith("ffnn"):
+    if missing == "ell" and protocol.startswith("ffnn"):
         assert message_plan(protocol + "-heur", **shape)
 
 
