@@ -86,8 +86,7 @@ def _served_from_args(args) -> runner.ServedModel:
     if args.keys:
         server_keys = _load_keys(args.keys)
         _check_key_bits(server_keys[0].bit_length, args.insecure_test_keys)
-    kappa = args.kappa if args.kappa is not None else loaded.kappa
-    return runner.prepare_served(args.protocol, loaded, server_keys, kappa,
+    return runner.prepare_served(args.protocol, loaded, server_keys, args.kappa,
                                  rng=SYSTEM_RNG)
 
 
@@ -182,7 +181,7 @@ def cmd_infer(args) -> int:
 
     try:
         result = runner.run_inference(channel, args.protocol, x, client_keys,
-                                      kappa=args.kappa or DEFAULT_KAPPA)
+                                      kappa=DEFAULT_KAPPA if args.kappa is None else args.kappa)
     finally:
         channel.close()
     _print_result(result)

@@ -123,6 +123,14 @@ class FeatureVector:
             raise ParameterError("input lies outside [-1, 1]; --allow-unscaled inputs "
                                  f"suit only {unbounded}")
 
+    def require_fits(self, precision: int, d: int | None = None) -> None:
+        """Refuse an input of another precision than the model's, or of
+        another dimension where the client learns the model's ``d``."""
+        if self.precision != precision or d not in (None, self.d):
+            takes = f"precision {precision}" if d is None else f"d={d} at precision {precision}"
+            raise ParameterError(f"input does not fit the model: the model takes {takes}, "
+                                 f"the input is d={self.d} at precision {self.precision}")
+
     @classmethod
     def from_real(cls, features, precision: int = 53,
                   allow_unscaled: bool = False) -> "FeatureVector":
@@ -342,12 +350,6 @@ def regr_dual_publish(model: LinearModel, pk_server: PublicKey,
     return PublishedLinearModel(pk_server, cts, model.ell, model.precision)
 
 
-def _check_published_input(published: PublishedLinearModel, x: FeatureVector) -> None:
-    _check_dims(published.d, x.d)
-    if x.precision != published.precision:
-        raise ParameterError("feature precision differs from the published model")
-
-
 def regr_dual_request(published: PublishedLinearModel, x: FeatureVector,
                       rng: random.Random | None = None, mask: int | None = None
                       ) -> tuple[Ciphertext, MaskSession]:
@@ -356,7 +358,7 @@ def regr_dual_request(published: PublishedLinearModel, x: FeatureVector,
     The mask makes the value the server decrypts uniform over the message
     space. ``mask`` can be forced for tests; by default it is drawn uniformly.
     """
-    _check_published_input(published, x)
+    x.require_fits(published.precision, published.d)
     rng = rng or SYSTEM_RNG
     pk = published.public_key
     mask = rng.randrange(pk.n) if mask is None else mask % pk.n
@@ -391,7 +393,7 @@ def svm_core_request(published: PublishedLinearModel, pk_client: PublicKey,
     sum under the server key, the mask's low ell bits under the client key.
     ``mask`` can be forced for tests.
     """
-    _check_published_input(published, x)
+    x.require_fits(published.precision, published.d)
     x.require_scaled()
     challenge, mask = masked_challenge(published.public_key, 0, x.values, published.ciphertexts,
                                        pk_client, published.ell, kappa, rng, mask)

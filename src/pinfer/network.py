@@ -33,7 +33,7 @@ from . import activations, wire
 # perfbench's tracer wraps bit_owner_finish and evaluator_respond under these names.
 from .comparison import (UnitChallenge, bit_owner_finish,  # noqa: F401
                          evaluator_respond, evaluator_step, owner_step)
-from .errors import (DimensionMismatchError, ParameterError,
+from .errors import (DimensionMismatchError, MessageFormatError, ParameterError,
                      ProtocolViolationError)
 from .fixedpoint import decode, encode
 from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector, check_core_sizing,
@@ -453,6 +453,8 @@ class NetworkServerSession:
         self.kappa = kappa
         self.server_keys = server_keys or (None, None)
         self.rng = rng or SYSTEM_RNG
+        #: The key of each ``layout`` letter; ``start`` adds the client's.
+        self.keys: dict[str, PublicKey | None] = {"s": self.server_keys[0]}
         self._state: tuple | None = None
         self._enc: tuple[Ciphertext, ...] | None = None
         self._layer = 0
@@ -466,6 +468,7 @@ class NetworkServerSession:
         # Generic mode masks nothing; the client key must still hold each t.
         kappa = self.kappa if self.meta.mode == "encrypted" else 0
         self.spec.check_keys(request.public_key.n, kappa, self.meta.variant)
+        self.keys["c"] = request.public_key
         self._enc = request.ciphertexts
         self._layer = 0
         return self._down()
@@ -508,32 +511,33 @@ class NetworkServerSession:
 
 
 class NetworkClientSession:
-    """Client side of one network evaluation; sees only the layer metadata."""
+    """Client side of one network evaluation; sees only the layer metadata.
+    It refuses a core META whose compared layers have ell at or above the
+    client key's bit length (MessageFormatError: the server's check of that
+    key keeps ell below it, and the bound caps a unit's layout), or that
+    comes without the server key (ProtocolViolationError)."""
 
     def __init__(self, meta: NetworkMeta,
                  client_keys: tuple[PublicKey, SecretKey],
                  server_public_key: PublicKey | None = None,
                  rng: random.Random | None = None):
+        self.pk, self.sk = client_keys
+        if meta.variant == "core" and any(layer.ell >= self.pk.bit_length and compares(meta, i)
+                                          for i, layer in enumerate(meta.layers)):
+            raise MessageFormatError("malformed network meta: ell exceeds the client key")
         if meta.variant == "core" and server_public_key is None:
-            raise ParameterError("core variant needs the server public key")
+            raise ProtocolViolationError("the server sent no public key")
         self.meta = meta
         self.t_scales = t_scales(meta.precision, [layer.activation for layer in meta.layers])
-        self.pk, self.sk = client_keys
-        self.server_pk = server_public_key
+        self.keys = {"c": self.pk, "s": server_public_key}  # of each ``layout`` letter
         self.rng = rng or SYSTEM_RNG
         self.result: InferenceResult | None = None
         #: The layer of the next down message; the layer count for the output.
         self._next_layer = 0
 
-    def request(self, x: FeatureVector) -> FeatureRequest:
-        if x.d != self.meta.d_in:
-            raise DimensionMismatchError(
-                f"network expects {self.meta.d_in} inputs, got {x.d}")
-        if x.precision != self.meta.precision:
-            raise ParameterError("feature precision differs from the model")
-        if self.meta.mode == "encrypted":
-            x.require_scaled()
-        return FeatureRequest.encrypt(self.pk, x, self.rng)
+    def check_input(self, x: FeatureVector) -> None:
+        """Refuse an input the network was not built for."""
+        x.require_fits(self.meta.precision, self.meta.d_in)
 
     def handle(self, message: LayerMessage) -> LayerMessage | None:
         """Process a down message; returns the reply, or None when finished.
@@ -572,7 +576,7 @@ class NetworkClientSession:
         bits = layer.ell if self.meta.variant == "core" else 0
         if not isinstance(challenge, UnitChallenge) or len(challenge.mask_bits) != bits:
             raise ProtocolViolationError(f"challenge does not carry the layer's {bits} mask bits")
-        return unit_answer(layer.activation, self.sk, self.server_pk, challenge, self.rng)
+        return unit_answer(layer.activation, self.sk, self.keys["s"], challenge, self.rng)
 
     def _finish_raw(self, layer: LayerMeta, values) -> None:
         act = activations.get(layer.activation)
@@ -607,7 +611,10 @@ def evaluate_network(spec: NetworkSpec, mode: str, x: FeatureVector,
     client = NetworkClientSession(spec.meta(mode, variant), client_keys,
                                   server_public_key=server_keys[0] if server_keys else None,
                                   rng=rng)
-    request = client.request(x)
+    client.check_input(x)
+    if mode == "encrypted":
+        x.require_scaled()
+    request = FeatureRequest.encrypt(client.pk, x, rng)
     _record(transcript, "up", 0, request.ciphertexts)
     message = server.start(request)
     while True:

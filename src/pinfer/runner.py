@@ -187,8 +187,7 @@ def run_inference(channel, protocol: str, x: FeatureVector,
         reply, activation, model_precision = _parts(frame, 3)
         t_ct = wire.deserialize_ciphertext(reply, pk_c)
         activation = _text(activation)
-        if wire.unpack_u32(model_precision) != precision:
-            raise ProtocolViolationError("server model precision differs from the input")
+        x.require_fits(wire.unpack_u32(model_precision))
         value = regr_core_finish(sk_c, t_ct, precision, activation)
         return InferenceResult((value,), raw=(sk_c.decrypt(t_ct),))
 
@@ -224,8 +223,7 @@ def run_inference(channel, protocol: str, x: FeatureVector,
         io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
         frame = io.recv(wire.STEP_RESPONSE, n_cts=1)
         reply, model_precision = _parts(frame, 2)
-        if wire.unpack_u32(model_precision) != x.precision:
-            raise ProtocolViolationError("server model precision differs from the input")
+        x.require_fits(wire.unpack_u32(model_precision))
         label = svm_heur_finish(sk_c, wire.deserialize_ciphertext(reply, pk_c))
         return InferenceResult((float(label),), labels=(label,))
 
@@ -269,35 +267,26 @@ def _check_activations(meta: NetworkMeta, protocol: wire.Protocol) -> None:
 
 def _run_network_client(io: _ClientIO, x: FeatureVector, client_keys,
                         rng) -> InferenceResult:
-    pk_c, sk_c = client_keys
     if io.protocol.variant:
         x.require_scaled()
-    request = FeatureRequest.encrypt(pk_c, x, rng)
+    request = FeatureRequest.encrypt(client_keys[0], x, rng)
     io.send(wire.STEP_REQUEST, _feature_parts(request), n_cts=request.d)
     frame = io.recv(wire.STEP_META, n_cts=0)
     meta, pk_server = _meta_from_json(_parts(frame, 1)[0], io.protocol)
-    # Set-up's key check under this client key keeps every compared core
-    # layer's ell below its bit length, which also bounds a unit's layout.
-    if meta.variant == "core" and any(layer.ell >= pk_c.bit_length and network.compares(meta, i)
-                                      for i, layer in enumerate(meta.layers)):
-        raise MessageFormatError("malformed network meta: ell exceeds the client key")
-    if io.protocol.needs_server_keys and pk_server is None:
-        raise ProtocolViolationError("the server sent no public key")
-    if x.d != meta.d_in or x.precision != meta.precision:
-        raise ParameterError("input does not match the served network")
     session = NetworkClientSession(meta, client_keys, pk_server, rng)
-    keys = {"c": pk_c, "s": pk_server}
+    session.check_input(x)
     while True:
         frame, size = io.recv_raw()
         if frame.step_id not in (wire.STEP_LAYER_DOWN, wire.STEP_OUTPUT):
             raise ProtocolViolationError(f"unexpected step {frame.step_id}")
-        message = _decode_layer(frame, meta, keys)
+        message = _decode_layer(frame, session.meta, session.keys)
         if io.transcript is not None:
             io.transcript.record("down", frame.step_id, size, len(network.flatten(message)))
         reply = session.handle(message)
         if reply is None:
             break
-        io.send(*_encode_layer(reply, meta, keys, up=True), n_cts=len(network.flatten(reply)))
+        io.send(*_encode_layer(reply, session.meta, session.keys, up=True),
+                n_cts=len(network.flatten(reply)))
     return session.result
 
 
@@ -424,7 +413,7 @@ def _publish_frame_parts(served: ServedModel) -> tuple:
 def serve_connection(channel, served: ServedModel) -> None:
     """Answer frames on one connection until the peer closes it."""
     protocol_id = wire.PROTOCOL_IDS[served.protocol]
-    network_sessions: dict[bytes, tuple] = {}
+    network_sessions: dict[bytes, NetworkServerSession] = {}
     try:
         while True:
             data = channel.recv()
@@ -493,32 +482,28 @@ def _handle_linear_request(served: ServedModel, frame: wire.Frame) -> tuple:
 
 def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
     info = wire.PROTOCOLS[served.protocol]
-    pk_s = served.server_keys[0] if served.server_keys else None
     if frame.step_id == wire.STEP_REQUEST:
         if frame.session_id in sessions:
             raise ProtocolViolationError("session already active")
         # One live session per connection: a new request ends the last one.
         sessions.clear()
-        request = _feature_request(frame)
         session = NetworkServerSession(served.loaded.model, mode=info.mode,
                                        server_keys=served.server_keys, kappa=served.kappa,
                                        variant=info.variant, rng=served.rng)
-        message = session.start(request)
-        keys = {"c": request.public_key, "s": pk_s}
-        yield wire.STEP_META, (_meta_to_json(session.meta, pk_s),)
+        message = session.start(_feature_request(frame))
+        yield wire.STEP_META, (_meta_to_json(session.meta, session.keys["s"]),)
     elif frame.step_id == wire.STEP_LAYER_UP:
         # A refused layer-up ends its session: it is back in the table only
         # after a successful step that leaves it unfinished.
-        entry = sessions.pop(frame.session_id, None)
-        if entry is None:
+        session = sessions.pop(frame.session_id, None)
+        if session is None:
             raise ProtocolViolationError("unknown session")
-        session, keys = entry
-        message = session.advance(_decode_layer(frame, session.meta, keys))
+        message = session.advance(_decode_layer(frame, session.meta, session.keys))
     else:
         raise ProtocolViolationError(f"unexpected step {frame.step_id}")
     if not session.done:
-        sessions[frame.session_id] = (session, keys)
-    yield _encode_layer(message, session.meta, keys, up=False)
+        sessions[frame.session_id] = session
+    yield _encode_layer(message, session.meta, session.keys, up=False)
 
 
 def serve_loopback(served: ServedModel):

@@ -5,6 +5,7 @@ key generation is seeded so failures reproduce.
 """
 
 import os
+import zlib
 from pathlib import Path
 
 import pytest
@@ -23,10 +24,16 @@ def server_keys():
     return keygen(512, insecure_rng(0x5E4E4))
 
 
+def rng_seed(name: str) -> int:
+    """The seed of a test's stream: a CRC of its name, which, unlike
+    ``hash``, no per-process salt (PYTHONHASHSEED) changes."""
+    return zlib.crc32(name.encode("utf-8"))
+
+
 @pytest.fixture
 def rng(request):
     # Distinct, reproducible stream per test.
-    return insecure_rng(hash(request.node.name) & 0xFFFFFFFF)
+    return insecure_rng(rng_seed(request.node.name))
 
 
 @pytest.fixture

@@ -47,6 +47,9 @@ def model_files(tmp_path_factory):
     net = NetworkSpec.from_integer(
         [([(0, 1, 1), (-1, 1, -1)], "sign"), ([(0, 1, -2)], "sign")])
     save_model(base / "net.json", net, "ffnn", kappa=40)
+    relu = NetworkSpec.from_integer(
+        [([(0, 1, 1), (-1, 1, -1)], "relu"), ([(0, 1, -2)], "relu")])
+    save_model(base / "relu-net.json", relu, "ffnn", kappa=40)
     (base / "x.txt").write_text("0.5\n-0.5\n0.25\n")
     (base / "xnet.txt").write_text("1\n-1\n")
     return base
@@ -167,6 +170,88 @@ def test_infer_ffnn_loopback(key_files, model_files, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "verify: matches" in out
+
+
+def _infer_argv(protocol, model_files, key_files, precision):
+    """A loopback ``infer`` of ``protocol`` on its test model and input, with
+    the input read at ``precision``."""
+    info = wire.PROTOCOLS[protocol]
+    if info.mode:
+        model, features = "relu-net.json" if info.activation == "relu" else "net.json", "xnet.txt"
+    else:
+        model, features = "svm.json" if "svm" in info.model_types else "logistic.json", "x.txt"
+    return ["infer", "--loopback", "--protocol", protocol, "--model", str(model_files / model),
+            "--server-keys", str(key_files / "srv"), "--keys", str(key_files / "cli"),
+            "--input", str(model_files / features), "--precision", str(precision),
+            "--kappa", "40", "--heuristic", "--insecure-test-keys"]
+
+
+@pytest.mark.parametrize("protocol", sorted(wire.PROTOCOL_IDS))
+def test_input_at_another_precision_is_a_configuration_error(key_files, model_files, capsys,
+                                                             protocol):
+    # The linear models are at precision 12, the networks at 0.
+    precision = 1 if wire.PROTOCOLS[protocol].mode else 8
+    assert main(_infer_argv(protocol, model_files, key_files, precision)) == 4
+    assert capsys.readouterr().err.startswith("error: input does not fit the model: ")
+
+
+@pytest.mark.parametrize("case,message", [
+    ("no server", "pass --server host:port or --loopback"),
+    ("loopback without a model", "--loopback needs --model to run the server side"),
+    ("fresh test key without the flag",
+     "512-bit keys are test-scale only; pass --insecure-test-keys")])
+def test_infer_refusals(key_files, model_files, capsys, case, message):
+    argv = _infer_argv("regr-core", model_files, key_files, 12)
+    if case == "no server":
+        argv.remove("--loopback")
+    elif case == "loopback without a model":
+        del argv[argv.index("--model"):argv.index("--model") + 2]
+    else:
+        del argv[argv.index("--keys"):argv.index("--keys") + 2]
+        argv.remove("--insecure-test-keys")
+        argv += ["--bits", "512"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_infer_without_keys_makes_a_fresh_pair(key_files, model_files, capsys):
+    argv = _infer_argv("regr-core", model_files, key_files, 12)
+    del argv[argv.index("--keys"):argv.index("--keys") + 2]
+    code = main(argv + ["--bits", "512", "--verify", str(model_files / "logistic.json")])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.endswith("verify: matches the plaintext oracle\n")
+
+
+def test_infer_kappa_zero_is_kept(key_files, tmp_path, capsys):
+    # At kappa 0 an svm-core model of ell = 450 fits 512-bit keys; at the
+    # default kappa of 95 it would not, so a 0 read as "unset" is refused.
+    model = LinearModel((3, -2, 1), ell=450, precision=2)
+    save_model(tmp_path / "wide.json", model, "svm", kappa=40)
+    (tmp_path / "x.txt").write_text("0.5\n-0.75\n")
+    argv = ["infer", "--loopback", "--protocol", "svm-core",
+            "--model", str(tmp_path / "wide.json"), "--server-keys", str(key_files / "srv"),
+            "--keys", str(key_files / "cli"), "--input", str(tmp_path / "x.txt"),
+            "--precision", "2", "--kappa", "0", "--verify", str(tmp_path / "wide.json"),
+            "--insecure-test-keys"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "verify: matches" in out
+
+
+def test_serve_on_a_port_in_use_is_a_configuration_error(model_files, capsys):
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        address = f"127.0.0.1:{taken.getsockname()[1]}"
+        codes = []
+        # In a thread of its own, so a server that binds anyway fails the test.
+        thread = threading.Thread(daemon=True, target=lambda: codes.append(main(
+            ["serve", "--protocol", "regr-core", "--listen", address,
+             "--model", str(model_files / "logistic.json")])))
+        thread.start()
+        thread.join(timeout=30)
+    assert codes == [4]
+    assert capsys.readouterr().err.startswith(f"error: cannot listen on {address}: ")
 
 
 def test_serve_refuses_incompatible_protocol(key_files, model_files, capsys):

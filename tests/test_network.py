@@ -7,7 +7,7 @@ import pytest
 from pinfer.activations import sign_value
 from pinfer.errors import ParameterError, ProtocolViolationError
 from pinfer.fixedpoint import encode
-from pinfer.linear import FeatureVector, heuristic_interval
+from pinfer.linear import FeatureRequest, FeatureVector, heuristic_interval
 from pinfer.network import (LayerMessage, LayerSpec, NetworkClientSession,
                             NetworkServerSession, NetworkSpec, UnitResponse, evaluate_network,
                             t_scales, unit_answer, unit_challenge, unit_finish)
@@ -219,7 +219,7 @@ def test_generic_hidden_state(client_keys, rng):
     server = NetworkServerSession(spec, mode="generic", rng=rng)
     client = NetworkClientSession(spec.meta("generic"), (pk_c, sk_c), rng=rng)
     x = FeatureVector((1, 3), 0, bound_bits=2)
-    message = server.start(client.request(x))
+    message = server.start(FeatureRequest.encrypt(pk_c, x, rng))
     reply = client.handle(message)
     message = server.advance(reply)
     assert [sk_c.decrypt(ct) for ct in server._enc] == [3]
@@ -404,7 +404,8 @@ def test_server_session_refuses_a_reply_it_is_not_expecting(client_keys, rng):
     client = NetworkClientSession(spec.meta("generic"), client_keys, rng=rng)
     with pytest.raises(ProtocolViolationError, match="session is not expecting a reply"):
         server.advance(LayerMessage(0, ()))  # before start
-    reply = client.handle(server.start(client.request(pm_one_inputs(rng, 2))))
+    reply = client.handle(server.start(FeatureRequest.encrypt(client_keys[0],
+                                                              pm_one_inputs(rng, 2), rng)))
     client.handle(server.advance(reply))
     assert server.done and client.result is not None
     with pytest.raises(ProtocolViolationError, match="session is not expecting a reply"):
@@ -424,8 +425,7 @@ def test_client_session_refuses_a_challenge_without_the_layers_mask_bits(
     meta = spec.meta("encrypted", variant)
     server = NetworkServerSession(spec, mode="encrypted", server_keys=server_keys,
                                   kappa=KAPPA, variant=variant, rng=rng)
-    message = server.start(NetworkClientSession(meta, client_keys, server_keys[0], rng)
-                           .request(pm_one_inputs(rng, 2)))
+    message = server.start(FeatureRequest.encrypt(client_keys[0], pm_one_inputs(rng, 2), rng))
     first, rest = message.units[0], message.units[1:]
     bits = meta.layers[0].ell if variant == "core" else 0
     assert len(first.mask_bits) == bits

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pinfer import keygen, numutil, wire
-from pinfer.errors import (MessageFormatError, ParameterError, PinferError,
-                           ProtocolViolationError)
+from pinfer.errors import MessageFormatError, ParameterError, ProtocolViolationError
 from pinfer.linear import FeatureRequest, FeatureVector, LinearModel
 from pinfer.modelfile import LoadedModel
 from pinfer.network import (LayerMessage, LayerMeta, NetworkClientSession,
@@ -886,17 +885,16 @@ def test_client_refuses_a_reply_of_another_kind(client_keys, rng, case, fragment
         run_inference(channel, protocol, x, client_keys, kappa=KAPPA, rng=rng)
 
 
-@pytest.mark.parametrize("protocol,fragment", [
-    ("regr-core", "server model precision differs from the input"),
-    ("svm-heur", "server model precision differs from the input"),
-    ("ffnn-generic", "input does not match the served network"),
-    ("regr-dual", "feature precision differs from the published model")])
-def test_input_at_another_precision_is_refused(client_keys, server_keys, rng, protocol,
-                                                fragment):
+@pytest.mark.parametrize("protocol", list(wire.PROTOCOLS))
+def test_input_at_another_precision_is_refused(client_keys, server_keys, rng, protocol):
     loaded, x = _model_and_input(protocol, rng)
     x = FeatureVector(x.values, x.precision + 1)
-    with pytest.raises(PinferError, match=fragment):
+    with pytest.raises(ParameterError) as refused:
         run_protocol(protocol, loaded, x, client_keys, server_keys, rng)
+    model_d = "" if protocol in ("regr-core", "svm-heur") else f"d={x.d} at "
+    assert str(refused.value) == (f"input does not fit the model: the model takes {model_d}"
+                                  f"precision {x.precision - 1}, the input is d={x.d} at "
+                                  f"precision {x.precision}")
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "softplus", "leaky_relu"])
