@@ -15,6 +15,7 @@ import argparse
 import socket
 import socketserver
 import sys
+import threading
 
 from . import numutil, reference, runner, wire
 from .errors import ParameterError, PinferError, ProtocolViolationError
@@ -99,9 +100,25 @@ def cmd_serve(args) -> int:
             self.request.settimeout(runner.PEER_TIMEOUT_S)
             runner.serve_connection(runner.SocketChannel(self.request), served)
 
+    slots = threading.BoundedSemaphore(runner.MAX_CONNECTIONS)
+
     class Server(socketserver.ThreadingTCPServer):
         allow_reuse_address = True
         daemon_threads = True
+
+        def process_request(self, request, client_address):
+            slots.acquire()  # the accept loop waits here while every slot is held
+            try:
+                super().process_request(request, client_address)
+            except BaseException:  # no thread started, so none will release it
+                slots.release()
+                raise
+
+        def process_request_thread(self, request, client_address):
+            try:
+                super().process_request_thread(request, client_address)
+            finally:
+                slots.release()
 
     try:
         server = Server(address, Handler)

@@ -78,6 +78,11 @@ class LinearModel:
     def d(self) -> int:
         return len(self.theta) - 1
 
+    def check_inputs(self, d: int) -> None:
+        """Refuse a request of ``d`` features if the model takes another number."""
+        if d != self.d:
+            raise DimensionMismatchError(f"model has d={self.d}, request has d={d}")
+
     @property
     def output_scale(self) -> int:
         return 2 * self.precision
@@ -297,11 +302,6 @@ def masked_challenge(pk: PublicKey, start: int, coeffs, cts, pk_owner: PublicKey
     return UnitChallenge(t_ct, bits), mask
 
 
-def _check_dims(model_d: int, request_d: int) -> None:
-    if model_d != request_d:
-        raise DimensionMismatchError(f"model has d={model_d}, request has d={request_d}")
-
-
 def _injective(activation: str) -> activations.Activation:
     act = activations.get(activation)
     if not act.injective:
@@ -325,7 +325,7 @@ def regr_core_respond(model: LinearModel, request: FeatureRequest,
                       rng: random.Random | None = None) -> Ciphertext:
     """Encrypted inner product theta . x under the client key, which must
     hold it without wrapping."""
-    _check_dims(model.d, request.d)
+    model.check_inputs(request.d)
     check_core_sizing(request.public_key.n, model.ell, 0)
     return encrypted_dot(request.public_key, model.theta[0], model.theta[1:],
                          request.ciphertexts, rng)
@@ -405,9 +405,14 @@ def svm_core_respond(sk_server: SecretKey, request: UnitChallenge, ell: int,
     """Decrypt the masked sum and answer the embedded comparison with flip 0,
     so the client's share reconstructs the sign of the inner product."""
     # Checked first: the client's key is read off the first mask bit.
-    if len(request.mask_bits) != ell:
-        raise ProtocolViolationError(f"expected {ell} mask bits, got {len(request.mask_bits)}")
+    check_mask_bits(ell, len(request.mask_bits))
     return evaluator_step(sk_server, request.mask_bits[0].public_key, request, 0, rng)
+
+
+def check_mask_bits(ell: int, count: int) -> None:
+    """Refuse an svm-core request of ``count`` mask bits against a model of ``ell``."""
+    if count != ell:
+        raise ProtocolViolationError(f"expected {ell} mask bits, got {count}")
 
 
 def svm_core_finish(sk_client: SecretKey, response: tuple[Ciphertext, ...],
@@ -436,7 +441,7 @@ def svm_heur_respond(model: LinearModel, request: FeatureRequest,
     No formal security guarantee: the magnitude of the reply can leak
     information about the model. ``mask`` forces (lam, mu) for tests.
     """
-    _check_dims(model.d, request.d)
+    model.check_inputs(request.d)
     pk = request.public_key
     if mask is None:
         lam, mu = draw_heuristic_mask(pk.n, model.ell, kappa, rng)

@@ -142,6 +142,11 @@ class NetworkSpec:
     def depth(self) -> int:
         return len(self.layers)
 
+    def check_inputs(self, d: int) -> None:
+        """Refuse a request of ``d`` inputs if the network takes another number."""
+        if d != self.d_in:
+            raise DimensionMismatchError(f"network expects {self.d_in} inputs, got {d}")
+
     @property
     def d_out(self) -> int:
         return self.layers[-1].units
@@ -457,52 +462,51 @@ class NetworkServerSession:
         self.keys: dict[str, PublicKey | None] = {"s": self.server_keys[0]}
         self._state: tuple | None = None
         self._enc: tuple[Ciphertext, ...] | None = None
-        self._layer = 0
+        #: The layer whose reply comes next.
+        self.layer = 0
         self.done = False
 
     def start(self, request: FeatureRequest):
         """Consume the encrypted input layer; returns the first down message."""
-        if request.d != self.spec.d_in:
-            raise DimensionMismatchError(
-                f"network expects {self.spec.d_in} inputs, got {request.d}")
+        self.spec.check_inputs(request.d)
         # Generic mode masks nothing; the client key must still hold each t.
         kappa = self.kappa if self.meta.mode == "encrypted" else 0
         self.spec.check_keys(request.public_key.n, kappa, self.meta.variant)
         self.keys["c"] = request.public_key
         self._enc = request.ciphertexts
-        self._layer = 0
+        self.layer = 0
         return self._down()
 
     def advance(self, reply: LayerMessage) -> LayerMessage:
         """Consume a client reply for the current layer; returns the next down message."""
         if self.done or self._enc is None:
             raise ProtocolViolationError("session is not expecting a reply")
-        layer = self.spec.layers[self._layer]
-        if reply.layer != self._layer or len(reply.units) != layer.units:
+        layer = self.spec.layers[self.layer]
+        if reply.layer != self.layer or len(reply.units) != layer.units:
             raise ProtocolViolationError("reply does not fit the current layer")
-        if compares(self.meta, self._layer):
+        if compares(self.meta, self.layer):
             self._enc = tuple(unit_finish(layer.activation, self.server_keys[1], state, resp)
                               for state, resp in zip(self._state, reply.units))
         else:
             self._enc = reply.units
-        self._layer += 1
+        self.layer += 1
         return self._down()
 
     def _down(self) -> LayerMessage:
-        if self._layer == self.spec.depth:
+        if self.layer == self.spec.depth:
             # Activated output: the unit round already produced the values.
             self.done = True
             _, factors = _factors([ct.public_key._draw(self.rng) for ct in self._enc])
             return LayerMessage(None, tuple(ct.public_key.rerandomize(ct, factor=f)
                                             for ct, f in zip(self._enc, factors)))
-        layer = self.spec.layers[self._layer]
-        if not compares(self.meta, self._layer):
-            self.done = self._layer == self.spec.depth - 1
-            return LayerMessage(self._layer, self._layer_inners(layer))
+        layer = self.spec.layers[self.layer]
+        if not compares(self.meta, self.layer):
+            self.done = self.layer == self.spec.depth - 1
+            return LayerMessage(self.layer, self._layer_inners(layer))
         challenges, self._state = zip(*(
             unit_challenge(self.meta.variant, theta, self._enc, self.server_keys[0],
                            layer.ell, self.kappa, self.rng) for theta in layer.weights))
-        return LayerMessage(self._layer, challenges)
+        return LayerMessage(self.layer, challenges)
 
     def _layer_inners(self, layer: LayerSpec) -> tuple[Ciphertext, ...]:
         pk = self._enc[0].public_key
@@ -532,8 +536,12 @@ class NetworkClientSession:
         self.keys = {"c": self.pk, "s": server_public_key}  # of each ``layout`` letter
         self.rng = rng or SYSTEM_RNG
         self.result: InferenceResult | None = None
-        #: The layer of the next down message; the layer count for the output.
         self._next_layer = 0
+
+    @property
+    def next_layer(self) -> int | None:
+        """The layer of the next down message; None for the output message."""
+        return self._next_layer if self._next_layer < len(self.meta.layers) else None
 
     def check_input(self, x: FeatureVector) -> None:
         """Refuse an input the network was not built for."""
@@ -551,10 +559,9 @@ class NetworkClientSession:
             ProtocolViolationError: a message out of order, or after the result.
         """
         index, depth = message.layer, len(self.meta.layers)
-        position = depth if index is None else index
-        if self.result is not None or position != self._next_layer:
+        if self.result is not None or index != self.next_layer:
             raise ProtocolViolationError("message out of layer order")
-        self._next_layer = position + 1
+        self._next_layer += 1
         if index is None:
             self._finish_activated(message)
             return None

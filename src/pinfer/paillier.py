@@ -237,16 +237,14 @@ class SecretKey:
 
         Raises:
             KeyMismatchError: ciphertext produced under another key.
-            DecryptionError: ciphertext value not coprime to N, or not a
-                valid encryption.
+            DecryptionError: ciphertext value not coprime to N.
         """
         self.public_key._check_own(c)
         if math.gcd(c.value, self.public_key.n) != 1:
             raise DecryptionError("ciphertext is not coprime to the modulus")
         p, q = self.p, self.q
         x_p, x_q = powers or numutil.powers_while(self._halves(c))[1]
-        if (x_p - 1) % p != 0 or (x_q - 1) % q != 0:
-            raise DecryptionError("ciphertext does not decode to a valid plaintext")
+        # p does not divide c, so x_p is 1 modulo p by Fermat; likewise x_q.
         m_p = (x_p - 1) // p * self._h_p % p
         m_q = (x_q - 1) // q * self._h_q % q
         return crt2(m_p, p, m_q, q, self._q_inv_p)

@@ -12,14 +12,14 @@ every query, in a separate exchange recorded on its own transcript.
 The codec is written once per message shape. A feature request (regr-core,
 svm-heur and the network ``STEP_REQUEST``) is the client key followed by one
 ciphertext per feature; svm-core's response is the comparison's blinded
-values. A ``network.LayerMessage`` is a header of the layer index alone (none
-on the output message) followed by its ciphertexts in the order
-``network.flatten`` gives, each under the key ``network.layout`` names for its
-place in its unit. ``_decode_layer`` inverts ``_encode_layer``: the index and
-the direction, read off the step, are all ``network.layout`` and
-``network.unflatten`` need besides the META, whose mode and variant the
-protocol id fixes. Every decoder checks a frame's part count before it reads
-a part, so a short or overlong frame is refused with an error frame.
+values. A ``network.LayerMessage`` travels as its ciphertexts alone, in the
+order ``network.flatten`` gives, each under the key ``network.layout`` names
+for its place in its unit. ``_decode_layer`` inverts ``_encode_layer``: the
+receiving session supplies the layer index, the step gives the direction,
+and these are all ``network.layout`` and ``network.unflatten`` need besides
+the META, whose mode and variant the protocol id fixes. Every decoder checks
+a frame's part count before it reads a part, so a short or overlong frame is
+refused with an error frame.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from . import network, wire
 from .errors import (MessageFormatError, ParameterError, PinferError,
                      ProtocolViolationError)
 from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector,
-                     PublishedLinearModel, check_core_sizing,
+                     PublishedLinearModel, check_core_sizing, check_mask_bits,
                      regr_core_finish, regr_core_request, regr_core_respond,
                      regr_dual_finish, regr_dual_publish, regr_dual_request,
                      regr_dual_respond, svm_core_finish, svm_core_request,
@@ -57,6 +57,13 @@ class ChannelClosed(PinferError):
 #: Largest frame ``SocketChannel.recv`` accepts. A 3072-bit ciphertext is
 #: 768 bytes, so this is over 87,000 ciphertexts in one message.
 MAX_FRAME_BYTES = 64 << 20
+
+#: Connections ``pinfer serve`` answers at once; one more waits, accepted but
+#: unread, until one of them closes. Parsing one hostile frame of
+#: ``MAX_FRAME_BYTES`` can take 620 MiB or 6.6 s of CPU (2 cores, libgmp), so
+#: eight such connections stay near 5 GiB, and on two cores eight busy ones
+#: already share each core four ways.
+MAX_CONNECTIONS = 8
 
 #: Seconds ``pinfer serve`` and ``pinfer infer`` wait on a silent peer before
 #: they drop the connection. They set it on their sockets; ``SocketChannel``
@@ -129,8 +136,7 @@ class _ClientIO:
             self.transcript.record("up", step, len(data), n_cts)
         self.channel.send(data)
 
-    def recv_raw(self) -> tuple[wire.Frame, int]:
-        """Receive and parse one frame; the caller records it."""
+    def recv(self, expected_step: int, n_cts=None) -> wire.Frame:
         data = self.channel.recv()
         frame = wire.unframe(data)
         if frame.step_id == wire.STEP_ERROR:
@@ -140,15 +146,11 @@ class _ClientIO:
             raise ProtocolViolationError(f"unexpected protocol {frame.protocol_id}")
         if frame.session_id != self.session_id:
             raise ProtocolViolationError("reply belongs to another session")
-        return frame, len(data)
-
-    def recv(self, expected_step: int, n_cts=None) -> wire.Frame:
-        frame, size = self.recv_raw()
         if frame.step_id != expected_step:
             raise ProtocolViolationError(f"unexpected step {frame.step_id}")
         if self.transcript is not None:
             count = n_cts(frame) if callable(n_cts) else (n_cts or 0)
-            self.transcript.record("down", frame.step_id, size, count)
+            self.transcript.record("down", frame.step_id, len(data), count)
         return frame
 
 
@@ -276,13 +278,10 @@ def _run_network_client(io: _ClientIO, x: FeatureVector, client_keys,
     session = NetworkClientSession(meta, client_keys, pk_server, rng)
     session.check_input(x)
     while True:
-        frame, size = io.recv_raw()
-        if frame.step_id not in (wire.STEP_LAYER_DOWN, wire.STEP_OUTPUT):
-            raise ProtocolViolationError(f"unexpected step {frame.step_id}")
-        message = _decode_layer(frame, session.meta, session.keys)
-        if io.transcript is not None:
-            io.transcript.record("down", frame.step_id, size, len(network.flatten(message)))
-        reply = session.handle(message)
+        index = session.next_layer
+        frame = io.recv(wire.STEP_OUTPUT if index is None else wire.STEP_LAYER_DOWN,
+                        n_cts=lambda f: len(f.parts))
+        reply = session.handle(_decode_layer(frame, session.meta, session.keys, index))
         if reply is None:
             break
         io.send(*_encode_layer(reply, session.meta, session.keys, up=True),
@@ -317,8 +316,11 @@ def _feature_parts(request: FeatureRequest) -> tuple[bytes, ...]:
             *(wire.serialize_ciphertext(c, pk) for c in request.ciphertexts))
 
 
-def _feature_request(frame: wire.Frame) -> FeatureRequest:
+def _feature_request(frame: wire.Frame, model) -> FeatureRequest:
+    """A feature request; one of another width than ``model``'s is refused
+    before any part is parsed."""
     key, *body = _parts(frame, 1, at_least=True)
+    model.check_inputs(len(body))
     pk = wire.deserialize_public_key(key)
     return FeatureRequest(tuple(wire.deserialize_ciphertext(p, pk) for p in body), pk)
 
@@ -326,30 +328,21 @@ def _feature_request(frame: wire.Frame) -> FeatureRequest:
 def _encode_layer(message: LayerMessage, meta: NetworkMeta, keys,
                   up: bool) -> tuple[int, tuple[bytes, ...]]:
     """Step and parts of a layer message; ``keys`` maps 'c' and 's' to keys."""
-    if message.layer is None:
-        step, head = wire.STEP_OUTPUT, ()
-    else:
-        step = wire.STEP_LAYER_UP if up else wire.STEP_LAYER_DOWN
-        head = (wire.pack_u32(message.layer),)
+    step = (wire.STEP_OUTPUT if message.layer is None else
+            wire.STEP_LAYER_UP if up else wire.STEP_LAYER_DOWN)
     unit, units = network.layout(meta, message.layer, up)
-    return step, head + tuple(wire.serialize_ciphertext(c, keys[k]) for c, k
-                              in zip(network.flatten(message), unit * units, strict=True))
+    return step, tuple(wire.serialize_ciphertext(c, keys[k]) for c, k
+                       in zip(network.flatten(message), unit * units, strict=True))
 
 
-def _decode_layer(frame: wire.Frame, meta: NetworkMeta, keys) -> LayerMessage:
-    """Inverse of ``_encode_layer`` for a layer-down, layer-up or output frame."""
-    index, body = None, frame.parts
-    if frame.step_id != wire.STEP_OUTPUT:
-        head, *body = _parts(frame, 1, at_least=True)
-        index = wire.unpack_u32(head)
-        if index >= len(meta.layers):
-            raise ProtocolViolationError("layer index out of range")
+def _decode_layer(frame: wire.Frame, meta: NetworkMeta, keys,
+                  index: int | None) -> LayerMessage:
+    """Inverse of ``_encode_layer`` for a layer-down, layer-up or output frame
+    of layer ``index``, which the receiving session supplies."""
     up = frame.step_id == wire.STEP_LAYER_UP
     unit, units = network.layout(meta, index, up)
     # Counted before anything is built per ciphertext: META declares units.
-    if len(body) != len(unit) * units:
-        raise ProtocolViolationError(
-            f"layer message has {len(body)} ciphertexts, expected {len(unit) * units}")
+    body = _parts(frame, len(unit) * units)
     cts = (wire.deserialize_ciphertext(p, keys[k]) for p, k in zip(body, unit * units))
     return network.unflatten(meta, index, up, cts)
 
@@ -462,13 +455,14 @@ def _handle_linear_request(served: ServedModel, frame: wire.Frame) -> tuple:
     if protocol == "svm-core":
         pk_s, sk_s = served.server_keys
         key, inner, *body = _parts(frame, 2, at_least=True)
+        check_mask_bits(model.ell, len(body))
         pk_c = wire.deserialize_public_key(key)
         masked_inner = wire.deserialize_ciphertext(inner, pk_s)
         bits = tuple(wire.deserialize_ciphertext(p, pk_c) for p in body)
         request = UnitChallenge(masked_inner, bits)
         response = svm_core_respond(sk_s, request, model.ell, served.rng)
         return tuple(wire.serialize_ciphertext(c, pk_c) for c in response)
-    request = _feature_request(frame)
+    request = _feature_request(frame, model)
     pk_c = request.public_key
     # Both replies end with the model's precision, which the client checks.
     if protocol == "svm-heur":
@@ -490,7 +484,7 @@ def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
         session = NetworkServerSession(served.loaded.model, mode=info.mode,
                                        server_keys=served.server_keys, kappa=served.kappa,
                                        variant=info.variant, rng=served.rng)
-        message = session.start(_feature_request(frame))
+        message = session.start(_feature_request(frame, served.loaded.model))
         yield wire.STEP_META, (_meta_to_json(session.meta, session.keys["s"]),)
     elif frame.step_id == wire.STEP_LAYER_UP:
         # A refused layer-up ends its session: it is back in the table only
@@ -498,7 +492,8 @@ def _handle_network_frame(served: ServedModel, frame: wire.Frame, sessions):
         session = sessions.pop(frame.session_id, None)
         if session is None:
             raise ProtocolViolationError("unknown session")
-        message = session.advance(_decode_layer(frame, session.meta, session.keys))
+        message = session.advance(_decode_layer(frame, session.meta, session.keys,
+                                                session.layer))
     else:
         raise ProtocolViolationError(f"unexpected step {frame.step_id}")
     if not session.done:

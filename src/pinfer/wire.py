@@ -3,19 +3,19 @@
 Every ciphertext serializes to exactly 2*ceil(l_M/8) bytes big-endian, where
 l_M is the key's modulus bit length; plaintext scalars (masked values) take
 ceil(l_M/8) bytes and public keys likewise (the same bytes, in hex, where the
-container is JSON: the network META and key files). A frame of version 2 is
+container is JSON: the network META and key files). A frame of version 3 is
 
     version(1) | protocol_id(1) | step_id(1) | session_id(16) |
     part_count(u32) | { part_len(u32) | part_bytes } * part_count
 
 Frames reject unknown protocol ids, truncation and trailing bytes; a
 ciphertext must be a unit modulo N**2, so zero and other values sharing a
-factor with N are refused here rather than deep inside a protocol. Version 2
-sends nothing the receiver can derive: no output flag on layer messages, no
-model dimension in the publish frame, no bound length in the svm-core request
-and no network mode, variant or layer scale in META. Transcripts record
-per-message byte and ciphertext counts; ``message_plan`` gives the
-closed-form per-message ciphertext counts each protocol must match.
+factor with N are refused here rather than deep inside a protocol. Version 3
+sends nothing the receiver can derive: no layer index or output flag on layer
+messages, no model dimension in the publish frame, no bound length in the
+svm-core request and no network mode, variant or layer scale in META.
+Transcripts record per-message byte and ciphertext counts; ``message_plan``
+gives the closed-form per-message ciphertext counts each protocol must match.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .errors import MessageFormatError, ParameterError
 from .paillier import Ciphertext, PublicKey
 
-FRAME_VERSION = 2
+FRAME_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,25 @@ def test_infer_refusals(key_files, model_files, capsys, case, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_infer_refuses_a_key_of_equal_factors_or_a_missing_input(key_files, model_files,
+                                                                 tmp_path, capsys):
+    # A secret key file whose two factors are the same prime.
+    doc = json.loads((key_files / "cli.key.json").read_text())
+    doc["q"] = doc["p"]
+    (tmp_path / "same.key.json").write_text(json.dumps(doc))
+    shutil.copy(key_files / "cli.pub.json", tmp_path / "same.pub.json")
+    argv = _infer_argv("regr-core", model_files, key_files, 12)
+    argv[argv.index("--keys") + 1] = str(tmp_path / "same")
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "error: prime factors must be distinct\n"
+    # A file that cannot be opened is a configuration error too.
+    missing = tmp_path / "missing.txt"
+    argv = _infer_argv("regr-core", model_files, key_files, 12)
+    argv[argv.index("--input") + 1] = str(missing)
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_infer_without_keys_makes_a_fresh_pair(key_files, model_files, capsys):
     argv = _infer_argv("regr-core", model_files, key_files, 12)
     del argv[argv.index("--keys"):argv.index("--keys") + 2]
@@ -470,6 +489,54 @@ def test_concurrent_sessions_over_socket(key_files, model_files):
     from pinfer.reference import eval_svm
     expected = (eval_svm(loaded.model, x).class_label,)
     assert results == [expected] * 4
+
+
+def test_serve_makes_a_connection_beyond_the_cap_wait(key_files, model_files, monkeypatch):
+    monkeypatch.setattr(runner, "MAX_CONNECTIONS", 2)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    threading.Thread(target=main, daemon=True, args=(
+        ["serve", "--protocol", "regr-core", "--model", str(model_files / "logistic.json"),
+         "--listen", f"127.0.0.1:{port}", "--kappa", "40"],)).start()
+    deadline = time.time() + 5
+    while True:
+        try:
+            held = [socket.create_connection(("127.0.0.1", port), timeout=30)]
+            break
+        except OSError:
+            assert time.time() < deadline
+            time.sleep(0.05)
+    held.append(socket.create_connection(("127.0.0.1", port), timeout=30))
+
+    from pinfer.modelfile import load_input_vector, load_model
+    from pinfer.reference import eval_logistic
+    x = load_input_vector(model_files / "x.txt", 12)
+    expected = eval_logistic(load_model(model_files / "logistic.json").model, x).value
+    client_keys = _load_keys(str(key_files / "cli"))
+
+    def query(sock):
+        return runner.run_inference(runner.SocketChannel(sock), "regr-core", x, client_keys,
+                                    kappa=40).value
+
+    codes = []
+    third = threading.Thread(daemon=True, target=lambda: codes.append(
+        main(_regr_core_infer(port, key_files, model_files))))
+    try:
+        # Two idle connections hold both slots, so the third query waits.
+        third.start()
+        third.join(timeout=2)
+        assert third.is_alive() and codes == []
+        # A held connection is answered meanwhile; once it closes, the
+        # third query runs, and the other held connection is answered too.
+        assert query(held[0]) == expected
+        held[0].close()
+        third.join(timeout=30)
+        assert codes == [0]
+        assert query(held[1]) == expected
+    finally:
+        for sock in held:
+            sock.close()
 
 
 def test_console_entry_point():

@@ -25,36 +25,36 @@ PRECISION = 12
 
 DIGESTS = {
     "regr-core":
-        "ba4750e06fac07679a1fc357158c7c1198dc2b58837bb444ec016454b5ed8cf3",
+        "73cd88614556d03cb5728f725e74d0263abf011e438b1bc55a297cac15380e04",
     "regr-dual":
-        "87bf4291abb6e6324651622b0b4381017df95f3f8206d0c4789d748c05749ef6",
+        "5d4f843c6f4b8e5e7946fc2de32c1bb62006dd9b564c4339499d48d1251e403b",
     "svm-core":
-        "d109c33497568fe2570950636ae97d17dc4fb416c6c8f2445e8f9345f13e42d6",
+        "bfad461652fe9b3749f21c73b34502bc4a44e78b2a200e6ad8628a59adfbeccc",
     "svm-heur":
-        "b094d46272037564bec7f4600d8a3021832afbed6d363b1e10630d0f0539634f",
+        "68401311f2979058c0323220e710c00d428112d78f4e23bf48d3cec33e541ea7",
     "ffnn-generic":
-        "e2f0d3c5cd7cbfde62c1a743a082c7fdfb4bbd47c202b996d1dcf8b74e482fc2",
+        "e2f93030bfde9a4c9636e80073387748599cd01e1d2222b45e34bc386f8b7d66",
     "ffnn-sign":
-        "2415b81f7015b66de36bb27a9167d63727fcccd324d4ffd079e1af942b23c72d",
+        "180c4c0500d8e8c6cc959dcb6118f687e59e8f80dce9e9bcbe4a27d23b61881d",
     "ffnn-sign-heur":
-        "ad6651516b437f078b073c0ae9c3282ff1fb7bfa59a20353d1e337c49e108892",
+        "905e8008f72309b325368edc7b545bf88d1c4e5ee084749c88e423de5406a47e",
     "ffnn-relu":
-        "e472842226622d166245abf6dec331c6a58e38a22896bcbc03f7fdab01ee8627",
+        "bf8daf43ab1ba7f2ddea7fec271a9bc140ca71cda51a4577b1c96cad2f322eb4",
     "ffnn-relu-heur":
-        "73d19aca973c7ee15bd92c8cb5aa235f67100959c118dcb6f32f8ebd009b159f",
+        "6161dd94e292c95fc18ee16f3263786b4ed496af67b5f342543d82b40803263b",
 }
 
 #: The output modes the table above misses: sign networks with activated
 #: output and relu networks with raw output.
 OTHER_OUTPUT_DIGESTS = {
     "ffnn-sign":
-        "58449410c5ee0d994fdbcdaa10c587bde6e234358b2fbefd3523ee8fdcd1126b",
+        "f113fb6b5571dbdd180b63a8bce39aafcb01852e15ddef9e70530b7e7aaac81a",
     "ffnn-sign-heur":
-        "cf56ff5077c48b0c49d33b776d7bbd27c1b189135a6027c4f55cbdd652900c56",
+        "4dc1920593dea625f0b20bf824f975d7c25bc0fa864ba9cd0b7ec9747ddb66ef",
     "ffnn-relu":
-        "27caba465a0ba199d959000237ff553561d71fa04529e865dcc49b754a689bb5",
+        "efbd4341985b1813e3650d85faeee0315967bf781e0d51dda23922e988d59d77",
     "ffnn-relu-heur":
-        "261daa78a7725b02330bda689ef7cc89552bd127bf1482a831040d4eb253fa75",
+        "5781874a38763f6abd7ec4d86ad77d8470f544b876ddedbec1fbc9edf82c428e",
 }
 
 _LINEAR_TYPES = {"regr-core": "logistic", "regr-dual": "linear",

@@ -123,8 +123,8 @@ class _Client:
             self.session = NetworkClientSession(meta, self.keys, pk_server, self.rng)
             answer = conn.recv()
         assert answer.step_id in (wire.STEP_LAYER_DOWN, wire.STEP_OUTPUT), answer
-        self.reply = self.session.handle(_decode_layer(answer, self.session.meta,
-                                                       self.session.keys))
+        self.reply = self.session.handle(_decode_layer(
+            answer, self.session.meta, self.session.keys, self.session.next_layer))
         if self.reply is not None:
             return self.session_id
         assert self.session.result.values == tuple(p.value for p in eval_ffnn(SPEC, X))
@@ -177,9 +177,7 @@ def _bad_frame(data, op, clients, live):
         return wire.frame(other, draw(st.sampled_from([wire.STEP_REQUEST, wire.STEP_LAYER_UP])),
                           session_id, draw(junk))
     if op == "bad layer-up":
-        index = draw(st.integers(0, 3))
-        return wire.frame(PROTOCOL_ID, wire.STEP_LAYER_UP, session_id,
-                          (wire.pack_u32(index), *draw(junk)))
+        return wire.frame(PROTOCOL_ID, wire.STEP_LAYER_UP, session_id, draw(junk))
     assert op == "bad request"
     return wire.frame(PROTOCOL_ID, wire.STEP_REQUEST, session_id, draw(junk))
 

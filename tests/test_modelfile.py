@@ -196,3 +196,16 @@ def test_input_vector_diagnostics(tmp_path):
     path.write_text("\n")
     with pytest.raises(ParameterError, match="no feature"):
         load_input_vector(path, precision=4)
+
+
+@pytest.mark.parametrize("model_type,model,message", [
+    ("tree", LinearModel.from_real([0.5], bias=0.0, precision=10), "unknown model type 'tree'"),
+    ("ffnn", LinearModel.from_real([0.5], bias=0.0, precision=10),
+     "ffnn model file needs a NetworkSpec"),
+    ("svm", NetworkSpec.from_integer([([(0, 1, 1)], "sign")]),
+     "svm model file needs a LinearModel")])
+def test_save_model_refuses_a_type_it_cannot_write(tmp_path, model_type, model, message):
+    path = tmp_path / "model.json"
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        save_model(path, model, model_type)
+    assert not path.exists()

@@ -412,6 +412,41 @@ def test_server_session_refuses_a_reply_it_is_not_expecting(client_keys, rng):
         server.advance(reply)
 
 
+def test_server_session_refuses_a_reply_for_another_layer(client_keys, rng):
+    spec = sign_net()
+    server = NetworkServerSession(spec, mode="generic", rng=rng)
+    down = server.start(FeatureRequest.encrypt(client_keys[0], pm_one_inputs(rng, 2), rng))
+    assert server.layer == 0
+    with pytest.raises(ProtocolViolationError, match="reply does not fit the current layer"):
+        server.advance(LayerMessage(1, down.units))
+
+
+def test_client_session_refuses_messages_out_of_layer_order(client_keys, server_keys, rng):
+    spec = NetworkSpec.from_integer([([(0, 1, 1), (-1, 1, -1)], "sign"), ([(0, 1, -2)], "sign")],
+                                    output_mode="activated")
+    meta = spec.meta("encrypted", "core")
+    client = NetworkClientSession(meta, client_keys, server_keys[0], rng)
+    one = (client_keys[0].encrypt(1, rng),)
+    assert client.next_layer == 0
+    for early in (LayerMessage(1, one), LayerMessage(None, one)):
+        with pytest.raises(ProtocolViolationError, match="layer order"):
+            client.handle(early)
+    server = NetworkServerSession(spec, mode="encrypted", server_keys=server_keys,
+                                  kappa=KAPPA, rng=rng)
+    message = server.start(FeatureRequest.encrypt(client_keys[0], pm_one_inputs(rng, 2), rng))
+    while (reply := client.handle(message)) is not None:
+        assert client.next_layer == server.layer + 1 or client.next_layer is None
+        message = server.advance(reply)
+    assert message.layer is None and client.next_layer is None
+    with pytest.raises(ProtocolViolationError, match="layer order"):
+        client.handle(message)  # after the result
+
+
+def test_core_server_session_needs_server_keys():
+    with pytest.raises(ParameterError, match="core variant needs a server key pair"):
+        NetworkServerSession(sign_net(), mode="encrypted", variant="core")
+
+
 def test_client_session_refuses_a_wrong_unit_count(client_keys, rng):
     client = NetworkClientSession(sign_net().meta("generic"), client_keys, rng=rng)
     with pytest.raises(ProtocolViolationError, match="unit count mismatch"):

@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import random
@@ -144,6 +145,19 @@ def test_decryption_failure_on_non_unit(client_keys):
     pk, sk = client_keys
     with pytest.raises(DecryptionError):
         sk.decrypt(Ciphertext(sk.p, pk))  # shares the factor p with N
+
+
+def test_every_unit_decrypts_at_a_toy_key():
+    # Every unit c mod N**2 decrypts, c**(p-1) being 1 mod p by Fermat, and
+    # decryption maps the N * phi(N) units onto the N residues, phi(N) each.
+    sk = SecretKey(11, 13)
+    pk = sk.public_key
+    phi = 10 * 12
+    units = [Ciphertext(c, pk) for c in range(pk.n_squared) if math.gcd(c, pk.n) == 1]
+    assert len(units) == pk.n * phi
+    plaintexts = [sk.decrypt(c) for c in units]
+    assert sk.decrypt_all(units) == plaintexts
+    assert collections.Counter(m % pk.n for m in plaintexts) == {m: phi for m in range(pk.n)}
 
 
 def test_key_serialization_round_trip(client_keys):

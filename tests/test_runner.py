@@ -201,11 +201,11 @@ def _request_parts(client_keys, x, rng):
 @pytest.mark.parametrize("protocol,step,fragment", [
     ("regr-core", wire.STEP_PUBLISH_REQUEST, b"regr-core does not publish a model"),
     ("svm-heur", wire.STEP_LAYER_UP, b"unexpected step"),
-    ("ffnn-relu", wire.STEP_LAYER_UP, b"layer index out of range"),
-    ("ffnn-relu", wire.STEP_LAYER_UP, b"reply does not fit the current layer"),
+    ("ffnn-relu", wire.STEP_LAYER_UP, b"frame has 19 parts, expected 18"),
+    ("ffnn-relu", wire.STEP_LAYER_UP, b"frame has 1 parts, expected 18"),
     ("ffnn-generic", wire.STEP_RESPONSE, b"unexpected step"),
     ("ffnn-sign", wire.STEP_REQUEST, b"network expects"),
-], ids=["publish-to-regr-core", "layer-up-to-svm-heur", "layer-index-past-the-end",
+], ids=["publish-to-regr-core", "layer-up-to-svm-heur", "layer-up-one-part-long",
         "layer-up-for-the-next-layer", "response-to-ffnn-generic",
         "request-one-feature-short"])
 def test_refused_steps_get_an_error_reply(client_keys, server_keys, rng, protocol, step,
@@ -213,8 +213,10 @@ def test_refused_steps_get_an_error_reply(client_keys, server_keys, rng, protoco
     loaded, x = _model_and_input(protocol, rng)
     if protocol == "ffnn-relu":
         # A live session first, so the layer-up frame reaches the decoder,
-        # with an index one past the network's last layer, or the next
-        # layer's index and that layer's reply layout.
+        # with layer 0's reply layout and one ciphertext more, or the next
+        # layer's reply layout. Layer 0 has three relu units of ell 2, so its
+        # reply is 3 * (3 + 2 + 1) = 18 ciphertexts; the raw last layer's
+        # layout is one per unit.
         def refuse(channel):
             reply = _send(channel, protocol, wire.STEP_REQUEST,
                           _request_parts(client_keys, x, rng), bytes(wire.SESSION_ID_BYTES))
@@ -222,13 +224,11 @@ def test_refused_steps_get_an_error_reply(client_keys, server_keys, rng, protoco
             assert wire.unframe(channel.recv()).step_id == wire.STEP_LAYER_DOWN
             meta, pk_s = _meta_from_json(reply.parts[0], wire.PROTOCOLS[protocol])
             keys = {"c": client_keys[0], "s": pk_s}
-            index, body = len(meta.layers), ()
-            if b"fit" in fragment:
-                index = 1
-                unit, units = layout(meta, index, up=True)
-                body = tuple(wire.serialize_ciphertext(keys[k].encrypt(0), keys[k])
-                             for k in unit * units)
-            _error_reply(protocol, (wire.pack_u32(index), *body), fragment, step)(channel)
+            index, extra = (0, "c") if b"19" in fragment else (1, "")
+            unit, units = layout(meta, index, up=True)
+            body = tuple(wire.serialize_ciphertext(keys[k].encrypt(0), keys[k])
+                         for k in unit * units + extra)
+            _error_reply(protocol, body, fragment, step)(channel)
     elif step == wire.STEP_REQUEST:
         # One ciphertext short of the network's inputs.
         refuse = _error_reply(protocol, _request_parts(client_keys, x, rng)[:-1], fragment)
@@ -336,6 +336,73 @@ def test_send_to_a_closed_peer_closes_the_channel():
             SocketChannel(sock).send(b"frame")
     finally:
         sock.close()
+
+
+class _Frames:
+    """Server channel that delivers ``frames`` in order, then closes. It
+    keeps what is sent, and a send fails if ``send_fails``."""
+
+    def __init__(self, *frames, send_fails=False):
+        self.frames, self.sent, self.send_fails = list(frames), [], send_fails
+
+    def recv(self):
+        if not self.frames:
+            raise ChannelClosed("no more frames")
+        return self.frames.pop(0)
+
+    def send(self, data):
+        self.sent.append(data)
+        if self.send_fails:
+            raise ChannelClosed("send failed")
+
+
+def test_a_reply_that_cannot_be_sent_ends_the_connection(client_keys, rng):
+    loaded, x = linear_loaded(rng=rng), random_x(4, 12, rng)
+    served = prepare_served("regr-core", loaded, None, KAPPA, rng)
+    request = wire.frame(wire.PROTOCOL_IDS["regr-core"], wire.STEP_REQUEST,
+                         bytes(wire.SESSION_ID_BYTES), _request_parts(client_keys, x, rng))
+    channel = _Frames(request, request, send_fails=True)
+    serve_connection(channel, served)
+    # The reply was tried once, with no error frame after it, and the
+    # second request was never read.
+    assert [wire.unframe(data).step_id for data in channel.sent] == [wire.STEP_RESPONSE]
+    assert channel.frames == [request]
+
+
+@pytest.mark.parametrize("protocol", ["regr-core", "svm-core", "ffnn-relu"])
+def test_overlong_request_is_refused_before_parsing(client_keys, server_keys, rng,
+                                                    monkeypatch, protocol):
+    # Ten times the served model's number of ciphertexts: features, or
+    # svm-core's mask bits after its masked inner product.
+    loaded, _ = _model_and_input(protocol, rng)
+    served = prepare_served(protocol, loaded, server_keys, KAPPA, rng)
+    (pk_c, _), (pk_s, _) = client_keys, server_keys
+    head = (wire.serialize_public_key(pk_c),)
+    if protocol == "svm-core":
+        count = loaded.model.ell
+        head += (wire.serialize_ciphertext(pk_s.encrypt(1, rng), pk_s),)
+        message = f"expected {count} mask bits, got {10 * count}"
+    elif protocol == "regr-core":
+        count = loaded.model.d
+        message = f"model has d={count}, request has d={10 * count}"
+    else:
+        count = loaded.model.d_in
+        message = f"network expects {count} inputs, got {10 * count}"
+    ct = wire.serialize_ciphertext(pk_c.encrypt(1, rng), pk_c)
+    channel = _Frames(wire.frame(wire.PROTOCOL_IDS[protocol], wire.STEP_REQUEST,
+                                 bytes(wire.SESSION_ID_BYTES), head + (ct,) * (10 * count)))
+    parsed = []
+    monkeypatch.setattr(wire, "deserialize_ciphertext", lambda *args: parsed.append(args))
+    tracemalloc.start()
+    try:
+        serve_connection(channel, served)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (reply,) = map(wire.unframe, channel.sent)
+    assert reply.step_id == wire.STEP_ERROR and reply.parts == (message.encode(),)
+    assert parsed == []
+    assert peak < 1 << 20
 
 
 def test_unknown_protocol_is_a_parameter_error(client_keys, rng):
@@ -602,18 +669,18 @@ def test_a_new_request_ends_the_live_session(client_keys, rng):
         meta, _ = _meta_from_json(meta_frame.parts[0], wire.PROTOCOLS["ffnn-generic"])
         # The second request ended the first session.
         client = NetworkClientSession(meta, client_keys, None, rng)
-        reply = client.handle(_decode_layer(downs[first], meta, keys))
+        reply = client.handle(_decode_layer(downs[first], meta, keys, client.next_layer))
         refused = _send(channel, "ffnn-generic", *_encode_layer(reply, meta, keys, up=True),
                         first)
         assert refused.step_id == wire.STEP_ERROR
         assert refused.parts[0] == b"unknown session"
         # The second session runs to the oracle's answer, and so does a new query.
         client = NetworkClientSession(meta, client_keys, None, rng)
-        message = _decode_layer(downs[second], meta, keys)
+        message = _decode_layer(downs[second], meta, keys, client.next_layer)
         while (reply := client.handle(message)) is not None:
             down = _send(channel, "ffnn-generic", *_encode_layer(reply, meta, keys, up=True),
                          second)
-            message = _decode_layer(down, meta, keys)
+            message = _decode_layer(down, meta, keys, client.next_layer)
         result = run_inference(channel, "ffnn-generic", x, client_keys, kappa=KAPPA, rng=rng)
     finally:
         channel.close()
@@ -675,21 +742,19 @@ def _canned_replies(case, client_keys, server_keys):
         "svm-core response": ("svm-core", [(wire.STEP_PUBLISH, tuple(publish)),
                                            (wire.STEP_RESPONSE, (ct,))]),
         "ffnn meta": ("ffnn-sign", [(wire.STEP_META, ())]),
-        "ffnn layer": ("ffnn-sign", [(wire.STEP_META, (meta,)),
-                                     (wire.STEP_LAYER_DOWN, (wire.pack_u32(0),))]),
+        "ffnn layer": ("ffnn-sign", [(wire.STEP_META, (meta,)), (wire.STEP_LAYER_DOWN, ())]),
         # A hidden layer's inner products after a version 1 output flag.
         "ffnn flag": ("ffnn-generic", [(wire.STEP_META, (generic_meta,)),
-                                       (wire.STEP_LAYER_DOWN,
-                                        (wire.pack_u32(0), b"\x00", ct, ct, ct))]),
+                                       (wire.STEP_LAYER_DOWN, (b"\x00", ct, ct, ct))]),
         # A META the client cannot run: without the check, an output frame
         # raised IndexError, and a layer frame TypeError (string units) or
         # AttributeError (a comparison of no bits).
         "ffnn no layers": ("ffnn-generic", [(wire.STEP_META, (no_layers,)),
                                             (wire.STEP_OUTPUT, ())]),
         "ffnn string units": ("ffnn-generic", [(wire.STEP_META, (string_units,)),
-                                               (wire.STEP_LAYER_DOWN, (wire.pack_u32(0),))]),
+                                               (wire.STEP_LAYER_DOWN, ())]),
         "ffnn zero ell": ("ffnn-sign", [(wire.STEP_META, (zero_ell,)),
-                                        (wire.STEP_LAYER_DOWN, (wire.pack_u32(0), ct, ct, ct))]),
+                                        (wire.STEP_LAYER_DOWN, (ct, ct, ct))]),
     }[case]
 
 
@@ -729,7 +794,7 @@ def test_hostile_meta_costs_no_memory(client_keys, server_keys, rng, units, ell,
                                    server_keys[0]))
     doc["layers"][0].update(units=units, ell=ell)
     channel = _CannedServer("ffnn-relu", [(wire.STEP_META, (json.dumps(doc).encode(),)),
-                                          (wire.STEP_LAYER_DOWN, (wire.pack_u32(0),))])
+                                          (wire.STEP_LAYER_DOWN, ())])
     tracemalloc.start()
     try:
         with pytest.raises(error):
@@ -786,7 +851,7 @@ def test_hostile_publish_ell_costs_no_memory(client_keys, server_keys, rng):
 
 def _misordered_replies(case, client_keys, server_keys):
     pk_c = client_keys[0]
-    ct, ct123 = (wire.serialize_ciphertext(pk_c.encrypt(m), pk_c) for m in (1, 123))
+    ct123 = wire.serialize_ciphertext(pk_c.encrypt(123), pk_c)
     generic = _meta_to_json(ffnn_loaded("sign").model.meta("generic"), None)
     activated = _meta_to_json(ffnn_loaded("sign", "activated").model.meta(
         "encrypted", "core"), server_keys[0])
@@ -795,18 +860,16 @@ def _misordered_replies(case, client_keys, server_keys):
                                             (wire.STEP_OUTPUT, (ct123,))]),
         "activated output first": ("ffnn-sign", [(wire.STEP_META, (activated,)),
                                                  (wire.STEP_OUTPUT, (ct123,))]),
-        "last layer first": ("ffnn-generic", [(wire.STEP_META, (generic,)),
-                                              (wire.STEP_LAYER_DOWN,
-                                               (wire.pack_u32(1), ct))]),
     }[case]
 
 
-@pytest.mark.parametrize("case", ["generic output", "activated output first",
-                                  "last layer first"])
+@pytest.mark.parametrize("case", ["generic output", "activated output first"])
 def test_client_rejects_messages_out_of_order(client_keys, server_keys, rng, case):
+    # A layer frame does not name its layer, so the client, which knows the
+    # step that comes next, refuses an output frame in the place of layer 0.
     protocol, replies = _misordered_replies(case, client_keys, server_keys)
     channel = _CannedServer(protocol, replies)
-    with pytest.raises(ProtocolViolationError, match="layer order"):
+    with pytest.raises(ProtocolViolationError, match="unexpected step 8"):
         run_inference(channel, protocol, pm_one(rng), client_keys, kappa=KAPPA, rng=rng)
 
 
@@ -817,6 +880,7 @@ class _EarlyOutput:
     def __init__(self, channel, pk):
         self.channel = channel
         self.pk = pk
+        self.layer_downs = 0
 
     def send(self, data):
         self.channel.send(data)
@@ -824,7 +888,8 @@ class _EarlyOutput:
     def recv(self):
         data = self.channel.recv()
         frame = wire.unframe(data)
-        if frame.step_id == wire.STEP_LAYER_DOWN and frame.parts[0] == wire.pack_u32(1):
+        self.layer_downs += frame.step_id == wire.STEP_LAYER_DOWN
+        if frame.step_id == wire.STEP_LAYER_DOWN and self.layer_downs == 2:
             output = wire.serialize_ciphertext(self.pk.encrypt(123), self.pk)
             return wire.frame(frame.protocol_id, wire.STEP_OUTPUT, frame.session_id,
                               (output,))
@@ -836,7 +901,7 @@ def test_activated_output_before_the_last_layer_is_refused(client_keys, server_k
     served = prepare_served("ffnn-sign", loaded, server_keys, KAPPA, rng)
     inner, thread = serve_loopback(served)
     try:
-        with pytest.raises(ProtocolViolationError, match="layer order"):
+        with pytest.raises(ProtocolViolationError, match="unexpected step 8"):
             _within(60, lambda: run_inference(_EarlyOutput(inner, client_keys[0]), "ffnn-sign",
                                               pm_one(rng), client_keys, kappa=KAPPA, rng=rng))
     finally:
@@ -962,13 +1027,35 @@ def test_layer_codec_round_trip_matches_plan(activation, variant, output_mode, i
                 f"ffnn-{activation}" + ("-heur" if variant == "heuristic" else ""))
     frame = wire.unframe(wire.frame(wire.PROTOCOL_IDS[protocol], step,
                                     bytes(wire.SESSION_ID_BYTES), parts))
-    assert _decode_layer(frame, meta, keys) == message
+    assert _decode_layer(frame, meta, keys, index) == message
     # A hidden or comparing layer's message is a row of the plan; a raw last
     # layer and the output message carry one ciphertext per unit.
     down_row, up_row = wire.message_plan(protocol, ell=ell, layers=1, units=units)
     expected = (up_row if up else down_row).ciphertexts if index == 0 or comparing else units
     unit, units = layout(meta, index, up)
-    assert len(unit) * units == expected
+    assert len(parts) == len(unit) * units == expected
+
+
+@pytest.mark.parametrize("index,up", [(0, False), (0, True), (1, False), (None, False)])
+def test_layer_frame_of_one_part_more_or_less_is_refused_unparsed(monkeypatch, index, up):
+    # Two comparing relu layers of ell 3 and two units, and the output message.
+    (pk_c, _), (pk_s, _) = _LAYOUT_KEYS
+    meta = NetworkMeta((LayerMeta(2, "relu", 3),) * 2, d_in=2, precision=0, mode="encrypted",
+                       variant="core", output_mode="activated")
+    keys = {"c": pk_c, "s": pk_s}
+    unit, units = layout(meta, index, up)
+    parts = [wire.serialize_ciphertext(keys[k].encrypt(0), keys[k]) for k in unit * units]
+    step = (wire.STEP_OUTPUT if index is None else
+            wire.STEP_LAYER_UP if up else wire.STEP_LAYER_DOWN)
+
+    def parsed(data, pk):
+        raise AssertionError("a ciphertext was parsed")
+    monkeypatch.setattr(wire, "deserialize_ciphertext", parsed)
+    for body in (parts[:-1], parts + parts[:1]):
+        frame = wire.Frame(wire.PROTOCOL_IDS["ffnn-relu"], step, bytes(16), tuple(body))
+        with pytest.raises(ProtocolViolationError,
+                           match=f"has {len(body)} parts, expected {len(parts)}$"):
+            _decode_layer(frame, meta, keys, index)
 
 
 def _drop(key):

@@ -104,6 +104,28 @@ def test_frame_rejects_corruption():
         unframe(bytes(bad_version))
 
 
+def test_frame_of_version_2_is_refused():
+    # Version 2 began each layer frame with its layer index; no reader of it is kept.
+    data = bytearray(frame(1, 6, SESSION, (b"\x00\x00\x00\x00", b"abc")))
+    assert data[0] == 3
+    data[0] = 2
+    with pytest.raises(MessageFormatError, match="^unsupported frame version 2$"):
+        unframe(bytes(data))
+
+
+def test_frame_refuses_an_unknown_protocol_or_a_short_session_id():
+    with pytest.raises(ParameterError, match="unknown protocol id 0"):
+        frame(0, 3, SESSION, ())
+    with pytest.raises(ParameterError, match="session id must be 16 bytes"):
+        frame(1, 3, SESSION[:-1], ())
+
+
+def test_ciphertext_of_another_key_is_not_serialized(client_keys, server_keys):
+    ct = client_keys[0].encrypt(1)
+    with pytest.raises(ParameterError, match="does not belong to the given key"):
+        serialize_ciphertext(ct, server_keys[0])
+
+
 def test_short_frames_are_refused_by_message():
     data = frame(1, 3, SESSION, (b"abc",))
     header = 3 + len(SESSION) + 4
