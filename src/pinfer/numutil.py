@@ -16,7 +16,8 @@ draws odd integers with their top two bits set, so the product of two of them
 has an exact bit length, and discards those with an odd prime factor below
 2**12 (one gcd with a primorial) or that fail a base-2 Fermat test (one
 exponentiation). :func:`is_probable_prime` is the full Miller-Rabin test, run
-once on each surviving candidate by whoever needs a prime.
+once on each surviving candidate by whoever needs a prime, with bases from
+:data:`SYSTEM_RNG` (``os.urandom``), never from the caller's ``rng``.
 
 :func:`powers_while` computes a list of ``(base, exponent, modulus)`` items
 on two threads: a helper thread, started for the batch and joined before it
@@ -32,7 +33,6 @@ from __future__ import annotations
 import ctypes
 import math
 import random
-import secrets
 import threading
 
 #: Module-wide default entropy source. Cryptographically secure.
@@ -193,9 +193,9 @@ def powers_while(items: list[tuple[int, int, int]], work=None) -> tuple:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with ``MR_ROUNDS`` random bases from ``secrets``, after
-    trial division. The powers a**d mod n are one :func:`powers_while`
-    batch; the squarings that follow each power run here.
+    """Miller-Rabin with ``MR_ROUNDS`` bases uniform in [2, n - 2] from
+    :data:`SYSTEM_RNG`, after trial division. The powers a**d mod n are one
+    :func:`powers_while` batch; the squarings that follow each power run here.
     """
     if n < 1 << SIEVE_BITS:
         return n in _SMALL_PRIMES
@@ -205,7 +205,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = [secrets.randbelow(n - 3) + 2 for _ in range(MR_ROUNDS)]
+    bases = [SYSTEM_RNG.randrange(2, n - 1) for _ in range(MR_ROUNDS)]
     for x in powers_while([(a, d, n) for a in bases])[1]:
         if x in (1, n - 1):
             continue

@@ -11,9 +11,11 @@ m1 + m2, m1 - m2 and a*m1 (all modulo N) without the secret key:
     scale:     c1 ** a          mod N**2
 
 Encryption is probabilistic; ``rerandomize`` refreshes a ciphertext's
-randomness without changing its plaintext. Ciphertexts are tagged with the
-key they were produced under, and mixing keys in a homomorphic operation
-fails fast with :class:`~pinfer.errors.KeyMismatchError`.
+randomness without changing its plaintext. Each ciphertext holds the key it
+was produced under. Keys are equal when their moduli are, so a ciphertext
+under a key rebuilt from N mixes with the key holder's; combining, decrypting
+or rerandomizing under a key of another modulus fails fast with
+:class:`~pinfer.errors.KeyMismatchError`.
 
 The party that holds the secret key never exponentiates modulo N**2. Its
 own public key (``SecretKey.public_key``) draws the encryption randomness
@@ -45,7 +47,6 @@ tests only.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, field
@@ -61,17 +62,16 @@ MIN_KEY_BITS = 64
 
 
 class PublicKey:
-    """Paillier public key: the modulus N.
+    """Paillier public key: the modulus N. Two keys are equal, and their
+    ciphertexts mix, exactly when their moduli are, secret held or not.
 
     Attributes:
         n: the composite modulus N = p*q; also the message-space size M.
         n_squared: N**2, the ciphertext modulus.
         bit_length: ceil(log2 N), written l_M in the size formulas.
-        key_id: short stable identifier used to tag ciphertexts.
     """
 
-    __slots__ = ("n", "n_squared", "bit_length", "max_signed", "min_signed", "key_id",
-                 "_secret")
+    __slots__ = ("n", "n_squared", "bit_length", "max_signed", "min_signed", "_secret")
 
     def __init__(self, n: int):
         if n <= 2 or n % 2 == 0:
@@ -81,8 +81,6 @@ class PublicKey:
         self.bit_length = n.bit_length()
         self.max_signed = (n + 1) // 2 - 1
         self.min_signed = -(n // 2)
-        digest = hashlib.sha256(n.to_bytes((n.bit_length() + 7) // 8, "big")).digest()
-        self.key_id = digest[:8].hex()
         #: The SecretKey that owns this key, if the caller holds it.
         self._secret: SecretKey | None = None
 
@@ -93,7 +91,7 @@ class PublicKey:
         return hash(self.n)
 
     def __repr__(self) -> str:
-        return f"<PublicKey {self.bit_length} bits id={self.key_id}>"
+        return f"<PublicKey {self.bit_length} bits n=...{self.n & 0xFFFFFFFF:08x}>"
 
     def to_signed(self, m: int) -> int:
         """Map a residue in [0, N) to its signed representative."""
@@ -178,7 +176,7 @@ class PublicKey:
         return m % self.n
 
     def _check_own(self, c: "Ciphertext") -> None:
-        if c.public_key.key_id != self.key_id:
+        if c.public_key != self:
             raise KeyMismatchError("ciphertext was produced under a different key")
 
 
@@ -287,12 +285,8 @@ class Ciphertext:
     value: int
     public_key: PublicKey = field(repr=False)
 
-    @property
-    def key_id(self) -> str:
-        return self.public_key.key_id
-
     def _check_same(self, other: "Ciphertext") -> None:
-        if self.key_id != other.key_id:
+        if self.public_key != other.public_key:
             raise KeyMismatchError("cannot combine ciphertexts under different keys")
 
     def __add__(self, other: "Ciphertext") -> "Ciphertext":

@@ -102,7 +102,7 @@ def scalar_width(pk: PublicKey) -> int:
 
 
 def serialize_ciphertext(c: Ciphertext, pk: PublicKey) -> bytes:
-    if c.key_id != pk.key_id:
+    if c.public_key != pk:
         raise ParameterError("ciphertext does not belong to the given key")
     return c.value.to_bytes(ciphertext_width(pk), "big")
 

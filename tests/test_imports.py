@@ -1,14 +1,16 @@
 """No module of the package imports a name it never uses, none starts a
-process, and one module owns the modular exponentiations.
+process or loads OpenSSL, and one module owns the modular exponentiations.
 
 A stdlib stand-in for pyflakes' F401: a name bound by an import must appear
 as a name elsewhere in its module, or in the module's ``__all__``. An import
 statement whose first line carries ``# noqa: F401`` is exempt; it re-exports
 names for code outside the package.
 
-No module imports ``subprocess``, and only ``numutil`` calls three-argument
-``pow``: every other module exponentiates through ``numutil.powmod`` or
-``numutil.powers_while``.
+No module imports ``subprocess``, or ``hashlib``, ``hmac``, ``secrets`` or
+``ssl``, each of which maps OpenSSL's libcrypto into the process; random
+draws come from ``numutil.SYSTEM_RNG``. Only ``numutil`` calls
+three-argument ``pow``: every other module exponentiates through
+``numutil.powmod`` or ``numutil.powers_while``.
 """
 
 import ast
@@ -17,6 +19,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pinfer"
+#: Stdlib modules that load OpenSSL (``_hashlib`` or ``_ssl``) when imported.
+OPENSSL_MODULES = ("hashlib", "hmac", "secrets", "ssl")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -74,6 +78,22 @@ def test_the_checks_find_subprocess_and_pow():
                               "subprocess")
     assert calls_three_argument_pow("y = pow(b, e, m)\n")
     assert not calls_three_argument_pow("y = pow(b, e)\nz = 'pow(b, e, m)'\n")
+
+
+def test_the_check_finds_each_openssl_module():
+    for module in OPENSSL_MODULES:
+        assert imports_module(f"import {module}\n", module)
+        assert imports_module(f"import json, {module} as m\n", module)
+        assert imports_module(f"from {module} import x\n", module)
+        assert not imports_module(f"from . import {module}\ny = 'import {module}'\n", module)
+    assert not imports_module("import sslv\n", "ssl")
+    assert not imports_module("from hashlibx import sha256\n", "hashlib")
+
+
+def test_no_module_loads_openssl():
+    assert [(path.name, module) for path in sorted(PACKAGE.glob("*.py"))
+            for module in OPENSSL_MODULES
+            if imports_module(path.read_text(encoding="utf-8"), module)] == []
 
 
 def test_no_subprocess_module_and_one_power_module():

@@ -112,8 +112,8 @@ def test_sign_core_mixed_keys(client_keys, server_keys, rng):
     pk_s, _ = server_keys
     theta, enc = unit_inputs(pk_c, 3, rng)
     challenge, _ = unit_challenge("core", theta, enc, pk_s, 4, KAPPA, rng)
-    assert challenge.masked_inner.key_id == pk_c.key_id
-    assert all(ct.key_id == pk_s.key_id for ct in challenge.mask_bits)
+    assert challenge.masked_inner.public_key == pk_c
+    assert all(ct.public_key == pk_s for ct in challenge.mask_bits)
 
 
 def test_relu_core_pair_length_violation(client_keys, server_keys, rng):
@@ -331,7 +331,7 @@ def test_server_session_never_holds_client_secret(client_keys, server_keys):
             continue
         seen.add(id(obj))
         if isinstance(obj, SecretKey):
-            assert obj.public_key.key_id != sk_c.public_key.key_id
+            assert obj.public_key != sk_c.public_key
         if hasattr(obj, "__dict__"):
             todo.extend(vars(obj).values())
         elif isinstance(obj, (list, tuple, set)):

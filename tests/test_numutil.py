@@ -109,3 +109,19 @@ print(numutil.BACKEND, events)
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["libgmp", "[]"]
+
+
+def test_importing_pinfer_loads_no_openssl(checkout_env):
+    # Against the interpreter's own start-up modules, so a site hook that
+    # loads any of these before pinfer does not count against it.
+    code = """
+import sys
+before = set(sys.modules)
+import pinfer, pinfer.runner, pinfer.cli
+loaded = set(sys.modules) - before
+print(sorted(loaded & {"_hashlib", "_ssl", "hashlib", "hmac", "secrets"}), "pinfer.cli" in loaded)
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=checkout_env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[]", "True"]

@@ -15,7 +15,7 @@ from pinfer.errors import (DecryptionError, KeyMismatchError, MessageFormatError
 from pinfer.numutil import (SIEVE_BITS, insecure_rng, is_probable_prime, prime_candidate,
                             random_unit)
 from pinfer.paillier import Ciphertext, PublicKey, SecretKey
-from pinfer.wire import deserialize_public_key, serialize_public_key
+from pinfer.wire import deserialize_public_key, serialize_ciphertext, serialize_public_key
 
 
 def test_keygen_sizes_and_round_trip(client_keys, rng):
@@ -133,12 +133,28 @@ def test_add_plain(client_keys, rng):
 
 
 def test_key_mismatch_fails_fast(client_keys, server_keys, rng):
+    # The server's key, and a modulus two above the client's.
+    (pk, sk), (pk_s, _) = client_keys, server_keys
+    mine = pk.encrypt(1, rng)
+    for other in (pk_s, PublicKey(pk.n + 2)):
+        theirs = other.encrypt(2, rng)
+        for combine in (lambda: mine + theirs, lambda: theirs + mine,
+                        lambda: mine - theirs, lambda: theirs - mine,
+                        lambda: sk.decrypt(theirs), lambda: sk.decrypt_all([mine, theirs]),
+                        lambda: pk.rerandomize(theirs, rng),
+                        lambda: other.rerandomize(mine, rng)):
+            with pytest.raises(KeyMismatchError):
+                combine()
+        for c, key in ((theirs, pk), (mine, other)):
+            with pytest.raises(ParameterError, match="does not belong to the given key"):
+                serialize_ciphertext(c, key)
+
+
+def test_keys_of_different_moduli_read_differently(client_keys, server_keys):
     (pk_c, sk_c), (pk_s, _) = client_keys, server_keys
-    c1, c2 = pk_c.encrypt(1, rng), pk_s.encrypt(2, rng)
-    with pytest.raises(KeyMismatchError):
-        c1 + c2
-    with pytest.raises(KeyMismatchError):
-        sk_c.decrypt(c2)
+    assert repr(pk_c) != repr(pk_s)
+    assert repr(pk_c) == f"<PublicKey 512 bits n=...{pk_c.n % 2**32:08x}>"
+    assert repr(sk_c) == f"<SecretKey for {pk_c!r}>"
 
 
 def test_decryption_failure_on_non_unit(client_keys):
@@ -186,6 +202,8 @@ def test_key_holder_and_rebuilt_key_ciphertexts_mix(client_keys, rng):
             assert (sk.decrypt(got) - want) % pk.n == 0
         assert sk.decrypt(pk.rerandomize(c2, rng)) == m2
         assert sk.decrypt(rebuilt.rerandomize(c1, rng)) == m1
+        for c in (c1, c2):
+            assert serialize_ciphertext(c, pk) == serialize_ciphertext(c, rebuilt)
 
 
 def test_key_holder_fresh_factor_encrypts_zero(client_keys, rng):
@@ -660,6 +678,33 @@ def test_secret_key_rejects_base_2_pseudoprimes():
         assert pow(2, pseudoprime - 1, pseudoprime) == 1
         with pytest.raises(ParameterError):
             SecretKey(pseudoprime, 65537)
+
+
+def test_miller_rabin_bases_come_from_the_system_rng(monkeypatch):
+    rng = insecure_rng(1024)
+    n = prime_candidate(1024, rng)
+    while not is_probable_prime(n):
+        n = prime_candidate(1024, rng)
+    ranges, draws, batches = [], [], []
+
+    class RecordingSystemRandom(random.SystemRandom):
+        def randrange(self, *args):
+            ranges.append(args)
+            draws.append(super().randrange(*args))
+            return draws[-1]
+
+    original = numutil.powers_while
+
+    def recording_powers_while(items, work=None):
+        batches.append(items)
+        return original(items, work)
+
+    monkeypatch.setattr(numutil, "SYSTEM_RNG", RecordingSystemRandom())
+    monkeypatch.setattr(numutil, "powers_while", recording_powers_while)
+    assert is_probable_prime(n)
+    assert ranges == [(2, n - 1)] * numutil.MR_ROUNDS
+    assert all(2 <= a <= n - 2 for a in draws)
+    assert [[(a, m) for a, _, m in items] for items in batches] == [[(a, n) for a in draws]]
 
 
 def test_is_probable_prime_matches_sieve():
