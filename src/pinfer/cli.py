@@ -2,7 +2,8 @@
 plaintext oracle and bandwidth bench.
 
 Exit codes: 0 success, 2 verification or count mismatch, 3 protocol
-violation or a lost connection, 4 configuration error.
+violation, a malformed message from the peer or a lost connection, 4
+configuration error.
 
 The heuristic protocols trade bandwidth for a documented model-information
 leak; serving or querying them requires the explicit --heuristic flag.
@@ -18,7 +19,8 @@ import sys
 import threading
 
 from . import numutil, reference, runner, wire
-from .errors import ParameterError, PinferError, ProtocolViolationError
+from .errors import (MessageFormatError, ParameterError, PinferError,
+                     ProtocolViolationError)
 from .linear import DEFAULT_KAPPA, FeatureVector, LinearModel, max_core_ell
 from .modelfile import (LoadedModel, load_input_vector, load_key,
                         load_model, save_public_key, save_secret_key)
@@ -371,7 +373,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProtocolViolationError as exc:
+    except (ProtocolViolationError, MessageFormatError) as exc:
         print(f"protocol violation: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL_VIOLATION
     except runner.ChannelClosed as exc:

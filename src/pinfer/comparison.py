@@ -31,12 +31,11 @@ divides h, so ``evaluator_step`` refuses an owner key with a factor below
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from .errors import ParameterError, ProtocolViolationError
-from .numutil import _ODD_PRIMORIAL, SYSTEM_RNG
+from .numutil import SYSTEM_RNG, has_small_factor
 from .paillier import Ciphertext, PublicKey, SecretKey
 
 
@@ -158,7 +157,7 @@ def evaluator_step(sk_eval: SecretKey, pk_owner: PublicKey, challenge: UnitChall
             exactly when p divides h, so the owner could read h mod p.
     """
     ell = len(challenge.mask_bits)
-    if math.gcd(pk_owner.n, _ODD_PRIMORIAL) != 1:
+    if has_small_factor(pk_owner.n):
         raise ProtocolViolationError("the bit owner's modulus has a small factor")
     t_star = sk_eval.decrypt_unsigned(challenge.masked_inner)
     delta_eval = ((t_star >> ell) & 1) ^ flip

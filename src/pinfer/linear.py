@@ -34,7 +34,7 @@ from .errors import (DimensionMismatchError, ParameterError,
                      ProtocolViolationError)
 from .fixedpoint import decode, encode
 from .numutil import SYSTEM_RNG
-from .paillier import Ciphertext, PublicKey, SecretKey, _factors
+from .paillier import Ciphertext, PublicKey, SecretKey, encrypt_batch
 
 #: Default statistical security parameter for masking.
 DEFAULT_KAPPA = 95
@@ -120,9 +120,15 @@ class FeatureVector:
     def d(self) -> int:
         return len(self.values) - 1
 
+    @property
+    def excess_bits(self) -> int:
+        """The least e >= 0 with every |x_j| <= 2**(precision + e)."""
+        top = max((abs(v) for v in self.values[1:]), default=0)
+        return 0 if top <= 1 << self.precision else (top - 1).bit_length() - self.precision
+
     def require_scaled(self) -> None:
         """Refuse |x_j| > 2**precision, which every model's bound length assumes."""
-        if any(abs(v) > 1 << self.precision for v in self.values[1:]):
+        if self.excess_bits:
             unbounded = ", ".join(name for name, protocol in wire.PROTOCOLS.items()
                                   if protocol.variant is None)
             raise ParameterError("input lies outside [-1, 1]; --allow-unscaled inputs "
@@ -207,6 +213,16 @@ def check_core_sizing(modulus: int, ell: int, kappa: int) -> None:
             f"ell={ell}, kappa={kappa}")
 
 
+def check_unscaled(modulus: int, ell: int, excess: int) -> None:
+    """Refuse an input ``excess`` bits beyond 2**precision where it widens an
+    inner product of bound length ell to ell + excess, if that can wrap."""
+    if excess:
+        try:
+            check_core_sizing(modulus, ell + excess, 0)
+        except ParameterError as exc:
+            raise ParameterError(f"input {excess} bits beyond [-1, 1]: {exc}") from None
+
+
 def max_core_ell(modulus: int, kappa: int) -> int:
     """Largest ell admissible for the masked-comparison protocols at this kappa."""
     return ((modulus + 1) // ((1 << kappa) + 1)).bit_length() - 1
@@ -267,24 +283,18 @@ def masked_sign_value(t: int, lam: int, mu: int, modulus: int) -> int:
     return v if v < (modulus + 1) // 2 else v - modulus
 
 
+def _products(coeffs, cts):
+    """The work of an inner product's batch, once the lengths are checked."""
+    if len(coeffs) != len(cts):
+        raise DimensionMismatchError(f"{len(coeffs)} coefficients for {len(cts)} ciphertexts")
+    return lambda: [coeff * ct for coeff, ct in zip(coeffs, cts)]
+
+
 def encrypted_dot(pk: PublicKey, start: int, coeffs, cts,
                   rng: random.Random | None = None) -> Ciphertext:
     """Enc(start mod N) + sum of coeff * ct under ``pk``, fresh through Enc(start)."""
-    return dot_and_bits(pk, start, coeffs, cts, rng)[0]
-
-
-def dot_and_bits(pk: PublicKey, start: int, coeffs, cts, rng: random.Random | None = None,
-                 pk_owner: PublicKey | None = None, bits=()) -> tuple:
-    """``encrypted_dot``, and ``bits`` encrypted under ``pk_owner`` as
-    ``comparison.bit_owner_request`` does: every random factor drawn in that
-    order, then computed in one batch beside the products."""
-    if len(coeffs) != len(cts):
-        raise DimensionMismatchError(f"{len(coeffs)} coefficients for {len(cts)} ciphertexts")
-    plain = [(pk, start % pk.n)] + [(pk_owner, bit) for bit in bits]
-    terms, factors = _factors([key._draw(rng) for key, _ in plain],
-                              lambda: [coeff * ct for coeff, ct in zip(coeffs, cts)])
-    fresh, *bits = (key.encrypt_unsigned(m, factor=f) for (key, m), f in zip(plain, factors))
-    return sum(terms, fresh), tuple(bits)
+    terms, (fresh,) = encrypt_batch([(pk, start % pk.n)], rng, _products(coeffs, cts))
+    return sum(terms, fresh)
 
 
 def masked_challenge(pk: PublicKey, start: int, coeffs, cts, pk_owner: PublicKey, ell: int,
@@ -292,14 +302,16 @@ def masked_challenge(pk: PublicKey, start: int, coeffs, cts, pk_owner: PublicKey
                      ) -> tuple[UnitChallenge, int]:
     """The mask owner's challenge on t = start + coeffs . cts, |t| < 2**ell, and
     its mask: t + mask under ``pk``, which the sizing check keeps from wrapping,
-    and the mask's low ell bits under ``pk_owner``, in one ``dot_and_bits``
-    batch. ``mask`` can be forced for tests."""
+    and the mask's low ell bits under ``pk_owner``, as ``bit_owner_request``
+    encrypts them: Enc(start + mask), then the bits, one ``encrypt_batch``
+    beside the scalar products. ``mask`` can be forced for tests."""
     check_core_sizing(pk.n, ell, kappa)
     rng = rng or SYSTEM_RNG
     mask = draw_mask(ell, kappa, rng, mask)
-    t_ct, bits = dot_and_bits(pk, start + mask, coeffs, cts, rng, pk_owner,
-                              digits(mask % (1 << ell), ell))
-    return UnitChallenge(t_ct, bits), mask
+    low_bits = digits(mask % (1 << ell), ell)
+    plain = [(pk, (start + mask) % pk.n)] + [(pk_owner, bit) for bit in low_bits]
+    terms, (fresh, *bits) = encrypt_batch(plain, rng, _products(coeffs, cts))
+    return UnitChallenge(sum(terms, fresh), tuple(bits)), mask
 
 
 def _injective(activation: str) -> activations.Activation:
@@ -357,8 +369,10 @@ def regr_dual_request(published: PublishedLinearModel, x: FeatureVector,
 
     The mask makes the value the server decrypts uniform over the message
     space. ``mask`` can be forced for tests; by default it is drawn uniformly.
+    An unscaled input is refused where theta . x could wrap (``check_unscaled``).
     """
     x.require_fits(published.precision, published.d)
+    check_unscaled(published.public_key.n, published.ell, x.excess_bits)
     rng = rng or SYSTEM_RNG
     pk = published.public_key
     mask = rng.randrange(pk.n) if mask is None else mask % pk.n

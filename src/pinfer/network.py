@@ -37,10 +37,10 @@ from .errors import (DimensionMismatchError, MessageFormatError, ParameterError,
                      ProtocolViolationError)
 from .fixedpoint import decode, encode
 from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector, check_core_sizing,
-                     check_heuristic_sizing, draw_heuristic_mask, encrypted_dot,
-                     inner_product_bound, masked_challenge)
+                     check_heuristic_sizing, check_unscaled, draw_heuristic_mask,
+                     encrypted_dot, inner_product_bound, masked_challenge)
 from .numutil import SYSTEM_RNG, invert
-from .paillier import Ciphertext, PublicKey, SecretKey, _factors
+from .paillier import Ciphertext, PublicKey, SecretKey
 
 #: Activations with a fully encrypted per-unit protocol.
 ENCRYPTED_ACTIVATIONS = frozenset({"sign", "relu"})
@@ -494,11 +494,11 @@ class NetworkServerSession:
 
     def _down(self) -> LayerMessage:
         if self.layer == self.spec.depth:
-            # Activated output: the unit round already produced the values.
+            # Activated output: the unit round already produced the values,
+            # each refreshed as c + Enc(0), which is c * r**N.
             self.done = True
-            _, factors = _factors([ct.public_key._draw(self.rng) for ct in self._enc])
-            return LayerMessage(None, tuple(ct.public_key.rerandomize(ct, factor=f)
-                                            for ct, f in zip(self._enc, factors)))
+            zeros = self.keys["c"].encrypt_all([0] * len(self._enc), self.rng)
+            return LayerMessage(None, tuple(ct + z for ct, z in zip(self._enc, zeros)))
         layer = self.spec.layers[self.layer]
         if not compares(self.meta, self.layer):
             self.done = self.layer == self.spec.depth - 1
@@ -544,8 +544,14 @@ class NetworkClientSession:
         return self._next_layer if self._next_layer < len(self.meta.layers) else None
 
     def check_input(self, x: FeatureVector) -> None:
-        """Refuse an input the network was not built for."""
+        """Refuse an input the network was not built for, or an unscaled one
+        that could wrap a layer under the client key: its excess bits widen
+        each layer's bound length until a sign layer, of outputs +-1."""
         x.require_fits(self.meta.precision, self.meta.d_in)
+        excess = x.excess_bits
+        for layer in self.meta.layers:
+            check_unscaled(self.pk.n, layer.ell, excess)
+            excess = 0 if layer.activation == "sign" else excess
 
     def handle(self, message: LayerMessage) -> LayerMessage | None:
         """Process a down message; returns the reply, or None when finished.

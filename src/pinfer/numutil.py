@@ -60,6 +60,12 @@ _SMALL_PRIMES = frozenset(_primes_below(1 << SIEVE_BITS))
 _ODD_PRIMORIAL = math.prod(p for p in _SMALL_PRIMES if p != 2)
 
 
+def has_small_factor(n: int) -> bool:
+    """Whether n has an odd prime factor below 2**SIEVE_BITS: the trial
+    division of both prime tests and of the comparison's bit owner check."""
+    return math.gcd(n, _ODD_PRIMORIAL) != 1
+
+
 def insecure_rng(seed: int) -> random.Random:
     """Deterministic RNG for reproducible tests.
 
@@ -199,7 +205,7 @@ def is_probable_prime(n: int) -> bool:
     """
     if n < 1 << SIEVE_BITS:
         return n in _SMALL_PRIMES
-    if n % 2 == 0 or math.gcd(n, _ODD_PRIMORIAL) != 1:
+    if n % 2 == 0 or has_small_factor(n):
         return False
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -247,7 +253,7 @@ def prime_candidate(bits: int, rng: random.Random | None = None) -> int:
         batch, states = [], []
         while len(batch) < CANDIDATE_BATCH:
             candidate = rng.getrandbits(bits) | (3 << (bits - 2)) | 1
-            if math.gcd(candidate, _ODD_PRIMORIAL) == 1:
+            if not has_small_factor(candidate):
                 batch.append(candidate)
                 states.append(rng.getstate() if rewind else None)
         _, powers = powers_while([(2, c - 1, c) for c in batch])

@@ -25,20 +25,24 @@ alone, as a peer's key is, holds no factors and takes the generic path; both
 produce the same distribution of ciphertexts, and their ciphertexts mix
 freely.
 
-Every random factor goes through ``_factors``, and every decryption through
-``SecretKey._halves``: each lists its powers as items of one batch of
-:func:`pinfer.numutil.powers_while`, which splits them between the calling
-thread and a helper thread. The random factors do not depend on the values
-(Paillier, EUROCRYPT 1999, notes they can be precomputed), so a batch draws
-them as single encryptions would, in order, and the calling thread's work
-beside it is the products r*c of ``PublicKey.blind_all`` or the scalar
-products of ``linear.dot_and_bits``. A lone encryption, rerandomization or
-decryption is a batch of its own. Under a key built from N alone a factor
-is one item, s**N mod N**2; under a key holder's own key each factor, and
-each decryption, is two half-size items, mod p**2 and mod q**2. Each power
-is computed in :mod:`pinfer.numutil`'s backend (GMP when the system has it,
-see ``numutil.BACKEND``); the backend changes how an item is computed,
-never which items a batch holds.
+Every random factor is drawn and computed here, through ``_factors``, and
+every decryption through ``SecretKey._halves``: each lists its powers as
+items of one batch of :func:`pinfer.numutil.powers_while`, which splits them
+between the calling thread and a helper thread. The random factors do not
+depend on the values (Paillier, EUROCRYPT 1999, notes they can be
+precomputed), so a batch draws them as single encryptions would, in order,
+and the calling thread's work beside it is the products r*c of
+``PublicKey.blind_all`` or the scalar products of ``encrypt_batch``. Other
+modules call only the batches: ``linear``'s inner products and challenges
+``encrypt_batch``; every other multi-value encryption ``encrypt_all``;
+``comparison``'s blinds ``blind_all``; every multi-value decryption
+``decrypt_all``. A lone encryption, rerandomization or decryption is a batch
+of its own. Under a key built from N alone a factor is one item, s**N mod
+N**2; under a key holder's own key each factor, and each decryption, is two
+half-size items, mod p**2 and mod q**2. Each power is computed in
+:mod:`pinfer.numutil`'s backend (GMP when the system has it, see
+``numutil.BACKEND``); the backend changes how an item is computed, never
+which items a batch holds.
 
 Key sizes of 2048 or 3072 bits are the production presets; the 64-bit floor
 and the deterministic RNG from :func:`pinfer.numutil.insecure_rng` exist for
@@ -122,16 +126,13 @@ class PublicKey:
 
     def encrypt_all(self, ms: list[int],
                     rng: random.Random | None = None) -> list["Ciphertext"]:
-        """``[encrypt(m, rng) for m in ms]``, with the random factors drawn as
-        ``encrypt`` draws them and computed as one ``_factors`` batch.
+        """``[encrypt(m, rng) for m in ms]``, as one ``encrypt_batch``.
 
         Raises:
             ParameterError: a message outside the signed message space,
                 before anything is drawn.
         """
-        residues = [self._residue(m) for m in ms]
-        _, factors = _factors([self._draw(rng) for _ in ms])
-        return [self.encrypt_unsigned(m, factor=f) for m, f in zip(residues, factors)]
+        return encrypt_batch([(self, self._residue(m)) for m in ms], rng)[1]
 
     def rerandomize(self, c: "Ciphertext", rng: random.Random | None = None,
                     factor: int | None = None) -> "Ciphertext":
@@ -178,6 +179,15 @@ class PublicKey:
     def _check_own(self, c: "Ciphertext") -> None:
         if c.public_key != self:
             raise KeyMismatchError("ciphertext was produced under a different key")
+
+
+def encrypt_batch(plain: list, rng: random.Random | None = None, work=None) -> tuple:
+    """``(work(), cts)``: ``key.encrypt_unsigned(m, rng)`` for each ``(key, m)``
+    of ``plain`` in order, under any mix of keys, with every random factor
+    drawn as that loop would and all of them one ``_factors`` batch beside
+    ``work``, which may be None."""
+    result, factors = _factors([key._draw(rng) for key, _ in plain], work)
+    return result, [key.encrypt_unsigned(m, factor=f) for (key, m), f in zip(plain, factors)]
 
 
 def _factors(draws: list, work=None) -> tuple:

@@ -32,7 +32,7 @@ import struct
 import threading
 from dataclasses import dataclass
 
-from . import network, wire
+from . import activations, network, wire
 from .errors import (MessageFormatError, ParameterError, PinferError,
                      ProtocolViolationError)
 from .linear import (DEFAULT_KAPPA, FeatureRequest, FeatureVector,
@@ -165,7 +165,7 @@ def fetch_published(channel, protocol: str, rng=None,
     key, precision, ell, activation, *body = _parts(frame, 4, at_least=True)
     pk_server = wire.deserialize_public_key(key)
     precision, ell = wire.unpack_u32(precision), wire.unpack_u32(ell)
-    activation = _text(activation)
+    activation = _activation(activation, protocol)
     cts = tuple(wire.deserialize_ciphertext(p, pk_server) for p in body)
     return PublishedLinearModel(pk_server, cts, ell, precision), activation
 
@@ -188,7 +188,7 @@ def run_inference(channel, protocol: str, x: FeatureVector,
         frame = io.recv(wire.STEP_RESPONSE, n_cts=1)
         reply, activation, model_precision = _parts(frame, 3)
         t_ct = wire.deserialize_ciphertext(reply, pk_c)
-        activation = _text(activation)
+        activation = _activation(activation, protocol)
         x.require_fits(wire.unpack_u32(model_precision))
         value = regr_core_finish(sk_c, t_ct, precision, activation)
         return InferenceResult((value,), raw=(sk_c.decrypt(t_ct),))
@@ -302,11 +302,18 @@ def _parts(frame: wire.Frame, count: int, at_least: bool = False) -> tuple[bytes
     return frame.parts
 
 
-def _text(part: bytes) -> str:
+def _activation(part: bytes, protocol: str) -> str:
+    """The activation of a regression reply or a publication: a registered
+    one, and injective except for svm-core's sign."""
     try:
-        return part.decode("utf-8")
+        act = activations.get(part.decode("utf-8"))
     except UnicodeDecodeError:
         raise MessageFormatError("text field is not UTF-8") from None
+    except ParameterError as exc:
+        raise MessageFormatError(str(exc)) from None
+    if not act.injective and protocol != "svm-core":
+        raise MessageFormatError(f"activation {act.name!r} is not injective")
+    return act.name
 
 
 def _feature_parts(request: FeatureRequest) -> tuple[bytes, ...]:

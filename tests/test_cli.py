@@ -422,6 +422,30 @@ def test_infer_against_a_server_of_another_protocol_exits_3(key_files, model_fil
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["short ciphertext", "unknown activation", "sign activation"])
+def test_infer_exits_3_on_a_malformed_reply(key_files, model_files, capsys, case):
+    # A regr-core server that answers the request with one canned reply.
+    pk = load_key(str(key_files / "cli.pub.json"))
+    ct = wire.serialize_ciphertext(pk.encrypt(1), pk)
+    parts = {"short ciphertext": (bytes(5), b"sigmoid", wire.pack_u32(12)),
+             "unknown activation": (ct, b"bogus", wire.pack_u32(12)),
+             "sign activation": (ct, b"sign", wire.pack_u32(12))}[case]
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer():
+            channel = runner.SocketChannel(listener.accept()[0])
+            request = wire.unframe(channel.recv())
+            channel.send(wire.frame(request.protocol_id, wire.STEP_RESPONSE,
+                                    request.session_id, parts))
+            channel.close()
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        code = main(_regr_core_infer(listener.getsockname()[1], key_files, model_files))
+        thread.join(timeout=10)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("protocol violation: ")
+
+
 def test_serve_names_its_arithmetic(model_files, capsys):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))

@@ -11,6 +11,11 @@ No module imports ``subprocess``, or ``hashlib``, ``hmac``, ``secrets`` or
 draws come from ``numutil.SYSTEM_RNG``. Only ``numutil`` calls
 three-argument ``pow``: every other module exponentiates through
 ``numutil.powmod`` or ``numutil.powers_while``.
+
+No module reaches into another's private names: it imports no ``_name``
+from a module of the package, and reads an ``_name`` attribute only on
+``self`` or ``cls`` or where its own file defines that name, so that, for
+one, every random factor is drawn inside ``paillier``.
 """
 
 import ast
@@ -103,3 +108,52 @@ def test_no_subprocess_module_and_one_power_module():
             if imports_module(source, "subprocess")] == []
     assert [name for name, source in sources.items()
             if calls_three_argument_pow(source)] == ["numutil"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reaches(source: str) -> list[str]:
+    """``line: name`` for every private name ``source`` takes from elsewhere:
+    one imported from a module of the package, or an attribute read on
+    anything but ``self`` or ``cls`` that ``source`` never defines."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    reaches = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "pinfer"):
+            reaches += [(node.lineno, a.name) for a in node.names if _is_private(a.name)]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and \
+                _is_private(node.attr) and node.attr not in defined and not (
+                    isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+            reaches.append((node.lineno, node.attr))
+    return [f"{line}: {name}" for line, name in sorted(reaches)]
+
+
+def test_the_check_finds_a_private_reach():
+    source = ("from .paillier import _factors, keygen\n"
+              "from pinfer.numutil import _ODD_PRIMORIAL as P\n"
+              "from json import _default_decoder\n"
+              "class Key:\n"
+              "    __slots__ = ('_own',)\n"
+              "    def _check(self, other):\n"
+              "        self._own = other._own\n"
+              "        return self._hidden, cls._also, other._check(), self.__class__\n"
+              "key._draw(rng)\n"
+              "_, factors = ct.public_key._draw(rng)\n")
+    assert private_reaches(source) == ["1: _factors", "2: _ODD_PRIMORIAL", "9: _draw",
+                                       "10: _draw"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reaches_into_another(path):
+    assert private_reaches(path.read_text(encoding="utf-8")) == []

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from pinfer import comparison, keygen, numutil, paillier
+from pinfer import comparison, keygen, network, numutil, paillier, runner, wire
 from pinfer.errors import (DecryptionError, KeyMismatchError, MessageFormatError,
                            ParameterError)
+from pinfer.linear import FeatureVector
+from pinfer.modelfile import LoadedModel
 from pinfer.numutil import (SIEVE_BITS, insecure_rng, is_probable_prime, prime_candidate,
                             random_unit)
 from pinfer.paillier import Ciphertext, PublicKey, SecretKey
@@ -447,6 +449,53 @@ def test_encrypt_all_matches_the_encrypt_loop(client_keys, holder):
     assert batch_rng.random() == serial_rng.random()
     assert all(c.public_key is key for c in batch)
     assert [sk.decrypt(c) for c in batch] == values
+
+
+def test_encrypt_batch_matches_a_serial_loop_under_mixed_keys(client_keys, monkeypatch):
+    # The key holder's key draws a CRT pair per factor, the rebuilt key one
+    # unit mod N; the batch draws each in its turn, as the loop does.
+    pk, sk = client_keys
+    rebuilt = PublicKey(pk.n)
+    plain = [(pk, 5), (rebuilt, 0), (rebuilt, pk.n - 1), (pk, 1), (rebuilt, 1), (pk, 0)]
+    batch_rng, serial_rng = insecure_rng(21), insecure_rng(21)
+    made = _count_batches(monkeypatch)
+    work, cts = paillier.encrypt_batch(plain, batch_rng, lambda: "work")
+    assert work == "work" and len(made) == 1
+    serial = [key.encrypt_unsigned(m, serial_rng) for key, m in plain]
+    assert [c.value for c in cts] == [c.value for c in serial]
+    assert batch_rng.getstate() == serial_rng.getstate()
+    assert all(c.public_key is key for c, (key, _) in zip(cts, plain))
+    assert [sk.decrypt_unsigned(c) for c in cts] == [m for _, m in plain]
+    assert paillier.encrypt_batch([], batch_rng) == (None, [])
+
+
+def test_activated_output_refreshes_each_value(client_keys, server_keys, monkeypatch):
+    # The output frame carries each value of the last unit round plus Enc(0):
+    # the same plaintext under a fresh factor.
+    produced, finish = [], network.unit_finish
+    monkeypatch.setattr(network, "unit_finish",
+                        lambda *args: produced.append(finish(*args)) or produced[-1])
+    spec = network.NetworkSpec.from_integer(
+        [([(0, 1, 1), (-1, 1, -1)], "relu"), ([(0, 1, -2), (1, -1, 1)], "relu")],
+        output_mode="activated")
+    served = runner.prepare_served("ffnn-relu", LoadedModel("ffnn", spec, 40), server_keys,
+                                   40, insecure_rng(3))
+    channel, _ = runner.serve_loopback(served)
+    frames, recv = [], channel.recv
+    channel.recv = lambda: frames.append(recv()) or frames[-1]
+    try:
+        runner.run_inference(channel, "ffnn-relu", FeatureVector((1, 1, -1), 0), client_keys,
+                             kappa=40, rng=insecure_rng(4))
+    finally:
+        channel.close()
+    output = wire.unframe(frames[-1])
+    assert output.step_id == wire.STEP_OUTPUT
+    pk, sk = client_keys
+    cts = [wire.deserialize_ciphertext(part, pk) for part in output.parts]
+    values = produced[-len(cts):]
+    assert len(cts) == 2 and len(produced) == 4
+    assert [sk.decrypt(c) for c in cts] == [sk.decrypt(v) for v in values] == [0, 2]
+    assert all(c.value != v.value for c, v in zip(cts, values))
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 5])

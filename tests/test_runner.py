@@ -733,10 +733,14 @@ def _canned_replies(case, client_keys, server_keys):
         "regr-core response": ("regr-core", [(wire.STEP_RESPONSE, (ct,))]),
         "regr-core activation": ("regr-core", [(wire.STEP_RESPONSE,
                                                 (ct, b"\xff\xfe", wire.pack_u32(12)))]),
+        "regr-core unknown activation": ("regr-core", [(wire.STEP_RESPONSE,
+                                                        (ct, b"bogus", wire.pack_u32(12)))]),
         "svm-heur response": ("svm-heur", [(wire.STEP_RESPONSE, ())]),
         "regr-dual publish": ("regr-dual", [(wire.STEP_PUBLISH, tuple(publish[:3]))]),
         "regr-dual activation": ("regr-dual", [(wire.STEP_PUBLISH, (
             *publish[:3], b"\xc3", *publish[4:]))]),
+        "regr-dual sign activation": ("regr-dual", [(wire.STEP_PUBLISH, (
+            *publish[:3], b"sign", *publish[4:]))]),
         "regr-dual response": ("regr-dual", [(wire.STEP_PUBLISH, tuple(publish)),
                                              (wire.STEP_RESPONSE, ())]),
         "svm-core response": ("svm-core", [(wire.STEP_PUBLISH, tuple(publish)),
@@ -761,9 +765,11 @@ def _canned_replies(case, client_keys, server_keys):
 @pytest.mark.parametrize("case,error", [
     ("regr-core response", ProtocolViolationError),
     ("regr-core activation", MessageFormatError),
+    ("regr-core unknown activation", MessageFormatError),
     ("svm-heur response", ProtocolViolationError),
     ("regr-dual publish", ProtocolViolationError),
     ("regr-dual activation", MessageFormatError),
+    ("regr-dual sign activation", MessageFormatError),
     ("regr-dual response", ProtocolViolationError),
     ("svm-core response", ProtocolViolationError),
     ("ffnn meta", ProtocolViolationError),
@@ -1258,3 +1264,39 @@ def test_unscaled_input_stays_exact(client_keys, rng):
     loaded, x = ffnn_loaded("sign"), UNSCALED["ffnn"]
     result = run_protocol("ffnn-generic", loaded, x, client_keys, None, rng)
     assert result.raw == tuple(p.raw for p in eval_ffnn(loaded.model, x))
+
+
+@pytest.mark.parametrize("protocol", ["regr-dual", "ffnn-generic"])
+def test_unscaled_input_that_could_wrap_is_refused(client_keys, server_keys, rng, protocol):
+    # At P = 12, 1e150 lies 499 bits beyond 2**12, so theta . x wraps the
+    # 512-bit message space: both protocols returned a value that differs
+    # from the oracle's. 1e100, 333 bits beyond, still fits and stays exact.
+    if protocol == "regr-dual":
+        loaded = LoadedModel("linear", LinearModel.from_real([0.5, -0.25], 0.1, 12), KAPPA)
+    else:
+        loaded = LoadedModel("ffnn", NetworkSpec.from_real(
+            [([(0.1, 0.5, -0.25)], "identity")], 12), KAPPA)
+    x = FeatureVector.from_real([1e150, 0.3], 12, allow_unscaled=True)
+    assert x.excess_bits == 499
+    with pytest.raises(ParameterError, match="499 bits beyond"):
+        run_protocol(protocol, loaded, x, client_keys, server_keys, rng)
+    x = FeatureVector.from_real([1e100, 0.3], 12, allow_unscaled=True)
+    result = run_protocol(protocol, loaded, x, client_keys, server_keys, rng)
+    assert result.values[0] == (eval_linear(loaded.model, x).value if protocol == "regr-dual"
+                                else eval_ffnn(loaded.model, x)[0].value)
+
+
+@pytest.mark.parametrize("first,refused", [("identity", True), ("sign", False)])
+def test_unscaled_excess_carries_until_a_sign_layer(client_keys, first, refused):
+    # 479 bits beyond 2**12 fit layer 0 (ell 24) under a 512-bit key, but
+    # not layer 1 (ell 36) unless layer 0's sign outputs reset the excess.
+    spec = NetworkSpec.from_integer([([(0, 1, 1)], first), ([(0, 1)], "identity")], 12,
+                                    ells=[24, 36])
+    x = FeatureVector.from_real([1e144, 0.3], 12, allow_unscaled=True)
+    assert x.excess_bits == 479
+    session = NetworkClientSession(spec.meta("generic"), client_keys)
+    if refused:
+        with pytest.raises(ParameterError, match="ell=515"):
+            session.check_input(x)
+    else:
+        session.check_input(x)
