@@ -1,9 +1,15 @@
-"""Activation functions shared by the protocols and the plaintext oracle.
+"""Activation functions and their fixed-point law, shared by the protocols
+and the plaintext oracle.
 
 Two kinds matter here. ``sign``, ``relu`` and ``identity`` act exactly on
 fixed-point integers, so evaluating them never loses precision. The smooth
 ones (sigmoid, tanh, ...) are computed on the decoded real value and, when
-they feed another layer, re-encoded at the model precision.
+they feed another layer, re-encoded at the model precision. ``apply_fixed``
+is that law and ``t_scales`` the scale it leaves each layer at.
+
+Every registered activation is non-decreasing, so its largest output over
+|t| <= B is taken at t = +-B; ``NetworkSpec`` bounds each layer so. A
+non-monotone one (swish, GELU) would need a bound of its own.
 
 ``sign(0) = +1`` throughout: every sign is the predicate [t >= 0].
 """
@@ -81,3 +87,15 @@ def apply_fixed(name: str, t: int, t_scale: int, precision: int) -> int:
     if act.name == "identity":
         return t
     return encode(act.fn(decode(t, t_scale)), precision)
+
+
+def t_scales(precision: int, layer_activations) -> tuple[int, ...]:
+    """Each layer's inner-product scale: its inputs' scale plus ``precision``.
+    The input is at ``precision`` and a sign output at 0 (a bare +-1); relu and
+    identity keep their scale, and smooth activations re-encode at ``precision``."""
+    scales, in_scale = [], precision
+    for activation in layer_activations:
+        scales.append(in_scale + precision)
+        exact = get(activation).integer_exact
+        in_scale = 0 if activation == "sign" else scales[-1] if exact else precision
+    return tuple(scales)

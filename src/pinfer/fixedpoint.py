@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import ParameterError
+
 #: Default bit-precision, the significand width of an IEEE-754 double.
 DEFAULT_PRECISION = 53
 
@@ -32,7 +34,12 @@ def encode(x: float, precision: int = DEFAULT_PRECISION) -> int:
 
 
 def decode(z: int, precision: int = DEFAULT_PRECISION) -> float:
-    """Real value z / 2**precision."""
+    """Real value z / 2**precision; ``ParameterError`` if it lies beyond the
+    float range (about 2**1024), where no real-valued result can carry it."""
     if precision < 0:
         raise ValueError("precision must be non-negative")
-    return z / (1 << precision)
+    try:
+        return z / (1 << precision)
+    except OverflowError:
+        raise ParameterError(f"value of {z.bit_length()} bits at precision {precision} "
+                             "lies beyond the float range") from None

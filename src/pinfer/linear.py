@@ -103,18 +103,21 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Integer feature vector with the fixed coordinate x_0 = 1."""
+    """Integer feature vector with the fixed coordinate x_0 = 1. Every model's
+    ell assumes |x_j| <= 2**precision, a real in [-1, 1] as encoded; only an
+    ``unscaled`` vector may pass it, by ``excess_bits``."""
 
     values: tuple[int, ...]
     precision: int
-    bound_bits: int | None = None
+    unscaled: bool = False
 
     def __post_init__(self):
         if not self.values or self.values[0] != 1:
             raise ParameterError("feature vector must start with the fixed coordinate 1")
-        limit = 1 << (self.bound_bits if self.bound_bits is not None else self.precision)
-        if any(abs(v) > limit for v in self.values[1:]):
-            raise ParameterError("feature magnitude exceeds the declared bound")
+        if not self.unscaled and self.excess_bits:
+            j = next(j for j, v in enumerate(self.values) if abs(v) > 1 << self.precision)
+            raise ParameterError(f"feature x_{j} lies beyond 2**{self.precision}, outside "
+                                 "[-1, 1] as encoded; rescale it or pass --allow-unscaled")
 
     @property
     def d(self) -> int:
@@ -145,12 +148,7 @@ class FeatureVector:
     @classmethod
     def from_real(cls, features, precision: int = 53,
                   allow_unscaled: bool = False) -> "FeatureVector":
-        encoded = tuple(encode(f, precision) for f in features)
-        bound_bits = None
-        if allow_unscaled:
-            bound_bits = max((abs(v).bit_length() for v in encoded), default=0)
-            bound_bits = max(bound_bits, precision)
-        return cls((1, *encoded), precision, bound_bits)
+        return cls((1, *(encode(f, precision) for f in features)), precision, allow_unscaled)
 
 
 @dataclass(frozen=True)

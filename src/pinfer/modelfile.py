@@ -154,7 +154,8 @@ def load_key(path: str) -> PublicKey | SecretKey:
 
 def load_input_vector(path: str, precision: int,
                       allow_unscaled: bool = False) -> FeatureVector:
-    """One decimal real per line; values must lie in [-1, 1] unless allowed."""
+    """One decimal real per line; ``FeatureVector`` refuses one beyond
+    2**precision as encoded unless ``allow_unscaled``."""
     features = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -167,10 +168,6 @@ def load_input_vector(path: str, precision: int,
                 raise ParameterError(f"{path}:{lineno}: not a decimal number: {text!r}") from None
             if not math.isfinite(value):
                 raise ParameterError(f"{path}:{lineno}: not a finite number: {text!r}")
-            if not allow_unscaled and not -1.0 <= value <= 1.0:
-                raise ParameterError(
-                    f"{path}:{lineno}: value {value} outside [-1, 1]; "
-                    "rescale the input or pass --allow-unscaled")
             features.append(value)
     if not features:
         raise ParameterError(f"{path}: no feature values found")

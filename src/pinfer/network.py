@@ -20,8 +20,8 @@ evaluation modes exist:
   heuristic SVM protocol.
 
 Fixed-point scales accumulate across relu/identity layers (there is no
-homomorphic rescaling); both parties derive them (``t_scales``), each layer
-carries its own bound length, and the key size caps the admissible depth.
+homomorphic rescaling); both parties derive them (``activations.t_scales``),
+each layer carries its own bound length, and the key size caps the admissible depth.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ MODES = {"generic": (None,), "encrypted": ("core", "heuristic")}
 @dataclass(frozen=True)
 class LayerSpec:
     """One layer: d_l rows of 1 + d_{l-1} integer weights, bias first, the
-    bias at the layer's inner-product scale (``t_scales``). ``ell`` is the
+    bias at the layer's inner-product scale (``activations.t_scales``). ``ell`` is the
     bit length of the bound on the inner product magnitude.
     """
 
@@ -113,7 +113,7 @@ class NetworkMeta:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Layered integer model with per-layer bound lengths; see ``t_scales``."""
+    """Layered integer model with per-layer bound lengths; see ``activations.t_scales``."""
 
     layers: tuple[LayerSpec, ...]
     precision: int
@@ -192,10 +192,11 @@ class NetworkSpec:
     def _build(cls, layer_defs, precision: int, output_mode: str, encode_row,
                ells=None) -> "NetworkSpec":
         """Derive each layer's bound length from its inputs' bound, then its
-        outputs' bound: 1 for sign, 2**ell - 1 for relu and identity, and
-        2**precision for the smooth activations, which re-encode."""
+        outputs' bound as the largest |apply_fixed| at t = +-(2**ell - 1): 1
+        for sign, 2**ell - 1 for relu and identity, and for a smooth
+        activation what it re-encodes there (it may pass 2**precision)."""
         layers, in_bound = [], 1 << precision
-        scales = t_scales(precision, [activation for _, activation in layer_defs])
+        scales = activations.t_scales(precision, [activation for _, activation in layer_defs])
         for i, ((rows, activation), t_scale) in enumerate(zip(layer_defs, scales)):
             weights = tuple(encode_row(row, t_scale) for row in rows)
             ell = max(max((inner_product_bound(row, in_bound) for row in weights),
@@ -204,22 +205,11 @@ class NetworkSpec:
                 if ells[i] < ell:
                     raise ParameterError(f"layer {i}: declared ell {ells[i]} below required {ell}")
                 ell = ells[i]
-            exact = activations.get(activation).integer_exact
-            in_bound = 1 if activation == "sign" else (1 << ell) - 1 if exact else 1 << precision
+            top = (1 << ell) - 1  # every activation is monotone, so |output| peaks at +-top
+            in_bound = max(abs(activations.apply_fixed(activation, t, t_scale, precision))
+                           for t in (-top, top))
             layers.append(LayerSpec(weights, activation, ell))
         return cls(tuple(layers), precision, output_mode)
-
-
-def t_scales(precision: int, layer_activations) -> tuple[int, ...]:
-    """Each layer's inner-product scale: its inputs' scale plus ``precision``.
-    The input is at ``precision`` and a sign output at 0 (a bare +-1); relu and
-    identity keep their scale, and smooth activations re-encode at ``precision``."""
-    scales, in_scale = [], precision
-    for activation in layer_activations:
-        scales.append(in_scale + precision)
-        exact = activations.get(activation).integer_exact
-        in_scale = 0 if activation == "sign" else scales[-1] if exact else precision
-    return tuple(scales)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +522,8 @@ class NetworkClientSession:
         if meta.variant == "core" and server_public_key is None:
             raise ProtocolViolationError("the server sent no public key")
         self.meta = meta
-        self.t_scales = t_scales(meta.precision, [layer.activation for layer in meta.layers])
+        self.t_scales = activations.t_scales(meta.precision,
+                                             [layer.activation for layer in meta.layers])
         self.keys = {"c": self.pk, "s": server_public_key}  # of each ``layout`` letter
         self.rng = rng or SYSTEM_RNG
         self.result: InferenceResult | None = None

@@ -14,7 +14,7 @@ from . import activations
 from .errors import DimensionMismatchError
 from .fixedpoint import decode
 from .linear import FeatureVector, LinearModel
-from .network import NetworkSpec, t_scales
+from .network import NetworkSpec
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def eval_ffnn(spec: NetworkSpec, x: FeatureVector) -> list[Prediction]:
     if x.d != spec.d_in:
         raise DimensionMismatchError(f"network expects {spec.d_in} inputs, got {x.d}")
     state = list(x.values[1:])
-    scales = t_scales(spec.precision, [layer.activation for layer in spec.layers])
+    scales = activations.t_scales(spec.precision, [layer.activation for layer in spec.layers])
     for layer, t_scale in zip(spec.layers[:-1], scales):
         pre = [inner_product(theta, [1, *state]) for theta in layer.weights]
         state = [activations.apply_fixed(layer.activation, t, t_scale, spec.precision)

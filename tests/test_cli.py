@@ -316,6 +316,29 @@ def test_oracle_refuses_a_model_file_without_precision(model_files, tmp_path, ca
     assert "malformed model" in capsys.readouterr().err
 
 
+def test_oracle_refuses_a_network_file_sized_under_the_2p_bound(tmp_path, capsys):
+    spec = NetworkSpec.from_real([([(1, 1, 1)], "softplus"), ([(0, 1)], "identity")],
+                                 precision=4)
+    save_model(tmp_path / "net.json", spec, "ffnn")
+    doc = json.loads((tmp_path / "net.json").read_text())
+    doc["ell"] = [10, 9]  # layer 1 as a smooth output bounded by 2**precision sized it
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    (tmp_path / "x.txt").write_text("1\n1\n")
+    code = main(["oracle", "--model", str(tmp_path / "net.json"),
+                 "--input", str(tmp_path / "x.txt")])
+    assert code == 4
+    assert "layer 1: declared ell 9 below required 11" in capsys.readouterr().err
+
+
+def test_oracle_beyond_the_float_range_is_a_configuration_error(tmp_path, capsys):
+    save_model(tmp_path / "m.json", LinearModel.from_real([1.0, 1.0], 0.0, 12), "linear")
+    (tmp_path / "x.txt").write_text("1.7e308\n1.7e308\n")
+    code = main(["oracle", "--model", str(tmp_path / "m.json"),
+                 "--input", str(tmp_path / "x.txt"), "--allow-unscaled"])
+    assert code == 4
+    assert "beyond the float range" in capsys.readouterr().err
+
+
 def test_infer_over_real_socket(key_files, model_files, capsys):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))

@@ -1,5 +1,6 @@
 import pytest
 
+from pinfer.errors import ParameterError
 from pinfer.fixedpoint import decode, encode
 
 
@@ -55,3 +56,10 @@ def test_encode_monotone(rng):
     for p in (0, 7, 24, 53):
         encoded = [encode(x, p) for x in xs]
         assert encoded == sorted(encoded)
+
+
+def test_decode_refuses_a_value_beyond_the_float_range():
+    with pytest.raises(ParameterError, match="1101 bits at precision 0 lies beyond the float"):
+        decode(-(1 << 1100), 0)
+    assert decode(1 << 1100, 100) == 2.0 ** 1000
+    assert decode(1, 5000) == 0.0

@@ -59,7 +59,7 @@ def test_unscaled_input_message_names_the_table_protocols_that_compare_nothing()
 def test_regr_core_known_inner_product(client_keys, rng):
     pk, sk = client_keys
     model = LinearModel((1, 2, 3), ell=5, precision=0)
-    x = FeatureVector((1, 4, 5), 0, bound_bits=3)
+    x = FeatureVector((1, 4, 5), 0, unscaled=True)
     request, session = regr_core_request(pk, x, rng)
     assert len(request.ciphertexts) == 2  # x_0 not transmitted
     response = regr_core_respond(model, request, rng)

@@ -50,6 +50,25 @@ def test_declared_ell_is_checked(tmp_path):
         load_model(path)
 
 
+#: The softplus network of ``NetworkSpec.from_real([([(1, 1, 1)], "softplus"),
+#: ([(0, 1)], "identity")], precision=4)`` as saved when a smooth layer's output
+#: was bounded by 2**precision: layer 1's t reaches 768, beyond 2**9 - 1.
+SOFTPLUS_SIZED_AT_2P = {
+    "format_version": 1, "model_type": "ffnn", "kappa": 95, "precision": 4,
+    "output_mode": "raw", "ell": [10, 9],
+    "layers": [{"activation": "softplus", "weights": [["256", "16", "16"]]},
+               {"activation": "identity", "weights": [["0", "16"]]}]}
+
+
+def test_network_file_sized_under_the_2p_bound_is_refused(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(SOFTPLUS_SIZED_AT_2P))
+    with pytest.raises(ParameterError, match="layer 1: declared ell 9 below required 11"):
+        load_model(path)
+    path.write_text(json.dumps({**SOFTPLUS_SIZED_AT_2P, "ell": [10, 11]}))
+    assert [layer.ell for layer in load_model(path).model.layers] == [10, 11]
+
+
 def test_model_file_error_paths(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -196,6 +215,17 @@ def test_input_vector_diagnostics(tmp_path):
     path.write_text("\n")
     with pytest.raises(ParameterError, match="no feature"):
         load_input_vector(path, precision=4)
+
+
+def test_input_range_is_the_encoded_rule(tmp_path):
+    # 1 + 2**-5 encodes to exactly 2**4 at precision 4 and is accepted; its
+    # negative floors to -(2**4) - 1 and is refused, by its index.
+    path = tmp_path / "x.txt"
+    path.write_text("0.5\n1.03125\n-1.03125\n")
+    with pytest.raises(ParameterError, match=r"x_3 lies beyond 2\*\*4.*--allow-unscaled"):
+        load_input_vector(path, precision=4)
+    path.write_text("0.5\n1.03125\n")
+    assert load_input_vector(path, precision=4).values == (1, 8, 16)
 
 
 @pytest.mark.parametrize("model_type,model,message", [

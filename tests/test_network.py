@@ -1,19 +1,21 @@
 import dataclasses
+import itertools
 import math
 import random
 
 import pytest
 
-from pinfer.activations import sign_value
+from pinfer import activations
+from pinfer.activations import sign_value, t_scales
 from pinfer.errors import ParameterError, ProtocolViolationError
 from pinfer.fixedpoint import encode
 from pinfer.linear import FeatureRequest, FeatureVector, heuristic_interval
 from pinfer.network import (LayerMessage, LayerSpec, NetworkClientSession,
                             NetworkServerSession, NetworkSpec, UnitResponse, evaluate_network,
-                            t_scales, unit_answer, unit_challenge, unit_finish)
+                            unit_answer, unit_challenge, unit_finish)
 from pinfer.numutil import insecure_rng
 from pinfer.paillier import SecretKey
-from pinfer.reference import eval_ffnn, eval_linear
+from pinfer.reference import eval_ffnn, eval_linear, inner_product
 from pinfer.wire import Transcript
 
 KAPPA = 40  # test-scale masking margin; production default is 95
@@ -192,6 +194,56 @@ def test_spec_ell_chain():
     assert spec.layers[1].ell == 5
 
 
+@pytest.mark.parametrize("activation, ell", [("softplus", 11), ("leaky_relu", 10),
+                                             ("arctan", 9), ("sigmoid", 8), ("softsign", 8)])
+def test_a_smooth_layer_bounds_what_it_re_encodes(activation, ell):
+    # At x = (1, 1) layer 0's t is 3 * 2**8; softplus and leaky_relu re-encode
+    # it as 48, three times 2**precision, so layer 1's t is 16 * 48 = 768.
+    spec = NetworkSpec.from_real([([(1, 1, 1)], activation), ([(0, 1)], "identity")],
+                                 precision=4)
+    assert [layer.ell for layer in spec.layers] == [10, ell]
+    t = eval_ffnn(spec, FeatureVector.from_real([1, 1], 4))[0].raw
+    assert abs(t) <= (1 << ell) - 1
+
+
+def layer_values(spec, x):
+    """Every layer's inner products on ``x``, as the oracle computes them."""
+    state, values = x.values[1:], []
+    scales = t_scales(spec.precision, [layer.activation for layer in spec.layers])
+    for layer, t_scale in zip(spec.layers, scales):
+        values.append([inner_product(row, [1, *state]) for row in layer.weights])
+        state = [activations.apply_fixed(layer.activation, t, t_scale, spec.precision)
+                 for t in values[-1]]
+    return values
+
+
+def test_every_layer_value_stays_inside_its_bound():
+    rng, names, checked = random.Random(5), sorted(activations._REGISTRY), 0
+    for _ in range(300):
+        precision, fan, layer_defs = rng.choice([2, 4, 8, 12]), rng.randint(1, 3), []
+        d_in = fan
+        shape = [(rng.randint(1, 3), rng.choice(names)) for _ in range(rng.randint(1, 3))]
+        for units, activation in shape + [(1, "identity")]:
+            # Half the weights at +-1, where the bounds are tight.
+            rows = [[rng.choice((-1.0, 1.0)) if rng.random() < 0.5 else rng.uniform(-1, 1)
+                     for _ in range(fan + 1)] for _ in range(units)]
+            layer_defs.append((rows, activation))
+            fan = units
+        spec = NetworkSpec.from_real(layer_defs, precision)
+        for corner in itertools.product((-1.0, 1.0), repeat=d_in):
+            x = FeatureVector.from_real(corner, precision)
+            for index, (layer, ts) in enumerate(zip(spec.layers, layer_values(spec, x))):
+                assert max(map(abs, ts)) <= (1 << layer.ell) - 1, (shape, index, corner)
+                checked += len(ts)
+    assert checked > 7000
+
+
+def test_a_smooth_layer_beyond_the_float_range_is_refused():
+    with pytest.raises(ParameterError, match="beyond the float range"):
+        NetworkSpec.from_integer([([(0, 1)], "softplus"), ([(0, 1)], "identity")], 0,
+                                 ells=[1100, 1200])
+
+
 def test_relu_scale_law():
     precision = 8
     rows1 = [[0.25, 0.5, -0.5], [0.0, -1.0, 1.0], [0.125, 0.25, 0.25]]
@@ -218,7 +270,7 @@ def test_generic_hidden_state(client_keys, rng):
     spec = NetworkSpec.from_integer([([(0, 1)], "identity"), ([(0, 1)], "identity")])
     server = NetworkServerSession(spec, mode="generic", rng=rng)
     client = NetworkClientSession(spec.meta("generic"), (pk_c, sk_c), rng=rng)
-    x = FeatureVector((1, 3), 0, bound_bits=2)
+    x = FeatureVector((1, 3), 0, unscaled=True)
     message = server.start(FeatureRequest.encrypt(pk_c, x, rng))
     reply = client.handle(message)
     message = server.advance(reply)
@@ -386,7 +438,7 @@ def test_clip_composed_from_relu_units(client_keys, server_keys, rng):
 def test_encrypted_network_refuses_unscaled_input(client_keys, server_keys, rng, variant):
     spec = NetworkSpec.from_integer([([(0, 1, 1), (0, 1, -1)], "relu"),
                                      ([(0, 1, 1)], "identity")])
-    x = FeatureVector((1, 3, -1), 0, bound_bits=2)
+    x = FeatureVector((1, 3, -1), 0, unscaled=True)
     with pytest.raises(ParameterError, match="allow-unscaled"):
         evaluate_network(spec, "encrypted", x, client_keys, server_keys, KAPPA, variant,
                          rng=rng)

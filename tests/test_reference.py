@@ -22,7 +22,7 @@ def test_logistic_zero_is_half():
 
 def test_svm_sign():
     model = int_model((0, 1), ell=2)
-    x = FeatureVector((1, -3), 0, bound_bits=2)
+    x = FeatureVector((1, -3), 0, unscaled=True)
     pred = eval_svm(model, x)
     assert pred.class_label == -1 and pred.raw == -3
 

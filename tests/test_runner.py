@@ -1244,7 +1244,7 @@ assert result.labels == (eval_svm(model, x).class_label,)
 
 
 UNSCALED = {"linear": FeatureVector.from_real([1.5, -2.0, 0.25, 3.0], 12, allow_unscaled=True),
-            "ffnn": FeatureVector((1, 3, -1), 0, bound_bits=2)}
+            "ffnn": FeatureVector((1, 3, -1), 0, unscaled=True)}
 
 
 @pytest.mark.parametrize("protocol", ["svm-core", "svm-heur", "ffnn-sign", "ffnn-relu-heur"])
